@@ -207,7 +207,7 @@ def count_difference_distribution(modes: int, displacement_norm: float,
             break
         remaining = (s2 / (N + 1.0) ** 2
                      * ((k + 1) * x**k * (1 - x) + x ** (k + 1)) / (1 - x) ** 2)
-        lam_k = s2 * N ** (k - 1) / (N + 1.0) ** (k + 1)
+        lam_k = s2 / (N + 1.0) ** 2 * p ** (k - 1)  # N^(k-1) overflows at large N
         if lam_k > 0.0:
             pmf_k = poisson_pmf(lam_k, comp_tol)
             pois = IntegerDistribution(0, pmf_k, max(0.0, 1.0 - pmf_k.sum()))

@@ -120,10 +120,20 @@ def run_curve(config: ExperimentConfig) -> str:
     if note:
         notes.append(note)
 
-    spec_hh = ht.TestSpec(config.modes, config.copies, config.mixture,
-                          config.alpha, "hh")
+    spec_hh = None
+    if config.copies > 2 * config.modes:
+        spec_hh = ht.TestSpec(config.modes, config.copies, config.mixture,
+                              config.alpha, "hh")
+    else:
+        notes.append("beta_hh not evaluated: the Hotelling test needs more than "
+                     "2m copies")
     for stream, entry in enumerate(config.etas):
         label, eta, orient = _resolve_eta(entry, config.modes)
+        if spec_hh is None:
+            suffixes = ("", "_mc", "_stderr") if config.reps > 0 else ("",)
+            for suffix in suffixes:
+                columns[f"beta_hh_{label}{suffix}"] = np.full(grid.shape, np.nan)
+            continue
         theta_vec = lambda t: orient * t * np.eye(config.modes, 1).ravel()
         columns[f"beta_hh_{label}"] = np.array(
             [ht.hh_type2_analytic(theta_vec(t), eta, spec_hh) for t in grid])

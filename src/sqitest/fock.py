@@ -17,6 +17,14 @@ Truncation bookkeeping: states report their truncation loss (1 - trace),
 and edge sectors (total photon number >= d) carry O(1) clipping artifacts,
 so operator-level identities are asserted on the *complete* sectors
 (total photons <= d-1) or on interior occupation blocks.
+
+Photon sectors: the passive generators (beamsplitters, phase differences)
+conserve each mode's photon total over the copies, also at the cutoff,
+because a*_k a_j maps a box state to a box state with the same totals or
+to zero.  ``si_type2_fock`` therefore works sector by sector on blocks cut
+from the sparse generators; the cut checks that no entry couples two
+sectors instead of assuming it.  The dense whole-space operators stay as
+the references the tests compare against.
 """
 
 from __future__ import annotations
@@ -33,6 +41,11 @@ from .phase_space import SqueezeParam
 
 _HERM_TOL = 1e-10
 _CLUSTER_TOL = 1e-8
+_QUAD_ROUNDS = 4  # quadrature resolutions tried by the pure-state route
+
+
+class ConvergenceError(RuntimeError):
+    """Raised when a refinement loop ends without meeting its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -146,6 +159,38 @@ def complete_sector_mask(config: FockConfig) -> np.ndarray:
 def interior_mask(config: FockConfig, margin: int) -> np.ndarray:
     """Basis states with every occupation <= cutoff - 1 - margin."""
     return occupations(config).max(axis=1) <= config.cutoff - 1 - margin
+
+
+def photon_sectors(config: FockConfig) -> list:
+    """Basis indices grouped by the tuple of per-mode photon totals.
+
+    The total of mode i is the sum of its occupations over the copies.
+    Sectors come in lexicographic order of their totals, indices ascending
+    within each.
+    """
+    occ = occupations(config).reshape(config.dim, config.copies, config.modes)
+    totals = occ.sum(axis=1)
+    key = np.ravel_multi_index(totals.T, (config.copies * (config.cutoff - 1) + 1,)
+                               * config.modes)
+    order = np.argsort(key, kind="stable")
+    return np.split(order, np.nonzero(np.diff(key[order]))[0] + 1)
+
+
+def sector_blocks(op, sectors: list) -> list:
+    """Sparse diagonal blocks op[idx, idx], one per sector of a partition.
+
+    Raises ValueError if a nonzero entry of ``op`` couples two sectors, so
+    the blocks are exact restrictions of ``op`` and never an approximation.
+    """
+    label = np.empty(op.shape[0], dtype=np.intp)
+    for s, idx in enumerate(sectors):
+        label[idx] = s
+    coo = sparse.coo_matrix(op)
+    nonzero = coo.data != 0
+    if np.any(label[coo.row[nonzero]] != label[coo.col[nonzero]]):
+        raise ValueError("operator couples different photon sectors (not passive)")
+    op = sparse.csr_matrix(op)
+    return [op[idx][:, idx] for idx in sectors]
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +420,33 @@ def pooling_rotation(config: FockConfig, dense_limit: int = 4096) -> TruncatedOp
     if config.copies < 2:
         raise ValueError("pooling rotation needs at least two copies")
     _require_dense(config, dense_limit)
-    out = np.eye(config.dim, dtype=complex)
-    for k in range(1, config.copies):
-        gen = np.arctan(np.sqrt(k)) * beamsplitter_generator(config, k, k + 1)
-        out = expm(gen.toarray()) @ out
-    return TruncatedOperator(config, out)
+    return TruncatedOperator(config, _pooling_matrix(_pooling_generators(config),
+                                                     config.copies))
+
+
+def _pooling_generators(config: FockConfig) -> dict:
+    """Sparse bs_{j,k} for the pairs (k, k+1) and (k, n) that the defect uses."""
+    n = config.copies
+    pairs = {(k, k + 1) for k in range(1, n)} | {(k, n) for k in range(1, n)}
+    return {pair: beamsplitter_generator(config, *pair) for pair in sorted(pairs)}
+
+
+def _pooling_matrix(gens: dict, n: int) -> np.ndarray:
+    """R_{n-1} ... R_1 from sparse generators (whole space or one sector block)."""
+    out = np.eye(gens[1, 2].shape[0], dtype=complex)
+    for k in range(1, n):
+        out = expm((np.arctan(np.sqrt(k)) * gens[k, k + 1]).toarray()) @ out
+    return out
+
+
+def _defect_matrix(gens: dict, n: int) -> np.ndarray:
+    """sum_k (bs_{k,n} R)^* (bs_{k,n} R), hermitized, from ``_pooling_generators``."""
+    R = _pooling_matrix(gens, n)
+    T = np.zeros_like(R)
+    for k in range(1, n):
+        B = (-gens[k, n]) @ R  # v* = -v for the anti-hermitian generator
+        T += B.conj().T @ B
+    return 0.5 * (T + T.conj().T)
 
 
 def apply_pooling_rotation(config: FockConfig, psi: np.ndarray,
@@ -409,14 +476,8 @@ def rotation_defect_observable(config: FockConfig,
     if config.copies < 2:
         raise ValueError("needs at least two copies")
     _require_dense(config, dense_limit)
-    n = config.copies
-    R = pooling_rotation(config, dense_limit).entries
-    T = np.zeros((config.dim, config.dim), dtype=complex)
-    for k in range(1, n):
-        v = beamsplitter_generator(config, k, n)
-        B = (-v) @ R  # v* = -v for the anti-hermitian generator
-        T += B.conj().T @ B
-    return TruncatedOperator(config, 0.5 * (T + T.conj().T))
+    return TruncatedOperator(config, _defect_matrix(_pooling_generators(config),
+                                                    config.copies))
 
 
 # ---------------------------------------------------------------------------
@@ -497,14 +558,49 @@ def spectral_measure(state, obs: TruncatedOperator,
     _check_hermitian(obs.entries, "observable")
     vals, vecs = eigh(obs.entries)
     if isinstance(state, TruncatedState):
-        B = state.entries @ vecs
-        per_vec = np.real(np.sum(vecs.conj() * B, axis=0))
+        per_vec = _eigvec_masses(state.entries, vecs)
     else:
         psi = np.asarray(state, dtype=complex)
         per_vec = np.abs(vecs.conj().T @ psi) ** 2
     reps, slices = cluster_eigenvalues(vals, cluster_tol)
     weights = np.array([per_vec[s].sum() for s in slices])
     return SpectralMeasure(reps, weights)
+
+
+def _eigvec_masses(rho: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Tr[rho |v><v|] for each column v of ``vecs``."""
+    return np.real(np.sum(vecs.conj() * (rho @ vecs), axis=0))
+
+
+def defect_spectral_measures(config: FockConfig, states: list) -> list:
+    """Spectral measures of the rotation-defect observable, one per state.
+
+    Equals ``spectral_measure(state, rotation_defect_observable(config))``
+    for each state, but eigendecomposes the observable one photon sector
+    at a time: each sector block is built from the generator blocks, and
+    only the diagonal blocks rho[idx, idx] of a state can carry mass.  All
+    measures share one clustered spectrum.
+    """
+    if config.copies < 2:
+        raise ValueError("needs at least two copies")
+    sectors = photon_sectors(config)
+    blocks = {pair: sector_blocks(g, sectors)
+              for pair, g in _pooling_generators(config).items()}
+    vals, masses = [], []
+    for s, idx in enumerate(sectors):
+        T = _defect_matrix({pair: b[s] for pair, b in blocks.items()}, config.copies)
+        lam, vecs = eigh(T)
+        vals.append(lam)
+        masses.append([_eigvec_masses(st.entries[np.ix_(idx, idx)], vecs)
+                       for st in states])
+    vals = np.concatenate(vals)
+    order = np.argsort(vals, kind="stable")
+    reps, slices = cluster_eigenvalues(vals[order])
+    out = []
+    for per_state in zip(*masses):
+        per_vec = np.concatenate(per_state)[order]
+        out.append(SpectralMeasure(reps, np.array([per_vec[sl].sum() for sl in slices])))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +617,11 @@ def _sin_weight_nodes(n_nodes: int):
     beta = 0.5 * np.pi * (x + 1.0)
     weights = w * (np.pi / 2.0) * np.sin(beta) / 2.0  # Haar: sin(beta)/2 on [0, pi]
     return beta, weights
+
+
+def _sin_average_diag(eigvals: np.ndarray, nodes) -> np.ndarray:
+    beta, weights = nodes
+    return np.exp(1j * np.outer(eigvals, beta)) @ weights
 
 
 def rotation_average_projector(config: FockConfig, n_angles: int = 512,
@@ -546,21 +647,14 @@ def rotation_average_projector(config: FockConfig, n_angles: int = 512,
         h23 = (-1j) * beamsplitter_generator(config, 2, 3).toarray()
         lam23, v23 = eigh(h23)
 
-    def diag12(K):
-        return _circle_average_diag(lam12, K)
-
-    def diag23(G):
-        beta, wts = _sin_weight_nodes(G)
-        return np.exp(1j * np.outer(lam23, beta)) @ wts
-
     K, G = n_angles, n_nodes
-    d12 = diag12(K)
-    d23 = diag23(G) if config.copies == 3 else None
+    d12 = _circle_average_diag(lam12, K)
+    d23 = _sin_average_diag(lam23, _sin_weight_nodes(G)) if config.copies == 3 else None
     for _ in range(6):
-        d12_next = diag12(2 * K)
+        d12_next = _circle_average_diag(lam12, 2 * K)
         stable = np.max(np.abs(d12_next - d12)) < tol
         if config.copies == 3:
-            d23_next = diag23(G + 32)
+            d23_next = _sin_average_diag(lam23, _sin_weight_nodes(G + 32))
             stable = stable and np.max(np.abs(d23_next - d23)) < tol
             d23 = d23_next
             G += 32
@@ -578,46 +672,44 @@ def rotation_average_projector(config: FockConfig, n_angles: int = 512,
     return TruncatedOperator(config, W)
 
 
-def rotation_average_apply(config: FockConfig, psi: np.ndarray,
-                           n_angles: int = 128, n_nodes: int = 48) -> np.ndarray:
-    """Apply the rotation average to a state vector without dense matrices."""
+def _rotation_average_rounds(config: FockConfig, psi: np.ndarray) -> np.ndarray:
+    """<psi| W |psi> at each quadrature round, in one pass over the sectors.
+
+    W is W12 (n = 2) or W12 M23 W12 (n = 3), where W12 averages
+    exp(t bs_{1,2}) over K = 128 2^r trapezoid angles and M23 averages
+    exp(b bs_{2,3}) over G = 48 + 32 r Gauss-Legendre nodes with the sin(b)
+    Haar weight (round r).  Both act diagonally in the eigenbases of the
+    two generators' sector blocks; a sector's eigenvectors are dropped
+    before the next sector is decomposed, and sectors where psi vanishes
+    are skipped.
+    """
     if config.copies not in (2, 3):
         raise ValueError("rotation averaging implemented for 2 or 3 copies")
-    v12 = beamsplitter_generator(config, 1, 2).tocsc()
-
-    def circle_avg(vec):
-        K = n_angles
-        grid = expm_multiply(v12, vec, start=0.0,
-                             stop=2.0 * np.pi * (K - 1) / K, num=K, endpoint=True)
-        return grid.mean(axis=0)
-
-    out = circle_avg(np.asarray(psi, dtype=complex))
+    rounds = range(_QUAD_ROUNDS)
+    steps = [2 ** (_QUAD_ROUNDS - 1 - r) for r in rounds]
+    # each round's trapezoid grid is every steps[r]-th angle of the finest one
+    angles = 2.0 * np.pi * np.arange(128 * steps[0]) / (128 * steps[0])
+    nodes = [_sin_weight_nodes(48 + 32 * r) for r in rounds]
+    sectors = photon_sectors(config)
+    bs12 = sector_blocks(beamsplitter_generator(config, 1, 2), sectors)
     if config.copies == 3:
-        v23 = beamsplitter_generator(config, 2, 3).tocsc()
-        beta, wts = _sin_weight_nodes(n_nodes)
-        acc = np.zeros_like(out)
-        for b, w in zip(beta, wts):
-            acc = acc + w * expm_multiply(b * v23, out)
-        out = circle_avg(acc)
-    return out
-
-
-def invariant_expectation(config: FockConfig, psi: np.ndarray,
-                          tol: float = 1e-6, n_angles: int = 128,
-                          n_nodes: int = 48, max_doublings: int = 4) -> float:
-    """<psi| P |psi> with P the rotation-average projector, doubling until stable."""
-    psi = np.asarray(psi, dtype=complex)
-    prev = None
-    K, G = n_angles, n_nodes
-    for _ in range(max_doublings):
-        avg = rotation_average_apply(config, psi, n_angles=K, n_nodes=G)
-        val = float(np.real(psi.conj() @ avg))
-        if prev is not None and abs(val - prev) < tol:
-            return val
-        prev = val
-        K *= 2
-        G += 32
-    return prev
+        bs23 = sector_blocks(beamsplitter_generator(config, 2, 3), sectors)
+    q = np.zeros(len(rounds))
+    for s, idx in enumerate(sectors):
+        if not np.any(psi[idx]):
+            continue
+        lam12, v12 = eigh((-1j) * bs12[s].toarray())
+        phases = np.exp(1j * np.outer(lam12, angles))
+        d12 = np.stack([phases[:, ::step].mean(axis=1) for step in steps], axis=1)
+        a = v12.conj().T @ psi[idx]
+        if config.copies == 2:
+            q += np.real((np.abs(a) ** 2) @ d12)
+            continue
+        lam23, v23 = eigh((-1j) * bs23[s].toarray())
+        d23 = np.stack([_sin_average_diag(lam23, nd) for nd in nodes], axis=1)
+        e = v12.conj().T @ (v23 @ (d23 * (v23.conj().T @ (v12 @ (d12 * a[:, None])))))
+        q += np.real(np.sum(a.conj()[:, None] * d12 * e, axis=0))
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -680,9 +772,11 @@ def si_type2_fock(theta, mixture: float, alpha: float, config: FockConfig,
     Solves the randomized level equation on the discrete spectrum of the
     rotation-defect observable under the null state, then evaluates the
     same randomized projection pair on the displaced state.  The mixture-0
-    case routes through the rotation-average projector (the null state sits
-    exactly in the kernel), which keeps large copy counts affordable; the
-    general case eigendecomposes densely.
+    case routes through the rotation average (the null state sits exactly
+    in the kernel), refining the quadrature until two successive rounds
+    agree to ``quad_tol`` and raising ConvergenceError otherwise; the
+    general case eigendecomposes the observable sector by sector, with the
+    states built densely (``dense_limit``).
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
@@ -695,25 +789,20 @@ def si_type2_fock(theta, mixture: float, alpha: float, config: FockConfig,
         # the solved thresholds are s below the spectrum, t = 0, w = 1-alpha
         # (or the degenerate kernel projection at alpha = 0).
         Z = np.tile(theta.reshape(-1, 1), (1, config.copies))
-        psi = coherent_product_vector(config, Z)
-        q = invariant_expectation(config, psi, tol=quad_tol)
+        q = _rotation_average_rounds(config, coherent_product_vector(config, Z))
+        hits = np.nonzero(np.abs(np.diff(q)) < quad_tol)[0]
+        if hits.size == 0:
+            raise ConvergenceError(
+                f"rotation average not stable to {quad_tol:g} after {_QUAD_ROUNDS} "
+                f"quadrature rounds (last change {abs(q[-1] - q[-2]):.3e})")
         coeff = 1.0 if alpha == 0.0 else (1.0 - alpha)
-        return coeff * q
-
-    T = rotation_defect_observable(config, dense_limit)
-    vals, vecs = eigh(T.entries)
-    reps, slices = cluster_eigenvalues(vals)
-
-    def cluster_masses(rho):
-        B = rho @ vecs
-        per_vec = np.real(np.sum(vecs.conj() * B, axis=0))
-        return np.array([per_vec[s].sum() for s in slices])
+        return coeff * float(q[hits[0] + 1])
 
     null = product_state(config, np.zeros(config.modes), mixture, dense_limit)
-    sol = solve_level_equation(cluster_masses(null.entries), alpha)
     alt = product_state(config, theta, mixture, dense_limit)
-    cum_alt = np.cumsum(cluster_masses(alt.entries))
-    return sol.accept_probability(cum_alt)
+    null_law, alt_law = defect_spectral_measures(config, [null, alt])
+    sol = solve_level_equation(null_law.weights, alpha)
+    return sol.accept_probability(np.cumsum(alt_law.weights))
 
 
 def auto_cutoff(displacement_norm: float, mixture: float, eps: float = 1e-8,

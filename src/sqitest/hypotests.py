@@ -20,6 +20,7 @@ through its lattice law and the randomized level equation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,11 @@ class TestSpec:
     def nu_dof(self) -> int:
         return self.copies - 2 * self.modes
 
+    @cached_property
+    def critical_point(self) -> float:
+        """Level-alpha critical point of the central F(mu, nu) law, solved once."""
+        return dist.critical_point(self.alpha, self.mu_dof, self.nu_dof)
+
 
 class SingularCovarianceError(ValueError):
     """Raised when the sample covariance of the supplied data is singular."""
@@ -101,8 +107,8 @@ def hh_type2_analytic(theta, eta: SqueezeParam, spec: TestSpec) -> float:
     if spec.kind != "hh":
         raise ValueError("spec.kind must be 'hh'")
     lam = spec.copies * kappa(theta, eta, spec.mixture)
-    c = dist.critical_point(spec.alpha, spec.mu_dof, spec.nu_dof)
-    return dist.noncentral_f_cdf(c, NoncentralFParams(spec.mu_dof, spec.nu_dof, lam))
+    return dist.noncentral_f_cdf(spec.critical_point,
+                                 NoncentralFParams(spec.mu_dof, spec.nu_dof, lam))
 
 
 @dataclass(frozen=True)
@@ -133,13 +139,30 @@ def hh_type2_montecarlo(theta, eta: SqueezeParam, spec: TestSpec, reps: int,
     xbar = x.mean(axis=1)
     centered = x - xbar[:, None, :]
     cov = np.einsum("rni,rnj->rij", centered, centered) / (n - 1)
-    sol = np.linalg.solve(cov, xbar[..., None])[..., 0]
-    t2 = n * np.einsum("ri,ri->r", xbar, sol)
+    t2 = n * _quadratic_forms(cov, xbar)
     f = (spec.nu_dof / (spec.mu_dof * (n - 1))) * t2
-    c = dist.critical_point(spec.alpha, spec.mu_dof, spec.nu_dof)
-    accept = float(np.mean(f <= c))
+    accept = float(np.mean(f <= spec.critical_point))
     stderr = float(np.sqrt(max(accept * (1.0 - accept), 1e-12) / reps))
     return MonteCarloEstimate(accept, stderr, reps)
+
+
+def _quadratic_forms(cov: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x_r' cov_r^{-1} x_r per replicate r; +inf where cov_r is exactly singular.
+
+    +inf is the limit of the form when x_r leaves the range of cov_r, so a
+    singular replicate counts as a rejection.  One singular matrix fails a
+    batched solve, so a failed batch is split in halves until the singular
+    replicates stand alone; the others are solved as they would be in a
+    batch without them.
+    """
+    try:
+        return np.einsum("ri,ri->r", x, np.linalg.solve(cov, x[..., None])[..., 0])
+    except np.linalg.LinAlgError:
+        if len(x) == 1:
+            return np.array([np.inf])
+        h = len(x) // 2
+        return np.concatenate([_quadratic_forms(cov[:h], x[:h]),
+                               _quadratic_forms(cov[h:], x[h:])])
 
 
 def si_type2_closed(theta_norm: float, spec: TestSpec) -> float:

@@ -111,6 +111,13 @@ class TestCountDifferenceLaw:
                                     comp.hi + 8)
             assert total_variation(comp, inv) < 1e-8
 
+    def test_large_mixture_matches_cf_inversion(self):
+        # N = 10 needs about 330 Poisson components; N^(k-1) overflowed there
+        comp = count_difference_distribution(1, 1.0, 10.0)
+        inv = invert_integer_cf(lambda r: count_difference_cf(1, 1.0, 10.0, r),
+                                comp.hi + 8)
+        assert total_variation(comp, inv) < 1e-8
+
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             count_difference_distribution(1, 0.5, -0.1)

@@ -7,6 +7,7 @@ from sqitest.experiments import (
     run_curve,
     run_verify,
 )
+from sqitest.hypotests import si_type2_n2
 from sqitest.phase_space import SqueezeParam
 
 
@@ -111,11 +112,17 @@ class TestRunCurve:
             assert abs(row[i_mc] - row[i_an]) < 5 * row[i_se]
 
     def test_two_copy_mixture_uses_lattice_route(self, tmp_path):
+        # HH is undefined at n = 2 (needs n > 2m): its columns are NaN with a
+        # note, while beta_si comes from the two-copy lattice law
         out = tmp_path / "c.csv"
-        with pytest.raises(ValueError):
-            # HH is undefined at n = 2 (needs n > 2m): config must fail fast
-            run_curve(ExperimentConfig(copies=2, mixture=0.5, theta_steps=2,
-                                       theta_max=0.5, out=str(out)))
+        run_curve(ExperimentConfig(copies=2, mixture=0.5, theta_steps=2,
+                                   theta_max=0.5, reps=100, etas=("zero",),
+                                   out=str(out)))
+        comments, header, rows = read_curve(out)
+        assert any("Hotelling" in c for c in comments if c.startswith("# note"))
+        for name in ("beta_hh_eta0", "beta_hh_eta0_mc", "beta_hh_eta0_stderr"):
+            assert np.isnan(rows[:, header.index(name)]).all()
+        assert np.isfinite(rows[:, header.index("beta_si")]).all()
 
     def test_mixture_without_closed_form_noted(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -166,6 +173,15 @@ class TestCli:
         assert code == 0
         assert out.exists()
         assert "wrote" in capsys.readouterr().out
+
+    def test_two_copy_curve_command(self, tmp_path):
+        out = tmp_path / "c.csv"
+        code = main(["curve", "--m", "1", "--n", "2", "--N", "0.5",
+                     "--theta-steps", "3", "--theta-max", "1.0", "--out", str(out)])
+        assert code == 0
+        _, header, rows = read_curve(out)
+        want = [si_type2_n2(t, 1, 0.5, 0.05) for t in rows[:, 0]]
+        assert rows[:, header.index("beta_si")].tolist() == want
 
     def test_flags_override_config_file(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"

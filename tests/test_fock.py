@@ -8,6 +8,7 @@ from scipy.sparse.linalg import expm_multiply
 from sqitest import distributions as dist
 from sqitest import fock
 from sqitest.fock import (
+    ConvergenceError,
     FockConfig,
     TruncatedOperator,
     TruncatedState,
@@ -21,16 +22,19 @@ from sqitest.fock import (
     coherent_vector,
     complete_sector_mask,
     copy_mixing_generator,
+    defect_spectral_measures,
     displacement,
     dump_entries,
     interior_mask,
     load_entries,
     mode_mixing_generator,
     phase_difference_generator,
+    photon_sectors,
     pooling_rotation,
     product_state,
     rotation_average_projector,
     rotation_defect_observable,
+    sector_blocks,
     si_type2_fock,
     solve_level_equation,
     spectral_measure,
@@ -343,6 +347,47 @@ class TestRotationDefectObservable:
         assert int(np.sum(vals < 1e-8)) == 3
 
 
+class TestPhotonSectors:
+    @pytest.mark.parametrize("shape", [(1, 3, 4), (2, 2, 3)])
+    def test_sectors_partition_by_mode_totals(self, shape):
+        cfg = FockConfig(*shape)
+        sectors = photon_sectors(cfg)
+        assert np.array_equal(np.sort(np.concatenate(sectors)), np.arange(cfg.dim))
+        occ = fock.occupations(cfg).reshape(cfg.dim, cfg.copies, cfg.modes)
+        totals = occ.sum(axis=1)
+        for idx in sectors:
+            assert (totals[idx] == totals[idx[0]]).all()
+        assert len({tuple(totals[idx[0]]) for idx in sectors}) == len(sectors)
+
+    def test_passive_generator_blocks_reassemble(self):
+        cfg = FockConfig(2, 2, 3)
+        sectors = photon_sectors(cfg)
+        v = beamsplitter_generator(cfg, 1, 2)
+        whole = np.zeros((cfg.dim, cfg.dim), dtype=complex)
+        for idx, block in zip(sectors, sector_blocks(v, sectors)):
+            whole[np.ix_(idx, idx)] = block.toarray()
+        assert np.array_equal(whole, v.toarray())
+
+    def test_block_extraction_rejects_squeezing(self):
+        cfg = FockConfig(1, 2, 5)
+        eta = SqueezeParam(1, np.zeros((1, 1)), np.array([[0.3]], dtype=complex))
+        with pytest.raises(ValueError):
+            sector_blocks(squeeze_generator(eta, cfg), photon_sectors(cfg))
+
+    @pytest.mark.parametrize("shape", [(1, 3, 6), (2, 2, 4)])
+    def test_blocked_defect_measure_matches_dense(self, shape):
+        cfg = FockConfig(*shape)
+        T = rotation_defect_observable(cfg)
+        z = 0.3 * np.exp(0.5j * np.arange(cfg.modes))
+        states = [product_state(cfg, np.zeros(cfg.modes), 0.4),
+                  product_state(cfg, z, 0.4)]
+        for state, got in zip(states, defect_spectral_measures(cfg, states)):
+            want = spectral_measure(state, T)
+            assert got.values.shape == want.values.shape
+            assert np.max(np.abs(got.values - want.values)) < 1e-12
+            assert np.max(np.abs(got.weights - want.weights)) < 1e-12
+
+
 class TestSpectralProjection:
     def test_negative_threshold_gives_zero(self):
         cfg = FockConfig(1, 2, 6)
@@ -538,6 +583,10 @@ class TestSiErrorProbability:
         cfg = FockConfig(1, 2, 6)
         with pytest.raises(ValueError):
             si_type2_fock(0.1, 0.0, 1.5, cfg)
+
+    def test_unconverged_quadrature_raises(self):
+        with pytest.raises(ConvergenceError):
+            si_type2_fock(0.3, 0.0, 0.05, FockConfig(1, 3, 6), quad_tol=0.0)
 
     def test_dense_limit_guard(self):
         cfg = FockConfig(1, 2, 40)

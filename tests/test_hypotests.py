@@ -109,6 +109,17 @@ class TestHHAnalytic:
             beta = hh_type2_analytic(th, eta0, spec)
             assert beta > np.exp(-lam / 2.0) * 0.95
 
+    def test_critical_point_solved_once_per_spec(self, monkeypatch):
+        calls = []
+        solve = dist.critical_point
+        monkeypatch.setattr(dist, "critical_point",
+                            lambda *a: calls.append(a) or solve(*a))
+        spec = TestSpec(1, 3, 0.0, 0.05, "hh")
+        for t in (0.0, 0.5, 1.0):
+            hh_type2_analytic(t, SqueezeParam.zero(1), spec)
+        assert len(calls) == 1
+        assert spec.critical_point == solve(0.05, 2, 1)
+
     def test_requires_hh_spec(self):
         with pytest.raises(ValueError):
             hh_type2_analytic(0.1, SqueezeParam.zero(1), TestSpec(1, 3, 0.0, 0.05, "si"))
@@ -139,6 +150,14 @@ class TestHHMonteCarlo:
         a = hh_type2_montecarlo(0.3, SqueezeParam.zero(1), spec, 2000, seed=9)
         b = hh_type2_montecarlo(0.3, SqueezeParam.zero(1), spec, 2000, seed=9)
         assert a == b
+
+    def test_singular_replicate_counts_as_rejection(self):
+        # replicate 177588 of this stream has an exactly singular covariance,
+        # which used to abort the whole batched solve
+        eta = SqueezeParam(1, np.zeros((1, 1)), np.eye(1, dtype=complex))
+        spec = TestSpec(1, 3, 0.0, 0.05, "hh")
+        est = hh_type2_montecarlo(0.0, eta, spec, 400_000, seed=1000106)
+        assert abs(est.value - 0.95) < 5 * est.stderr
 
     def test_needs_positive_reps(self):
         spec = TestSpec(1, 3, 0.0, 0.05, "hh")
