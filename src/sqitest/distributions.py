@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaln, gammaln
+from scipy.special import betainc, betaln, gammaln, hyp0f1, ive
 
 # Series stopping: relative floor plus an absolute guard against underflow
 # stalls when the noncentrality is large.
@@ -163,20 +163,19 @@ def _difference(dist: IntegerDistribution) -> IntegerDistribution:
     return IntegerDistribution(lo, pmf, tail)
 
 
-def _stretch(dist: IntegerDistribution, k: int) -> IntegerDistribution:
-    """Law of k * X: support spaced by k, zeros in between."""
-    if k == 1:
-        return dist
-    pmf = np.zeros(k * (len(dist.pmf) - 1) + 1)
-    pmf[::k] = dist.pmf
-    return IntegerDistribution(dist.lo * k, pmf, dist.tail_mass)
+def _add_scaled(a: IntegerDistribution, b: IntegerDistribution,
+                k: int) -> IntegerDistribution:
+    """Law of A + k B for independent A ~ ``a`` and B ~ ``b``.
 
-
-def _convolve(a: IntegerDistribution, b: IntegerDistribution) -> IntegerDistribution:
-    pmf = np.convolve(a.pmf, b.pmf)
+    Each atom q_j of ``b`` adds q_j * pmf_A at offset k j, so the cost is
+    len(a) * len(b) whatever the spacing k.
+    """
+    pmf = np.zeros(len(a.pmf) + k * (len(b.pmf) - 1))
+    for j, q in enumerate(b.pmf):
+        pmf[k * j: k * j + len(a.pmf)] += q * a.pmf
     tail = min(1.0, a.tail_mass + b.tail_mass)
     pmf = pmf * (1.0 - tail) / pmf.sum() if pmf.sum() > 0 else pmf
-    return IntegerDistribution(a.lo + b.lo, pmf, tail)
+    return IntegerDistribution(a.lo + k * b.lo, pmf, tail)
 
 
 def count_difference_distribution(modes: int, displacement_norm: float,
@@ -211,7 +210,7 @@ def count_difference_distribution(modes: int, displacement_norm: float,
         if lam_k > 0.0:
             pmf_k = poisson_pmf(lam_k, comp_tol)
             pois = IntegerDistribution(0, pmf_k, max(0.0, 1.0 - pmf_k.sum()))
-            out = _convolve(out, _stretch(_difference(pois), k))
+            out = _add_scaled(out, _difference(pois), k)
         if remaining < tol:
             break
     # enforce exact symmetry (the construction is symmetric; float error is not)
@@ -416,23 +415,20 @@ def beta_function(x: float, y: float) -> float:
 def exp_cos_integral_scaled(z: float, n: int) -> float:
     """e^{-|z|} int_0^pi e^{z cos phi} sin^{n-2} phi dphi, overflow-free.
 
-    The integrand e^{z cos phi - |z|} stays in [0, 1], so this is usable for
-    arbitrarily large |z|; accuracy 1e-12 relative.
+    The integral is even in z and equals sqrt(pi) Gamma(nu + 1/2)
+    (2/|z|)^nu I_nu(|z|) with nu = (n-2)/2 (DLMF 10.32.2), so the scaled
+    value is that expression with the exponentially scaled Bessel function
+    ive, evaluated in logarithms.  Where ive underflows (z = 0, or |z|
+    small against nu) the series form B((n-1)/2, 1/2) e^{-|z|}
+    0F1(; nu + 1; z^2/4) takes over.
     """
-    from scipy.integrate import quad
-
     if n < 2:
         raise ValueError("n must be >= 2")
-    scale = abs(z)
-    val, _ = quad(lambda p: np.exp(z * np.cos(p) - scale) * np.sin(p) ** (n - 2),
-                  0.0, np.pi, epsabs=1e-300, epsrel=1e-12, limit=400)
-    return float(val)
-
-
-def exp_cos_integral(z: float, n: int) -> float:
-    """int_0^pi e^{z cos phi} sin^{n-2} phi dphi to 1e-12 relative accuracy.
-
-    At z = 0 this is the beta function B((n-1)/2, 1/2); overflows for
-    |z| beyond ~700 (use the scaled variant there).
-    """
-    return exp_cos_integral_scaled(z, n) * float(np.exp(abs(z)))
+    x = abs(float(z))
+    nu = (n - 2) / 2.0
+    bessel = float(ive(nu, x))
+    if x == 0.0 or bessel < np.finfo(float).tiny:
+        series = float(np.exp(-x) * hyp0f1(nu + 1.0, x * x / 4.0))
+        return beta_function((n - 1) / 2.0, 0.5) * series
+    return float(np.exp(0.5 * np.log(np.pi) + gammaln(nu + 0.5)
+                        + nu * np.log(2.0 / x) + np.log(bessel)))

@@ -361,9 +361,6 @@ def run_verify(suite: str, budget: int = 2 ** 20) -> VerifyReport:
     for name, (fn, needs_budget) in selected:
         try:
             fn(report, budget) if needs_budget else fn(report)
-        except ValueError as exc:
-            if "budget" in str(exc) or "dense" in str(exc):
-                report.skip(name, str(exc))
-            else:
-                raise
+        except fock.BudgetExceeded as exc:
+            report.skip(name, str(exc))
     return report

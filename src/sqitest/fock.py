@@ -48,6 +48,10 @@ class ConvergenceError(RuntimeError):
     """Raised when a refinement loop ends without meeting its tolerance."""
 
 
+class BudgetExceeded(ValueError):
+    """Raised when a space exceeds its dimension budget or the dense limit."""
+
+
 @dataclass(frozen=True)
 class FockConfig:
     """Mode count, copy count and per-mode cutoff of a truncated space."""
@@ -63,7 +67,7 @@ class FockConfig:
         if self.cutoff < 2:
             raise ValueError("cutoff must be >= 2")
         if self.dim > self.budget:
-            raise ValueError(
+            raise BudgetExceeded(
                 f"total dimension {self.cutoff}^{self.slots} = {self.dim} "
                 f"exceeds budget {self.budget}"
             )
@@ -99,10 +103,8 @@ class TruncatedOperator:
     def hermiticity_defect(self) -> float:
         return float(np.max(np.abs(self.entries - self.entries.conj().T)))
 
-    def unitarity_defect(self, mask=None) -> float:
+    def unitarity_defect(self) -> float:
         g = self.entries.conj().T @ self.entries - np.eye(self.config.dim)
-        if mask is not None:
-            g = g[np.ix_(mask, mask)]
         return float(np.max(np.abs(g)))
 
 
@@ -131,7 +133,7 @@ class TruncatedState:
 
 def _require_dense(config: FockConfig, limit: int = 4096):
     if config.dim > limit:
-        raise ValueError(
+        raise BudgetExceeded(
             f"dense construction at dimension {config.dim} exceeds the "
             f"dense limit {limit}; use the vector/sparse interfaces"
         )
@@ -298,23 +300,31 @@ def product_state(config: FockConfig, Z, mixture: float,
 # quadratic generators
 # ---------------------------------------------------------------------------
 
+def _annihilators(config: FockConfig) -> list:
+    """a[i][j] = annihilation operator of mode i+1 in copy j+1."""
+    return [[mode_annihilation(config, i, j) for j in range(1, config.copies + 1)]
+            for i in range(1, config.modes + 1)]
+
+
+def _quadratic_generator(config: FockConfig, terms) -> sparse.csr_matrix:
+    """Sum of c * (L @ R) over the (c, L, R) terms with c != 0, in order."""
+    out = sparse.csr_matrix((config.dim, config.dim), dtype=complex)
+    for c, L, R in terms:
+        if c != 0:
+            out = out + c * (L @ R)
+    return out.tocsr()
+
+
 def mode_mixing_generator(config: FockConfig, A) -> sparse.csr_matrix:
     """sum_j sum_{i,i'} A[i,i'] a*_{i,j} a_{i',j} for anti-hermitian A."""
     A = np.asarray(A, dtype=complex).reshape(config.modes, config.modes)
     if np.max(np.abs(A + A.conj().T)) > 1e-9:
         raise ValueError("A must be anti-hermitian")
-    out = None
-    for j in range(1, config.copies + 1):
-        ops = [mode_annihilation(config, i, j) for i in range(1, config.modes + 1)]
-        for i in range(config.modes):
-            for i2 in range(config.modes):
-                if A[i, i2] == 0:
-                    continue
-                term = A[i, i2] * (ops[i].conj().T @ ops[i2])
-                out = term if out is None else out + term
-    if out is None:
-        out = sparse.csr_matrix((config.dim, config.dim), dtype=complex)
-    return out.tocsr()
+    a = _annihilators(config)
+    m = range(config.modes)
+    return _quadratic_generator(config, (
+        (A[i, i2], a[i][j].conj().T, a[i2][j])
+        for j in range(config.copies) for i in m for i2 in m))
 
 
 def copy_mixing_generator(config: FockConfig, B) -> sparse.csr_matrix:
@@ -322,18 +332,11 @@ def copy_mixing_generator(config: FockConfig, B) -> sparse.csr_matrix:
     B = np.asarray(B, dtype=complex).reshape(config.copies, config.copies)
     if np.max(np.abs(B + B.conj().T)) > 1e-9:
         raise ValueError("B must be anti-hermitian")
-    out = None
-    for i in range(1, config.modes + 1):
-        ops = [mode_annihilation(config, i, j) for j in range(1, config.copies + 1)]
-        for j in range(config.copies):
-            for k in range(config.copies):
-                if B[j, k] == 0:
-                    continue
-                term = B[j, k] * (ops[j].conj().T @ ops[k])
-                out = term if out is None else out + term
-    if out is None:
-        out = sparse.csr_matrix((config.dim, config.dim), dtype=complex)
-    return out.tocsr()
+    a = _annihilators(config)
+    n = range(config.copies)
+    return _quadratic_generator(config, (
+        (B[j, k], a[i][j].conj().T, a[i][k])
+        for i in range(config.modes) for j in n for k in n))
 
 
 def plane_rotation_matrix(n: int, j: int, k: int) -> np.ndarray:
@@ -379,23 +382,17 @@ def squeeze_generator(eta: SqueezeParam, config: FockConfig) -> sparse.csr_matri
     if eta.modes != config.modes:
         raise ValueError("eta mode count does not match the configuration")
     A, S = eta.A, eta.S
-    out = None
-    for j in range(1, config.copies + 1):
-        ops = [mode_annihilation(config, i, j) for i in range(1, config.modes + 1)]
-        for i in range(config.modes):
-            for i2 in range(config.modes):
-                term = None
-                if A[i, i2] != 0:
-                    term = A[i, i2] * (ops[i].conj().T @ ops[i2])
-                if S[i, i2] != 0:
-                    t2 = 0.5 * S[i, i2] * (ops[i].conj().T @ ops[i2].conj().T)
-                    t2 = t2 - 0.5 * np.conj(S[i, i2]) * (ops[i] @ ops[i2])
-                    term = t2 if term is None else term + t2
-                if term is not None:
-                    out = term if out is None else out + term
-    if out is None:
-        out = sparse.csr_matrix((config.dim, config.dim), dtype=complex)
-    return out.tocsr()
+    a = _annihilators(config)
+    m = range(config.modes)
+    terms = []
+    for j in range(config.copies):
+        for i in m:
+            for i2 in m:
+                up, up2 = a[i][j].conj().T, a[i2][j].conj().T
+                terms += [(A[i, i2], up, a[i2][j]),
+                          (0.5 * S[i, i2], up, up2),
+                          (-0.5 * np.conj(S[i, i2]), a[i][j], a[i2][j])]
+    return _quadratic_generator(config, terms)
 
 
 def squeeze(eta: SqueezeParam, config: FockConfig,
@@ -409,20 +406,6 @@ def squeeze(eta: SqueezeParam, config: FockConfig,
 # ---------------------------------------------------------------------------
 # pooling rotation and the invariance-defect observable
 # ---------------------------------------------------------------------------
-
-def pooling_rotation(config: FockConfig, dense_limit: int = 4096) -> TruncatedOperator:
-    """Unitary R = R_{n-1} ... R_1 with R_k = exp(arctan(sqrt k) * bs_{k,k+1}).
-
-    Pools the common displacement of the n copies into the last copy:
-    R rho^{(x)n} R* = vacuum^{(x)(n-1)} (x) rho(sqrt(n) theta), up to the
-    truncation loss.
-    """
-    if config.copies < 2:
-        raise ValueError("pooling rotation needs at least two copies")
-    _require_dense(config, dense_limit)
-    return TruncatedOperator(config, _pooling_matrix(_pooling_generators(config),
-                                                     config.copies))
-
 
 def _pooling_generators(config: FockConfig) -> dict:
     """Sparse bs_{j,k} for the pairs (k, k+1) and (k, n) that the defect uses."""
@@ -451,7 +434,13 @@ def _defect_matrix(gens: dict, n: int) -> np.ndarray:
 
 def apply_pooling_rotation(config: FockConfig, psi: np.ndarray,
                            inverse: bool = False) -> np.ndarray:
-    """Apply the pooling rotation to a state vector via sparse exponentials."""
+    """Apply R = R_{n-1} ... R_1, R_k = exp(arctan(sqrt k) * bs_{k,k+1}), to a vector.
+
+    Pools the common displacement of the n copies into the last copy:
+    R |theta>^{(x)n} = |0>^{(x)(n-1)} (x) |sqrt(n) theta>, up to the
+    truncation loss.  Uses sparse exponentials, so it runs past the dense
+    limit.
+    """
     if config.copies < 2:
         raise ValueError("pooling rotation needs at least two copies")
     ks = range(1, config.copies)
@@ -548,28 +537,37 @@ class SpectralMeasure:
         return ints, np.array([agg[v] for v in ints]), remainder
 
 
-def spectral_measure(state, obs: TruncatedOperator,
+def spectral_measure(state: TruncatedState, obs: TruncatedOperator,
                      cluster_tol: float = _CLUSTER_TOL) -> SpectralMeasure:
     """Distribution of outcomes when ``obs`` is measured on ``state``.
 
-    ``state`` may be a TruncatedState (density matrix) or a plain vector
-    (pure state).  Weights sum to the state trace/norm.
+    Weights sum to the state trace.
     """
     _check_hermitian(obs.entries, "observable")
     vals, vecs = eigh(obs.entries)
-    if isinstance(state, TruncatedState):
-        per_vec = _eigvec_masses(state.entries, vecs)
-    else:
-        psi = np.asarray(state, dtype=complex)
-        per_vec = np.abs(vecs.conj().T @ psi) ** 2
-    reps, slices = cluster_eigenvalues(vals, cluster_tol)
-    weights = np.array([per_vec[s].sum() for s in slices])
-    return SpectralMeasure(reps, weights)
+    return _clustered_measures(vals, [_eigvec_masses(state.entries, vecs)],
+                               cluster_tol)[0]
 
 
 def _eigvec_masses(rho: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Tr[rho |v><v|] for each column v of ``vecs``."""
     return np.real(np.sum(vecs.conj() * (rho @ vecs), axis=0))
+
+
+def _clustered_measures(vals: np.ndarray, masses: list,
+                        cluster_tol: float = _CLUSTER_TOL) -> list:
+    """One SpectralMeasure per mass vector, over the clustered spectrum ``vals``.
+
+    ``vals`` need not be sorted; a stable sort keeps the order of equal
+    values, and each cluster's mass is summed in that order.
+    """
+    order = np.argsort(vals, kind="stable")
+    reps, slices = cluster_eigenvalues(vals[order], cluster_tol)
+    out = []
+    for m in masses:
+        m = m[order]
+        out.append(SpectralMeasure(reps, np.array([m[sl].sum() for sl in slices])))
+    return out
 
 
 def defect_spectral_measures(config: FockConfig, states: list) -> list:
@@ -593,14 +591,8 @@ def defect_spectral_measures(config: FockConfig, states: list) -> list:
         vals.append(lam)
         masses.append([_eigvec_masses(st.entries[np.ix_(idx, idx)], vecs)
                        for st in states])
-    vals = np.concatenate(vals)
-    order = np.argsort(vals, kind="stable")
-    reps, slices = cluster_eigenvalues(vals[order])
-    out = []
-    for per_state in zip(*masses):
-        per_vec = np.concatenate(per_state)[order]
-        out.append(SpectralMeasure(reps, np.array([per_vec[sl].sum() for sl in slices])))
-    return out
+    return _clustered_measures(np.concatenate(vals),
+                               [np.concatenate(per_state) for per_state in zip(*masses)])
 
 
 # ---------------------------------------------------------------------------
@@ -624,16 +616,18 @@ def _sin_average_diag(eigvals: np.ndarray, nodes) -> np.ndarray:
     return np.exp(1j * np.outer(eigvals, beta)) @ weights
 
 
-def rotation_average_projector(config: FockConfig, n_angles: int = 512,
-                               n_nodes: int = 64, tol: float = 1e-6,
+def rotation_average_projector(config: FockConfig,
                                dense_limit: int = 2500) -> TruncatedOperator:
     """Quadrature average of exp(bs-rotations) over the copy-rotation group.
 
-    n = 2 averages exp(t bs_{1,2}) over t in [0, 2pi) (trapezoid rule);
-    n = 3 uses the Euler product R12(a) R23(b) R12(c) with the sin(b) Haar
-    weight, tensor Gauss-Legendre in b.  Resolution doubles until the
-    projector is stable to ``tol``.  On complete photon sectors this equals
-    the projection onto the kernel of the rotation-defect observable.
+    n = 2 averages exp(t bs_{1,2}) over t in [0, 2pi) with a 512-angle
+    trapezoid rule; n = 3 uses the Euler product R12(a) R23(b) R12(c) with
+    the sin(b) Haar weight and 64 Gauss-Legendre nodes in b.  On complete
+    photon sectors, where the generator spectra are integers below 512,
+    the trapezoid average is exact and the Gauss-Legendre one exact to
+    rounding, so there the result is the projection onto the kernel of the
+    rotation-defect observable.  Edge-sector entries carry cutoff artifacts
+    and are not converged.
     """
     if config.copies not in (2, 3):
         raise ValueError("rotation averaging implemented for 2 or 3 copies")
@@ -642,33 +636,11 @@ def rotation_average_projector(config: FockConfig, n_angles: int = 512,
     h12 = (-1j) * beamsplitter_generator(config, 1, 2).toarray()
     _check_hermitian(h12, "beamsplitter generator")
     lam12, v12 = eigh(h12)
-
+    W = (v12 * _circle_average_diag(lam12, 512)) @ v12.conj().T
     if config.copies == 3:
-        h23 = (-1j) * beamsplitter_generator(config, 2, 3).toarray()
-        lam23, v23 = eigh(h23)
-
-    K, G = n_angles, n_nodes
-    d12 = _circle_average_diag(lam12, K)
-    d23 = _sin_average_diag(lam23, _sin_weight_nodes(G)) if config.copies == 3 else None
-    for _ in range(6):
-        d12_next = _circle_average_diag(lam12, 2 * K)
-        stable = np.max(np.abs(d12_next - d12)) < tol
-        if config.copies == 3:
-            d23_next = _sin_average_diag(lam23, _sin_weight_nodes(G + 32))
-            stable = stable and np.max(np.abs(d23_next - d23)) < tol
-            d23 = d23_next
-            G += 32
-        d12 = d12_next
-        K *= 2
-        if stable:
-            break
-
-    W12 = (v12 * d12) @ v12.conj().T
-    if config.copies == 2:
-        W = W12
-    else:
-        M23 = (v23 * d23) @ v23.conj().T
-        W = W12 @ M23 @ W12
+        lam23, v23 = eigh((-1j) * beamsplitter_generator(config, 2, 3).toarray())
+        M23 = (v23 * _sin_average_diag(lam23, _sin_weight_nodes(64))) @ v23.conj().T
+        W = W @ M23 @ W
     return TruncatedOperator(config, W)
 
 
@@ -803,48 +775,3 @@ def si_type2_fock(theta, mixture: float, alpha: float, config: FockConfig,
     null_law, alt_law = defect_spectral_measures(config, [null, alt])
     sol = solve_level_equation(null_law.weights, alpha)
     return sol.accept_probability(np.cumsum(alt_law.weights))
-
-
-def auto_cutoff(displacement_norm: float, mixture: float, eps: float = 1e-8,
-                probe: int = 200) -> int:
-    """Smallest per-mode cutoff whose occupation tail is below eps.
-
-    Uses the exact occupation law of the displaced thermal state computed at
-    a generous probe cutoff.
-    """
-    occ = np.real(np.diag(
-        thermal_coherent_state(abs(displacement_norm), mixture, probe).entries))
-    cum = np.cumsum(occ)
-    idx = np.nonzero(cum >= 1.0 - eps)[0]
-    if idx.size == 0:
-        raise ValueError("probe cutoff too small for the requested tail")
-    return max(2, int(idx[0]) + 2)
-
-
-# ---------------------------------------------------------------------------
-# textual dumps (debugging interface)
-# ---------------------------------------------------------------------------
-
-def dump_entries(obj, path):
-    """Write operator/state entries as text: header 'm n d', one row per line."""
-    entries = obj.entries
-    cfg = obj.config
-    with open(path, "w") as fh:
-        fh.write(f"{cfg.modes} {cfg.copies} {cfg.cutoff}\n")
-        for row in entries:
-            fh.write(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row) + "\n")
-
-
-def load_entries(path, kind: str = "operator"):
-    """Read a dump written by ``dump_entries``; kind is 'operator' or 'state'."""
-    with open(path) as fh:
-        m, n, d = (int(t) for t in fh.readline().split())
-        cfg = FockConfig(m, n, d)
-        rows = []
-        for line in fh:
-            vals = np.fromstring(line, sep=" ")
-            rows.append(vals[0::2] + 1j * vals[1::2])
-    entries = np.array(rows)
-    if kind == "state":
-        return TruncatedState(cfg, entries)
-    return TruncatedOperator(cfg, entries)

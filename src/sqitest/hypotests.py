@@ -197,17 +197,9 @@ def si_type2_n2(theta_norm: float, modes: int, mixture: float, alpha: float,
     sol = solve_level_equation(p0, alpha)
     alt = dist.count_difference_distribution(modes, float(theta_norm), mixture, tol)
     xa, pa = _squared_law(alt)
-    cum = np.cumsum(pa)
-
-    def cum_at(x):
-        i = int(np.searchsorted(xa, x + 0.5)) - 1  # atoms are integers
-        return 0.0 if i < 0 else float(cum[i])
-
-    fs = 0.0 if sol.s_index < 0 else cum_at(x0[sol.s_index])
-    ft = cum_at(x0[sol.t_index])
-    if sol.degenerate:
-        return fs
-    return (1.0 - sol.w) * fs + sol.w * ft
+    cum = np.concatenate([[0.0], np.cumsum(pa)])
+    # alternative mass at or below each null atom; atoms are integers
+    return sol.accept_probability(cum[np.searchsorted(xa, x0 + 0.5)])
 
 
 def si_small_theta_slope(spec: TestSpec, thetas=(1e-2, 5e-3, 2.5e-3)) -> float:

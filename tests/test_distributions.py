@@ -10,7 +10,6 @@ from sqitest.distributions import (
     count_difference_cf,
     count_difference_distribution,
     critical_point,
-    exp_cos_integral,
     exp_cos_integral_scaled,
     invert_integer_cf,
     neg_binomial,
@@ -259,18 +258,34 @@ class TestSpecialIntegrals:
 
     def test_reduces_to_beta_at_zero(self):
         for n in (2, 3, 5):
-            assert exp_cos_integral(0.0, n) == pytest.approx(
+            assert exp_cos_integral_scaled(0.0, n) == pytest.approx(
                 beta_function((n - 1) / 2.0, 0.5), rel=1e-12)
 
     def test_two_copy_case_is_bessel(self):
         for z in (0.3, 1.0, 2.7):
-            assert exp_cos_integral(z, 2) == pytest.approx(
+            assert exp_cos_integral_scaled(z, 2) * np.exp(z) == pytest.approx(
                 np.pi * bessel_i0_series(z), rel=1e-11)
 
     def test_three_copy_case_is_sinh(self):
         for z in (0.5, 2.0, 10.0):
-            assert exp_cos_integral(z, 3) == pytest.approx(
+            assert exp_cos_integral_scaled(z, 3) * np.exp(z) == pytest.approx(
                 (np.exp(z) - np.exp(-z)) / z, rel=1e-11)
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 12])
+    def test_matches_adaptive_quadrature(self, n):
+        for z in (1e-5, 0.7, 30.0, 4800.0):
+            for signed in (z, -z):
+                want, _ = quad(
+                    lambda p: np.exp(signed * np.cos(p) - z) * np.sin(p) ** (n - 2),
+                    0.0, np.pi, epsabs=1e-300, epsrel=1e-12, limit=400)
+                assert exp_cos_integral_scaled(signed, n) == pytest.approx(want, rel=1e-10)
+
+    def test_tiny_argument_where_the_bessel_factor_underflows(self):
+        # ive(nu, |z|) underflows here, so (2/|z|)^nu ive would give nan or 0
+        for n, z in ((5, 1e-300), (20, 1e-40), (60, 1e-12), (120, 1e-4)):
+            want, _ = quad(lambda p: np.exp(z * np.cos(p) - z) * np.sin(p) ** (n - 2),
+                           0.0, np.pi, epsabs=1e-300, epsrel=1e-12, limit=400)
+            assert exp_cos_integral_scaled(z, n) == pytest.approx(want, rel=1e-10)
 
     def test_scaled_variant_handles_huge_arguments(self):
         val = exp_cos_integral_scaled(5000.0, 3)
