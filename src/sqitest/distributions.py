@@ -23,12 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaln, gammaln, hyp0f1, ive
+from scipy.special import betainc, gammaln, hyp0f1, ive, pdtr, pdtrc
 
 # Series stopping: relative floor plus an absolute guard against underflow
 # stalls when the noncentrality is large.
 _REL_STOP = 1e-16
 _ABS_FLOOR = 1e-300
+# Poisson-mixture series (noncentral F): the bound on the dropped terms,
+# relative to the running total, at which a side stops.
+_TAIL_STOP = 1e-17
 
 
 # ---------------------------------------------------------------------------
@@ -315,65 +318,147 @@ class NoncentralFParams:
     def __post_init__(self):
         if self.mu_dof < 1 or self.nu_dof < 1:
             raise ValueError("degrees of freedom must be >= 1")
-        if self.noncentrality < 0:
-            raise ValueError("noncentrality must be >= 0")
+        if not 0.0 <= self.noncentrality < np.inf:
+            raise ValueError("noncentrality must be finite and >= 0")
+
+
+def _stirling_remainder(z):
+    """log Gamma(z) - (z - 1/2) log z + z - log sqrt(2 pi), for arrays z > 0.
+
+    Four terms of its asymptotic series (DLMF 5.11.1) from z = 16 on, where
+    the difference itself would cancel; the difference below.  Both are
+    good to about 1e-14 absolute.
+    """
+    z = np.asarray(z, dtype=float)
+    big = np.maximum(z, 16.0)
+    r = 1.0 / (big * big)
+    out = (1.0 / 12 - r * (1.0 / 360 - r * (1.0 / 1260 - r / 1680))) / big
+    if np.any(z < 16.0):
+        small = np.minimum(z, 16.0)
+        direct = (gammaln(small) - (small - 0.5) * np.log(small) + small
+                  - 0.5 * np.log(2.0 * np.pi))
+        out = np.where(z < 16.0, direct, out)
+    return out
+
+
+def _log_poisson(k, mean: float):
+    """log(e^{-mean} mean^k / k!) for integers k >= 0 and mean > 0.
+
+    In the saddle-point form -[k log(k/mean) + mean - k] - log sqrt(2 pi k)
+    minus the Stirling remainder, no two large terms cancel: within five
+    standard deviations of mean = 5e5 it is good to about 4e-13 absolute,
+    where k log(mean) - log k! loses about 1e-9.
+    """
+    k = np.asarray(k, dtype=float)
+    kk = np.maximum(k, 1.0)
+    with np.errstate(over="ignore"):  # a subnormal mean: deviance inf, weight 0
+        deviance = kk * np.log1p((kk - mean) / mean) - (kk - mean)
+    out = -deviance - 0.5 * np.log(2.0 * np.pi * kk) - _stirling_remainder(kk)
+    return np.where(k == 0, -mean, out)
+
+
+def _log_beta_density(z, b: float, log_x: float, log_1mx: float):
+    """log[x^z (1-x)^b / B(z, b)] for z, b > 0, without cancellation at large z.
+
+    log Gamma(z + b) - log Gamma(z) is taken from Stirling's form, since the
+    difference of two gammaln values near 1e6 loses 1e-9.
+    """
+    z = np.asarray(z, dtype=float)
+    log_gamma_ratio = ((z - 0.5) * np.log1p(b / z) + b * np.log(z + b) - b
+                       + _stirling_remainder(z + b) - _stirling_remainder(z))
+    return log_gamma_ratio - gammaln(b) + z * log_x + b * log_1mx
+
+
+def _sum_from_mode(half: float, terms, rest_below, rest_above) -> float:
+    """Sum over k >= 0 of a Poisson(half)-weighted series, outward from the mode.
+
+    ``terms(k)`` gives the terms at an integer array k; ``rest_below(k)``
+    bounds the sum of the terms below k, and ``rest_above(k)`` that of the
+    terms above k.  Blocks of about ten Poisson standard deviations, and at
+    most 2^16 terms to bound memory, are added downward from the mode
+    floor(half) and then upward from it, each side until its bound is at
+    most _TAIL_STOP of the running total (or is nan).  There is no cap on
+    the number of blocks.
+    """
+    lo = hi = int(half)
+    block = min(64 + int(10.0 * np.sqrt(half)), 2 ** 16)
+    total = 0.0
+    while lo > 0:
+        k = np.arange(max(lo - block, 0), lo)
+        total += float(terms(k).sum())
+        lo = int(k[0])
+        if lo == 0 or not rest_below(lo) > _TAIL_STOP * total:
+            break
+    while True:
+        k = np.arange(hi, hi + block)
+        total += float(terms(k).sum())
+        hi += block
+        if not rest_above(hi - 1) > _TAIL_STOP * total:
+            return total
 
 
 def noncentral_f_pdf(f: float, params: NoncentralFParams) -> float:
-    """Density sum_k [e^{-l/2}(l/2)^k/k!] x^{k+mu/2} (1-x)^{nu/2} / (B(k+mu/2, nu/2) f).
+    """Density sum_k w_k x^{k+mu/2} (1-x)^{nu/2} / (B(k+mu/2, nu/2) f).
 
-    Here x = mu f / (mu f + nu).  Terms are accumulated until one falls
-    below 1e-16 of the running sum with k past the noncentrality.
+    Here x = mu f / (mu f + nu) and w_k is the Poisson(lambda/2) pmf.  The
+    ratio of successive terms falls as k grows, so on either side of the
+    summed range the dropped terms are bounded by a geometric series in the
+    ratio at its edge (see ``_sum_from_mode``).
     """
     if f <= 0:
         raise ValueError("f must be positive")
-    mu, nu, lam = params.mu_dof, params.nu_dof, params.noncentrality
+    mu, nu, half = params.mu_dof, params.nu_dof, params.noncentrality / 2.0
+    a, b = mu / 2.0, nu / 2.0
     x = mu * f / (mu * f + nu)
-    log_x, log_1mx = np.log(x), np.log1p(-x)
-    half = lam / 2.0
-    total = 0.0
-    k = 0
-    while True:
-        log_w = -half + (k * np.log(half) if k else 0.0) - gammaln(k + 1)
-        log_term = (log_w - betaln(k + mu / 2.0, nu / 2.0)
-                    + (k + mu / 2.0) * log_x + (nu / 2.0) * log_1mx - np.log(f))
-        term = np.exp(log_term)
-        total += term
-        if half == 0.0:
-            break
-        if k > lam and (term < _REL_STOP * total or term < _ABS_FLOOR):
-            break
-        k += 1
-        if k > 200000:
-            break
-    return total
+    log_x, log_1mx, log_f = np.log(x), np.log1p(-x), np.log(f)
+    if half == 0.0:
+        return float(np.exp(_log_beta_density(a, b, log_x, log_1mx) - log_f))
+
+    def term(k):
+        return np.exp(_log_poisson(k, half)
+                      + _log_beta_density(k + a, b, log_x, log_1mx) - log_f)
+
+    def ratio(k):  # term(k + 1) / term(k)
+        return half * x * (k + a + b) / ((k + 1.0) * (k + a))
+
+    def geometric_rest(k, q):  # term(k) (q + q^2 + ...)
+        return float(term(k)) * q / (1.0 - q) if q < 1.0 else np.inf
+
+    return _sum_from_mode(half, term,
+                          lambda k: geometric_rest(k, 1.0 / ratio(k - 1)),
+                          lambda k: geometric_rest(k, ratio(k)))
 
 
 def noncentral_f_cdf(c: float, params: NoncentralFParams) -> float:
-    """P(F <= c) by term-wise regularized incomplete-beta accumulation."""
+    """P(F <= c) = sum_k w_k I_x(k + mu/2, nu/2), x = mu c / (mu c + nu).
+
+    w_k is the Poisson(lambda/2) pmf and I_x the regularized incomplete
+    beta function, which falls as k grows.  The sum runs outward from the
+    Poisson mode (see ``_sum_from_mode``): the terms below the summed range
+    add up to at most the Poisson mass there, since I_x <= 1, and those
+    above it to at most the Poisson mass there times I_x at its edge.
+    Within a block, one ``betainc`` call at the top gives I_x there, and
+    I_x(z, b) = I_x(z + 1, b) + x^z (1-x)^b / (z B(z, b)) (DLMF 8.17.20)
+    adds positive terms downward from it.
+    """
     if c <= 0:
         return 0.0
-    mu, nu, lam = params.mu_dof, params.nu_dof, params.noncentrality
+    mu, nu, half = params.mu_dof, params.nu_dof, params.noncentrality / 2.0
+    a, b = mu / 2.0, nu / 2.0
     x = mu * c / (mu * c + nu)
-    half = lam / 2.0
     if half == 0.0:
-        return float(betainc(mu / 2.0, nu / 2.0, x))
-    total = 0.0
-    done_mass = 0.0
-    block = 256
-    k0 = 0
-    while True:
-        k = np.arange(k0, k0 + block)
-        w = np.exp(-half + k * np.log(half) - gammaln(k + 1))
-        ib = betainc(k + mu / 2.0, nu / 2.0, x)
-        total += float(w @ ib)
-        done_mass += float(w.sum())
-        k0 += block
-        # remaining Poisson mass bounds the rest of the series (ib <= ib[-1])
-        if k0 > half and (1.0 - done_mass) * ib[-1] < 1e-18:
-            break
-        if k0 > half + 200.0 * np.sqrt(half + 1.0) + 2000:
-            break
+        return float(betainc(a, b, x))
+    log_x, log_1mx = np.log(x), np.log1p(-x)
+
+    def term(k):
+        z = k + a
+        steps = np.exp(_log_beta_density(z[:-1], b, log_x, log_1mx) - np.log(z[:-1]))
+        below_top = np.append(np.cumsum(steps[::-1])[::-1], 0.0)
+        return np.exp(_log_poisson(k, half)) * (betainc(z[-1], b, x) + below_top)
+
+    total = _sum_from_mode(half, term,
+                           lambda k: pdtr(k - 1, half),
+                           lambda k: pdtrc(k, half) * betainc(k + a, b, x))
     return min(total, 1.0)
 
 

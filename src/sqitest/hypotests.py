@@ -29,6 +29,9 @@ from .distributions import NoncentralFParams
 from .fock import solve_level_equation
 from .phase_space import GaussianSpec, SqueezeParam, heterodyne_sample, kappa, rng_stream
 
+# Replicates per block of the Monte Carlo route.
+_MC_CHUNK = 2 ** 15
+
 
 @dataclass(frozen=True)
 class TestSpec:
@@ -122,9 +125,9 @@ def hh_type2_montecarlo(theta, eta: SqueezeParam, spec: TestSpec, reps: int,
                         seed: int = 0) -> MonteCarloEstimate:
     """Acceptance frequency of the Hotelling test over simulated heterodyne data.
 
-    Deterministic under a fixed seed; replicates are vectorized but drawn
-    from the single stream (seed,) so the estimate does not depend on
-    batching.
+    Deterministic under a fixed seed.  Replicates are drawn in order from
+    the single stream (seed,) and reduced in blocks of _MC_CHUNK, so memory
+    stays bounded and the estimate does not depend on the block size.
     """
     if spec.kind != "hh":
         raise ValueError("spec.kind must be 'hh'")
@@ -134,14 +137,17 @@ def hh_type2_montecarlo(theta, eta: SqueezeParam, spec: TestSpec, reps: int,
                          eta, spec.mixture)
     n, p = spec.copies, 2 * spec.modes
     rng = rng_stream(seed)
-    flat = heterodyne_sample(gspec, reps * n, rng=rng)
-    x = flat.reshape(reps, n, p)
-    xbar = x.mean(axis=1)
-    centered = x - xbar[:, None, :]
-    cov = np.einsum("rni,rnj->rij", centered, centered) / (n - 1)
-    t2 = n * _quadratic_forms(cov, xbar)
-    f = (spec.nu_dof / (spec.mu_dof * (n - 1))) * t2
-    accept = float(np.mean(f <= spec.critical_point))
+    accepted = 0
+    for start in range(0, reps, _MC_CHUNK):
+        size = min(_MC_CHUNK, reps - start)
+        x = heterodyne_sample(gspec, size * n, rng=rng).reshape(size, n, p)
+        xbar = x.mean(axis=1)
+        centered = x - xbar[:, None, :]
+        cov = np.einsum("rni,rnj->rij", centered, centered) / (n - 1)
+        t2 = n * _quadratic_forms(cov, xbar)
+        f = (spec.nu_dof / (spec.mu_dof * (n - 1))) * t2
+        accepted += int(np.count_nonzero(f <= spec.critical_point))
+    accept = accepted / reps
     stderr = float(np.sqrt(max(accept * (1.0 - accept), 1e-12) / reps))
     return MonteCarloEstimate(accept, stderr, reps)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -106,6 +107,17 @@ class SqueezeParam:
             np.log(r) * np.eye(modes, dtype=complex),
         )
 
+    @cached_property
+    def G(self) -> np.ndarray:
+        """Real 2m x 2m matrix exp([[ReA+ReS, -ImA+ImS], [ImA+ImS, ReA-ReS]]), read-only."""
+        from scipy.linalg import expm
+
+        ra, ia = self.A.real, self.A.imag
+        rs, is_ = self.S.real, self.S.imag
+        G = expm(np.block([[ra + rs, -ia + is_], [ia + is_, ra - rs]]))
+        G.setflags(write=False)
+        return G
+
     @property
     def block(self) -> np.ndarray:
         """The 2m x 2m parameter matrix [[A, S], [conj S, conj A]]."""
@@ -179,13 +191,8 @@ class PhaseSpaceMoments:
 
 
 def g_matrix(eta: SqueezeParam) -> np.ndarray:
-    """Real 2m x 2m matrix exp([[ReA+ReS, -ImA+ImS], [ImA+ImS, ReA-ReS]])."""
-    from scipy.linalg import expm
-
-    ra, ia = eta.A.real, eta.A.imag
-    rs, is_ = eta.S.real, eta.S.imag
-    gen = np.block([[ra + rs, -ia + is_], [ia + is_, ra - rs]])
-    return expm(gen)
+    """The matrix G_eta of ``eta``, computed once per squeeze parameter."""
+    return eta.G
 
 
 def real_parts(theta) -> np.ndarray:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import gammaln, ncfdtr
 
 from sqitest.distributions import (
     IntegerDistribution,
@@ -202,6 +205,63 @@ class TestNoncentralF:
             vals = [noncentral_f_cdf(c, NoncentralFParams(2, 1, lam))
                     for lam in (0.0, 1.0, 5.0, 20.0)]
             assert all(b < a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("lam", [float("inf"), float("nan")])
+    def test_non_finite_noncentrality_rejected(self, lam):
+        # a series over the Poisson(lambda/2) weights has no mode to start from
+        with pytest.raises(ValueError):
+            NoncentralFParams(2, 1, lam)
+
+    @pytest.mark.parametrize("lam", [4e5, 1e6])
+    def test_pdf_at_huge_noncentrality(self, lam):
+        # the terms that matter lie near k = lambda/2, past 2e5 here
+        f = (2.0 + lam) / 2.0
+        want = stats.ncf.pdf(f, 2, 5, lam)
+        assert noncentral_f_pdf(f, NoncentralFParams(2, 5, lam)) == pytest.approx(
+            want, rel=1e-9, abs=0.0)
+
+
+# scipy's ncfdtr is itself wrong below about 1e-165 (by up to 90 orders of
+# magnitude at the far-tail cases pinned below), so the comparison keeps to
+# reference values above 1e-150.
+SCIPY_FLOOR = 1e-150
+DOF_PAIRS = [(2, 1), (2, 2), (4, 3), (2, 5), (6, 10)]
+
+
+def assert_matches_ncfdtr(c, mu, nu, lam):
+    want = ncfdtr(mu, nu, lam, c)
+    if want > SCIPY_FLOOR:
+        got = noncentral_f_cdf(c, NoncentralFParams(mu, nu, lam))
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0), (c, mu, nu, lam)
+
+
+class TestNoncentralFAgainstScipy:
+    @pytest.mark.parametrize("mu,nu", DOF_PAIRS)
+    def test_cdf_on_noncentrality_grid(self, mu, nu):
+        crit = critical_point(0.05, mu, nu)
+        for c in (crit, 0.3 * crit, 3.0 * crit):
+            for lam in np.geomspace(1e-6, 3e4, 60):
+                assert_matches_ncfdtr(c, mu, nu, lam)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(dof=st.sampled_from(DOF_PAIRS), scale=st.sampled_from([1.0, 0.3, 3.0]),
+           lam=st.floats(0.0, 5e4))
+    def test_cdf_property(self, dof, scale, lam):
+        mu, nu = dof
+        assert_matches_ncfdtr(scale * critical_point(0.05, mu, nu), mu, nu, lam)
+
+    @pytest.mark.parametrize("mu,nu,lam,c,want", [
+        # a sixth of this sum comes from terms above k = 9984, just past lambda/2
+        (2, 1, 19931.635131096373, 59.85, 8.517077793465615596e-38),
+        # where ncfdtr returns 4.73e-177 and 5.03e-165
+        (2, 5, 1714.245311214491, 1.7358405130049874, 1.8661405788096590904e-217),
+        (6, 10, 1448.4382717651154, 0.9651523642196949, 1.2135782415441909068e-193),
+    ])
+    def test_far_tail_against_high_precision_sum(self, mu, nu, lam, c, want):
+        # want: sum_k w_k I_x(k + mu/2, nu/2) over k within 50 sd of the
+        # mode and of lambda x / 2, in 40-digit mpmath arithmetic
+        got = noncentral_f_cdf(c, NoncentralFParams(mu, nu, lam))
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 class TestCriticalPoint:

@@ -14,7 +14,7 @@ from sqitest.hypotests import (
     si_type2_closed,
     si_type2_n2,
 )
-from sqitest.phase_space import SqueezeParam, kappa
+from sqitest.phase_space import GaussianSpec, SqueezeParam, heterodyne_sample, kappa, rng_stream
 
 
 class TestTestSpec:
@@ -158,6 +158,24 @@ class TestHHMonteCarlo:
         spec = TestSpec(1, 3, 0.0, 0.05, "hh")
         est = hh_type2_montecarlo(0.0, eta, spec, 400_000, seed=1000106)
         assert abs(est.value - 0.95) < 5 * est.stderr
+
+    def test_blocked_estimate_equals_one_batch(self):
+        # three full blocks of 2^15 replicates and a partial one
+        spec = TestSpec(1, 4, 0.5, 0.05, "hh")
+        eta = SqueezeParam.axis_family(1.5)
+        reps, n, seed = 3 * 2 ** 15 + 17, spec.copies, 7
+        est = hh_type2_montecarlo(0.4, eta, spec, reps, seed=seed)
+        gspec = GaussianSpec(1, np.array([0.4]), eta, 0.5)
+        x = heterodyne_sample(gspec, reps * n, rng=rng_stream(seed)).reshape(reps, n, 2)
+        xbar = x.mean(axis=1)
+        centered = x - xbar[:, None, :]
+        cov = np.einsum("rni,rnj->rij", centered, centered) / (n - 1)
+        sol = np.linalg.solve(cov, xbar[..., None])[..., 0]
+        f_vals = (spec.nu_dof / (spec.mu_dof * (n - 1))) * (
+            n * np.einsum("ri,ri->r", xbar, sol))
+        accept = float(np.mean(f_vals <= spec.critical_point))
+        assert est.value == accept
+        assert est.stderr == float(np.sqrt(accept * (1.0 - accept) / reps))
 
     def test_needs_positive_reps(self):
         spec = TestSpec(1, 3, 0.0, 0.05, "hh")

@@ -72,6 +72,11 @@ class TestGMatrix:
         eta = SqueezeParam(1, np.zeros((1, 1)), np.ones((1, 1)))
         assert np.allclose(g_matrix(eta), np.diag([np.e, 1.0 / np.e]))
 
+    def test_computed_once_per_squeeze_parameter(self):
+        eta = SqueezeParam.axis_family(1.5)
+        assert g_matrix(eta) is g_matrix(eta)
+        assert not g_matrix(eta).flags.writeable
+
     def test_determinant_one(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
