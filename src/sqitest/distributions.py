@@ -32,6 +32,12 @@ _ABS_FLOOR = 1e-300
 # Poisson-mixture series (noncentral F): the bound on the dropped terms,
 # relative to the running total, at which a side stops.
 _TAIL_STOP = 1e-17
+# Grid doublings tried by the characteristic-function inversion.
+_CF_DOUBLINGS = 12
+
+
+class ConvergenceError(RuntimeError):
+    """Raised when a refinement loop ends without meeting its tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +276,14 @@ def invert_integer_cf(cf, support_bound: int, tol: float = 1e-10,
     """Recover an integer-lattice pmf from its characteristic function.
 
     pmf(y) = (1/2pi) int_{-pi}^{pi} cf(r) e^{-iry} dr, trapezoid rule on a
-    uniform grid with doubling until the result is stable to ``tol``.
-    Raises if mass beyond ``support_bound`` exceeds ``mass_tol``.
+    uniform grid with doubling until two successive grids agree to ``tol``;
+    raises ConvergenceError if they never do within _CF_DOUBLINGS grids.
+    Raises ValueError if mass beyond ``support_bound`` exceeds ``mass_tol``.
     """
     ys = np.arange(-support_bound, support_bound + 1)
     prev = None
     K = max(64, 4 * support_bound + 4)
-    for _ in range(12):
+    for _ in range(_CF_DOUBLINGS):
         r = -np.pi + 2.0 * np.pi * np.arange(K) / K
         vals = np.asarray(cf(r), dtype=complex)
         pmf = (np.exp(-1j * np.outer(ys, r)) @ vals).real / K
@@ -284,6 +291,9 @@ def invert_integer_cf(cf, support_bound: int, tol: float = 1e-10,
             break
         prev = pmf
         K *= 2
+    else:
+        raise ConvergenceError(
+            f"cf inversion did not settle to {tol:g} in {_CF_DOUBLINGS} grids")
     pmf = np.clip(pmf, 0.0, None)
     missing = 1.0 - pmf.sum()
     if missing > mass_tol:
@@ -408,6 +418,8 @@ def noncentral_f_pdf(f: float, params: NoncentralFParams) -> float:
     if f <= 0:
         raise ValueError("f must be positive")
     mu, nu, half = params.mu_dof, params.nu_dof, params.noncentrality / 2.0
+    if mu * f == np.inf:  # x would be inf/inf; the density vanishes there
+        return 0.0
     a, b = mu / 2.0, nu / 2.0
     x = mu * f / (mu * f + nu)
     log_x, log_1mx, log_f = np.log(x), np.log1p(-x), np.log(f)
@@ -444,6 +456,8 @@ def noncentral_f_cdf(c: float, params: NoncentralFParams) -> float:
     if c <= 0:
         return 0.0
     mu, nu, half = params.mu_dof, params.nu_dof, params.noncentrality / 2.0
+    if mu * c == np.inf:  # x would be inf/inf; all the mass lies below c
+        return 1.0
     a, b = mu / 2.0, nu / 2.0
     x = mu * c / (mu * c + nu)
     if half == 0.0:

@@ -37,15 +37,12 @@ from scipy import sparse
 from scipy.linalg import expm, eigh
 from scipy.sparse.linalg import expm_multiply
 
+from .distributions import ConvergenceError
 from .phase_space import SqueezeParam
 
 _HERM_TOL = 1e-10
 _CLUSTER_TOL = 1e-8
 _QUAD_ROUNDS = 4  # quadrature resolutions tried by the pure-state route
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when a refinement loop ends without meeting its tolerance."""
 
 
 class BudgetExceeded(ValueError):

@@ -91,18 +91,46 @@ def hotelling_F(samples: np.ndarray) -> float:
     m = p // 2
     if n <= 2 * m:
         raise ValueError("need more than 2m samples")
-    xbar = samples.mean(axis=0)
-    centered = samples - xbar
-    cov = centered.T @ centered / (n - 1)
-    try:
-        sol = np.linalg.solve(cov, xbar)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovarianceError("sample covariance is singular") from exc
-    if not np.all(np.isfinite(sol)):
+    t2 = float(_hotelling_t2(samples[None])[0])
+    if t2 == np.inf:
         raise SingularCovarianceError("sample covariance is singular")
-    t2 = n * float(xbar @ sol)
     mu, nu = 2 * m, n - 2 * m
     return (nu / (mu * (n - 1))) * t2
+
+
+def _hotelling_t2(x: np.ndarray) -> np.ndarray:
+    """T^2 = n xbar' S^{-1} xbar for each replicate of an (R, n, p) block.
+
+    S is the sample covariance with divisor n - 1.  The work is done on the
+    R-long columns x[:, k, i], with Python loops only over the small n and
+    p: per-dimension sums give xbar, centred products the p(p+1)/2 distinct
+    entries of S, and an unpivoted Cholesky factor S = L L' with the forward
+    solve L y = xbar gives T^2 = n |y|^2.  S is positive semidefinite, so no
+    pivoting is needed.  A pivot that is not positive makes y, and so T^2,
+    non-finite; such a replicate reads +inf, the limit of the form when xbar
+    leaves the range of a singular S, so it counts as a rejection.
+    """
+    _, n, p = x.shape
+    dev, xbar = [], []
+    for i in range(p):
+        cols = [x[:, k, i] for k in range(n)]
+        xbar.append(sum(cols) / n)
+        dev.append([c - xbar[i] for c in cols])
+    L = [[None] * p for _ in range(p)]
+    y = []
+    with np.errstate(all="ignore"):
+        for j in range(p):
+            for i in range(j, p):
+                s = (sum(a * b for a, b in zip(dev[i], dev[j])) / (n - 1)
+                     - sum(L[i][k] * L[j][k] for k in range(j)))
+                if i == j:
+                    L[j][j] = np.sqrt(s)
+                else:
+                    L[i][j] = s / L[j][j]
+            y.append((xbar[j] - sum(L[j][k] * y[k] for k in range(j))) / L[j][j])
+        t2 = n * sum(v * v for v in y)
+    t2[~np.isfinite(t2)] = np.inf
+    return t2
 
 
 def hh_type2_analytic(theta, eta: SqueezeParam, spec: TestSpec) -> float:
@@ -141,34 +169,11 @@ def hh_type2_montecarlo(theta, eta: SqueezeParam, spec: TestSpec, reps: int,
     for start in range(0, reps, _MC_CHUNK):
         size = min(_MC_CHUNK, reps - start)
         x = heterodyne_sample(gspec, size * n, rng=rng).reshape(size, n, p)
-        xbar = x.mean(axis=1)
-        centered = x - xbar[:, None, :]
-        cov = np.einsum("rni,rnj->rij", centered, centered) / (n - 1)
-        t2 = n * _quadratic_forms(cov, xbar)
-        f = (spec.nu_dof / (spec.mu_dof * (n - 1))) * t2
+        f = (spec.nu_dof / (spec.mu_dof * (n - 1))) * _hotelling_t2(x)
         accepted += int(np.count_nonzero(f <= spec.critical_point))
     accept = accepted / reps
     stderr = float(np.sqrt(max(accept * (1.0 - accept), 1e-12) / reps))
     return MonteCarloEstimate(accept, stderr, reps)
-
-
-def _quadratic_forms(cov: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x_r' cov_r^{-1} x_r per replicate r; +inf where cov_r is exactly singular.
-
-    +inf is the limit of the form when x_r leaves the range of cov_r, so a
-    singular replicate counts as a rejection.  One singular matrix fails a
-    batched solve, so a failed batch is split in halves until the singular
-    replicates stand alone; the others are solved as they would be in a
-    batch without them.
-    """
-    try:
-        return np.einsum("ri,ri->r", x, np.linalg.solve(cov, x[..., None])[..., 0])
-    except np.linalg.LinAlgError:
-        if len(x) == 1:
-            return np.array([np.inf])
-        h = len(x) // 2
-        return np.concatenate([_quadratic_forms(cov[:h], x[:h]),
-                               _quadratic_forms(cov[h:], x[h:])])
 
 
 def si_type2_closed(theta_norm: float, spec: TestSpec) -> float:

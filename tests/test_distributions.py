@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln, ncfdtr
 
 from sqitest.distributions import (
+    ConvergenceError,
     IntegerDistribution,
     NoncentralFParams,
     beta_function,
@@ -142,6 +143,11 @@ class TestCfInversion:
         with pytest.raises(ValueError):
             invert_integer_cf(lambda r: neg_binomial_cf(1, 0.9, r), 2)
 
+    def test_unsettled_inversion_raises(self):
+        # no two successive grids agree to tol = 0, so the doubling runs out
+        with pytest.raises(ConvergenceError):
+            invert_integer_cf(lambda r: neg_binomial_cf(2, 0.45, r), 5, tol=0.0)
+
 
 class TestNoncentralF:
     def test_central_reduction(self):
@@ -211,6 +217,16 @@ class TestNoncentralF:
         # a series over the Poisson(lambda/2) weights has no mode to start from
         with pytest.raises(ValueError):
             NoncentralFParams(2, 1, lam)
+
+    @pytest.mark.parametrize("lam", [0.0, 5.0])
+    @pytest.mark.parametrize("c", [np.inf, 1e308])
+    def test_cdf_is_one_where_mu_c_overflows(self, lam, c):
+        assert noncentral_f_cdf(c, NoncentralFParams(2, 1, lam)) == 1.0
+
+    @pytest.mark.parametrize("lam", [0.0, 5.0])
+    @pytest.mark.parametrize("f", [np.inf, 1e308])
+    def test_pdf_is_zero_where_mu_f_overflows(self, lam, f):
+        assert noncentral_f_pdf(f, NoncentralFParams(2, 1, lam)) == 0.0
 
     @pytest.mark.parametrize("lam", [4e5, 1e6])
     def test_pdf_at_huge_noncentrality(self, lam):

@@ -6,6 +6,7 @@ from sqitest import distributions as dist
 from sqitest.hypotests import (
     SingularCovarianceError,
     TestSpec,
+    _hotelling_t2,
     crossing_check,
     hh_type2_analytic,
     hh_type2_montecarlo,
@@ -65,6 +66,24 @@ class TestHotellingStatistic:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             hotelling_F(np.zeros((2, 2)))
+
+
+class TestHotellingKernel:
+    @pytest.mark.parametrize("n, p", [(4, 2), (6, 4), (9, 6)])
+    def test_matches_per_replicate_solve(self, n, p):
+        rng = np.random.default_rng(100 * n + p)
+        x = rng.standard_normal((64, n, p)) + rng.standard_normal(p)
+        x[17] = x[17, 0]  # identical copies: a singular sample covariance
+        got = _hotelling_t2(x)
+        for r in range(len(x)):
+            if r == 17:
+                assert got[r] == np.inf
+                continue
+            xbar = x[r].mean(axis=0)
+            centered = x[r] - xbar
+            cov = centered.T @ centered / (n - 1)
+            want = n * xbar @ np.linalg.solve(cov, xbar)
+            assert got[r] == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 class TestHHAnalytic:
@@ -143,6 +162,15 @@ class TestHHMonteCarlo:
         eta = SqueezeParam.axis_family(1.5)
         est = hh_type2_montecarlo(0.4, eta, spec, 10 ** 5, seed=3)
         want = hh_type2_analytic(0.4, eta, spec)
+        assert abs(est.value - want) < 4 * est.stderr
+
+    def test_matches_analytic_with_two_modes(self):
+        # p = 4: the Cholesky kernel beyond the 2x2 covariance
+        spec = TestSpec(2, 6, 0.0, 0.05, "hh")
+        eta = SqueezeParam.axis_family(1.5, modes=2)
+        theta = np.array([1.2, 0.8j])
+        est = hh_type2_montecarlo(theta, eta, spec, 10 ** 5, seed=4)
+        want = hh_type2_analytic(theta, eta, spec)
         assert abs(est.value - want) < 4 * est.stderr
 
     def test_deterministic(self):
