@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, gammaln, hyp0f1, ive, pdtr, pdtrc
+from scipy.special import betainc, betaincc, gammaln, hyp0f1, ive, pdtr, pdtrc
 
 # Series stopping: relative floor plus an absolute guard against underflow
 # stalls when the noncentrality is large.
@@ -281,12 +281,14 @@ def invert_integer_cf(cf, support_bound: int, tol: float = 1e-10,
     Raises ValueError if mass beyond ``support_bound`` exceeds ``mass_tol``.
     """
     ys = np.arange(-support_bound, support_bound + 1)
+    sign = 1.0 - 2.0 * (ys % 2)
     prev = None
     K = max(64, 4 * support_bound + 4)
     for _ in range(_CF_DOUBLINGS):
         r = -np.pi + 2.0 * np.pi * np.arange(K) / K
         vals = np.asarray(cf(r), dtype=complex)
-        pmf = (np.exp(-1j * np.outer(ys, r)) @ vals).real / K
+        # e^{-i y r_j} = (-1)^y e^{-2 pi i y j / K}; K > 2S + 1 keeps y mod K distinct
+        pmf = sign * np.fft.fft(vals)[ys % K].real / K
         if prev is not None and np.max(np.abs(pmf - prev)) < tol:
             break
         prev = pmf
@@ -449,9 +451,11 @@ def noncentral_f_cdf(c: float, params: NoncentralFParams) -> float:
     Poisson mode (see ``_sum_from_mode``): the terms below the summed range
     add up to at most the Poisson mass there, since I_x <= 1, and those
     above it to at most the Poisson mass there times I_x at its edge.
-    Within a block, one ``betainc`` call at the top gives I_x there, and
-    I_x(z, b) = I_x(z + 1, b) + x^z (1-x)^b / (z B(z, b)) (DLMF 8.17.20)
-    adds positive terms downward from it.
+    Within a block, one incomplete-beta call at the top gives I_x there,
+    and I_x(z, b) = I_x(z + 1, b) + x^z (1-x)^b / (z B(z, b)) (DLMF 8.17.20)
+    adds positive terms downward from it.  Where x > 1/2, I_x(z, b) is
+    taken as the complement I^c_y(b, z) of y = 1 - x = nu / (mu c + nu),
+    so 1 - x keeps its bits when c is large.
     """
     if c <= 0:
         return 0.0
@@ -459,20 +463,26 @@ def noncentral_f_cdf(c: float, params: NoncentralFParams) -> float:
     if mu * c == np.inf:  # x would be inf/inf; all the mass lies below c
         return 1.0
     a, b = mu / 2.0, nu / 2.0
-    x = mu * c / (mu * c + nu)
+    # x and y = 1 - x are both formed directly, so neither loses its bits
+    x, y = mu * c / (mu * c + nu), nu / (mu * c + nu)
+
+    def ibeta(z):  # I_x(z, b), evaluated through the smaller of x and y
+        return betainc(z, b, x) if x <= y else betaincc(b, z, y)
+
     if half == 0.0:
-        return float(betainc(a, b, x))
-    log_x, log_1mx = np.log(x), np.log1p(-x)
+        return float(ibeta(a))
+    log_x = np.log(x) if x <= y else np.log1p(-y)
+    log_1mx = np.log(y)
 
     def term(k):
         z = k + a
         steps = np.exp(_log_beta_density(z[:-1], b, log_x, log_1mx) - np.log(z[:-1]))
         below_top = np.append(np.cumsum(steps[::-1])[::-1], 0.0)
-        return np.exp(_log_poisson(k, half)) * (betainc(z[-1], b, x) + below_top)
+        return np.exp(_log_poisson(k, half)) * (ibeta(z[-1]) + below_top)
 
     total = _sum_from_mode(half, term,
                            lambda k: pdtr(k - 1, half),
-                           lambda k: pdtrc(k, half) * betainc(k + a, b, x))
+                           lambda k: pdtrc(k, half) * ibeta(k + a))
     return min(total, 1.0)
 
 

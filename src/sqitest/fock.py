@@ -21,10 +21,16 @@ so operator-level identities are asserted on the *complete* sectors
 Photon sectors: the passive generators (beamsplitters, phase differences)
 conserve each mode's photon total over the copies, also at the cutoff,
 because a*_k a_j maps a box state to a box state with the same totals or
-to zero.  ``si_type2_fock`` therefore works sector by sector on blocks cut
-from the sparse generators; the cut checks that no entry couples two
-sectors instead of assuming it.  The dense whole-space operators stay as
-the references the tests compare against.
+to zero.  ``si_type2_fock`` therefore works sector by sector, with one
+route for pure and mixed states alike: the blocks of the sparse Casimir
+form of the defect observable (``casimir_defect``, no exponential; it
+equals the exponential form on complete sectors and differs from it only
+on edge sectors) are cut out with a check that no entry couples two
+sectors, each block is eigendecomposed once, and each product state
+enters only through its sector blocks, formed from its single-mode
+factors.  The dense whole-space operators, among them the
+exponential-built ``rotation_defect_observable``, stay as the references
+the tests compare against.
 """
 
 from __future__ import annotations
@@ -37,12 +43,10 @@ from scipy import sparse
 from scipy.linalg import expm, eigh
 from scipy.sparse.linalg import expm_multiply
 
-from .distributions import ConvergenceError
-from .phase_space import SqueezeParam
+from .phase_space import SqueezeParam, pooling_rotation_matrix
 
 _HERM_TOL = 1e-10
 _CLUSTER_TOL = 1e-8
-_QUAD_ROUNDS = 4  # quadrature resolutions tried by the pure-state route
 
 
 class BudgetExceeded(ValueError):
@@ -274,23 +278,26 @@ def thermal_coherent_state(theta: complex, mixture: float, cutoff: int) -> Trunc
     return TruncatedState(FockConfig(1, 1, cutoff), rho)
 
 
-def product_state(config: FockConfig, Z, mixture: float,
-                  dense_limit: int = 4096) -> TruncatedState:
-    """Tensor product of displaced thermal states, displacement column j per copy.
+def _slot_factors(config: FockConfig, Z, mixture: float) -> list:
+    """Single-mode displaced thermal states in kron order, column j of Z per copy.
 
     ``Z`` may be an m x n matrix, an m-vector (same displacement for every
     copy), or a scalar (m = 1).
     """
-    _require_dense(config, dense_limit)
     Z = np.asarray(Z, dtype=complex)
     if Z.ndim == 0:
         Z = np.full((config.modes, config.copies), complex(Z))
     elif Z.ndim == 1:
         Z = np.tile(Z.reshape(config.modes, 1), (1, config.copies))
-    factors = [thermal_coherent_state(Z[i, j], mixture, config.cutoff).entries
-               for j in range(config.copies) for i in range(config.modes)]
-    rho = reduce(np.kron, factors)
-    return TruncatedState(config, rho)
+    return [thermal_coherent_state(Z[i, j], mixture, config.cutoff).entries
+            for j in range(config.copies) for i in range(config.modes)]
+
+
+def product_state(config: FockConfig, Z, mixture: float,
+                  dense_limit: int = 4096) -> TruncatedState:
+    """Tensor product of displaced thermal states (``Z`` as in ``_slot_factors``)."""
+    _require_dense(config, dense_limit)
+    return TruncatedState(config, reduce(np.kron, _slot_factors(config, Z, mixture)))
 
 
 # ---------------------------------------------------------------------------
@@ -404,31 +411,6 @@ def squeeze(eta: SqueezeParam, config: FockConfig,
 # pooling rotation and the invariance-defect observable
 # ---------------------------------------------------------------------------
 
-def _pooling_generators(config: FockConfig) -> dict:
-    """Sparse bs_{j,k} for the pairs (k, k+1) and (k, n) that the defect uses."""
-    n = config.copies
-    pairs = {(k, k + 1) for k in range(1, n)} | {(k, n) for k in range(1, n)}
-    return {pair: beamsplitter_generator(config, *pair) for pair in sorted(pairs)}
-
-
-def _pooling_matrix(gens: dict, n: int) -> np.ndarray:
-    """R_{n-1} ... R_1 from sparse generators (whole space or one sector block)."""
-    out = np.eye(gens[1, 2].shape[0], dtype=complex)
-    for k in range(1, n):
-        out = expm((np.arctan(np.sqrt(k)) * gens[k, k + 1]).toarray()) @ out
-    return out
-
-
-def _defect_matrix(gens: dict, n: int) -> np.ndarray:
-    """sum_k (bs_{k,n} R)^* (bs_{k,n} R), hermitized, from ``_pooling_generators``."""
-    R = _pooling_matrix(gens, n)
-    T = np.zeros_like(R)
-    for k in range(1, n):
-        B = (-gens[k, n]) @ R  # v* = -v for the anti-hermitian generator
-        T += B.conj().T @ B
-    return 0.5 * (T + T.conj().T)
-
-
 def apply_pooling_rotation(config: FockConfig, psi: np.ndarray,
                            inverse: bool = False) -> np.ndarray:
     """Apply R = R_{n-1} ... R_1, R_k = exp(arctan(sqrt k) * bs_{k,k+1}), to a vector.
@@ -454,16 +436,49 @@ def apply_pooling_rotation(config: FockConfig, psi: np.ndarray,
 
 def rotation_defect_observable(config: FockConfig,
                                dense_limit: int = 4096) -> TruncatedOperator:
-    """Positive observable sum_k R* bs_{k,n} bs_{k,n}* R.
+    """Positive observable sum_k (bs_{k,n} R)^* (bs_{k,n} R), R the pooling rotation.
 
     Vanishes exactly on states invariant under simultaneous rotation of the
     copy index, so its kernel is the mode-wise rotation-invariant subspace.
+    Built densely from matrix exponentials of the beamsplitter generators,
+    as the independent reference for ``casimir_defect``.
     """
     if config.copies < 2:
         raise ValueError("needs at least two copies")
     _require_dense(config, dense_limit)
-    return TruncatedOperator(config, _defect_matrix(_pooling_generators(config),
-                                                    config.copies))
+    n = config.copies
+    R = np.eye(config.dim, dtype=complex)
+    for k in range(1, n):
+        gen = beamsplitter_generator(config, k, k + 1).toarray()
+        R = expm(np.arctan(np.sqrt(k)) * gen) @ R
+    T = np.zeros_like(R)
+    for k in range(1, n):
+        B = beamsplitter_generator(config, k, n) @ R
+        T += B.conj().T @ B
+    return TruncatedOperator(config, 0.5 * (T + T.conj().T))
+
+
+def casimir_defect(config: FockConfig) -> sparse.csr_matrix:
+    """The rotation-defect observable as a sparse real form sum_k G_k^* G_k.
+
+    G_k = copy_mixing_generator(v_k u^T - u v_k^T), with u = (1,...,1)/sqrt(n)
+    and v_1..v_{n-1} the first rows of the classical pooling rotation, an
+    orthonormal basis of u-perp.  Since R maps the copy plane (k, n) to the
+    plane (v_k, u), R^* bs_{k,n} R = G_k wherever the cutoff keeps the group
+    law, so on complete photon sectors this equals
+    ``rotation_defect_observable`` with no exponential; edge sectors differ.
+    The sum does not depend on the basis of u-perp: it is the O(n) Casimir
+    minus that of the O(n-1) fixing u.
+    """
+    if config.copies < 2:
+        raise ValueError("needs at least two copies")
+    n = config.copies
+    u = np.full(n, 1.0 / np.sqrt(n))
+    out = sparse.csr_matrix((config.dim, config.dim), dtype=complex)
+    for v in pooling_rotation_matrix(n)[:-1]:
+        G = copy_mixing_generator(config, np.outer(v, u) - np.outer(u, v))
+        out = out + G.conj().T @ G
+    return out.real.tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -567,27 +582,36 @@ def _clustered_measures(vals: np.ndarray, masses: list,
     return out
 
 
-def defect_spectral_measures(config: FockConfig, states: list) -> list:
-    """Spectral measures of the rotation-defect observable, one per state.
+def defect_spectral_measures(config: FockConfig, displacements: list,
+                             mixture: float) -> list:
+    """Spectral measures of ``casimir_defect`` on product states, one per Z.
 
-    Equals ``spectral_measure(state, rotation_defect_observable(config))``
-    for each state, but eigendecomposes the observable one photon sector
-    at a time: each sector block is built from the generator blocks, and
-    only the diagonal blocks rho[idx, idx] of a state can carry mass.  All
-    measures share one clustered spectrum.
+    Equals ``spectral_measure(product_state(config, Z, mixture), T)`` for
+    each Z in ``displacements``, T the dense ``casimir_defect``, but works
+    one photon sector at a time: T's sector block is real symmetric, and a
+    product state's block rho[idx, idx] is the entrywise product over slots
+    of its single-mode factors, so no whole-space matrix is built.  Real
+    eigenvectors see only the real part of rho.  Sectors where every
+    state's block is zero are skipped, and all measures share one
+    clustered spectrum.
     """
     if config.copies < 2:
         raise ValueError("needs at least two copies")
     sectors = photon_sectors(config)
-    blocks = {pair: sector_blocks(g, sectors)
-              for pair, g in _pooling_generators(config).items()}
+    occ = occupations(config)
+    factors = [_slot_factors(config, Z, mixture) for Z in displacements]
     vals, masses = [], []
-    for s, idx in enumerate(sectors):
-        T = _defect_matrix({pair: b[s] for pair, b in blocks.items()}, config.copies)
-        lam, vecs = eigh(T)
+    for idx, T in zip(sectors, sector_blocks(casimir_defect(config), sectors)):
+        o = occ[idx].T  # per-slot occupations of the sector's basis states
+        # a state's block is zero when its (nonnegative) diagonal is
+        if not any(reduce(np.multiply, [f.diagonal()[os] for f, os in zip(fs, o)]).any()
+                   for fs in factors):
+            continue
+        lam, vecs = eigh(T.toarray(), driver="evd")
         vals.append(lam)
-        masses.append([_eigvec_masses(st.entries[np.ix_(idx, idx)], vecs)
-                       for st in states])
+        cuts = [np.ix_(os, os) for os in o]
+        blocks = [reduce(np.multiply, [f[c] for f, c in zip(fs, cuts)]) for fs in factors]
+        masses.append([_eigvec_masses(rho.real, vecs) for rho in blocks])
     return _clustered_measures(np.concatenate(vals),
                                [np.concatenate(per_state) for per_state in zip(*masses)])
 
@@ -595,23 +619,6 @@ def defect_spectral_measures(config: FockConfig, states: list) -> list:
 # ---------------------------------------------------------------------------
 # rotation averaging (Haar average over simultaneous copy rotations)
 # ---------------------------------------------------------------------------
-
-def _circle_average_diag(eigvals: np.ndarray, n_angles: int) -> np.ndarray:
-    t = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    return np.exp(1j * np.outer(eigvals, t)).mean(axis=1)
-
-
-def _sin_weight_nodes(n_nodes: int):
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    beta = 0.5 * np.pi * (x + 1.0)
-    weights = w * (np.pi / 2.0) * np.sin(beta) / 2.0  # Haar: sin(beta)/2 on [0, pi]
-    return beta, weights
-
-
-def _sin_average_diag(eigvals: np.ndarray, nodes) -> np.ndarray:
-    beta, weights = nodes
-    return np.exp(1j * np.outer(eigvals, beta)) @ weights
-
 
 def rotation_average_projector(config: FockConfig,
                                dense_limit: int = 2500) -> TruncatedOperator:
@@ -633,52 +640,16 @@ def rotation_average_projector(config: FockConfig,
     h12 = (-1j) * beamsplitter_generator(config, 1, 2).toarray()
     _check_hermitian(h12, "beamsplitter generator")
     lam12, v12 = eigh(h12)
-    W = (v12 * _circle_average_diag(lam12, 512)) @ v12.conj().T
+    t = 2.0 * np.pi * np.arange(512) / 512
+    W = (v12 * np.exp(1j * np.outer(lam12, t)).mean(axis=1)) @ v12.conj().T
     if config.copies == 3:
+        x, w = np.polynomial.legendre.leggauss(64)
+        beta = 0.5 * np.pi * (x + 1.0)
+        weights = w * (np.pi / 2.0) * np.sin(beta) / 2.0  # Haar: sin(beta)/2 on [0, pi]
         lam23, v23 = eigh((-1j) * beamsplitter_generator(config, 2, 3).toarray())
-        M23 = (v23 * _sin_average_diag(lam23, _sin_weight_nodes(64))) @ v23.conj().T
+        M23 = (v23 * (np.exp(1j * np.outer(lam23, beta)) @ weights)) @ v23.conj().T
         W = W @ M23 @ W
     return TruncatedOperator(config, W)
-
-
-def _rotation_average_rounds(config: FockConfig, psi: np.ndarray) -> np.ndarray:
-    """<psi| W |psi> at each quadrature round, in one pass over the sectors.
-
-    W is W12 (n = 2) or W12 M23 W12 (n = 3), where W12 averages
-    exp(t bs_{1,2}) over K = 128 2^r trapezoid angles and M23 averages
-    exp(b bs_{2,3}) over G = 48 + 32 r Gauss-Legendre nodes with the sin(b)
-    Haar weight (round r).  Both act diagonally in the eigenbases of the
-    two generators' sector blocks; a sector's eigenvectors are dropped
-    before the next sector is decomposed, and sectors where psi vanishes
-    are skipped.
-    """
-    if config.copies not in (2, 3):
-        raise ValueError("rotation averaging implemented for 2 or 3 copies")
-    rounds = range(_QUAD_ROUNDS)
-    steps = [2 ** (_QUAD_ROUNDS - 1 - r) for r in rounds]
-    # each round's trapezoid grid is every steps[r]-th angle of the finest one
-    angles = 2.0 * np.pi * np.arange(128 * steps[0]) / (128 * steps[0])
-    nodes = [_sin_weight_nodes(48 + 32 * r) for r in rounds]
-    sectors = photon_sectors(config)
-    bs12 = sector_blocks(beamsplitter_generator(config, 1, 2), sectors)
-    if config.copies == 3:
-        bs23 = sector_blocks(beamsplitter_generator(config, 2, 3), sectors)
-    q = np.zeros(len(rounds))
-    for s, idx in enumerate(sectors):
-        if not np.any(psi[idx]):
-            continue
-        lam12, v12 = eigh((-1j) * bs12[s].toarray())
-        phases = np.exp(1j * np.outer(lam12, angles))
-        d12 = np.stack([phases[:, ::step].mean(axis=1) for step in steps], axis=1)
-        a = v12.conj().T @ psi[idx]
-        if config.copies == 2:
-            q += np.real((np.abs(a) ** 2) @ d12)
-            continue
-        lam23, v23 = eigh((-1j) * bs23[s].toarray())
-        d23 = np.stack([_sin_average_diag(lam23, nd) for nd in nodes], axis=1)
-        e = v12.conj().T @ (v23 @ (d23 * (v23.conj().T @ (v12 @ (d12 * a[:, None])))))
-        q += np.real(np.sum(a.conj()[:, None] * d12 * e, axis=0))
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -734,41 +705,22 @@ def solve_level_equation(null_masses: np.ndarray, alpha: float,
     return LevelSolution(i - 1, i, float(w), False)
 
 
-def si_type2_fock(theta, mixture: float, alpha: float, config: FockConfig,
-                  dense_limit: int = 2500, quad_tol: float = 1e-6) -> float:
+def si_type2_fock(theta, mixture: float, alpha: float, config: FockConfig) -> float:
     """Acceptance probability of the invariant test on a displaced alternative.
 
     Solves the randomized level equation on the discrete spectrum of the
     rotation-defect observable under the null state, then evaluates the
-    same randomized projection pair on the displaced state.  The mixture-0
-    case routes through the rotation average (the null state sits exactly
-    in the kernel), refining the quadrature until two successive rounds
-    agree to ``quad_tol`` and raising ConvergenceError otherwise; the
-    general case eigendecomposes the observable sector by sector, with the
-    states built densely (``dense_limit``).
+    same randomized projection pair on the displaced state; both measures
+    come from ``defect_spectral_measures``.  At mixture 0 the null is the
+    vacuum, which the observable annihilates, so the solution accepts with
+    weight 1 - alpha on the kernel (the kernel projection at alpha = 0).
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     if config.copies < 2:
         raise ValueError("the invariant test needs at least two copies")
     theta = np.atleast_1d(np.asarray(theta, dtype=complex)).reshape(config.modes)
-
-    if mixture == 0.0:
-        # Null = vacuum, which the defect observable annihilates exactly, so
-        # the solved thresholds are s below the spectrum, t = 0, w = 1-alpha
-        # (or the degenerate kernel projection at alpha = 0).
-        Z = np.tile(theta.reshape(-1, 1), (1, config.copies))
-        q = _rotation_average_rounds(config, coherent_product_vector(config, Z))
-        hits = np.nonzero(np.abs(np.diff(q)) < quad_tol)[0]
-        if hits.size == 0:
-            raise ConvergenceError(
-                f"rotation average not stable to {quad_tol:g} after {_QUAD_ROUNDS} "
-                f"quadrature rounds (last change {abs(q[-1] - q[-2]):.3e})")
-        coeff = 1.0 if alpha == 0.0 else (1.0 - alpha)
-        return coeff * float(q[hits[0] + 1])
-
-    null = product_state(config, np.zeros(config.modes), mixture, dense_limit)
-    alt = product_state(config, theta, mixture, dense_limit)
-    null_law, alt_law = defect_spectral_measures(config, [null, alt])
+    null_law, alt_law = defect_spectral_measures(
+        config, [np.zeros(config.modes), theta], mixture)
     sol = solve_level_equation(null_law.weights, alpha)
     return sol.accept_probability(np.cumsum(alt_law.weights))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
-from scipy.special import gammaln, ncfdtr
+from scipy.special import erfc, gammaln, ncfdtr
 
 from sqitest.distributions import (
     ConvergenceError,
@@ -133,6 +133,14 @@ class TestCfInversion:
         d = invert_integer_cf(lambda r: np.ones_like(r), 5)
         assert d.prob(0) == pytest.approx(1.0)
         assert total_variation(d, point_mass(0)) < 1e-12
+
+    @pytest.mark.parametrize("y0", [-5, -2, 3, 5])
+    def test_shifted_point_mass(self, y0):
+        # odd and negative lattice points, where the (-1)^y sign and the
+        # wrap y mod K of the FFT fold matter
+        d = invert_integer_cf(lambda r: np.exp(1j * y0 * r), 5)
+        assert d.prob(y0) == pytest.approx(1.0, abs=1e-14)
+        assert total_variation(d, point_mass(y0)) < 1e-12
 
     def test_neg_binomial_round_trip(self):
         nb = neg_binomial(2, 0.45)
@@ -278,6 +286,28 @@ class TestNoncentralFAgainstScipy:
         # mode and of lambda x / 2, in 40-digit mpmath arithmetic
         got = noncentral_f_cdf(c, NoncentralFParams(mu, nu, lam))
         assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def test_huge_noncentrality_keeps_the_complement(self):
+        # at c = (2 + lambda)/2, 1 - x = 1/(2c + 1) sits near 1e-10; forming
+        # it as 1 - x left the cdf 6e-8 off
+        lam = 1e10
+        c = (2.0 + lam) / 2.0
+        got = noncentral_f_cdf(c, NoncentralFParams(2, 1, lam))
+        assert got == pytest.approx(ncfdtr(2, 1, lam, c), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("lam", [0.0, 5.0])
+    def test_tiny_c_keeps_x(self, lam):
+        # the other end: x = 2c/(2c + 1) near 1e-20 must not be formed as 1 - y
+        c = 1e-20
+        got = noncentral_f_cdf(c, NoncentralFParams(2, 1, lam))
+        assert got == pytest.approx(ncfdtr(2, 1, lam, c), rel=1e-10, abs=0.0)
+
+    def test_normal_limit_at_huge_noncentrality(self):
+        # the numerator chi2_2(lambda)/2 over (2 + lambda)/2 tends to 1, so
+        # with nu = 1 the cdf tends to P(chi2_1 >= 1) = erfc(1/sqrt 2)
+        lam = 1e12
+        got = noncentral_f_cdf((2.0 + lam) / 2.0, NoncentralFParams(2, 1, lam))
+        assert got == pytest.approx(erfc(1.0 / np.sqrt(2.0)), abs=1e-10)
 
 
 class TestCriticalPoint:

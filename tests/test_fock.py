@@ -7,15 +7,16 @@ from scipy.sparse.linalg import expm_multiply
 
 from sqitest import distributions as dist
 from sqitest import fock
+from sqitest import hypotests as ht
 from sqitest.fock import (
     BudgetExceeded,
-    ConvergenceError,
     FockConfig,
     TruncatedOperator,
     TruncatedState,
     annihilation,
     apply_pooling_rotation,
     beamsplitter_generator,
+    casimir_defect,
     cluster_eigenvalues,
     coherent_product_vector,
     coherent_tail_mass,
@@ -344,6 +345,16 @@ class TestRotationDefectObservable:
         vals = np.linalg.eigvalsh(sub)
         assert int(np.sum(vals < 1e-8)) == 3
 
+    @pytest.mark.parametrize("shape", [(1, 3, 6), (1, 4, 4), (2, 3, 3)])
+    def test_casimir_form_matches_on_complete_sectors(self, shape):
+        # the sparse form needs no exponential; the cutoff breaks the group
+        # law only on edge sectors, where the two are allowed to differ
+        cfg = FockConfig(*shape)
+        C = casimir_defect(cfg).toarray()
+        T = rotation_defect_observable(cfg).entries
+        mask = complete_sector_mask(cfg)
+        assert np.max(np.abs(C - T)[np.ix_(mask, mask)]) < 1e-12
+
 
 class TestPhotonSectors:
     @pytest.mark.parametrize("shape", [(1, 3, 4), (2, 2, 3)])
@@ -375,12 +386,11 @@ class TestPhotonSectors:
     @pytest.mark.parametrize("shape", [(1, 3, 6), (2, 2, 4)])
     def test_blocked_defect_measure_matches_dense(self, shape):
         cfg = FockConfig(*shape)
-        T = rotation_defect_observable(cfg)
+        T = TruncatedOperator(cfg, casimir_defect(cfg).toarray())
         z = 0.3 * np.exp(0.5j * np.arange(cfg.modes))
-        states = [product_state(cfg, np.zeros(cfg.modes), 0.4),
-                  product_state(cfg, z, 0.4)]
-        for state, got in zip(states, defect_spectral_measures(cfg, states)):
-            want = spectral_measure(state, T)
+        displacements = [np.zeros(cfg.modes), z]
+        for Z, got in zip(displacements, defect_spectral_measures(cfg, displacements, 0.4)):
+            want = spectral_measure(product_state(cfg, Z, 0.4), T)
             assert got.values.shape == want.values.shape
             assert np.max(np.abs(got.values - want.values)) < 1e-12
             assert np.max(np.abs(got.weights - want.weights)) < 1e-12
@@ -582,22 +592,21 @@ class TestSiErrorProbability:
         with pytest.raises(ValueError):
             si_type2_fock(0.1, 0.0, 1.5, cfg)
 
-    def test_unconverged_quadrature_raises(self):
-        with pytest.raises(ConvergenceError):
-            si_type2_fock(0.3, 0.0, 0.05, FockConfig(1, 3, 6), quad_tol=0.0)
-
-    def test_dense_limit_guard(self):
-        cfg = FockConfig(1, 2, 40)
-        with pytest.raises(BudgetExceeded):
-            si_type2_fock(0.3, 0.5, 0.05, cfg, dense_limit=100)
-
     def test_quadrature_and_dense_routes_agree(self):
-        # a vanishing mixture forces the dense spectral route; it must land
-        # on the pure-state quadrature route's answer
+        # the mixture -> 0 limit: a vanishing mixture must land on the
+        # pure-state answer, whose null is exactly the vacuum
         cfg = FockConfig(1, 2, 20)
         pure = si_type2_fock(0.4, 0.0, 0.05, cfg)
         dense = si_type2_fock(0.4, 1e-12, 0.05, cfg)
         assert abs(pure - dense) < 1e-9
+
+    def test_pure_error_does_not_depend_on_modes(self):
+        # si_type2_closed reads only the displacement norm, never m
+        theta = np.array([0.3, 0.2j])
+        got = si_type2_fock(theta, 0.0, 0.05, FockConfig(2, 3, 5))
+        want = ht.si_type2_closed(float(np.linalg.norm(theta)),
+                                  ht.TestSpec(2, 3, 0.0, 0.05, "si"))
+        assert abs(got - want) < 1e-6
 
     def test_three_copy_mixture_dense_route(self):
         # no closed form exists here; the dense spectral route must still be
