@@ -12,10 +12,12 @@ function factorizes as
     psi_s(r) = exp[gamma(r) (e^{ir} - 1) s^2],
 
 with s the displacement norm; equivalently the variable is distributed as
-F - G + sum_k k (P_k - Q_k) with F, G negative binomial NB_m(N/(N+1)) and
-P_k, Q_k Poisson with rate s^2 N^{k-1} / (N+1)^{k+1}, all independent.
-Both routes are implemented and cross-checked; plain Fourier inversion on
-the integer lattice serves as the bridge.
+F - G + C - C' with F, G negative binomial NB_m(p), p = N/(N+1), and C, C'
+Polya-Aeppli: sum_k k P_k with P_k Poisson of rate s^2 N^{k-1} / (N+1)^{k+1},
+a compound Poisson law of rate s^2/(N+1) with geometric jumps, whose pmf
+follows from a three-term recurrence; all four are independent.  Both
+routes are implemented and cross-checked; plain Fourier inversion on the
+integer lattice serves as the bridge.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ _ABS_FLOOR = 1e-300
 _TAIL_STOP = 1e-17
 # Grid doublings tried by the characteristic-function inversion.
 _CF_DOUBLINGS = 12
+# Largest Polya-Aeppli rate built in one recurrence: e^{-rate} stays normal.
+_PA_RATE_SPLIT = 500.0
 
 
 class ConvergenceError(RuntimeError):
@@ -121,21 +125,6 @@ def point_mass(value: int = 0) -> IntegerDistribution:
     return IntegerDistribution(value, np.array([1.0]))
 
 
-def poisson_pmf(lam: float, tol: float = 1e-14) -> np.ndarray:
-    """Poisson pmf on 0..K, truncated where the upper tail drops below tol."""
-    if lam < 0:
-        raise ValueError("rate must be >= 0")
-    if lam == 0.0:
-        return np.array([1.0])
-    hi = int(np.ceil(lam + 12.0 * np.sqrt(lam) + 30.0))
-    k = np.arange(hi + 1)
-    logp = -lam + k * np.log(lam) - gammaln(k + 1)
-    p = np.exp(logp)
-    keep = np.nonzero(np.cumsum(p) <= 1.0 - tol)[0]
-    cut = keep[-1] + 2 if keep.size else 1
-    return p[: min(cut + 1, hi + 1)]
-
-
 def neg_binomial(shape: int, p: float, tol: float = 1e-14) -> IntegerDistribution:
     """NB(shape, p): pmf(x) = C(shape+x-1, x) (1-p)^shape p^x on x >= 0.
 
@@ -172,19 +161,36 @@ def _difference(dist: IntegerDistribution) -> IntegerDistribution:
     return IntegerDistribution(lo, pmf, tail)
 
 
-def _add_scaled(a: IntegerDistribution, b: IntegerDistribution,
-                k: int) -> IntegerDistribution:
-    """Law of A + k B for independent A ~ ``a`` and B ~ ``b``.
+def polya_aeppli(rate: float, p: float, tol: float = 1e-14) -> IntegerDistribution:
+    """Compound Poisson law of total ``rate`` with jumps j >= 1 of mass (1-p) p^(j-1).
 
-    Each atom q_j of ``b`` adds q_j * pmf_A at offset k j, so the cost is
-    len(a) * len(b) whatever the spacing k.
+    Its pgf G(z) = exp(rate ((1-p) z / (1-pz) - 1)) obeys (1-pz)^2 G' =
+    rate (1-p) G, so from f(0) = e^{-rate} and f(1) = rate (1-p) f(0)
+
+        (x+1) f(x+1) = (2px + rate (1-p)) f(x) - p^2 (x-1) f(x-1);
+
+    at p = 0 this is Poisson.  The upper tail is cut once at most ``tol`` of
+    mass remains.  Above _PA_RATE_SPLIT, where e^{-rate} would underflow, the
+    law is the convolution of equal parts.
     """
-    pmf = np.zeros(len(a.pmf) + k * (len(b.pmf) - 1))
-    for j, q in enumerate(b.pmf):
-        pmf[k * j: k * j + len(a.pmf)] += q * a.pmf
-    tail = min(1.0, a.tail_mass + b.tail_mass)
-    pmf = pmf * (1.0 - tail) / pmf.sum() if pmf.sum() > 0 else pmf
-    return IntegerDistribution(a.lo + k * b.lo, pmf, tail)
+    if rate < 0 or not 0.0 <= p < 1.0:
+        raise ValueError("need rate >= 0 and p in [0, 1)")
+    parts = max(1, int(np.ceil(rate / _PA_RATE_SPLIT)))
+    lam, cut = rate / parts, tol / parts
+    prev, f = 0.0, float(np.exp(-lam))
+    pmf, total, x = [f], f, 0
+    # past the mean, terms below cut * _REL_STOP end a sum that rounding
+    # holds just under 1 - cut
+    while total < 1.0 - cut and not (x > lam / (1 - p) and f < cut * _REL_STOP):
+        prev, f = f, ((2.0 * p * x + lam * (1 - p)) * f - p * p * (x - 1) * prev) / (x + 1)
+        pmf.append(f)
+        total += f
+        x += 1
+    one = out = np.array(pmf)
+    for _ in range(parts - 1):
+        out = np.convolve(out, one)
+    tail = min(1.0, parts * max(0.0, 1.0 - one.sum()))
+    return IntegerDistribution(0, out * (1.0 - tail) / out.sum(), tail)
 
 
 def count_difference_distribution(modes: int, displacement_norm: float,
@@ -192,46 +198,33 @@ def count_difference_distribution(modes: int, displacement_norm: float,
                                   ) -> IntegerDistribution:
     """Lattice law of the count-difference statistic on two copies.
 
-    Built as the convolution of the NB_m(N/(N+1)) difference with the
-    k-scaled Poisson differences; the k-sum stops once the mean of the
-    dropped components falls below ``tol``.  Exactly symmetric about 0.
+    sum_k k P_k, with P_k ~ Poisson(s^2 N^{k-1} / (N+1)^{k+1}), is the
+    Polya-Aeppli compound of total rate s^2/(N+1) and geometric jumps with
+    p = N/(N+1), so the law is the NB_m(p) difference convolved with the
+    difference of that compound.  ``tol`` sets where the compound's and the
+    negative binomial's upper tails are cut; the cut mass is carried in
+    ``tail_mass``.  Exactly symmetric about 0.
     """
     if mixture < 0:
         raise ValueError("mixture must be >= 0")
     if tol <= 0:
         raise ValueError("tol must be positive")
     N = float(mixture)
-    s2 = float(displacement_norm) ** 2
     comp_tol = min(1e-14, tol / 16.0)
-
     p = N / (N + 1.0)
-    out = _difference(neg_binomial(modes, p, comp_tol)) if p > 0 else point_mass(0)
-
-    x = p  # dropped-mean tail: s2/(N+1)^2 * sum_{j>k} j x^{j-1}
-    k = 0
-    while True:
-        k += 1
-        if x == 0.0 and k > 1:
-            break
-        remaining = (s2 / (N + 1.0) ** 2
-                     * ((k + 1) * x**k * (1 - x) + x ** (k + 1)) / (1 - x) ** 2)
-        lam_k = s2 / (N + 1.0) ** 2 * p ** (k - 1)  # N^(k-1) overflows at large N
-        if lam_k > 0.0:
-            pmf_k = poisson_pmf(lam_k, comp_tol)
-            pois = IntegerDistribution(0, pmf_k, max(0.0, 1.0 - pmf_k.sum()))
-            out = _add_scaled(out, _difference(pois), k)
-        if remaining < tol:
-            break
+    nb = _difference(neg_binomial(modes, p, comp_tol))
+    comp = _difference(polya_aeppli(float(displacement_norm) ** 2 / (N + 1.0), p, comp_tol))
+    tail = min(1.0, nb.tail_mass + comp.tail_mass)
+    pmf = np.convolve(nb.pmf, comp.pmf)
+    pmf = pmf * (1.0 - tail) / pmf.sum()
     # enforce exact symmetry (the construction is symmetric; float error is not)
-    pmf = 0.5 * (out.pmf + out.pmf[::-1])
+    pmf = 0.5 * (pmf + pmf[::-1])
     # trim negligible wings into the tail account, keeping symmetry
     cum = np.cumsum(pmf)
     cut = int(np.searchsorted(cum, comp_tol / 4.0))
-    if cut > 0:
-        trimmed = float(cum[cut - 1] + pmf[len(pmf) - cut:].sum())
-        pmf = pmf[cut: len(pmf) - cut]
-        return IntegerDistribution(out.lo + cut, pmf, out.tail_mass + trimmed)
-    return IntegerDistribution(out.lo, pmf, out.tail_mass)
+    trimmed = float(cum[cut - 1] + pmf[len(pmf) - cut:].sum()) if cut else 0.0
+    return IntegerDistribution(nb.lo + comp.lo + cut, pmf[cut: len(pmf) - cut],
+                               tail + trimmed)
 
 
 def count_difference_cf(modes: int, displacement_norm: float, mixture: float,

@@ -187,12 +187,12 @@ def si_type2_closed(theta_norm: float, spec: TestSpec) -> float:
 
 
 def _squared_law(d: dist.IntegerDistribution):
-    """Atoms and masses of X = Y^2 for a lattice law Y."""
-    masses = {}
-    for v, p in zip(d.support, d.pmf):
-        masses[v * v] = masses.get(v * v, 0.0) + p
-    xs = np.array(sorted(masses), dtype=float)
-    return xs, np.array([masses[x] for x in xs])
+    """Atoms v^2 (v = 0..hi) and masses of X = Y^2 for a law Y symmetric about 0."""
+    if d.lo != -d.hi:
+        raise ValueError("law must be supported on -hi..hi")
+    masses = d.pmf[d.hi:].copy()
+    masses[1:] += d.pmf[:d.hi][::-1]
+    return np.arange(d.hi + 1, dtype=float) ** 2, masses
 
 
 def si_type2_n2(theta_norm: float, modes: int, mixture: float, alpha: float,

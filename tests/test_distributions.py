@@ -21,6 +21,7 @@ from sqitest.distributions import (
     noncentral_f_cdf,
     noncentral_f_pdf,
     point_mass,
+    polya_aeppli,
     skellam_pmf,
     total_variation,
 )
@@ -77,6 +78,29 @@ class TestNegBinomial:
             neg_binomial(2, 1.0)
 
 
+class TestPolyaAeppli:
+    def test_zero_p_is_poisson(self):
+        d = polya_aeppli(3.7, 0.0)
+        assert np.max(np.abs(d.pmf - stats.poisson.pmf(d.support, 3.7))) < 1e-15
+
+    @pytest.mark.parametrize("rate,p", [(0.4, 0.3), (2.0, 0.5), (0.8, 0.97), (900.0, 0.2)])
+    def test_moments(self, rate, p):
+        # jumps geometric on 1, 2, ...: mean rate/(1-p), variance rate(1+p)/(1-p)^2
+        d = polya_aeppli(rate, p)
+        mean = d.mean()
+        assert mean == pytest.approx(rate / (1 - p), rel=1e-12)
+        var = ((d.support - mean) ** 2) @ d.pmf
+        assert var == pytest.approx(rate * (1 + p) / (1 - p) ** 2, rel=1e-10)
+        assert d.tail_mass < 1e-13
+
+    def test_zero_rate_and_bad_inputs(self):
+        assert polya_aeppli(0.0, 0.5).pmf.tolist() == [1.0]
+        with pytest.raises(ValueError):
+            polya_aeppli(-1.0, 0.5)
+        with pytest.raises(ValueError):
+            polya_aeppli(1.0, 1.0)
+
+
 class TestCountDifferenceLaw:
     def test_degenerate_case(self):
         d = count_difference_distribution(1, 0.0, 0.0)
@@ -115,11 +139,28 @@ class TestCountDifferenceLaw:
             assert total_variation(comp, inv) < 1e-8
 
     def test_large_mixture_matches_cf_inversion(self):
-        # N = 10 needs about 330 Poisson components; N^(k-1) overflowed there
+        # at N = 10 the NB and compound wings reach hundreds of atoms; the
+        # old k-sum's N^(k-1) overflowed there
         comp = count_difference_distribution(1, 1.0, 10.0)
         inv = invert_integer_cf(lambda r: count_difference_cf(1, 1.0, 10.0, r),
                                 comp.hi + 8)
         assert total_variation(comp, inv) < 1e-8
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(m=st.sampled_from([1, 2]), N=st.floats(0.0, 30.0), s=st.floats(0.0, 5.0))
+    def test_matches_cf_inversion_property(self, m, N, s):
+        # N >> 1: the NB and compound wings grow like log(tol) / log(N/(N+1))
+        comp = count_difference_distribution(m, s, N)
+        assert abs(comp.pmf.sum() + comp.tail_mass - 1.0) < 1e-12
+        inv = invert_integer_cf(lambda r: count_difference_cf(m, s, N, r), comp.hi + 8)
+        assert total_variation(comp, inv) < 1e-10
+
+    @pytest.mark.parametrize("s,N", [(30.0, 0.0), (40.0, 0.0), (30.0, 1.0)])
+    def test_large_displacement_matches_cf_inversion(self, s, N):
+        # compound rate s^2/(N+1) above 745, where e^{-rate} underflows
+        comp = count_difference_distribution(1, s, N)
+        inv = invert_integer_cf(lambda r: count_difference_cf(1, s, N, r), comp.hi + 8)
+        assert total_variation(comp, inv) < 1e-10
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
