@@ -6,7 +6,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .experiments import ETA_PRESETS, ExperimentConfig, run_curve, run_verify
+from .experiments import CONFIG_KEYS, ETA_PRESETS, ExperimentConfig, run_curve, run_verify
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -22,25 +22,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     curve = sub.add_parser("curve", help="write an error-curve CSV over a theta grid")
     curve.add_argument("--config", help="config file (key = value); explicit flags win")
-    curve.add_argument("--m", type=int, help="mode count")
-    curve.add_argument("--n", type=int, help="copy count")
-    curve.add_argument("--N", type=float, help="thermal mixture parameter")
-    curve.add_argument("--alpha", type=float, help="test level")
-    curve.add_argument("--theta-min", type=float, help="smallest displacement norm")
-    curve.add_argument("--theta-max", type=float, help="largest displacement norm")
-    curve.add_argument("--theta-steps", type=int, help="number of grid points")
+    for key, (_, cast, text) in CONFIG_KEYS.items():
+        curve.add_argument("--" + key.replace("_", "-"), type=cast, help=text)
     curve.add_argument("--eta", action="append",
                        help=f"squeezing entry: preset {ETA_PRESETS} or a parameter "
                             "file; repeatable")
-    curve.add_argument("--reps", type=int,
-                       help="Monte Carlo replicates per point (0 = analytic only)")
-    curve.add_argument("--seed", type=int, help="base random seed")
-    curve.add_argument("--out", help="output CSV path")
 
     verify = sub.add_parser("verify", help="run a named cross-check battery")
     verify.add_argument("suite", choices=["fock", "distributions", "tests", "all"])
-    verify.add_argument("--budget", type=int, default=2 ** 20,
-                        help="dimension budget for truncated-space checks")
     verify.add_argument("--out", help="optional path for the text report")
     return parser
 
@@ -51,14 +40,8 @@ def _curve_config(args) -> ExperimentConfig:
             config = ExperimentConfig.from_text(fh.read())
     else:
         config = ExperimentConfig()
-    updates = {}
-    for flag, name in [("m", "modes"), ("n", "copies"), ("N", "mixture"),
-                       ("alpha", "alpha"), ("theta_min", "theta_min"),
-                       ("theta_max", "theta_max"), ("theta_steps", "theta_steps"),
-                       ("reps", "reps"), ("seed", "seed"), ("out", "out")]:
-        value = getattr(args, flag)
-        if value is not None:
-            updates[name] = value
+    updates = {name: getattr(args, key) for key, (name, _, _) in CONFIG_KEYS.items()
+               if getattr(args, key) is not None}
     if args.eta:
         updates["etas"] = tuple(args.eta)
     return replace(config, **updates)
@@ -71,7 +54,7 @@ def main(argv=None) -> int:
             path = run_curve(_curve_config(args))
             print(f"wrote {path}")
             return 0
-        report = run_verify(args.suite, budget=args.budget)
+        report = run_verify(args.suite)
         text = report.format()
         print(text)
         if args.out:

@@ -38,6 +38,8 @@ _TAIL_STOP = 1e-17
 _CF_DOUBLINGS = 12
 # Largest Polya-Aeppli rate built in one recurrence: e^{-rate} stays normal.
 _PA_RATE_SPLIT = 500.0
+# Largest mass the CF inversion may leave beyond its support bound.
+_MASS_TOL = 1e-8
 
 
 class ConvergenceError(RuntimeError):
@@ -96,29 +98,6 @@ class IntegerDistribution:
         r = np.atleast_1d(np.asarray(r, dtype=float))
         out = np.exp(1j * np.outer(r, self.support)) @ self.pmf
         return out if out.size > 1 else out[0]
-
-    def to_text(self) -> str:
-        lines = [f"{v} {p:.17g}" for v, p in zip(self.support, self.pmf)]
-        lines.append(f"tail_mass {self.tail_mass:.17g}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "IntegerDistribution":
-        values, probs, tail = [], [], 0.0
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            a, b = line.split()
-            if a == "tail_mass":
-                tail = float(b)
-            else:
-                values.append(int(a))
-                probs.append(float(b))
-        values = np.asarray(values)
-        if np.any(np.diff(values) != 1):
-            raise ValueError("support must be contiguous")
-        return cls(int(values[0]), np.asarray(probs), tail)
 
 
 def point_mass(value: int = 0) -> IntegerDistribution:
@@ -264,14 +243,13 @@ def skellam_pmf(y: int, lam: float) -> float:
     return total
 
 
-def invert_integer_cf(cf, support_bound: int, tol: float = 1e-10,
-                      mass_tol: float = 1e-8) -> IntegerDistribution:
+def invert_integer_cf(cf, support_bound: int, tol: float = 1e-10) -> IntegerDistribution:
     """Recover an integer-lattice pmf from its characteristic function.
 
     pmf(y) = (1/2pi) int_{-pi}^{pi} cf(r) e^{-iry} dr, trapezoid rule on a
     uniform grid with doubling until two successive grids agree to ``tol``;
     raises ConvergenceError if they never do within _CF_DOUBLINGS grids.
-    Raises ValueError if mass beyond ``support_bound`` exceeds ``mass_tol``.
+    Raises ValueError if mass beyond ``support_bound`` exceeds _MASS_TOL.
     """
     ys = np.arange(-support_bound, support_bound + 1)
     sign = 1.0 - 2.0 * (ys % 2)
@@ -291,7 +269,7 @@ def invert_integer_cf(cf, support_bound: int, tol: float = 1e-10,
             f"cf inversion did not settle to {tol:g} in {_CF_DOUBLINGS} grids")
     pmf = np.clip(pmf, 0.0, None)
     missing = 1.0 - pmf.sum()
-    if missing > mass_tol:
+    if missing > _MASS_TOL:
         raise ValueError(
             f"support bound {support_bound} too small: unassigned mass {missing:.3e}"
         )

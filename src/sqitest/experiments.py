@@ -7,7 +7,6 @@ their own tests; this module only arranges grids, seeds and files.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +17,22 @@ from . import hypotests as ht
 from .phase_space import SqueezeParam, _parse_kv_text
 
 ETA_PRESETS = ("zero", "L-real-theta", "L-imag-theta")
+
+# Scalar keys of a config file, each also a ``sqitest curve`` flag (with -
+# for _): key -> (ExperimentConfig field, cast, help).  The eta entries are
+# a list and are read apart.
+CONFIG_KEYS = {
+    "m": ("modes", int, "mode count"),
+    "n": ("copies", int, "copy count"),
+    "N": ("mixture", float, "thermal mixture parameter"),
+    "alpha": ("alpha", float, "test level"),
+    "theta_min": ("theta_min", float, "smallest displacement norm"),
+    "theta_max": ("theta_max", float, "largest displacement norm"),
+    "theta_steps": ("theta_steps", int, "number of grid points"),
+    "reps": ("reps", int, "Monte Carlo replicates per point (0 = analytic only)"),
+    "seed": ("seed", int, "base random seed"),
+    "out": ("out", str, "output CSV path"),
+}
 
 
 @dataclass(frozen=True)
@@ -56,16 +71,8 @@ class ExperimentConfig:
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
         kv = _parse_kv_text(text)
-        kwargs = {}
-        casts = {
-            "m": ("modes", int), "n": ("copies", int), "N": ("mixture", float),
-            "alpha": ("alpha", float), "theta_min": ("theta_min", float),
-            "theta_max": ("theta_max", float), "theta_steps": ("theta_steps", int),
-            "reps": ("reps", int), "seed": ("seed", int), "out": ("out", str),
-        }
-        for key, (name, cast) in casts.items():
-            if key in kv:
-                kwargs[name] = cast(kv[key])
+        kwargs = {name: cast(kv[key]) for key, (name, cast, _) in CONFIG_KEYS.items()
+                  if key in kv}
         if "eta" in kv:
             kwargs["etas"] = tuple(kv["eta"].split())
         return cls(**kwargs)
@@ -170,16 +177,15 @@ def run_curve(config: ExperimentConfig) -> str:
 @dataclass
 class CheckResult:
     name: str
-    status: str  # PASS | FAIL | SKIP
+    status: str  # PASS | FAIL
     residual: float
     tol: float
     note: str = ""
 
     def format(self) -> str:
-        res = f"residual={self.residual:.3e} tol={self.tol:.1e}" if np.isfinite(
-            self.residual) else ""
         note = f"  ({self.note})" if self.note else ""
-        return f"[{self.status}] {self.name:40s} {res}{note}"
+        return (f"[{self.status}] {self.name:40s} residual={self.residual:.3e} "
+                f"tol={self.tol:.1e}{note}")
 
 
 @dataclass
@@ -191,10 +197,6 @@ class VerifyReport:
         status = "PASS" if residual <= tol else "FAIL"
         self.checks.append(CheckResult(name, status, float(residual), tol, note))
 
-    def skip(self, name, note):
-        self.checks.append(CheckResult(name, "SKIP", float("nan"), float("nan"), note))
-        warnings.warn(f"verification check {name} skipped: {note}")
-
     @property
     def failures(self) -> int:
         return sum(1 for c in self.checks if c.status == "FAIL")
@@ -202,16 +204,15 @@ class VerifyReport:
     def format(self) -> str:
         lines = [f"verification suite: {self.suite}"]
         lines += [c.format() for c in self.checks]
-        n_pass = sum(1 for c in self.checks if c.status == "PASS")
-        n_skip = sum(1 for c in self.checks if c.status == "SKIP")
-        lines.append(f"{n_pass} passed, {self.failures} failed, {n_skip} skipped")
+        lines.append(f"{len(self.checks) - self.failures} passed, "
+                     f"{self.failures} failed")
         return "\n".join(lines)
 
 
-def _verify_fock(report: VerifyReport, budget: int):
+def _verify_fock(report: VerifyReport):
     rng = np.random.default_rng(20240917)
 
-    cfg = fock.FockConfig(1, 2, 12, budget=budget)
+    cfg = fock.FockConfig(1, 2, 12)
     a = fock.annihilation(12)
     comm = a @ a.conj().T - a.conj().T @ a
     report.add("ccr_interior_block", np.max(np.abs(comm[:11, :11] - np.eye(11))), 1e-12)
@@ -231,14 +232,14 @@ def _verify_fock(report: VerifyReport, budget: int):
         worst = max(worst, float(np.max(np.abs(c))))
     report.add("squeeze_invariance_commutator", worst, 1e-8)
 
-    cfg3 = fock.FockConfig(1, 3, 25, budget=budget)
+    cfg3 = fock.FockConfig(1, 3, 25)
     psi = fock.coherent_product_vector(cfg3, np.full((1, 3), 0.3))
     rpsi = fock.apply_pooling_rotation(cfg3, psi)
     target = fock.coherent_product_vector(cfg3, [[0.0, 0.0, np.sqrt(3) * 0.3]])
     overlap = abs(np.vdot(target, rpsi)) ** 2
     report.add("pooling_rotation_transport", np.sqrt(max(0.0, 1.0 - overlap)), 1e-6)
 
-    cfg8 = fock.FockConfig(1, 2, 8, budget=budget)
+    cfg8 = fock.FockConfig(1, 2, 8)
     W = fock.rotation_average_projector(cfg8)
     K0 = fock.spectral_projection(fock.rotation_defect_observable(cfg8), 0.0)
     mask = fock.complete_sector_mask(cfg8)
@@ -246,7 +247,7 @@ def _verify_fock(report: VerifyReport, budget: int):
     report.add("kernel_projector_match", np.max(np.abs(diff)), 1e-6)
 
     for n, d in ((2, 25), (3, 10)):
-        cfgn = fock.FockConfig(1, n, d, budget=budget)
+        cfgn = fock.FockConfig(1, n, d)
         W = fock.rotation_average_projector(cfgn)
         worst = 0.0
         for r in (0.3, 0.5):
@@ -259,13 +260,13 @@ def _verify_fock(report: VerifyReport, budget: int):
 
     worst = 0.0
     for n in (2, 3):
-        cfgn = fock.FockConfig(1, n, 24, budget=budget)
+        cfgn = fock.FockConfig(1, n, 24)
         spec = ht.TestSpec(1, n, 0.0, 0.05, "si")
         got = fock.si_type2_fock(0.5, 0.0, 0.05, cfgn)
         worst = max(worst, abs(got - ht.si_type2_closed(0.5, spec)))
     report.add("si_error_fock_vs_closed", worst, 1e-4)
 
-    cfg40 = fock.FockConfig(1, 2, 40, budget=budget)
+    cfg40 = fock.FockConfig(1, 2, 40)
     got = fock.si_type2_fock(0.5, 0.5, 0.05, cfg40)
     want = ht.si_type2_n2(0.5, 1, 0.5, 0.05)
     report.add("si_error_fock_vs_lattice", abs(got - want), 1e-4)
@@ -314,10 +315,8 @@ def _verify_distributions(report: VerifyReport):
 
 
 def _verify_tests(report: VerifyReport):
-    from .phase_space import SqueezeParam as SP
-
     spec3 = ht.TestSpec(1, 3, 0.0, 0.05, "hh")
-    eta0 = SP.zero(1)
+    eta0 = SqueezeParam.zero(1)
 
     mc = ht.hh_type2_montecarlo(0.0, eta0, spec3, 50000, seed=5)
     report.add("hh_null_calibration", abs(mc.value - 0.95), 4 * mc.stderr,
@@ -331,7 +330,7 @@ def _verify_tests(report: VerifyReport):
     slope = ht.si_small_theta_slope(ht.TestSpec(1, 3, 0.0, 0.05, "si"))
     report.add("si_small_theta_slope", abs(slope / (0.95 * 3) - 1.0), 5e-3)
 
-    betas = {r: ht.hh_type2_analytic(0.5, SP.axis_family(r), spec3)
+    betas = {r: ht.hh_type2_analytic(0.5, SqueezeParam.axis_family(r), spec3)
              for r in (1.0, 0.5, 0.1, 1e-3)}
     report.add("hh_eta_dependence", 1e-3 / max(abs(betas[1.0] - betas[0.1]), 1e-300),
                1.0, note="beta must vary with the squeezing family")
@@ -350,21 +349,17 @@ def _verify_tests(report: VerifyReport):
                note="alpha = 0.5 puts the grid inside the tail regime")
 
 
-def run_verify(suite: str, budget: int = 2 ** 20) -> VerifyReport:
+def run_verify(suite: str) -> VerifyReport:
     """Run a named cross-check battery; returns a report with PASS/FAIL lines."""
     suites = {
-        "fock": (_verify_fock, True),
-        "distributions": (_verify_distributions, False),
-        "tests": (_verify_tests, False),
+        "fock": _verify_fock,
+        "distributions": _verify_distributions,
+        "tests": _verify_tests,
     }
     if suite not in tuple(suites) + ("all",):
         raise ValueError(f"unknown suite {suite!r}; choose from "
                          f"{', '.join(tuple(suites) + ('all',))}")
     report = VerifyReport(suite)
-    selected = suites.items() if suite == "all" else [(suite, suites[suite])]
-    for name, (fn, needs_budget) in selected:
-        try:
-            fn(report, budget) if needs_budget else fn(report)
-        except fock.BudgetExceeded as exc:
-            report.skip(name, str(exc))
+    for fn in suites.values() if suite == "all" else [suites[suite]]:
+        fn(report)
     return report

@@ -46,11 +46,18 @@ from scipy.sparse.linalg import expm_multiply
 from .phase_space import SqueezeParam, pooling_rotation_matrix
 
 _HERM_TOL = 1e-10
+# Eigenvalues closer than this form one cluster.
 _CLUSTER_TOL = 1e-8
+# Largest total dimension of a configuration.
+_BUDGET = 2 ** 20
+# Largest dimension of a dense whole-space operator or state.
+_DENSE_LIMIT = 4096
+# A cumulative null mass within this of 1 - alpha is an exact hit.
+_EXACT_TOL = 1e-12
 
 
 class BudgetExceeded(ValueError):
-    """Raised when a space exceeds its dimension budget or the dense limit."""
+    """Raised when a space exceeds _BUDGET or a dense build exceeds _DENSE_LIMIT."""
 
 
 @dataclass(frozen=True)
@@ -60,17 +67,16 @@ class FockConfig:
     modes: int
     copies: int
     cutoff: int
-    budget: int = 2 ** 20
 
     def __post_init__(self):
         if self.modes < 1 or self.copies < 1:
             raise ValueError("modes and copies must be >= 1")
         if self.cutoff < 2:
             raise ValueError("cutoff must be >= 2")
-        if self.dim > self.budget:
+        if self.dim > _BUDGET:
             raise BudgetExceeded(
                 f"total dimension {self.cutoff}^{self.slots} = {self.dim} "
-                f"exceeds budget {self.budget}"
+                f"exceeds budget {_BUDGET}"
             )
 
     @property
@@ -132,11 +138,11 @@ class TruncatedState:
         return float(np.linalg.eigvalsh(self.entries).min())
 
 
-def _require_dense(config: FockConfig, limit: int = 4096):
-    if config.dim > limit:
+def _require_dense(config: FockConfig):
+    if config.dim > _DENSE_LIMIT:
         raise BudgetExceeded(
             f"dense construction at dimension {config.dim} exceeds the "
-            f"dense limit {limit}; use the vector/sparse interfaces"
+            f"dense limit {_DENSE_LIMIT}; use the vector/sparse interfaces"
         )
 
 
@@ -293,10 +299,9 @@ def _slot_factors(config: FockConfig, Z, mixture: float) -> list:
             for j in range(config.copies) for i in range(config.modes)]
 
 
-def product_state(config: FockConfig, Z, mixture: float,
-                  dense_limit: int = 4096) -> TruncatedState:
+def product_state(config: FockConfig, Z, mixture: float) -> TruncatedState:
     """Tensor product of displaced thermal states (``Z`` as in ``_slot_factors``)."""
-    _require_dense(config, dense_limit)
+    _require_dense(config)
     return TruncatedState(config, reduce(np.kron, _slot_factors(config, Z, mixture)))
 
 
@@ -399,10 +404,9 @@ def squeeze_generator(eta: SqueezeParam, config: FockConfig) -> sparse.csr_matri
     return _quadratic_generator(config, terms)
 
 
-def squeeze(eta: SqueezeParam, config: FockConfig,
-            dense_limit: int = 4096) -> TruncatedOperator:
+def squeeze(eta: SqueezeParam, config: FockConfig) -> TruncatedOperator:
     """n-fold tensor power of the squeeze unitary, as exp of the summed generator."""
-    _require_dense(config, dense_limit)
+    _require_dense(config)
     gen = squeeze_generator(eta, config).toarray()
     return TruncatedOperator(config, expm(gen))
 
@@ -411,46 +415,37 @@ def squeeze(eta: SqueezeParam, config: FockConfig,
 # pooling rotation and the invariance-defect observable
 # ---------------------------------------------------------------------------
 
-def apply_pooling_rotation(config: FockConfig, psi: np.ndarray,
-                           inverse: bool = False) -> np.ndarray:
+def apply_pooling_rotation(config: FockConfig, psi: np.ndarray) -> np.ndarray:
     """Apply R = R_{n-1} ... R_1, R_k = exp(arctan(sqrt k) * bs_{k,k+1}), to a vector.
 
     Pools the common displacement of the n copies into the last copy:
     R |theta>^{(x)n} = |0>^{(x)(n-1)} (x) |sqrt(n) theta>, up to the
     truncation loss.  Uses sparse exponentials, so it runs past the dense
-    limit.
+    limit; ``psi`` may also be a matrix, whose columns are rotated.
     """
     if config.copies < 2:
         raise ValueError("pooling rotation needs at least two copies")
-    ks = range(1, config.copies)
-    sign = 1.0
-    if inverse:
-        ks = reversed(list(ks))
-        sign = -1.0
     out = np.asarray(psi, dtype=complex)
-    for k in ks:
-        gen = sign * np.arctan(np.sqrt(k)) * beamsplitter_generator(config, k, k + 1)
+    for k in range(1, config.copies):
+        gen = np.arctan(np.sqrt(k)) * beamsplitter_generator(config, k, k + 1)
         out = expm_multiply(gen.tocsc(), out)
     return out
 
 
-def rotation_defect_observable(config: FockConfig,
-                               dense_limit: int = 4096) -> TruncatedOperator:
+def rotation_defect_observable(config: FockConfig) -> TruncatedOperator:
     """Positive observable sum_k (bs_{k,n} R)^* (bs_{k,n} R), R the pooling rotation.
 
     Vanishes exactly on states invariant under simultaneous rotation of the
     copy index, so its kernel is the mode-wise rotation-invariant subspace.
-    Built densely from matrix exponentials of the beamsplitter generators,
-    as the independent reference for ``casimir_defect``.
+    R is the dense matrix of ``apply_pooling_rotation``, built from
+    exponentials of the beamsplitter generators, so this stays the
+    independent reference for ``casimir_defect``.
     """
     if config.copies < 2:
         raise ValueError("needs at least two copies")
-    _require_dense(config, dense_limit)
+    _require_dense(config)
     n = config.copies
-    R = np.eye(config.dim, dtype=complex)
-    for k in range(1, n):
-        gen = beamsplitter_generator(config, k, k + 1).toarray()
-        R = expm(np.arctan(np.sqrt(k)) * gen) @ R
+    R = apply_pooling_rotation(config, np.eye(config.dim, dtype=complex))
     T = np.zeros_like(R)
     for k in range(1, n):
         B = beamsplitter_generator(config, k, n) @ R
@@ -485,8 +480,8 @@ def casimir_defect(config: FockConfig) -> sparse.csr_matrix:
 # spectral machinery
 # ---------------------------------------------------------------------------
 
-def cluster_eigenvalues(values: np.ndarray, tol: float = _CLUSTER_TOL):
-    """Group an ascending eigenvalue list into clusters separated by > tol.
+def cluster_eigenvalues(values: np.ndarray):
+    """Group an ascending eigenvalue list into clusters separated by > _CLUSTER_TOL.
 
     Returns (cluster_values, slices) with one representative (mean) per
     cluster; degenerate clusters are merged.
@@ -494,7 +489,7 @@ def cluster_eigenvalues(values: np.ndarray, tol: float = _CLUSTER_TOL):
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         return np.array([]), []
-    cuts = np.nonzero(np.diff(values) > tol)[0]
+    cuts = np.nonzero(np.diff(values) > _CLUSTER_TOL)[0]
     starts = np.concatenate([[0], cuts + 1])
     ends = np.concatenate([cuts + 1, [values.size]])
     reps = np.array([values[s:e].mean() for s, e in zip(starts, ends)])
@@ -507,16 +502,15 @@ def _check_hermitian(entries: np.ndarray, what: str):
         raise ValueError(f"{what} must be hermitian (defect {defect:.3e})")
 
 
-def spectral_projection(op: TruncatedOperator, threshold: float,
-                        cluster_tol: float = _CLUSTER_TOL) -> TruncatedOperator:
+def spectral_projection(op: TruncatedOperator, threshold: float) -> TruncatedOperator:
     """Projection onto eigenspaces of a hermitian operator with value <= threshold.
 
     Whole eigenvalue clusters are kept or dropped together (cluster width
-    ``cluster_tol``), so thresholds inside a degenerate cluster keep it.
+    _CLUSTER_TOL), so thresholds inside a degenerate cluster keep it.
     """
     _check_hermitian(op.entries, "spectral projection input")
     vals, vecs = eigh(op.entries)
-    keep = vals <= threshold + cluster_tol
+    keep = vals <= threshold + _CLUSTER_TOL
     P = vecs[:, keep] @ vecs[:, keep].conj().T
     return TruncatedOperator(op.config, P)
 
@@ -531,16 +525,15 @@ class SpectralMeasure:
     def total(self) -> float:
         return float(self.weights.sum())
 
-    def as_lattice(self, scale: float = 1.0, tol: float = 1e-6):
-        """Aggregate onto the integer lattice values/scale.
+    def as_lattice(self, tol: float = 1e-6):
+        """Aggregate onto the integer lattice.
 
         Returns (integers, weights, remainder): clusters further than ``tol``
         from an integer (cutoff-edge artifacts) contribute their weight to
         ``remainder`` instead of the lattice.
         """
-        scaled = self.values / scale
-        rounded = np.rint(scaled)
-        on_lattice = np.abs(scaled - rounded) <= tol
+        rounded = np.rint(self.values)
+        on_lattice = np.abs(self.values - rounded) <= tol
         remainder = float(self.weights[~on_lattice].sum())
         agg = {}
         for v, w in zip(rounded[on_lattice].astype(int), self.weights[on_lattice]):
@@ -549,16 +542,14 @@ class SpectralMeasure:
         return ints, np.array([agg[v] for v in ints]), remainder
 
 
-def spectral_measure(state: TruncatedState, obs: TruncatedOperator,
-                     cluster_tol: float = _CLUSTER_TOL) -> SpectralMeasure:
+def spectral_measure(state: TruncatedState, obs: TruncatedOperator) -> SpectralMeasure:
     """Distribution of outcomes when ``obs`` is measured on ``state``.
 
     Weights sum to the state trace.
     """
     _check_hermitian(obs.entries, "observable")
     vals, vecs = eigh(obs.entries)
-    return _clustered_measures(vals, [_eigvec_masses(state.entries, vecs)],
-                               cluster_tol)[0]
+    return _clustered_measures(vals, [_eigvec_masses(state.entries, vecs)])[0]
 
 
 def _eigvec_masses(rho: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -566,15 +557,14 @@ def _eigvec_masses(rho: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.real(np.sum(vecs.conj() * (rho @ vecs), axis=0))
 
 
-def _clustered_measures(vals: np.ndarray, masses: list,
-                        cluster_tol: float = _CLUSTER_TOL) -> list:
+def _clustered_measures(vals: np.ndarray, masses: list) -> list:
     """One SpectralMeasure per mass vector, over the clustered spectrum ``vals``.
 
     ``vals`` need not be sorted; a stable sort keeps the order of equal
     values, and each cluster's mass is summed in that order.
     """
     order = np.argsort(vals, kind="stable")
-    reps, slices = cluster_eigenvalues(vals[order], cluster_tol)
+    reps, slices = cluster_eigenvalues(vals[order])
     out = []
     for m in masses:
         m = m[order]
@@ -620,8 +610,7 @@ def defect_spectral_measures(config: FockConfig, displacements: list,
 # rotation averaging (Haar average over simultaneous copy rotations)
 # ---------------------------------------------------------------------------
 
-def rotation_average_projector(config: FockConfig,
-                               dense_limit: int = 2500) -> TruncatedOperator:
+def rotation_average_projector(config: FockConfig) -> TruncatedOperator:
     """Quadrature average of exp(bs-rotations) over the copy-rotation group.
 
     n = 2 averages exp(t bs_{1,2}) over t in [0, 2pi) with a 512-angle
@@ -635,7 +624,7 @@ def rotation_average_projector(config: FockConfig,
     """
     if config.copies not in (2, 3):
         raise ValueError("rotation averaging implemented for 2 or 3 copies")
-    _require_dense(config, dense_limit)
+    _require_dense(config)
 
     h12 = (-1j) * beamsplitter_generator(config, 1, 2).toarray()
     _check_hermitian(h12, "beamsplitter generator")
@@ -679,8 +668,7 @@ class LevelSolution:
         return (1.0 - self.w) * fs + self.w * ft
 
 
-def solve_level_equation(null_masses: np.ndarray, alpha: float,
-                         exact_tol: float = 1e-12) -> LevelSolution:
+def solve_level_equation(null_masses: np.ndarray, alpha: float) -> LevelSolution:
     """Solve 1 - alpha = (1-w) F(s) + w F(t) on a discrete spectrum.
 
     ``null_masses`` are the null-state masses per ascending spectral value.
@@ -692,13 +680,13 @@ def solve_level_equation(null_masses: np.ndarray, alpha: float,
         raise ValueError("alpha must lie in [0, 1]")
     cum = np.cumsum(np.asarray(null_masses, dtype=float))
     target = 1.0 - alpha
-    i = int(np.searchsorted(cum, target - exact_tol))
+    i = int(np.searchsorted(cum, target - _EXACT_TOL))
     if i >= len(cum):
         raise ValueError(
             "truncated null law carries too little mass to reach the level "
             f"(have {cum[-1]:.12f}, need {target:.12f})"
         )
-    if abs(cum[i] - target) <= exact_tol:
+    if abs(cum[i] - target) <= _EXACT_TOL:
         return LevelSolution(i, i, 1.0, True)
     prev = cum[i - 1] if i >= 1 else 0.0
     w = (target - prev) / (cum[i] - prev)

@@ -31,6 +31,8 @@ from .phase_space import GaussianSpec, SqueezeParam, heterodyne_sample, kappa, r
 
 # Replicates per block of the Monte Carlo route.
 _MC_CHUNK = 2 ** 15
+# Halving theta sequence of the small-theta slope extrapolation.
+_SLOPE_THETAS = (1e-2, 5e-3, 2.5e-3)
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,11 @@ class TestSpec:
             raise ValueError(
                 "the Hotelling test needs more than 2m copies "
                 "(sample covariance is singular otherwise)"
+            )
+        if self.kind == "hh" and self.alpha in (0.0, 1.0):
+            raise ValueError(
+                "the Hotelling test needs alpha strictly inside (0, 1): its "
+                "critical point is infinite at 0 and degenerate at 1"
             )
         if self.kind == "si" and self.copies < 2:
             raise ValueError("the invariant test needs at least two copies")
@@ -195,35 +202,34 @@ def _squared_law(d: dist.IntegerDistribution):
     return np.arange(d.hi + 1, dtype=float) ** 2, masses
 
 
-def si_type2_n2(theta_norm: float, modes: int, mixture: float, alpha: float,
-                tol: float = 1e-12) -> float:
+def si_type2_n2(theta_norm: float, modes: int, mixture: float, alpha: float) -> float:
     """Type II error of the two-copy invariant test via the lattice law.
 
     The observable is the square of the count-difference statistic; the
     randomized level equation is solved on its null law and the same
     thresholds are applied to the displaced law.
     """
-    null = dist.count_difference_distribution(modes, 0.0, mixture, tol)
+    null = dist.count_difference_distribution(modes, 0.0, mixture)
     x0, p0 = _squared_law(null)
     sol = solve_level_equation(p0, alpha)
-    alt = dist.count_difference_distribution(modes, float(theta_norm), mixture, tol)
+    alt = dist.count_difference_distribution(modes, float(theta_norm), mixture)
     xa, pa = _squared_law(alt)
     cum = np.concatenate([[0.0], np.cumsum(pa)])
     # alternative mass at or below each null atom; atoms are integers
     return sol.accept_probability(cum[np.searchsorted(xa, x0 + 0.5)])
 
 
-def si_small_theta_slope(spec: TestSpec, thetas=(1e-2, 5e-3, 2.5e-3)) -> float:
+def si_small_theta_slope(spec: TestSpec) -> float:
     """Quadratic coefficient of 1 - alpha - beta at theta -> 0, extrapolated.
 
-    Richardson extrapolation in theta^2 over the given halving sequence;
+    Richardson extrapolation in theta^2 over the halving sequence _SLOPE_THETAS;
     the closed form gives (1 - alpha) * n exactly in the limit.
     """
     if spec.mixture != 0.0:
         raise ValueError("slope extraction implemented for mixture 0")
-    g = [(1.0 - spec.alpha - si_type2_closed(t, spec)) / t ** 2 for t in thetas]
+    g = [(1.0 - spec.alpha - si_type2_closed(t, spec)) / t ** 2 for t in _SLOPE_THETAS]
     # remainder is O(theta^2) and theta halves, so the ratio in theta^2 is 4
-    for _ in range(len(thetas) - 1):
+    for _ in range(len(_SLOPE_THETAS) - 1):
         g = [(4.0 * g[i + 1] - g[i]) / 3.0 for i in range(len(g) - 1)]
     return g[0]
 

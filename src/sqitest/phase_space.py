@@ -156,22 +156,6 @@ class GaussianSpec:
         if self.mixture < 0:
             raise ValueError("mixture must be >= 0")
 
-    def to_text(self) -> str:
-        toks = " ".join(format_complex(z) for z in self.theta)
-        return (
-            f"m = {self.modes}\n"
-            f"theta = {toks}\n"
-            f"N = {self.mixture:.17g}\n" + self.eta.to_text()
-        )
-
-    @classmethod
-    def from_text(cls, text: str) -> "GaussianSpec":
-        kv = _parse_kv_text(text)
-        m = int(kv["m"])
-        theta = np.array([parse_complex(t) for t in kv["theta"].split()])
-        eta = SqueezeParam.from_text(text)
-        return cls(m, theta, eta, float(kv["N"]))
-
 
 @dataclass(frozen=True)
 class PhaseSpaceMoments:

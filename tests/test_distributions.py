@@ -51,13 +51,6 @@ class TestIntegerDistribution:
         assert d.cdf(0) == pytest.approx(0.5)
         assert d.cdf(10) == pytest.approx(1.0)
 
-    def test_text_round_trip(self):
-        d = count_difference_distribution(1, 0.4, 0.3)
-        back = IntegerDistribution.from_text(d.to_text())
-        assert back.lo == d.lo
-        assert np.allclose(back.pmf, d.pmf)
-        assert back.tail_mass == pytest.approx(d.tail_mass)
-
 
 class TestNegBinomial:
     def test_zero_success_prob_is_point_mass(self):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from sqitest import distributions as dist
+from sqitest.fock import FockConfig, si_type2_fock
 from sqitest.hypotests import (
     SingularCovarianceError,
     TestSpec,
@@ -32,6 +35,13 @@ class TestTestSpec:
     def test_level_range(self):
         with pytest.raises(ValueError):
             TestSpec(1, 3, 0.0, 1.2, "hh")
+
+    def test_hotelling_needs_interior_level(self):
+        # the central F critical point is infinite at alpha = 0 and 0 at 1
+        for alpha in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                TestSpec(1, 3, 0.0, alpha, "hh")
+            TestSpec(1, 3, 0.0, alpha, "si")  # the invariant test takes both
 
     def test_kind_validation(self):
         with pytest.raises(ValueError):
@@ -287,8 +297,6 @@ class TestSITwoCopies:
             _squared_law(dist.IntegerDistribution(0, np.array([0.5, 0.5])))
 
     def test_matches_truncated_space_oracle(self):
-        from sqitest.fock import FockConfig, si_type2_fock
-
         cfg = FockConfig(1, 2, 40)
         got = si_type2_fock(0.5, 0.5, 0.05, cfg)
         want = si_type2_n2(0.5, 1, 0.5, 0.05)
@@ -313,8 +321,19 @@ class TestSlope:
         g = [(0.95 - si_type2_n2(t, 1, 0.0, 0.05)) / t ** 2 for t in thetas]
         for _ in range(2):
             g = [(4 * g[i + 1] - g[i]) / 3.0 for i in range(len(g) - 1)]
-        closed = si_small_theta_slope(TestSpec(1, 2, 0.0, 0.05, "si"), thetas)
+        closed = si_small_theta_slope(TestSpec(1, 2, 0.0, 0.05, "si"))
         assert g[0] == pytest.approx(closed, rel=1e-6)
+
+
+class TestNullLevel:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(alpha=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           n=st.integers(2, 7), m=st.sampled_from([1, 2]), N=st.floats(0.0, 30.0))
+    def test_every_si_route_gives_one_minus_alpha_at_zero(self, alpha, n, m, N):
+        want = 1.0 - alpha
+        assert abs(si_type2_closed(0.0, TestSpec(1, n, 0.0, alpha, "si")) - want) < 1e-11
+        assert abs(si_type2_n2(0.0, m, N, alpha) - want) < 1e-11
+        assert abs(si_type2_fock(0.0, 0.0, alpha, FockConfig(1, 3, 6)) - want) < 1e-11
 
 
 class TestCrossing:

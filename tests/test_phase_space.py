@@ -50,14 +50,6 @@ class TestSqueezeParam:
 
 
 class TestGaussianSpec:
-    def test_text_round_trip(self):
-        spec = GaussianSpec(2, np.array([0.3 + 0.1j, -0.2j]),
-                            random_eta(np.random.default_rng(5), 2), 0.7)
-        back = GaussianSpec.from_text(spec.to_text())
-        assert np.allclose(back.theta, spec.theta)
-        assert back.mixture == spec.mixture
-        assert np.allclose(back.eta.S, spec.eta.S)
-
     def test_negative_mixture_rejected(self):
         with pytest.raises(ValueError):
             GaussianSpec(1, np.array([0.1]), SqueezeParam.zero(1), -0.1)
