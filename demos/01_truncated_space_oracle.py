@@ -5,7 +5,10 @@ Builds the elementary operators literally and shows that the identities the
 rest of the package relies on hold on the truncated space: the commutation
 relation below the cutoff edge, coherent-state transport under displacement
 and pooling, squeezing invariance of the copy-mixing generator, and the
-kernel of the rotation-defect observable.
+kernel of the rotation-defect observable.  The multi-copy basis keeps every
+occupation tuple whose per-mode photon totals stay below the cutoff, so it
+is a sum of whole photon sectors and the last two identities hold on all of
+it.
 
 Run: python demos/01_truncated_space_oracle.py
 """
@@ -42,10 +45,9 @@ print(f"squeezed-vacuum overlap |<0|S|0>|^2 = {abs(S.entries[0, 0])**2:.10f} "
 cfg = fock.FockConfig(1, 2, 12)
 v = fock.beamsplitter_generator(cfg, 1, 2).toarray()
 gen = fock.squeeze_generator(eta, cfg).toarray()
-mask = fock.interior_mask(cfg, 2)
-commutator = (gen @ v - v @ gen)[np.ix_(mask, mask)]
-print(f"squeeze generator commutes with the copy-mixing generator on the "
-      f"interior block: max {np.max(np.abs(commutator)):.2e}")
+print(f"{cfg.dim} basis states with photon total <= {cfg.cutoff - 1}")
+print(f"squeeze generator commutes with the copy-mixing generator: "
+      f"max {np.max(np.abs(gen @ v - v @ gen)):.2e}")
 
 print("\n== pooling rotation ==")
 cfg3 = fock.FockConfig(1, 3, 25)
@@ -62,10 +64,8 @@ cfg = fock.FockConfig(1, 2, 8)
 T = fock.rotation_defect_observable(cfg)
 K0 = fock.spectral_projection(T, 0.0)
 W = fock.rotation_average_projector(cfg)
-mask = fock.complete_sector_mask(cfg)
-diff = (K0.entries - W.entries)[np.ix_(mask, mask)]
-print(f"kernel projector == group average on complete photon sectors: "
-      f"max diff {np.max(np.abs(diff)):.2e}")
+print(f"kernel projector == group average: "
+      f"max diff {np.max(np.abs(K0.entries - W.entries)):.2e}")
 
 vec = fock.coherent_product_vector(cfg, np.full((1, 2), 0.4))
 got = float(np.real(vec.conj() @ (W.entries @ vec)))

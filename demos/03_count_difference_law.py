@@ -40,7 +40,7 @@ sm = fock.spectral_measure(rho, obs)
 ints, weights, remainder = sm.as_lattice(tol=1e-5)
 worst = max(abs(law.prob(int(v)) - w) for v, w in zip(ints, weights))
 print(f"worst pmf difference against the operator route: {worst:.2e}")
-print(f"off-lattice weight from the cutoff edge: {remainder:.1e}")
+print(f"off-lattice weight (every photon sector is whole): {remainder:.1e}")
 
 print("\n== special cases ==")
 pure = dist.count_difference_distribution(1, s, 0.0)

@@ -222,14 +222,12 @@ def _verify_fock(report: VerifyReport):
 
     # invariance of the beamsplitter generator under squeezing (generator level)
     worst = 0.0
-    mask = fock.interior_mask(cfg, 2)
     v = fock.beamsplitter_generator(cfg, 1, 2).toarray()
     for _ in range(5):
         A = rng.standard_normal((1, 1)) * 1j
         S = rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1))
         gen = fock.squeeze_generator(SqueezeParam(1, A, S), cfg).toarray()
-        c = (gen @ v - v @ gen)[np.ix_(mask, mask)]
-        worst = max(worst, float(np.max(np.abs(c))))
+        worst = max(worst, float(np.max(np.abs(gen @ v - v @ gen))))
     report.add("squeeze_invariance_commutator", worst, 1e-8)
 
     cfg3 = fock.FockConfig(1, 3, 25)
@@ -242,9 +240,7 @@ def _verify_fock(report: VerifyReport):
     cfg8 = fock.FockConfig(1, 2, 8)
     W = fock.rotation_average_projector(cfg8)
     K0 = fock.spectral_projection(fock.rotation_defect_observable(cfg8), 0.0)
-    mask = fock.complete_sector_mask(cfg8)
-    diff = (W.entries - K0.entries)[np.ix_(mask, mask)]
-    report.add("kernel_projector_match", np.max(np.abs(diff)), 1e-6)
+    report.add("kernel_projector_match", np.max(np.abs(W.entries - K0.entries)), 1e-6)
 
     for n, d in ((2, 25), (3, 10)):
         cfgn = fock.FockConfig(1, n, d)

@@ -1,34 +1,33 @@
 """Truncated Fock-space oracle for m modes x n copies.
 
-Everything here is brute force on a dense or sparse cutoff basis: each of
-the m*n single-mode factors keeps occupations 0..d-1, so the total space
-has dimension d^(m*n).  Operators are built literally from annihilation
-matrices; unitaries are matrix exponentials of explicitly constructed
-quadratic generators.  The point of this module is to be an independent
-check for every closed form in the package, so nothing clever is assumed:
-no identity is used that the truncated matrices do not satisfy themselves.
+Everything here is brute force on a dense or sparse cutoff basis.
+Operators are built literally from annihilation matrices; unitaries are
+matrix exponentials of explicitly constructed quadratic generators.  The
+point of this module is to be an independent check for every closed form
+in the package, so nothing clever is assumed: no identity is used that the
+truncated matrices do not satisfy themselves.
 
 Index conventions: copy indices j, k run 1..n and mode indices i run 1..m
 (matching the tensor order copy 1 modes, copy 2 modes, ...); flattened
-slot s = (j-1)*m + (i-1) is the position in the kron chain, first factor
-most significant.
+slot s = (j-1)*m + (i-1) is the position in the tensor product, first
+factor most significant.
 
-Truncation bookkeeping: states report their truncation loss (1 - trace),
-and edge sectors (total photon number >= d) carry O(1) clipping artifacts,
-so operator-level identities are asserted on the *complete* sectors
-(total photons <= d-1) or on interior occupation blocks.
+Basis: the occupation tuples whose per-mode photon totals over the n
+copies are all <= d-1, in lexicographic order (vacuum first);
+``occupations`` lists the C(d-1+n, n)^m of them.  Lowering never leaves the
+basis and raising is clipped, so each quadratic generator is the exact one
+compressed to the basis.  The copy-mixing generators keep every per-mode
+total, so the basis is a sum of whole photon sectors (one per tuple of
+totals) on which the group laws, the Casimir identities and the
+commutation with squeezing hold exactly, and every defect spectrum is
+integer.  States report their truncation loss (1 - trace).
 
-Photon sectors: the passive generators (beamsplitters, phase differences)
-conserve each mode's photon total over the copies, also at the cutoff,
-because a*_k a_j maps a box state to a box state with the same totals or
-to zero.  ``si_type2_fock`` therefore works sector by sector, with one
-route for pure and mixed states alike: the blocks of the sparse Casimir
-form of the defect observable (``casimir_defect``, no exponential; it
-equals the exponential form on complete sectors and differs from it only
-on edge sectors) are cut out with a check that no entry couples two
-sectors, each block is eigendecomposed once, and each product state
-enters only through its sector blocks, formed from its single-mode
-factors.  The dense whole-space operators, among them the
+``si_type2_fock`` works sector by sector, with one route for pure and
+mixed states alike: the blocks of the sparse Casimir form of the defect
+observable (``casimir_defect``, no exponential) are cut out with a check
+that no entry couples two sectors, each block is eigendecomposed once, and
+each product state enters only through its sector blocks, formed from its
+single-mode factors.  The dense whole-space operators, among them the
 exponential-built ``rotation_defect_observable``, stay as the references
 the tests compare against.
 """
@@ -37,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from math import comb
 
 import numpy as np
 from scipy import sparse
@@ -48,7 +48,7 @@ from .phase_space import SqueezeParam, pooling_rotation_matrix
 _HERM_TOL = 1e-10
 # Eigenvalues closer than this form one cluster.
 _CLUSTER_TOL = 1e-8
-# Largest total dimension of a configuration.
+# Largest d^(m*n), the size of the occupation box the basis lies in.
 _BUDGET = 2 ** 20
 # Largest dimension of a dense whole-space operator or state.
 _DENSE_LIMIT = 4096
@@ -57,7 +57,7 @@ _EXACT_TOL = 1e-12
 
 
 class BudgetExceeded(ValueError):
-    """Raised when a space exceeds _BUDGET or a dense build exceeds _DENSE_LIMIT."""
+    """Raised when d^(m*n) exceeds _BUDGET or a dense build exceeds _DENSE_LIMIT."""
 
 
 @dataclass(frozen=True)
@@ -73,11 +73,9 @@ class FockConfig:
             raise ValueError("modes and copies must be >= 1")
         if self.cutoff < 2:
             raise ValueError("cutoff must be >= 2")
-        if self.dim > _BUDGET:
-            raise BudgetExceeded(
-                f"total dimension {self.cutoff}^{self.slots} = {self.dim} "
-                f"exceeds budget {_BUDGET}"
-            )
+        if self.cutoff ** self.slots > _BUDGET:
+            raise BudgetExceeded(f"occupation box {self.cutoff}^{self.slots} "
+                                 f"exceeds budget {_BUDGET}")
 
     @property
     def slots(self) -> int:
@@ -85,10 +83,10 @@ class FockConfig:
 
     @property
     def dim(self) -> int:
-        return self.cutoff ** self.slots
+        return comb(self.cutoff - 1 + self.copies, self.copies) ** self.modes
 
     def slot(self, mode: int, copy: int) -> int:
-        """Flattened kron position of (mode i, copy j), both 1-based."""
+        """Flattened slot of (mode i, copy j), both 1-based."""
         if not 1 <= mode <= self.modes:
             raise ValueError(f"mode index {mode} out of range 1..{self.modes}")
         if not 1 <= copy <= self.copies:
@@ -151,18 +149,20 @@ def _require_dense(config: FockConfig):
 # ---------------------------------------------------------------------------
 
 def occupations(config: FockConfig) -> np.ndarray:
-    """(dim, slots) table of per-slot occupation numbers."""
-    idx = np.unravel_index(np.arange(config.dim), (config.cutoff,) * config.slots)
-    return np.stack(idx, axis=1)
+    """(dim, slots) table of the basis: per-slot occupations, one row per state.
 
-
-def total_photons(config: FockConfig) -> np.ndarray:
-    return occupations(config).sum(axis=1)
-
-
-def complete_sector_mask(config: FockConfig) -> np.ndarray:
-    """Basis states in total-photon sectors unaffected by the cutoff."""
-    return total_photons(config) <= config.cutoff - 1
+    Rows are the occupation tuples whose per-mode totals over the copies
+    are all <= cutoff - 1, in lexicographic order.  Built slot by slot:
+    each row is extended by every occupation its mode's running total
+    leaves room for, which keeps the order.
+    """
+    rows = np.zeros((1, 0), dtype=np.intp)
+    for s in range(config.slots):
+        room = config.cutoff - rows[:, s % config.modes::config.modes].sum(axis=1)
+        start = np.repeat(np.cumsum(room) - room, room)
+        rows = np.column_stack([np.repeat(rows, room, axis=0),
+                                np.arange(room.sum()) - start])
+    return rows
 
 
 def interior_mask(config: FockConfig, margin: int) -> np.ndarray:
@@ -178,9 +178,7 @@ def photon_sectors(config: FockConfig) -> list:
     within each.
     """
     occ = occupations(config).reshape(config.dim, config.copies, config.modes)
-    totals = occ.sum(axis=1)
-    key = np.ravel_multi_index(totals.T, (config.copies * (config.cutoff - 1) + 1,)
-                               * config.modes)
+    key = np.ravel_multi_index(occ.sum(axis=1).T, (config.cutoff,) * config.modes)
     order = np.argsort(key, kind="stable")
     return np.split(order, np.nonzero(np.diff(key[order]))[0] + 1)
 
@@ -214,11 +212,13 @@ def annihilation(cutoff: int) -> np.ndarray:
 
 
 def slot_annihilation(config: FockConfig, slot: int) -> sparse.csr_matrix:
-    d = config.cutoff
-    a = sparse.diags(np.sqrt(np.arange(1.0, d)), 1, format="csr")
-    left = sparse.identity(d ** slot, format="csr", dtype=float)
-    right = sparse.identity(d ** (config.slots - slot - 1), format="csr", dtype=float)
-    return sparse.kron(sparse.kron(left, a, format="csr"), right, format="csr").astype(complex)
+    """Lowering operator of one slot on the basis; its adjoint is the clipped raising."""
+    occ = occupations(config)
+    code = np.ravel_multi_index(occ.T, (config.cutoff,) * config.slots)
+    src = np.nonzero(occ[:, slot])[0]
+    dst = np.searchsorted(code, code[src] - config.cutoff ** (config.slots - 1 - slot))
+    return sparse.csr_matrix((np.sqrt(occ[src, slot]).astype(complex), (dst, src)),
+                             shape=(config.dim, config.dim))
 
 
 def mode_annihilation(config: FockConfig, mode: int, copy: int) -> sparse.csr_matrix:
@@ -248,7 +248,7 @@ def coherent_product_vector(config: FockConfig, Z) -> np.ndarray:
     Z = np.asarray(Z, dtype=complex).reshape(config.modes, config.copies)
     vecs = [coherent_vector(Z[i, j], config.cutoff)
             for j in range(config.copies) for i in range(config.modes)]
-    return reduce(np.kron, vecs)
+    return _product_entries(vecs, occupations(config))
 
 
 def thermal_occupation(mixture: float, cutoff: int) -> np.ndarray:
@@ -285,7 +285,7 @@ def thermal_coherent_state(theta: complex, mixture: float, cutoff: int) -> Trunc
 
 
 def _slot_factors(config: FockConfig, Z, mixture: float) -> list:
-    """Single-mode displaced thermal states in kron order, column j of Z per copy.
+    """Single-mode displaced thermal states in slot order, column j of Z per copy.
 
     ``Z`` may be an m x n matrix, an m-vector (same displacement for every
     copy), or a scalar (m = 1).
@@ -302,7 +302,16 @@ def _slot_factors(config: FockConfig, Z, mixture: float) -> list:
 def product_state(config: FockConfig, Z, mixture: float) -> TruncatedState:
     """Tensor product of displaced thermal states (``Z`` as in ``_slot_factors``)."""
     _require_dense(config)
-    return TruncatedState(config, reduce(np.kron, _slot_factors(config, Z, mixture)))
+    return TruncatedState(config, _product_entries(_slot_factors(config, Z, mixture),
+                                                   occupations(config)))
+
+
+def _product_entries(factors: list, occ: np.ndarray) -> np.ndarray:
+    """Tensor product of per-slot vectors or matrices on the basis rows ``occ``.
+
+    Entry (a, b) of a matrix product is prod_s factors[s][occ[a, s], occ[b, s]].
+    """
+    return reduce(np.multiply, [f[np.ix_(*[o] * f.ndim)] for f, o in zip(factors, occ.T)])
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +448,8 @@ def rotation_defect_observable(config: FockConfig) -> TruncatedOperator:
     copy index, so its kernel is the mode-wise rotation-invariant subspace.
     R is the dense matrix of ``apply_pooling_rotation``, built from
     exponentials of the beamsplitter generators, so this stays the
-    independent reference for ``casimir_defect``.
+    independent reference for ``casimir_defect``, which it equals on the
+    whole basis.
     """
     if config.copies < 2:
         raise ValueError("needs at least two copies")
@@ -459,11 +469,11 @@ def casimir_defect(config: FockConfig) -> sparse.csr_matrix:
     G_k = copy_mixing_generator(v_k u^T - u v_k^T), with u = (1,...,1)/sqrt(n)
     and v_1..v_{n-1} the first rows of the classical pooling rotation, an
     orthonormal basis of u-perp.  Since R maps the copy plane (k, n) to the
-    plane (v_k, u), R^* bs_{k,n} R = G_k wherever the cutoff keeps the group
-    law, so on complete photon sectors this equals
-    ``rotation_defect_observable`` with no exponential; edge sectors differ.
-    The sum does not depend on the basis of u-perp: it is the O(n) Casimir
-    minus that of the O(n-1) fixing u.
+    plane (v_k, u), R^* bs_{k,n} R = G_k, and every photon sector of the
+    basis is whole, so this equals ``rotation_defect_observable`` with no
+    exponential.  The sum does not depend on the basis of u-perp: it is the
+    O(n) Casimir minus that of the O(n-1) fixing u, so its spectrum is
+    integer.
     """
     if config.copies < 2:
         raise ValueError("needs at least two copies")
@@ -529,8 +539,8 @@ class SpectralMeasure:
         """Aggregate onto the integer lattice.
 
         Returns (integers, weights, remainder): clusters further than ``tol``
-        from an integer (cutoff-edge artifacts) contribute their weight to
-        ``remainder`` instead of the lattice.
+        from an integer contribute their weight to ``remainder`` instead of
+        the lattice.
         """
         rounded = np.rint(self.values)
         on_lattice = np.abs(self.values - rounded) <= tol
@@ -592,15 +602,12 @@ def defect_spectral_measures(config: FockConfig, displacements: list,
     factors = [_slot_factors(config, Z, mixture) for Z in displacements]
     vals, masses = [], []
     for idx, T in zip(sectors, sector_blocks(casimir_defect(config), sectors)):
-        o = occ[idx].T  # per-slot occupations of the sector's basis states
-        # a state's block is zero when its (nonnegative) diagonal is
-        if not any(reduce(np.multiply, [f.diagonal()[os] for f, os in zip(fs, o)]).any()
-                   for fs in factors):
+        blocks = [_product_entries(fs, occ[idx]) for fs in factors]
+        # a (positive) block is zero when its diagonal is
+        if not any(rho.diagonal().any() for rho in blocks):
             continue
         lam, vecs = eigh(T.toarray(), driver="evd")
         vals.append(lam)
-        cuts = [np.ix_(os, os) for os in o]
-        blocks = [reduce(np.multiply, [f[c] for f, c in zip(fs, cuts)]) for fs in factors]
         masses.append([_eigvec_masses(rho.real, vecs) for rho in blocks])
     return _clustered_measures(np.concatenate(vals),
                                [np.concatenate(per_state) for per_state in zip(*masses)])
@@ -615,12 +622,11 @@ def rotation_average_projector(config: FockConfig) -> TruncatedOperator:
 
     n = 2 averages exp(t bs_{1,2}) over t in [0, 2pi) with a 512-angle
     trapezoid rule; n = 3 uses the Euler product R12(a) R23(b) R12(c) with
-    the sin(b) Haar weight and 64 Gauss-Legendre nodes in b.  On complete
-    photon sectors, where the generator spectra are integers below 512,
+    the sin(b) Haar weight and 64 Gauss-Legendre nodes in b.  The generator
+    spectra are integers below 512 on every photon sector of the basis, so
     the trapezoid average is exact and the Gauss-Legendre one exact to
-    rounding, so there the result is the projection onto the kernel of the
-    rotation-defect observable.  Edge-sector entries carry cutoff artifacts
-    and are not converged.
+    rounding: the result is the projection onto the kernel of the
+    rotation-defect observable.
     """
     if config.copies not in (2, 3):
         raise ValueError("rotation averaging implemented for 2 or 3 copies")

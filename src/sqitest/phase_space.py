@@ -118,11 +118,6 @@ class SqueezeParam:
         G.setflags(write=False)
         return G
 
-    @property
-    def block(self) -> np.ndarray:
-        """The 2m x 2m parameter matrix [[A, S], [conj S, conj A]]."""
-        return np.block([[self.A, self.S], [self.S.conj(), self.A.conj()]])
-
     def to_text(self) -> str:
         rows = [f"m = {self.modes}"]
         for name, mat in (("A", self.A), ("S", self.S)):

@@ -1,4 +1,5 @@
 import math
+from math import comb
 
 import numpy as np
 import pytest
@@ -21,11 +22,9 @@ from sqitest.fock import (
     coherent_product_vector,
     coherent_tail_mass,
     coherent_vector,
-    complete_sector_mask,
     copy_mixing_generator,
     defect_spectral_measures,
     displacement,
-    interior_mask,
     mode_mixing_generator,
     phase_difference_generator,
     photon_sectors,
@@ -61,6 +60,19 @@ class TestConfig:
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceeded):
             FockConfig(2, 2, 40)  # 40^4 > 2^20
+
+    @pytest.mark.parametrize("shape", [(1, 3, 6), (2, 2, 4), (2, 3, 3)])
+    def test_basis_is_whole_photon_sectors(self, shape):
+        # per-mode totals <= d-1: C(d-1+n, n) states per mode, vacuum first,
+        # and a sector of totals K holds prod_i C(K_i+n-1, n-1) states
+        m, n, d = shape
+        cfg = FockConfig(*shape)
+        occ = fock.occupations(cfg)
+        assert cfg.dim == comb(d - 1 + n, n) ** m == len(occ)
+        assert not occ[0].any()
+        for idx in photon_sectors(cfg):
+            totals = occ[idx[0]].reshape(n, m).sum(axis=0)
+            assert len(idx) == math.prod(comb(K + n - 1, n - 1) for K in totals)
 
     def test_slot_layout(self):
         cfg = FockConfig(2, 3, 4)
@@ -177,17 +189,17 @@ class TestSqueeze:
         S = squeeze(random_eta(rng), cfg)
         assert S.unitarity_defect() < 1e-10
 
-    def test_generator_commutes_with_beamsplitter_on_interior(self):
+    @pytest.mark.parametrize("shape", [(1, 2, 12), (2, 2, 4), (2, 3, 3)])
+    def test_generator_commutes_with_beamsplitter(self, shape):
         # the invariance the SI test rests on, at the generator level: the
-        # commutator is exactly zero wherever no path crosses the cutoff
+        # copy-mixing generator keeps the per-mode totals, so no path leaves
+        # the basis and the commutator vanishes on the whole space
         rng = np.random.default_rng(22)
-        cfg = FockConfig(1, 2, 12)
+        cfg = FockConfig(*shape)
         v = beamsplitter_generator(cfg, 1, 2).toarray()
-        mask = interior_mask(cfg, 2)
         for _ in range(5):
-            gen = squeeze_generator(random_eta(rng, scale=0.8), cfg).toarray()
-            comm = (gen @ v - v @ gen)[np.ix_(mask, mask)]
-            assert np.max(np.abs(comm)) < 1e-8
+            gen = squeeze_generator(random_eta(rng, m=cfg.modes, scale=0.8), cfg).toarray()
+            assert np.max(np.abs(gen @ v - v @ gen)) < 1e-8
 
     def test_state_level_invariance_of_kernel_expectation(self):
         # squeezing the state does not move the rotation-average expectation;
@@ -236,7 +248,7 @@ class TestGenerators:
     def test_phase_difference_small_case(self):
         cfg = FockConfig(1, 2, 2)
         got = phase_difference_generator(cfg, 1, 2).toarray()
-        want = np.diag([0.0, -1j, 1j, 0.0])
+        want = np.diag([0.0, -1j, 1j])
         assert np.allclose(got, want)
 
     def test_phase_difference_spectrum(self):
@@ -255,9 +267,7 @@ class TestGenerators:
         U = expm((np.pi / 4) * v.toarray())
         V = expm((np.pi / 4) * dgen.toarray())
         got = U.conj().T @ V.conj().T @ v.toarray() @ V @ U
-        mask = complete_sector_mask(cfg)
-        diff = (got - dgen.toarray())[np.ix_(mask, mask)]
-        assert np.max(np.abs(diff)) < 1e-8
+        assert np.max(np.abs(got - dgen.toarray())) < 1e-8
 
     def test_coherent_transport(self):
         # exp(u_A) exp(v_B) |Z> = |e^A Z e^{-conj(B)}> up to truncation loss
@@ -327,24 +337,20 @@ class TestRotationDefectObservable:
         assert np.linalg.eigvalsh(T.entries).min() > -1e-8
 
     def test_kernel_dimension_counts_invariants(self):
-        # complete sectors of the two-copy problem have one invariant state
-        # per even total photon number: ceil(d / 2) of them below the cutoff
+        # the two-copy problem has one invariant state per even total photon
+        # number: ceil(d / 2) of them below the cutoff
         cfg = FockConfig(1, 2, 6)
-        T = rotation_defect_observable(cfg)
-        mask = complete_sector_mask(cfg)
-        sub = T.entries[np.ix_(mask, mask)]
-        vals = np.linalg.eigvalsh(sub)
+        vals = np.linalg.eigvalsh(rotation_defect_observable(cfg).entries)
         assert int(np.sum(vals < 1e-8)) == 3
 
     @pytest.mark.parametrize("shape", [(1, 3, 6), (1, 4, 4), (2, 3, 3)])
     def test_casimir_form_matches_on_complete_sectors(self, shape):
-        # the sparse form needs no exponential; the cutoff breaks the group
-        # law only on edge sectors, where the two are allowed to differ
+        # the sparse form needs no exponential; every photon sector of the
+        # basis is complete, so the two agree on the whole matrix
         cfg = FockConfig(*shape)
         C = casimir_defect(cfg).toarray()
         T = rotation_defect_observable(cfg).entries
-        mask = complete_sector_mask(cfg)
-        assert np.max(np.abs(C - T)[np.ix_(mask, mask)]) < 1e-12
+        assert np.max(np.abs(C - T)) < 1e-12
 
 
 class TestPhotonSectors:
@@ -386,6 +392,14 @@ class TestPhotonSectors:
             assert np.max(np.abs(got.values - want.values)) < 1e-12
             assert np.max(np.abs(got.weights - want.weights)) < 1e-12
 
+    @pytest.mark.parametrize("shape", [(1, 3, 8), (2, 2, 4)])
+    def test_defect_spectrum_is_integer(self, shape):
+        # every sector is whole, so the Casimir spectrum is integer there
+        cfg = FockConfig(*shape)
+        z = 0.3 * np.exp(0.5j * np.arange(cfg.modes))
+        for sm in defect_spectral_measures(cfg, [np.zeros(cfg.modes), z], 0.4):
+            assert np.max(np.abs(sm.values - np.rint(sm.values))) < 1e-9
+
 
 class TestSpectralProjection:
     def test_negative_threshold_gives_zero(self):
@@ -422,27 +436,20 @@ class TestSpectralProjection:
         cfg = FockConfig(1, 2, 8)
         K0 = spectral_projection(rotation_defect_observable(cfg), 0.0)
         W = rotation_average_projector(cfg)
-        mask = complete_sector_mask(cfg)
-        diff = (K0.entries - W.entries)[np.ix_(mask, mask)]
-        assert np.max(np.abs(diff)) < 1e-6
+        assert np.max(np.abs(K0.entries - W.entries)) < 1e-6
 
 
 class TestRotationAverage:
-    def test_idempotent_on_complete_sectors(self):
+    def test_idempotent(self):
         for n, d in ((2, 10), (3, 6)):
-            cfg = FockConfig(1, n, d)
-            W = rotation_average_projector(cfg)
-            mask = complete_sector_mask(cfg)
-            defect = (W.entries @ W.entries - W.entries)[np.ix_(mask, mask)]
-            assert np.max(np.abs(defect)) < 1e-6
+            W = rotation_average_projector(FockConfig(1, n, d)).entries
+            assert np.max(np.abs(W @ W - W)) < 1e-6
 
     def test_commutes_with_defect_observable(self):
         cfg = FockConfig(1, 2, 10)
         W = rotation_average_projector(cfg)
         T = rotation_defect_observable(cfg)
-        mask = complete_sector_mask(cfg)
-        comm = (W.entries @ T.entries - T.entries @ W.entries)[np.ix_(mask, mask)]
-        assert np.max(np.abs(comm)) < 1e-6
+        assert np.max(np.abs(W.entries @ T.entries - T.entries @ W.entries)) < 1e-6
 
     @pytest.mark.parametrize("n,d", [(2, 25), (3, 10)])
     def test_coherent_expectation_matches_closed_form(self, n, d):
@@ -522,8 +529,7 @@ class TestSpectralMeasure:
         vals, vecs = np.linalg.eigh(h)
         rs = np.linspace(-3.0, 3.0, 7)
         for th, N in [(0.5, 0.0), (1.0, 1.0), (0.8, 0.5)]:
-            rho = np.kron(thermal_coherent_state(0.0, N, 40).entries,
-                          thermal_coherent_state(np.sqrt(2) * th, N, 40).entries)
+            rho = product_state(cfg, [[0.0, np.sqrt(2) * th]], N).entries
             diag = np.real(np.sum(vecs.conj() * (rho @ vecs), axis=0))
             got = np.array([np.sum(diag * np.exp(1j * r * vals)) for r in rs])
             want = dist.count_difference_cf(1, th, N, rs)
