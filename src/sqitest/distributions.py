@@ -17,7 +17,9 @@ Polya-Aeppli: sum_k k P_k with P_k Poisson of rate s^2 N^{k-1} / (N+1)^{k+1},
 a compound Poisson law of rate s^2/(N+1) with geometric jumps, whose pmf
 follows from a three-term recurrence; all four are independent.  Both
 routes are implemented and cross-checked; plain Fourier inversion on the
-integer lattice serves as the bridge.
+integer lattice serves as the bridge.  Integer spectra of the Fock oracle
+are read as lattice laws too (``lattice_law``), and both invariant-test
+routes end in the one randomized level test, ``randomized_acceptance``.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ _CF_DOUBLINGS = 12
 _PA_RATE_SPLIT = 500.0
 # Largest mass the CF inversion may leave beyond its support bound.
 _MASS_TOL = 1e-8
+# Largest distance from an integer at which a spectral value is read as it.
+LATTICE_TOL = 1e-8
+# A cumulative null mass within this of 1 - alpha is an exact hit of the level.
+_EXACT_TOL = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -88,7 +94,8 @@ class IntegerDistribution:
         if y < self.lo:
             return 0.0
         k = min(int(np.floor(y)) - self.lo, len(self.pmf) - 1)
-        return float(self.pmf[: k + 1].sum())
+        # summed in order, so it equals np.cumsum of the pmf bit for bit
+        return float(np.cumsum(self.pmf[: k + 1])[-1])
 
     def mean(self) -> float:
         return float(self.support @ self.pmf)
@@ -274,6 +281,52 @@ def invert_integer_cf(cf, support_bound: int, tol: float = 1e-10) -> IntegerDist
             f"support bound {support_bound} too small: unassigned mass {missing:.3e}"
         )
     return IntegerDistribution(-support_bound, pmf, max(0.0, missing))
+
+
+def lattice_law(values, masses) -> IntegerDistribution:
+    """Law of an observable with integer spectrum ``values`` and state masses ``masses``.
+
+    The masses at each integer are added; ``tail_mass`` is 1 - sum(masses),
+    the state's truncation loss.  Raises ValueError if a value lies more than
+    LATTICE_TOL from an integer, so no spectrum is ever rounded silently.
+    """
+    values = np.asarray(values, dtype=float)
+    ints = np.rint(values)
+    off = float(np.max(np.abs(values - ints)))
+    if off > LATTICE_TOL:
+        raise ValueError(f"spectrum is not integer: a value lies {off:.3e} from the lattice")
+    lo = int(ints.min())
+    pmf = np.bincount((ints - lo).astype(np.intp), weights=masses)
+    return IntegerDistribution(lo, pmf, 1.0 - float(np.sum(masses)))
+
+
+def randomized_acceptance(null: IntegerDistribution, alt: IntegerDistribution,
+                          alpha: float) -> float:
+    """Acceptance probability under ``alt`` of the level-alpha randomized threshold test.
+
+    The test accepts every outcome below t, and t itself with probability w:
+    t is the smallest outcome with F_null(t) >= 1 - alpha, and w solves
+    (1-w) F_null(t-1) + w F_null(t) = 1 - alpha, so 0 < w <= 1.  A
+    cumulative null mass within _EXACT_TOL of 1 - alpha is an exact hit,
+    which accepts up to t with no randomization.  Returns
+    (1-w) F_alt(t-1) + w F_alt(t); raises ValueError if the null law's mass
+    never reaches 1 - alpha.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    target = 1.0 - alpha
+    cum = np.cumsum(null.pmf)
+    k = int(np.searchsorted(cum, target - _EXACT_TOL))
+    if k == len(cum):
+        raise ValueError(
+            "truncated null law carries too little mass to reach the level "
+            f"(have {cum[-1]:.12f}, need {target:.12f})")
+    t = null.lo + k
+    if abs(cum[k] - target) <= _EXACT_TOL:
+        return alt.cdf(t)
+    prev = cum[k - 1] if k else 0.0
+    w = (target - prev) / (cum[k] - prev)
+    return (1.0 - w) * alt.cdf(t - 1) + w * alt.cdf(t)
 
 
 def total_variation(a: IntegerDistribution, b: IntegerDistribution) -> float:

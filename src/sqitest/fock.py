@@ -43,17 +43,14 @@ from scipy import sparse
 from scipy.linalg import expm, eigh
 from scipy.sparse.linalg import expm_multiply
 
+from . import distributions as dist
 from .phase_space import SqueezeParam, pooling_rotation_matrix
 
 _HERM_TOL = 1e-10
-# Eigenvalues closer than this form one cluster.
-_CLUSTER_TOL = 1e-8
 # Largest d^(m*n), the size of the occupation box the basis lies in.
 _BUDGET = 2 ** 20
 # Largest dimension of a dense whole-space operator or state.
 _DENSE_LIMIT = 4096
-# A cumulative null mass within this of 1 - alpha is an exact hit.
-_EXACT_TOL = 1e-12
 
 
 class BudgetExceeded(ValueError):
@@ -106,7 +103,7 @@ class TruncatedOperator:
         object.__setattr__(self, "entries", entries)
 
     def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.entries - self.entries.conj().T)))
+        return _hermiticity_defect(self.entries)
 
     def unitarity_defect(self) -> float:
         g = self.entries.conj().T @ self.entries - np.eye(self.config.dim)
@@ -122,9 +119,7 @@ class TruncatedState:
         entries = np.asarray(self.entries, dtype=complex)
         if entries.shape != (self.config.dim, self.config.dim):
             raise ValueError("entry matrix side must equal the configured dimension")
-        defect = np.max(np.abs(entries - entries.conj().T))
-        if defect > _HERM_TOL:
-            raise ValueError(f"density matrix not hermitian (defect {defect:.3e})")
+        _check_hermitian(entries, "density matrix")
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -134,6 +129,16 @@ class TruncatedState:
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.entries).min())
+
+
+def _hermiticity_defect(entries: np.ndarray) -> float:
+    return float(np.max(np.abs(entries - entries.conj().T)))
+
+
+def _check_hermitian(entries: np.ndarray, what: str):
+    defect = _hermiticity_defect(entries)
+    if defect > _HERM_TOL:
+        raise ValueError(f"{what} must be hermitian (defect {defect:.3e})")
 
 
 def _require_dense(config: FockConfig):
@@ -487,79 +492,31 @@ def casimir_defect(config: FockConfig) -> sparse.csr_matrix:
 
 
 # ---------------------------------------------------------------------------
-# spectral machinery
+# spectral projections and lattice laws
 # ---------------------------------------------------------------------------
-
-def cluster_eigenvalues(values: np.ndarray):
-    """Group an ascending eigenvalue list into clusters separated by > _CLUSTER_TOL.
-
-    Returns (cluster_values, slices) with one representative (mean) per
-    cluster; degenerate clusters are merged.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return np.array([]), []
-    cuts = np.nonzero(np.diff(values) > _CLUSTER_TOL)[0]
-    starts = np.concatenate([[0], cuts + 1])
-    ends = np.concatenate([cuts + 1, [values.size]])
-    reps = np.array([values[s:e].mean() for s, e in zip(starts, ends)])
-    return reps, [slice(int(s), int(e)) for s, e in zip(starts, ends)]
-
-
-def _check_hermitian(entries: np.ndarray, what: str):
-    defect = np.max(np.abs(entries - entries.conj().T))
-    if defect > _HERM_TOL:
-        raise ValueError(f"{what} must be hermitian (defect {defect:.3e})")
-
 
 def spectral_projection(op: TruncatedOperator, threshold: float) -> TruncatedOperator:
     """Projection onto eigenspaces of a hermitian operator with value <= threshold.
 
-    Whole eigenvalue clusters are kept or dropped together (cluster width
-    _CLUSTER_TOL), so thresholds inside a degenerate cluster keep it.
+    Eigenvalues up to dist.LATTICE_TOL above the threshold are kept, so a
+    threshold at a degenerate value keeps its whole eigenspace.
     """
     _check_hermitian(op.entries, "spectral projection input")
     vals, vecs = eigh(op.entries)
-    keep = vals <= threshold + _CLUSTER_TOL
+    keep = vals <= threshold + dist.LATTICE_TOL
     P = vecs[:, keep] @ vecs[:, keep].conj().T
     return TruncatedOperator(op.config, P)
 
 
-@dataclass(frozen=True)
-class SpectralMeasure:
-    """Weighted spectrum: Tr[rho P_cluster] per eigenvalue cluster."""
+def spectral_measure(state: TruncatedState, obs: TruncatedOperator) -> dist.IntegerDistribution:
+    """Law of the outcome when ``obs``, whose spectrum is integer, is measured on ``state``.
 
-    values: np.ndarray
-    weights: np.ndarray
-
-    def total(self) -> float:
-        return float(self.weights.sum())
-
-    def as_lattice(self, tol: float = 1e-6):
-        """Aggregate onto the integer lattice.
-
-        Returns (integers, weights, remainder): clusters further than ``tol``
-        from an integer contribute their weight to ``remainder`` instead of
-        the lattice.
-        """
-        rounded = np.rint(self.values)
-        on_lattice = np.abs(self.values - rounded) <= tol
-        remainder = float(self.weights[~on_lattice].sum())
-        agg = {}
-        for v, w in zip(rounded[on_lattice].astype(int), self.weights[on_lattice]):
-            agg[v] = agg.get(v, 0.0) + w
-        ints = np.array(sorted(agg))
-        return ints, np.array([agg[v] for v in ints]), remainder
-
-
-def spectral_measure(state: TruncatedState, obs: TruncatedOperator) -> SpectralMeasure:
-    """Distribution of outcomes when ``obs`` is measured on ``state``.
-
-    Weights sum to the state trace.
+    Its tail mass is the state's truncation loss; raises ValueError if an
+    eigenvalue of ``obs`` is off the integer lattice (see ``dist.lattice_law``).
     """
     _check_hermitian(obs.entries, "observable")
     vals, vecs = eigh(obs.entries)
-    return _clustered_measures(vals, [_eigvec_masses(state.entries, vecs)])[0]
+    return dist.lattice_law(vals, _eigvec_masses(state.entries, vecs))
 
 
 def _eigvec_masses(rho: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -567,24 +524,9 @@ def _eigvec_masses(rho: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.real(np.sum(vecs.conj() * (rho @ vecs), axis=0))
 
 
-def _clustered_measures(vals: np.ndarray, masses: list) -> list:
-    """One SpectralMeasure per mass vector, over the clustered spectrum ``vals``.
-
-    ``vals`` need not be sorted; a stable sort keeps the order of equal
-    values, and each cluster's mass is summed in that order.
-    """
-    order = np.argsort(vals, kind="stable")
-    reps, slices = cluster_eigenvalues(vals[order])
-    out = []
-    for m in masses:
-        m = m[order]
-        out.append(SpectralMeasure(reps, np.array([m[sl].sum() for sl in slices])))
-    return out
-
-
 def defect_spectral_measures(config: FockConfig, displacements: list,
                              mixture: float) -> list:
-    """Spectral measures of ``casimir_defect`` on product states, one per Z.
+    """Lattice laws of ``casimir_defect`` on product states, one per Z.
 
     Equals ``spectral_measure(product_state(config, Z, mixture), T)`` for
     each Z in ``displacements``, T the dense ``casimir_defect``, but works
@@ -592,8 +534,7 @@ def defect_spectral_measures(config: FockConfig, displacements: list,
     product state's block rho[idx, idx] is the entrywise product over slots
     of its single-mode factors, so no whole-space matrix is built.  Real
     eigenvectors see only the real part of rho.  Sectors where every
-    state's block is zero are skipped, and all measures share one
-    clustered spectrum.
+    state's block is zero are skipped.
     """
     if config.copies < 2:
         raise ValueError("needs at least two copies")
@@ -609,8 +550,8 @@ def defect_spectral_measures(config: FockConfig, displacements: list,
         lam, vecs = eigh(T.toarray(), driver="evd")
         vals.append(lam)
         masses.append([_eigvec_masses(rho.real, vecs) for rho in blocks])
-    return _clustered_measures(np.concatenate(vals),
-                               [np.concatenate(per_state) for per_state in zip(*masses)])
+    vals = np.concatenate(vals)
+    return [dist.lattice_law(vals, np.concatenate(per_state)) for per_state in zip(*masses)]
 
 
 # ---------------------------------------------------------------------------
@@ -648,66 +589,19 @@ def rotation_average_projector(config: FockConfig) -> TruncatedOperator:
 
 
 # ---------------------------------------------------------------------------
-# randomized level equation and the invariant test's error probability
+# the invariant test's error probability
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LevelSolution:
-    """Thresholds (s, t) and randomization weight w of the level equation.
-
-    ``s_index`` is -1 when s lies below the whole spectrum (projection 0).
-    ``degenerate`` marks an exact hit of the target mass, where the
-    randomized pair collapses to a single non-randomized threshold (w = 1).
-    """
-
-    s_index: int
-    t_index: int
-    w: float
-    degenerate: bool
-
-    def accept_probability(self, cumulative: np.ndarray) -> float:
-        """(1-w) F(s) + w F(t) for a cumulative mass array over the spectrum."""
-        fs = 0.0 if self.s_index < 0 else float(cumulative[self.s_index])
-        ft = float(cumulative[self.t_index])
-        if self.degenerate:
-            return fs
-        return (1.0 - self.w) * fs + self.w * ft
-
-
-def solve_level_equation(null_masses: np.ndarray, alpha: float) -> LevelSolution:
-    """Solve 1 - alpha = (1-w) F(s) + w F(t) on a discrete spectrum.
-
-    ``null_masses`` are the null-state masses per ascending spectral value.
-    Picks the smallest threshold t whose cumulative null mass reaches
-    1 - alpha, with s the previous value (or below the spectrum) and
-    0 < w <= 1; an exact hit collapses to the single threshold s = t.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    cum = np.cumsum(np.asarray(null_masses, dtype=float))
-    target = 1.0 - alpha
-    i = int(np.searchsorted(cum, target - _EXACT_TOL))
-    if i >= len(cum):
-        raise ValueError(
-            "truncated null law carries too little mass to reach the level "
-            f"(have {cum[-1]:.12f}, need {target:.12f})"
-        )
-    if abs(cum[i] - target) <= _EXACT_TOL:
-        return LevelSolution(i, i, 1.0, True)
-    prev = cum[i - 1] if i >= 1 else 0.0
-    w = (target - prev) / (cum[i] - prev)
-    return LevelSolution(i - 1, i, float(w), False)
-
 
 def si_type2_fock(theta, mixture: float, alpha: float, config: FockConfig) -> float:
     """Acceptance probability of the invariant test on a displaced alternative.
 
-    Solves the randomized level equation on the discrete spectrum of the
-    rotation-defect observable under the null state, then evaluates the
-    same randomized projection pair on the displaced state; both measures
-    come from ``defect_spectral_measures``.  At mixture 0 the null is the
-    vacuum, which the observable annihilates, so the solution accepts with
-    weight 1 - alpha on the kernel (the kernel projection at alpha = 0).
+    Both laws of the rotation-defect observable, under the null state and
+    under the displaced one, come from ``defect_spectral_measures``; the
+    level-alpha randomized threshold test set on the null law is evaluated
+    on the displaced one (``dist.randomized_acceptance``).  At mixture 0 the
+    null is the vacuum, which the observable annihilates, so the test
+    accepts the kernel with probability 1 - alpha (with certainty at
+    alpha = 0).
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
@@ -716,5 +610,4 @@ def si_type2_fock(theta, mixture: float, alpha: float, config: FockConfig) -> fl
     theta = np.atleast_1d(np.asarray(theta, dtype=complex)).reshape(config.modes)
     null_law, alt_law = defect_spectral_measures(
         config, [np.zeros(config.modes), theta], mixture)
-    sol = solve_level_equation(null_law.weights, alpha)
-    return sol.accept_probability(np.cumsum(alt_law.weights))
+    return dist.randomized_acceptance(null_law, alt_law, alpha)

@@ -14,7 +14,7 @@ type II error has the closed form
 
 independent of the squeezing.  For two copies and any mixture the test
 reduces to the square of the integer count-difference statistic, evaluated
-through its lattice law and the randomized level equation.
+through its lattice law and the randomized threshold test.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import numpy as np
 
 from . import distributions as dist
 from .distributions import NoncentralFParams
-from .fock import solve_level_equation
 from .phase_space import GaussianSpec, SqueezeParam, heterodyne_sample, kappa, rng_stream
 
 # Replicates per block of the Monte Carlo route.
@@ -193,30 +192,25 @@ def si_type2_closed(theta_norm: float, spec: TestSpec) -> float:
     return (1.0 - spec.alpha) * scaled / dist.beta_function((n - 1) / 2.0, 0.5)
 
 
-def _squared_law(d: dist.IntegerDistribution):
-    """Atoms v^2 (v = 0..hi) and masses of X = Y^2 for a law Y symmetric about 0."""
+def _abs_law(d: dist.IntegerDistribution) -> dist.IntegerDistribution:
+    """Law of |Y| for a law Y supported on -hi..hi."""
     if d.lo != -d.hi:
         raise ValueError("law must be supported on -hi..hi")
     masses = d.pmf[d.hi:].copy()
     masses[1:] += d.pmf[:d.hi][::-1]
-    return np.arange(d.hi + 1, dtype=float) ** 2, masses
+    return dist.IntegerDistribution(0, masses, d.tail_mass)
 
 
 def si_type2_n2(theta_norm: float, modes: int, mixture: float, alpha: float) -> float:
     """Type II error of the two-copy invariant test via the lattice law.
 
-    The observable is the square of the count-difference statistic; the
-    randomized level equation is solved on its null law and the same
-    thresholds are applied to the displaced law.
+    The observable is the square of the count-difference statistic Y, so
+    thresholding it is thresholding |Y|: the randomized threshold test is
+    set on the null law of |Y| and evaluated on the displaced one.
     """
-    null = dist.count_difference_distribution(modes, 0.0, mixture)
-    x0, p0 = _squared_law(null)
-    sol = solve_level_equation(p0, alpha)
-    alt = dist.count_difference_distribution(modes, float(theta_norm), mixture)
-    xa, pa = _squared_law(alt)
-    cum = np.concatenate([[0.0], np.cumsum(pa)])
-    # alternative mass at or below each null atom; atoms are integers
-    return sol.accept_probability(cum[np.searchsorted(xa, x0 + 0.5)])
+    null = _abs_law(dist.count_difference_distribution(modes, 0.0, mixture))
+    alt = _abs_law(dist.count_difference_distribution(modes, float(theta_norm), mixture))
+    return dist.randomized_acceptance(null, alt, alpha)
 
 
 def si_small_theta_slope(spec: TestSpec) -> float:

@@ -75,19 +75,14 @@ def test_criterion_2_count_difference_law_equivalence():
         cfg, (-1j) * fock.beamsplitter_generator(cfg, 1, 2).toarray())
     from scipy.linalg import eigh
     vals, vecs = eigh(obs.entries)
-    reps, slices = fock.cluster_eigenvalues(vals)
     worst_fock = 0.0
     for s in (0.0, 0.5, 1.0):
         for N in (0.0, 0.5, 1.0):
             rho = fock.product_state(cfg, np.exp(1j * np.pi / 4) * s, N)
             B = rho.entries @ vecs
             per_vec = np.real(np.sum(vecs.conj() * B, axis=0))
-            weights = np.array([per_vec[sl].sum() for sl in slices])
-            sm = fock.SpectralMeasure(reps, weights)
-            ints, w, rem = sm.as_lattice(tol=1e-5)
-            law = dist.count_difference_distribution(1, s, N)
-            tv = 0.5 * sum(abs(law.prob(int(v)) - wi) for v, wi in zip(ints, w))
-            tv += 0.5 * (abs(1.0 - w.sum() - rem) + rem + law.tail_mass)
+            tv = dist.total_variation(dist.lattice_law(vals, per_vec),
+                                      dist.count_difference_distribution(1, s, N))
             worst_fock = max(worst_fock, tv)
     assert worst_fock < 1e-4
 

@@ -16,12 +16,14 @@ from sqitest.distributions import (
     critical_point,
     exp_cos_integral_scaled,
     invert_integer_cf,
+    lattice_law,
     neg_binomial,
     neg_binomial_cf,
     noncentral_f_cdf,
     noncentral_f_pdf,
     point_mass,
     polya_aeppli,
+    randomized_acceptance,
     skellam_pmf,
     total_variation,
 )
@@ -50,6 +52,69 @@ class TestIntegerDistribution:
         assert d.cdf(-2) == 0.0
         assert d.cdf(0) == pytest.approx(0.5)
         assert d.cdf(10) == pytest.approx(1.0)
+
+
+class TestLatticeLaw:
+    def test_adds_masses_of_values_1e12_apart(self):
+        law = lattice_law([2.0, 2.0 + 1e-12, 3.0], [0.25, 0.25, 0.5])
+        assert (law.lo, law.hi) == (2, 3)
+        assert law.pmf.tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize("offset", [1e-6, 0.5])
+    def test_off_lattice_value_raises(self, offset):
+        with pytest.raises(ValueError):
+            lattice_law([0.0, 1.0 + offset], [0.5, 0.5])
+
+    def test_tail_is_missing_mass(self):
+        law = lattice_law([0.0, 1.0], [0.3, 0.5])
+        assert law.tail_mass == pytest.approx(0.2, abs=1e-15)
+
+    def test_negative_lo(self):
+        # the spectrum of -i bs on a photon sector is symmetric about 0
+        law = lattice_law([1.0, -2.0, 0.0, 2.0, -1.0], [0.1, 0.2, 0.3, 0.15, 0.25])
+        assert (law.lo, law.hi) == (-2, 2)
+        assert law.pmf.tolist() == [0.2, 0.25, 0.3, 0.1, 0.15]
+        assert law.prob(-1) == 0.25
+
+
+class TestRandomizedAcceptance:
+    def test_interior_solution(self):
+        null = IntegerDistribution(0, np.array([0.5, 0.3, 0.2]))
+        # cumulative (0.5, 0.8, 1.0); target 0.65 sits between atoms 0 and 1
+        assert randomized_acceptance(null, null, 0.35) == pytest.approx(0.65)
+        # a point mass at t reads the randomization weight w
+        assert randomized_acceptance(null, point_mass(1), 0.35) == pytest.approx(0.5)
+
+    def test_below_spectrum(self):
+        null = IntegerDistribution(0, np.array([0.9, 0.1]))
+        # t = 0 is the lowest outcome: nothing lies below it
+        got = randomized_acceptance(null, point_mass(0), 0.5)
+        assert got == pytest.approx(0.5 / 0.9)
+
+    def test_exact_hit_degenerates(self):
+        null = IntegerDistribution(0, np.array([0.5, 0.5]))
+        alt = IntegerDistribution(0, np.array([0.2, 0.8]))
+        assert randomized_acceptance(null, alt, 0.5) == pytest.approx(0.2)
+
+    def test_mass_exhaustion_raises(self):
+        null = IntegerDistribution(0, np.array([0.4, 0.4]), 0.2)
+        with pytest.raises(ValueError):
+            randomized_acceptance(null, null, 0.05)
+
+    def test_alpha_range(self):
+        for alpha in (-0.1, 1.5):
+            with pytest.raises(ValueError):
+                randomized_acceptance(point_mass(0), point_mass(0), alpha)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lo=st.integers(-5, 5),
+           weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12).filter(
+               lambda w: sum(w) > 1e-3),
+           alpha=st.floats(0.0, 1.0))
+    def test_level_is_exact_on_the_null(self, lo, weights, alpha):
+        pmf = np.array(weights) / sum(weights)
+        law = IntegerDistribution(lo, pmf, 1.0 - pmf.sum())
+        assert abs(randomized_acceptance(law, law, alpha) - (1.0 - alpha)) < 1e-12
 
 
 class TestNegBinomial:

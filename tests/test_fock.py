@@ -18,7 +18,6 @@ from sqitest.fock import (
     apply_pooling_rotation,
     beamsplitter_generator,
     casimir_defect,
-    cluster_eigenvalues,
     coherent_product_vector,
     coherent_tail_mass,
     coherent_vector,
@@ -33,7 +32,6 @@ from sqitest.fock import (
     rotation_defect_observable,
     sector_blocks,
     si_type2_fock,
-    solve_level_equation,
     spectral_measure,
     spectral_projection,
     squeeze,
@@ -388,17 +386,20 @@ class TestPhotonSectors:
         displacements = [np.zeros(cfg.modes), z]
         for Z, got in zip(displacements, defect_spectral_measures(cfg, displacements, 0.4)):
             want = spectral_measure(product_state(cfg, Z, 0.4), T)
-            assert got.values.shape == want.values.shape
-            assert np.max(np.abs(got.values - want.values)) < 1e-12
-            assert np.max(np.abs(got.weights - want.weights)) < 1e-12
+            assert (got.lo, got.hi) == (want.lo, want.hi)
+            assert np.max(np.abs(got.pmf - want.pmf)) < 1e-12
+            assert abs(got.tail_mass - want.tail_mass) < 1e-12
 
     @pytest.mark.parametrize("shape", [(1, 3, 8), (2, 2, 4)])
     def test_defect_spectrum_is_integer(self, shape):
-        # every sector is whole, so the Casimir spectrum is integer there
+        # every sector is whole, so the Casimir spectrum is integer there,
+        # and the lattice laws are built without the off-lattice error
         cfg = FockConfig(*shape)
+        for T in sector_blocks(casimir_defect(cfg), photon_sectors(cfg)):
+            vals = np.linalg.eigvalsh(T.toarray())
+            assert np.max(np.abs(vals - np.rint(vals))) < 1e-9
         z = 0.3 * np.exp(0.5j * np.arange(cfg.modes))
-        for sm in defect_spectral_measures(cfg, [np.zeros(cfg.modes), z], 0.4):
-            assert np.max(np.abs(sm.values - np.rint(sm.values))) < 1e-9
+        assert len(defect_spectral_measures(cfg, [np.zeros(cfg.modes), z], 0.4)) == 2
 
 
 class TestSpectralProjection:
@@ -474,8 +475,8 @@ class TestSpectralMeasure:
         num = TruncatedOperator(cfg, np.diag(np.arange(8, dtype=complex)))
         rho = thermal_coherent_state(0.0, 0.0, 8)
         sm = spectral_measure(TruncatedState(cfg, rho.entries), num)
-        assert sm.values[np.argmax(sm.weights)] == pytest.approx(0.0, abs=1e-12)
-        assert max(sm.weights) == pytest.approx(1.0)
+        assert sm.lo + np.argmax(sm.pmf) == 0
+        assert max(sm.pmf) == pytest.approx(1.0)
 
     def test_coherent_number_statistics_poisson(self):
         cfg = FockConfig(1, 1, 40)
@@ -483,18 +484,18 @@ class TestSpectralMeasure:
         th = 0.9
         rho = thermal_coherent_state(th, 0.0, 40)
         sm = spectral_measure(TruncatedState(cfg, rho.entries), num)
-        ints, w, rem = sm.as_lattice()
+        assert (sm.lo, sm.hi) == (0, 39)
         lam = th * th
-        want = np.exp(-lam) * lam ** ints / [math.factorial(int(k)) for k in ints]
-        assert np.max(np.abs(w - want)) < 1e-12
-        assert rem == 0.0
+        want = np.exp(-lam) * lam ** sm.support / [math.factorial(int(k)) for k in sm.support]
+        assert np.max(np.abs(sm.pmf - want)) < 1e-12
+        assert sm.tail_mass == pytest.approx(rho.trunc_loss, abs=1e-12)
 
     def test_weights_sum_to_trace(self):
         cfg = FockConfig(1, 2, 10)
         obs = TruncatedOperator(cfg, (-1j) * beamsplitter_generator(cfg, 1, 2).toarray())
         rho = product_state(cfg, 0.4, 0.3)
         sm = spectral_measure(rho, obs)
-        assert sm.total() == pytest.approx(1.0 - rho.trunc_loss, abs=1e-10)
+        assert sm.tail_mass == pytest.approx(rho.trunc_loss, abs=1e-10)
 
     def test_count_difference_skellam(self):
         cfg = FockConfig(1, 2, 30)
@@ -502,11 +503,9 @@ class TestSpectralMeasure:
         th = 0.5
         rho = product_state(cfg, th, 0.0)
         sm = spectral_measure(rho, obs)
-        ints, w, rem = sm.as_lattice(tol=1e-5)
-        for v, wi in zip(ints, w):
-            if abs(v) <= 4:
-                assert wi == pytest.approx(dist.skellam_pmf(int(v), th * th), abs=1e-9)
-        assert rem < 1e-12
+        for v in range(-4, 5):
+            assert sm.prob(v) == pytest.approx(dist.skellam_pmf(v, th * th), abs=1e-9)
+        assert sm.tail_mass == pytest.approx(rho.trunc_loss, abs=1e-12)
 
     def test_phase_difference_route_to_lattice_law(self):
         # the diagonal photon-difference observable on the rotated product
@@ -517,9 +516,8 @@ class TestSpectralMeasure:
         th, N = 0.6, 0.5
         rho = product_state(cfg, np.exp(1j * np.pi / 4) * th, N)
         sm = spectral_measure(rho, obs)
-        ints, w, _ = sm.as_lattice(tol=1e-6)
         law = dist.count_difference_distribution(1, th, N)
-        worst = max(abs(law.prob(int(v)) - wi) for v, wi in zip(ints, w))
+        worst = max(abs(law.prob(int(v)) - sm.prob(int(v))) for v in sm.support)
         assert worst < 1e-8
 
     def test_characteristic_function_bridge(self):
@@ -543,33 +541,6 @@ class TestSpectralMeasure:
             spectral_measure(thermal_coherent_state(0, 0, 3), obs)
 
 
-class TestLevelEquation:
-    def test_interior_solution(self):
-        sol = solve_level_equation(np.array([0.5, 0.3, 0.2]), alpha=0.35)
-        # cumulative (0.5, 0.8, 1.0); target 0.65 sits between atoms 0 and 1
-        assert sol.s_index == 0 and sol.t_index == 1 and not sol.degenerate
-        assert sol.w == pytest.approx(0.5)
-        assert sol.accept_probability(np.array([0.5, 0.8, 1.0])) == pytest.approx(0.65)
-
-    def test_below_spectrum(self):
-        sol = solve_level_equation(np.array([0.9, 0.1]), alpha=0.5)
-        assert sol.s_index == -1 and sol.t_index == 0
-        assert sol.w == pytest.approx(0.5 / 0.9)
-
-    def test_exact_hit_degenerates(self):
-        sol = solve_level_equation(np.array([0.5, 0.5]), alpha=0.5)
-        assert sol.degenerate and sol.s_index == sol.t_index == 0
-        assert sol.accept_probability(np.array([0.2, 1.0])) == pytest.approx(0.2)
-
-    def test_mass_exhaustion_raises(self):
-        with pytest.raises(ValueError):
-            solve_level_equation(np.array([0.4, 0.4]), alpha=0.05)
-
-    def test_alpha_range(self):
-        with pytest.raises(ValueError):
-            solve_level_equation(np.array([1.0]), alpha=1.5)
-
-
 class TestSiErrorProbability:
     def test_null_gives_level_pure(self):
         cfg = FockConfig(1, 2, 20)
@@ -589,13 +560,13 @@ class TestSiErrorProbability:
         with pytest.raises(ValueError):
             si_type2_fock(0.1, 0.0, 1.5, cfg)
 
-    def test_quadrature_and_dense_routes_agree(self):
+    def test_vanishing_mixture_lands_on_pure(self):
         # the mixture -> 0 limit: a vanishing mixture must land on the
         # pure-state answer, whose null is exactly the vacuum
         cfg = FockConfig(1, 2, 20)
         pure = si_type2_fock(0.4, 0.0, 0.05, cfg)
-        dense = si_type2_fock(0.4, 1e-12, 0.05, cfg)
-        assert abs(pure - dense) < 1e-9
+        mixed = si_type2_fock(0.4, 1e-12, 0.05, cfg)
+        assert abs(pure - mixed) < 1e-9
 
     def test_pure_error_does_not_depend_on_modes(self):
         # si_type2_closed reads only the displacement norm, never m
@@ -605,8 +576,8 @@ class TestSiErrorProbability:
                                   ht.TestSpec(2, 3, 0.0, 0.05, "si"))
         assert abs(got - want) < 1e-6
 
-    def test_three_copy_mixture_dense_route(self):
-        # no closed form exists here; the dense spectral route must still be
+    def test_three_copy_mixture_calibrated_and_monotone(self):
+        # no closed form exists here; the spectral route must still be
         # calibrated at the null and strictly reject displaced alternatives
         cfg = FockConfig(1, 3, 8)
         assert si_type2_fock(0.0, 0.5, 0.05, cfg) == pytest.approx(0.95, abs=1e-6)
@@ -621,10 +592,3 @@ class TestSiErrorProbability:
         with pytest.raises(ValueError):
             si_type2_fock(0.3, 0.5, 0.0, cfg)
 
-
-class TestClustering:
-    def test_clusters_merge_degenerate_values(self):
-        vals = np.array([0.0, 1e-12, 1.0, 1.0 + 5e-9, 4.0])
-        reps, slices = cluster_eigenvalues(vals)
-        assert len(reps) == 3
-        assert reps[1] == pytest.approx(1.0, abs=1e-8)

@@ -9,8 +9,8 @@ from sqitest.fock import FockConfig, si_type2_fock
 from sqitest.hypotests import (
     SingularCovarianceError,
     TestSpec,
+    _abs_law,
     _hotelling_t2,
-    _squared_law,
     crossing_check,
     hh_type2_analytic,
     hh_type2_montecarlo,
@@ -278,23 +278,25 @@ class TestSITwoCopies:
 
     def test_level_zero_with_mixture_is_trivial(self):
         # with unbounded null support, level zero needs the full acceptance
-        # projection, so beta = 1 up to truncation bookkeeping (the
-        # under-resolved case raises instead: see the solver's own tests)
+        # projection, so beta = 1 up to truncation bookkeeping (a null law
+        # whose mass falls short of 1 - alpha raises instead: see
+        # TestRandomizedAcceptance in test_distributions)
         assert si_type2_n2(0.3, 1, 0.5, 0.0) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("m,s,N", [(1, 0.0, 0.0), (1, 1.3, 0.0), (2, 0.7, 2.0)])
-    def test_squared_law_equals_atom_by_atom_sum(self, m, s, N):
+    def test_abs_law_equals_atom_by_atom_sum(self, m, s, N):
         law = dist.count_difference_distribution(m, s, N)
         masses = {}
         for v, p in zip(law.support, law.pmf):
-            masses[v * v] = masses.get(v * v, 0.0) + p
-        xs, ps = _squared_law(law)
-        assert xs.tolist() == sorted(masses)
-        assert ps.tolist() == [masses[x] for x in sorted(masses)]
+            masses[abs(v)] = masses.get(abs(v), 0.0) + p
+        folded = _abs_law(law)
+        assert folded.support.tolist() == sorted(masses)
+        assert folded.pmf.tolist() == [masses[x] for x in sorted(masses)]
+        assert folded.tail_mass == law.tail_mass
 
-    def test_squared_law_needs_symmetric_support(self):
+    def test_abs_law_needs_symmetric_support(self):
         with pytest.raises(ValueError):
-            _squared_law(dist.IntegerDistribution(0, np.array([0.5, 0.5])))
+            _abs_law(dist.IntegerDistribution(0, np.array([0.5, 0.5])))
 
     def test_matches_truncated_space_oracle(self):
         cfg = FockConfig(1, 2, 40)
