@@ -41,7 +41,6 @@ from .phase_space import (
     GaussianSpec,
     PhaseSpaceMoments,
     SqueezeParam,
-    g_matrix,
     heterodyne_sample,
     kappa,
     moments,
@@ -56,7 +55,7 @@ __all__ = [
     "FockConfig", "TruncatedOperator", "TruncatedState", "si_type2_fock",
     "CrossingResult", "TestSpec", "crossing_check", "hh_type2_analytic",
     "hh_type2_montecarlo", "hotelling_F", "si_type2_closed", "si_type2_n2",
-    "GaussianSpec", "PhaseSpaceMoments", "SqueezeParam", "g_matrix",
+    "GaussianSpec", "PhaseSpaceMoments", "SqueezeParam",
     "heterodyne_sample", "kappa", "moments", "pooling_rotation_matrix",
 ]
 

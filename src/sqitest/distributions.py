@@ -11,13 +11,13 @@ function factorizes as
     gamma(r) = 1 / (N + 1 - N e^{ir}),
     psi_s(r) = exp[gamma(r) (e^{ir} - 1) s^2],
 
-with s the displacement norm; equivalently the variable is distributed as
-F - G + C - C' with F, G negative binomial NB_m(p), p = N/(N+1), and C, C'
-Polya-Aeppli: sum_k k P_k with P_k Poisson of rate s^2 N^{k-1} / (N+1)^{k+1},
-a compound Poisson law of rate s^2/(N+1) with geometric jumps, whose pmf
-follows from a three-term recurrence; all four are independent.  Both
-routes are implemented and cross-checked; plain Fourier inversion on the
-integer lattice serves as the bridge.  Integer spectra of the Fock oracle
+with s the displacement norm; equivalently the variable is X - X' for two
+independent photon counts of one displaced thermal copy, each the negative
+binomial NB_m(p), p = N/(N+1), convolved with a Polya-Aeppli law (a
+compound Poisson law of rate s^2/(N+1) with geometric jumps).  That photon
+law comes from one recurrence of positive terms (``photon_number_law``).
+Both routes are implemented and cross-checked; plain Fourier inversion on
+the integer lattice serves as the bridge.  Integer spectra of the Fock oracle
 are read as lattice laws too (``lattice_law``), and both invariant-test
 routes end in the one randomized level test, ``randomized_acceptance``.
 """
@@ -38,8 +38,11 @@ _ABS_FLOOR = 1e-300
 _TAIL_STOP = 1e-17
 # Grid doublings tried by the characteristic-function inversion.
 _CF_DOUBLINGS = 12
-# Largest Polya-Aeppli rate built in one recurrence: e^{-rate} stays normal.
-_PA_RATE_SPLIT = 500.0
+# Largest -log f(0) of a photon-number law built in one recurrence: f(0)
+# stays normal.
+_LOG_F0_SPLIT = 500.0
+# Mass at which a photon-number law's upper tail is cut.
+_LAW_TOL = 1e-14
 # Largest mass the CF inversion may leave beyond its support bound.
 _MASS_TOL = 1e-8
 # Largest distance from an integer at which a spectral value is read as it.
@@ -107,110 +110,82 @@ class IntegerDistribution:
         return out if out.size > 1 else out[0]
 
 
-def point_mass(value: int = 0) -> IntegerDistribution:
-    return IntegerDistribution(value, np.array([1.0]))
-
-
-def neg_binomial(shape: int, p: float, tol: float = 1e-14) -> IntegerDistribution:
-    """NB(shape, p): pmf(x) = C(shape+x-1, x) (1-p)^shape p^x on x >= 0.
-
-    Its characteristic function is (1-p)^shape (1 - p e^{ir})^{-shape}.
-    """
-    if not 0.0 <= p < 1.0:
-        raise ValueError("p must lie in [0, 1)")
-    if shape < 1:
-        raise ValueError("shape must be >= 1")
-    if p == 0.0:
-        return point_mass(0)
-    # mean shape*p/(1-p); geometric tail decay by factor p
-    hi = int(np.ceil((shape * p / (1 - p) + 10 * np.sqrt(shape) + 20)
-                     + np.log(tol) / np.log(p)))
-    x = np.arange(hi + 1)
-    logp = (gammaln(shape + x) - gammaln(x + 1) - gammaln(shape)
-            + shape * np.log1p(-p) + x * np.log(p))
-    pmf = np.exp(logp)
-    tail = max(0.0, 1.0 - pmf.sum())
-    return IntegerDistribution(0, pmf, tail)
-
-
 def neg_binomial_cf(shape: int, p: float, r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     return (1 - p) ** shape * (1 - p * np.exp(1j * r)) ** (-shape)
 
 
-def _difference(dist: IntegerDistribution) -> IntegerDistribution:
-    """Law of X - X' for two independent copies of ``dist`` (symmetric)."""
-    pmf = np.convolve(dist.pmf, dist.pmf[::-1])
-    lo = dist.lo - dist.hi
-    tail = min(1.0, 2.0 * dist.tail_mass)
-    pmf = pmf * (1.0 - tail) / pmf.sum() if pmf.sum() > 0 else pmf
-    return IntegerDistribution(lo, pmf, tail)
+def photon_number_law(modes: float, rate: float, p: float) -> IntegerDistribution:
+    """NB(modes, p) convolved with the Polya-Aeppli law of rate ``rate``.
 
+    The photon count of ``modes`` thermal modes of p = N/(N+1), displaced by
+    total squared norm s^2 with rate = s^2/(N+1).  Its pgf G(z) =
+    (1-p)^m (1-pz)^(-m) exp(rate ((1-p) z / (1-pz) - 1)) obeys
+    G'/G = m p / (1-pz) + rate (1-p) / (1-pz)^2, so from
+    f(0) = (1-p)^m e^{-rate}
 
-def polya_aeppli(rate: float, p: float, tol: float = 1e-14) -> IntegerDistribution:
-    """Compound Poisson law of total ``rate`` with jumps j >= 1 of mass (1-p) p^(j-1).
+        (x+1) f(x+1) = m p A(x) + rate (1-p) B(x),
+        A(x) = f(x) + p A(x-1),   B(x) = f(x) + p (A(x-1) + B(x-1)),
 
-    Its pgf G(z) = exp(rate ((1-p) z / (1-pz) - 1)) obeys (1-pz)^2 G' =
-    rate (1-p) G, so from f(0) = e^{-rate} and f(1) = rate (1-p) f(0)
-
-        (x+1) f(x+1) = (2px + rate (1-p)) f(x) - p^2 (x-1) f(x-1);
-
-    at p = 0 this is Poisson.  The upper tail is cut once at most ``tol`` of
-    mass remains.  Above _PA_RATE_SPLIT, where e^{-rate} would underflow, the
-    law is the convolution of equal parts.
+    with A(x) = sum_j p^j f(x-j) and B(x) = sum_j (j+1) p^j f(x-j).  At rate
+    0 this is the negative binomial, at p = 0 the Poisson law.  Every term
+    is positive, so no step cancels: the three-term form of the same ODE,
+    (1-pz)^2 G' = (m p (1-pz) + rate (1-p)) G, drifts by about 2e-17 x^2
+    relative.  Past the mean the ratio of successive terms tends to p, so
+    the mass from atom x on is f(x) / (1 - R), R = max(f(x)/f(x-1), p); the
+    pmf is cut at the first such x where that is below _LAW_TOL, and that
+    mass is the tail.  A running total cannot place the cut: at N = 1000
+    its rounding stops it with 1e-11 of mass still ahead.  Where -log f(0)
+    passes _LOG_F0_SPLIT, so that f(0) would underflow, the law is the
+    convolution of equal parts of shape m/parts and rate rate/parts.
     """
-    if rate < 0 or not 0.0 <= p < 1.0:
-        raise ValueError("need rate >= 0 and p in [0, 1)")
-    parts = max(1, int(np.ceil(rate / _PA_RATE_SPLIT)))
-    lam, cut = rate / parts, tol / parts
-    prev, f = 0.0, float(np.exp(-lam))
-    pmf, total, x = [f], f, 0
-    # past the mean, terms below cut * _REL_STOP end a sum that rounding
-    # holds just under 1 - cut
-    while total < 1.0 - cut and not (x > lam / (1 - p) and f < cut * _REL_STOP):
-        prev, f = f, ((2.0 * p * x + lam * (1 - p)) * f - p * p * (x - 1) * prev) / (x + 1)
+    if modes < 0 or rate < 0 or not 0.0 <= p < 1.0:
+        raise ValueError("need modes >= 0, rate >= 0 and p in [0, 1)")
+    neg_log_f0 = rate - modes * np.log1p(-p)
+    parts = max(1, int(np.ceil(neg_log_f0 / _LOG_F0_SPLIT)))
+    m, lam, cut = modes / parts, rate / parts, _LAW_TOL / parts
+    mean = (m * p + lam) / (1 - p)
+    f = float(np.exp(-neg_log_f0 / parts))
+    pmf, x, a, b = [f], 0, 0.0, 0.0
+    while True:
+        a, b = f + p * a, f + p * (a + b)
+        prev, f, x = f, (m * p * a + lam * (1 - p) * b) / (x + 1), x + 1
+        ratio = max(f / prev, p)
+        if x > mean and ratio < 1.0 and f < cut * (1.0 - ratio):
+            break
         pmf.append(f)
-        total += f
-        x += 1
     one = out = np.array(pmf)
     for _ in range(parts - 1):
         out = np.convolve(out, one)
-    tail = min(1.0, parts * max(0.0, 1.0 - one.sum()))
+    tail = parts * f / (1.0 - ratio)
     return IntegerDistribution(0, out * (1.0 - tail) / out.sum(), tail)
 
 
 def count_difference_distribution(modes: int, displacement_norm: float,
-                                  mixture: float, tol: float = 1e-12
-                                  ) -> IntegerDistribution:
+                                  mixture: float) -> IntegerDistribution:
     """Lattice law of the count-difference statistic on two copies.
 
-    sum_k k P_k, with P_k ~ Poisson(s^2 N^{k-1} / (N+1)^{k+1}), is the
-    Polya-Aeppli compound of total rate s^2/(N+1) and geometric jumps with
-    p = N/(N+1), so the law is the NB_m(p) difference convolved with the
-    difference of that compound.  ``tol`` sets where the compound's and the
-    negative binomial's upper tails are cut; the cut mass is carried in
-    ``tail_mass``.  Exactly symmetric about 0.
+    Y = X - X' for two independent photon counts X, X' of one m-mode
+    displaced thermal copy, each ``photon_number_law(m, s^2/(N+1), p)`` with
+    p = N/(N+1).  The wings below _LAW_TOL / 4 on either side are cut into
+    ``tail_mass`` with the two photon laws' own cut.  Exactly symmetric
+    about 0.
     """
     if mixture < 0:
         raise ValueError("mixture must be >= 0")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if modes < 1:
+        raise ValueError("modes must be >= 1")
     N = float(mixture)
-    comp_tol = min(1e-14, tol / 16.0)
-    p = N / (N + 1.0)
-    nb = _difference(neg_binomial(modes, p, comp_tol))
-    comp = _difference(polya_aeppli(float(displacement_norm) ** 2 / (N + 1.0), p, comp_tol))
-    tail = min(1.0, nb.tail_mass + comp.tail_mass)
-    pmf = np.convolve(nb.pmf, comp.pmf)
+    x = photon_number_law(modes, float(displacement_norm) ** 2 / (N + 1.0), N / (N + 1.0))
+    tail = min(1.0, 2.0 * x.tail_mass)
+    pmf = np.convolve(x.pmf, x.pmf[::-1])
     pmf = pmf * (1.0 - tail) / pmf.sum()
     # enforce exact symmetry (the construction is symmetric; float error is not)
     pmf = 0.5 * (pmf + pmf[::-1])
-    # trim negligible wings into the tail account, keeping symmetry
     cum = np.cumsum(pmf)
-    cut = int(np.searchsorted(cum, comp_tol / 4.0))
+    cut = int(np.searchsorted(cum, _LAW_TOL / 4.0))
     trimmed = float(cum[cut - 1] + pmf[len(pmf) - cut:].sum()) if cut else 0.0
-    return IntegerDistribution(nb.lo + comp.lo + cut, pmf[cut: len(pmf) - cut],
-                               tail + trimmed)
+    return IntegerDistribution(cut - x.hi, pmf[cut: len(pmf) - cut], tail + trimmed)
 
 
 def count_difference_cf(modes: int, displacement_norm: float, mixture: float,

@@ -277,7 +277,7 @@ def _verify_distributions(report: VerifyReport):
         worst = max(worst, dist.total_variation(comp, inv))
     report.add("count_difference_cf_vs_compound", worst, 1e-8)
 
-    nb = dist.neg_binomial(2, 0.4)
+    nb = dist.photon_number_law(2, 0.0, 0.4)
     inv = dist.invert_integer_cf(lambda r: dist.neg_binomial_cf(2, 0.4, r), nb.hi + 8)
     report.add("neg_binomial_cf_roundtrip", dist.total_variation(nb, inv), 1e-10)
 

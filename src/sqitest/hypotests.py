@@ -192,15 +192,6 @@ def si_type2_closed(theta_norm: float, spec: TestSpec) -> float:
     return (1.0 - spec.alpha) * scaled / dist.beta_function((n - 1) / 2.0, 0.5)
 
 
-def _abs_law(d: dist.IntegerDistribution) -> dist.IntegerDistribution:
-    """Law of |Y| for a law Y supported on -hi..hi."""
-    if d.lo != -d.hi:
-        raise ValueError("law must be supported on -hi..hi")
-    masses = d.pmf[d.hi:].copy()
-    masses[1:] += d.pmf[:d.hi][::-1]
-    return dist.IntegerDistribution(0, masses, d.tail_mass)
-
-
 def si_type2_n2(theta_norm: float, modes: int, mixture: float, alpha: float) -> float:
     """Type II error of the two-copy invariant test via the lattice law.
 
@@ -208,9 +199,11 @@ def si_type2_n2(theta_norm: float, modes: int, mixture: float, alpha: float) -> 
     thresholding it is thresholding |Y|: the randomized threshold test is
     set on the null law of |Y| and evaluated on the displaced one.
     """
-    null = _abs_law(dist.count_difference_distribution(modes, 0.0, mixture))
-    alt = _abs_law(dist.count_difference_distribution(modes, float(theta_norm), mixture))
-    return dist.randomized_acceptance(null, alt, alpha)
+    def abs_law(theta):
+        law = dist.count_difference_distribution(modes, theta, mixture)
+        return dist.lattice_law(np.abs(law.support), law.pmf)
+
+    return dist.randomized_acceptance(abs_law(0.0), abs_law(float(theta_norm)), alpha)
 
 
 def si_small_theta_slope(spec: TestSpec) -> float:

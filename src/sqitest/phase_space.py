@@ -109,7 +109,10 @@ class SqueezeParam:
 
     @cached_property
     def G(self) -> np.ndarray:
-        """Real 2m x 2m matrix exp([[ReA+ReS, -ImA+ImS], [ImA+ImS, ReA-ReS]]), read-only."""
+        """Real 2m x 2m matrix exp([[ReA+ReS, -ImA+ImS], [ImA+ImS, ReA-ReS]]).
+
+        Computed once per squeeze parameter and read-only.
+        """
         from scipy.linalg import expm
 
         ra, ia = self.A.real, self.A.imag
@@ -169,11 +172,6 @@ class PhaseSpaceMoments:
             raise ValueError("sigma - I/4 must be positive definite")
 
 
-def g_matrix(eta: SqueezeParam) -> np.ndarray:
-    """The matrix G_eta of ``eta``, computed once per squeeze parameter."""
-    return eta.G
-
-
 def real_parts(theta) -> np.ndarray:
     """Stack (Re theta; Im theta) into a real 2m-vector."""
     theta = np.atleast_1d(np.asarray(theta, dtype=complex))
@@ -182,7 +180,7 @@ def real_parts(theta) -> np.ndarray:
 
 def moments(spec: GaussianSpec) -> PhaseSpaceMoments:
     """Heterodyne outcome mean and covariance of one copy."""
-    G = g_matrix(spec.eta)
+    G = spec.eta.G
     mu = G @ real_parts(spec.theta)
     sigma = (2.0 * spec.mixture + 1.0) / 4.0 * (G @ G.T) + np.eye(2 * spec.modes) / 4.0
     return PhaseSpaceMoments(mu, 0.5 * (sigma + sigma.T))
@@ -195,7 +193,7 @@ def fourier_wigner(spec: GaussianSpec, u, v) -> complex:
     """
     w = np.concatenate([np.atleast_1d(np.asarray(u, float)),
                         np.atleast_1d(np.asarray(v, float))])
-    G = g_matrix(spec.eta)
+    G = spec.eta.G
     quad = (2.0 * spec.mixture + 1.0) / 4.0 * (w @ (G @ G.T) @ w)
     lin = np.sqrt(2.0) * (w @ (G @ real_parts(spec.theta)))
     return complex(np.exp(-quad - 1j * lin))
@@ -221,16 +219,14 @@ def _cholesky_with_jitter(sigma: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(sigma + 1e-12 * np.eye(dim))
 
 
-def heterodyne_sample(spec: GaussianSpec, count: int, seed=None, rng=None) -> np.ndarray:
-    """Draw ``count`` i.i.d. heterodyne outcomes, shape (count, 2m).
+def heterodyne_sample(spec: GaussianSpec, count: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Draw ``count`` i.i.d. heterodyne outcomes from ``rng``, shape (count, 2m).
 
-    Deterministic under a fixed ``seed``; pass an explicit ``rng`` (see
-    ``rng_stream``) to control stream splitting.
+    Deterministic for a fixed stream (see ``rng_stream``).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if rng is None:
-        rng = rng_stream(0 if seed is None else seed)
     mom = moments(spec)
     L = _cholesky_with_jitter(mom.sigma)
     z = rng.standard_normal((count, 2 * spec.modes))

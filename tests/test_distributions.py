@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
-from scipy.special import erfc, gammaln, ncfdtr
+from scipy.special import comb, erfc, gammaln, ncfdtr
 
 from sqitest.distributions import (
     ConvergenceError,
@@ -17,16 +17,29 @@ from sqitest.distributions import (
     exp_cos_integral_scaled,
     invert_integer_cf,
     lattice_law,
-    neg_binomial,
     neg_binomial_cf,
     noncentral_f_cdf,
     noncentral_f_pdf,
-    point_mass,
-    polya_aeppli,
+    photon_number_law,
     randomized_acceptance,
     skellam_pmf,
     total_variation,
 )
+
+
+def point_mass(value):
+    return IntegerDistribution(value, np.array([1.0]))
+
+
+def polya_aeppli_direct(rate, p, xs):
+    """Independent Polya-Aeppli oracle: f(x) = sum_k Poisson(k; rate) C(x-1, k-1)
+    (1-p)^k p^(x-k), the k jumps of a compound Poisson law summing to x."""
+    out = []
+    for x in xs:
+        k = np.arange(1, x + 1)
+        out.append(np.exp(-rate) if x == 0 else float(
+            stats.poisson.pmf(k, rate) @ (comb(x - 1, k - 1) * (1 - p) ** k * p ** (x - k))))
+    return np.array(out)
 
 
 def bessel_i0_series(z):
@@ -117,46 +130,56 @@ class TestRandomizedAcceptance:
         assert abs(randomized_acceptance(law, law, alpha) - (1.0 - alpha)) < 1e-12
 
 
-class TestNegBinomial:
-    def test_zero_success_prob_is_point_mass(self):
-        d = neg_binomial(3, 0.0)
-        assert d.lo == 0 and len(d.pmf) == 1 and d.pmf[0] == 1.0
-
-    def test_mean_identity(self):
-        for shape, p in [(1, 0.3), (2, 0.5), (4, 0.7)]:
-            d = neg_binomial(shape, p)
-            assert d.mean() == pytest.approx(shape * p / (1 - p), abs=1e-10)
-
-    def test_cf_at_zero(self):
-        assert neg_binomial(2, 0.4).cf(0.0) == pytest.approx(1.0)
-        assert neg_binomial_cf(2, 0.4, 0.0) == pytest.approx(1.0)
-
-    def test_invalid_p(self):
-        with pytest.raises(ValueError):
-            neg_binomial(2, 1.0)
-
-
-class TestPolyaAeppli:
-    def test_zero_p_is_poisson(self):
-        d = polya_aeppli(3.7, 0.0)
-        assert np.max(np.abs(d.pmf - stats.poisson.pmf(d.support, 3.7))) < 1e-15
-
-    @pytest.mark.parametrize("rate,p", [(0.4, 0.3), (2.0, 0.5), (0.8, 0.97), (900.0, 0.2)])
-    def test_moments(self, rate, p):
-        # jumps geometric on 1, 2, ...: mean rate/(1-p), variance rate(1+p)/(1-p)^2
-        d = polya_aeppli(rate, p)
-        mean = d.mean()
-        assert mean == pytest.approx(rate / (1 - p), rel=1e-12)
-        var = ((d.support - mean) ** 2) @ d.pmf
-        assert var == pytest.approx(rate * (1 + p) / (1 - p) ** 2, rel=1e-10)
+class TestPhotonNumberLaw:
+    @pytest.mark.parametrize("m,N", [(3, 0.0), (1, 0.5), (2, 1.0), (4, 7 / 3), (1, 1000.0),
+                                     (100, 200.0)])
+    def test_zero_rate_is_neg_binomial(self, m, N):
+        # (100, 200): -log f(0) = 100 log 201 > 500, so the law is built in parts
+        p = N / (N + 1)
+        d = photon_number_law(m, 0.0, p)
+        assert np.max(np.abs(d.pmf - stats.nbinom.pmf(d.support, m, 1 - p))) < 1e-15
         assert d.tail_mass < 1e-13
 
-    def test_zero_rate_and_bad_inputs(self):
-        assert polya_aeppli(0.0, 0.5).pmf.tolist() == [1.0]
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_zero_p_is_poisson(self, m):
+        d = photon_number_law(m, 3.7, 0.0)
+        assert np.max(np.abs(d.pmf - stats.poisson.pmf(d.support, 3.7))) < 1e-15
+
+    @pytest.mark.parametrize("m,rate,p", [
+        (0, 0.4, 0.3), (0, 2.0, 0.5), (0, 0.8, 0.97), (0, 900.0, 0.2),
+        (1, 0.0, 0.3), (2, 0.0, 0.5), (4, 0.0, 0.7), (2, 1.5, 0.6), (1, 900.0, 0.5)])
+    def test_moments(self, m, rate, p):
+        # NB: mean mp/(1-p), variance mp/(1-p)^2; Polya-Aeppli (geometric
+        # jumps on 1, 2, ...): mean rate/(1-p), variance rate(1+p)/(1-p)^2
+        d = photon_number_law(m, rate, p)
+        mean = d.mean()
+        assert mean == pytest.approx((m * p + rate) / (1 - p), rel=1e-12)
+        var = ((d.support - mean) ** 2) @ d.pmf
+        assert var == pytest.approx((m * p + rate * (1 + p)) / (1 - p) ** 2, rel=1e-10)
+        assert d.tail_mass < 1e-13
+        assert d.cf(0.0) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("m,rate,p", [(1, 0.8, 0.4), (2, 3.0, 0.25), (1, 25.0, 5 / 6)])
+    def test_matches_neg_binomial_convolved_with_direct_sum(self, m, rate, p):
+        d = photon_number_law(m, rate, p)
+        want = np.convolve(stats.nbinom.pmf(d.support, m, 1 - p),
+                           polya_aeppli_direct(rate, p, d.support))[: len(d.pmf)]
+        assert np.max(np.abs(d.pmf - want)) < 1e-15
+
+    def test_point_mass_at_zero(self):
+        assert photon_number_law(3, 0.0, 0.0).pmf.tolist() == [1.0]
+        assert photon_number_law(0, 0.0, 0.5).pmf.tolist() == [1.0]
+
+    @pytest.mark.parametrize("make", [
+        lambda: photon_number_law(-1, 0.5, 0.5),
+        lambda: photon_number_law(1, -1.0, 0.5),
+        lambda: photon_number_law(1, 1.0, 1.0),
+        lambda: photon_number_law(2, 0.0, -0.1),
+        lambda: count_difference_distribution(0, 0.5, 0.5),
+    ], ids=["modes", "rate", "p-one", "p-negative", "count-difference-modes"])
+    def test_bad_inputs(self, make):
         with pytest.raises(ValueError):
-            polya_aeppli(-1.0, 0.5)
-        with pytest.raises(ValueError):
-            polya_aeppli(1.0, 1.0)
+            make()
 
 
 class TestCountDifferenceLaw:
@@ -223,8 +246,6 @@ class TestCountDifferenceLaw:
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             count_difference_distribution(1, 0.5, -0.1)
-        with pytest.raises(ValueError):
-            count_difference_distribution(1, 0.5, 0.5, tol=0.0)
 
 
 class TestCfInversion:
@@ -242,7 +263,7 @@ class TestCfInversion:
         assert total_variation(d, point_mass(y0)) < 1e-12
 
     def test_neg_binomial_round_trip(self):
-        nb = neg_binomial(2, 0.45)
+        nb = photon_number_law(2, 0.0, 0.45)
         inv = invert_integer_cf(lambda r: neg_binomial_cf(2, 0.45, r), nb.hi + 8)
         assert total_variation(nb, inv) < 1e-10
 

@@ -7,7 +7,6 @@ from sqitest.phase_space import (
     SqueezeParam,
     format_complex,
     fourier_wigner,
-    g_matrix,
     heterodyne_sample,
     kappa,
     moments,
@@ -57,23 +56,23 @@ class TestGaussianSpec:
 
 class TestGMatrix:
     def test_zero_eta_gives_identity(self):
-        assert np.allclose(g_matrix(SqueezeParam.zero(2)), np.eye(4))
+        assert np.allclose(SqueezeParam.zero(2).G, np.eye(4))
 
     def test_single_mode_real_squeeze(self):
         # A = 0, S = 1: generator diag(1, -1), so G = diag(e, 1/e)
         eta = SqueezeParam(1, np.zeros((1, 1)), np.ones((1, 1)))
-        assert np.allclose(g_matrix(eta), np.diag([np.e, 1.0 / np.e]))
+        assert np.allclose(eta.G, np.diag([np.e, 1.0 / np.e]))
 
     def test_computed_once_per_squeeze_parameter(self):
         eta = SqueezeParam.axis_family(1.5)
-        assert g_matrix(eta) is g_matrix(eta)
-        assert not g_matrix(eta).flags.writeable
+        assert eta.G is eta.G
+        assert not eta.G.flags.writeable
 
     def test_determinant_one(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             m = rng.integers(1, 3)
-            G = g_matrix(random_eta(rng, m))
+            G = random_eta(rng, m).G
             assert abs(np.linalg.det(G) - 1.0) < 1e-10
 
 
@@ -146,14 +145,14 @@ class TestFourierWigner:
 class TestHeterodyneSampling:
     def test_law_of_large_numbers(self):
         spec = GaussianSpec(1, np.array([0.5 + 0.2j]), SqueezeParam.zero(1), 0.0)
-        draws = heterodyne_sample(spec, 10 ** 6, seed=42)
+        draws = heterodyne_sample(spec, 10 ** 6, rng=rng_stream(42))
         mom = moments(spec)
         sd = np.sqrt(np.diag(mom.sigma))
         assert np.all(np.abs(draws.mean(axis=0) - mom.mu) < 5 * sd / 1000.0)
 
     def test_sample_covariance(self):
         spec = GaussianSpec(1, np.array([0.0]), SqueezeParam.zero(1), 0.0)
-        draws = heterodyne_sample(spec, 10 ** 6, seed=1)
+        draws = heterodyne_sample(spec, 10 ** 6, rng=rng_stream(1))
         cov = np.cov(draws.T)
         mom = moments(spec)
         rel = np.linalg.norm(cov - mom.sigma) / np.linalg.norm(mom.sigma)
@@ -161,8 +160,8 @@ class TestHeterodyneSampling:
 
     def test_fixed_seed_reproduces(self):
         spec = GaussianSpec(1, np.array([0.1]), SqueezeParam.zero(1), 0.3)
-        a = heterodyne_sample(spec, 100, seed=7)
-        b = heterodyne_sample(spec, 100, seed=7)
+        a = heterodyne_sample(spec, 100, rng=rng_stream(7))
+        b = heterodyne_sample(spec, 100, rng=rng_stream(7))
         assert a.tobytes() == b.tobytes()
 
     def test_streams_are_split(self):
@@ -174,7 +173,7 @@ class TestHeterodyneSampling:
     def test_count_validation(self):
         spec = GaussianSpec(1, np.array([0.1]), SqueezeParam.zero(1), 0.0)
         with pytest.raises(ValueError):
-            heterodyne_sample(spec, 0)
+            heterodyne_sample(spec, 0, rng=rng_stream(0))
 
 
 class TestKappa:
