@@ -70,7 +70,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
-        kv = _parse_kv_text(text)
+        kv = _parse_kv_text(text, (*CONFIG_KEYS, "eta"))
         kwargs = {name: cast(kv[key]) for key, (name, cast, _) in CONFIG_KEYS.items()
                   if key in kv}
         if "eta" in kv:

@@ -10,17 +10,27 @@ truncated matrices do not satisfy themselves.
 Index conventions: copy indices j, k run 1..n and mode indices i run 1..m
 (matching the tensor order copy 1 modes, copy 2 modes, ...); flattened
 slot s = (j-1)*m + (i-1) is the position in the tensor product, first
-factor most significant.
+factor most significant.  This copy-major order is written only in
+``_slot_values`` (an m x n displacement matrix to per-slot values) and in
+the Kronecker products that lift copy-space and mode-space matrices to
+slot matrices: B (x) I_m for copy mixing, I_n (x) A and I_n (x) S for
+squeezing.
+
+Generators: every quadratic generator is one call of
+``_quadratic_generator(config, H, K)``, the form
+sum H[s,t] a*_s a_t + K[s,t]/2 a*_s a*_t - conj(K[s,t])/2 a_s a_t over slot
+pairs, built from the slot lowering matrices of one occupation table.
 
 Basis: the occupation tuples whose per-mode photon totals over the n
 copies are all <= d-1, in lexicographic order (vacuum first);
-``occupations`` lists the C(d-1+n, n)^m of them.  Lowering never leaves the
-basis and raising is clipped, so each quadratic generator is the exact one
-compressed to the basis.  The copy-mixing generators keep every per-mode
-total, so the basis is a sum of whole photon sectors (one per tuple of
-totals) on which the group laws, the Casimir identities and the
-commutation with squeezing hold exactly, and every defect spectrum is
-integer.  States report their truncation loss (1 - trace).
+``occupations`` lists the C(d-1+n, n)^m of them, and the budget caps that
+count.  Lowering never leaves the basis and raising is clipped, so each
+quadratic generator is the exact one compressed to the basis.  The
+copy-mixing generators keep every per-mode total, so the basis is a sum of
+whole photon sectors (one per tuple of totals) on which the group laws,
+the Casimir identities and the commutation with squeezing hold exactly,
+and every defect spectrum is integer.  States report their truncation
+loss (1 - trace).
 
 ``si_type2_fock`` works sector by sector, with one route for pure and
 mixed states alike: the blocks of the sparse Casimir form of the defect
@@ -47,14 +57,15 @@ from . import distributions as dist
 from .phase_space import SqueezeParam, pooling_rotation_matrix
 
 _HERM_TOL = 1e-10
-# Largest d^(m*n), the size of the occupation box the basis lies in.
+# Largest basis dimension; the box d^(m*n) the basis lies in must also keep
+# its codes in int64.
 _BUDGET = 2 ** 20
 # Largest dimension of a dense whole-space operator or state.
 _DENSE_LIMIT = 4096
 
 
 class BudgetExceeded(ValueError):
-    """Raised when d^(m*n) exceeds _BUDGET or a dense build exceeds _DENSE_LIMIT."""
+    """Raised when the basis exceeds _BUDGET or a dense build exceeds _DENSE_LIMIT."""
 
 
 @dataclass(frozen=True)
@@ -70,9 +81,10 @@ class FockConfig:
             raise ValueError("modes and copies must be >= 1")
         if self.cutoff < 2:
             raise ValueError("cutoff must be >= 2")
-        if self.cutoff ** self.slots > _BUDGET:
-            raise BudgetExceeded(f"occupation box {self.cutoff}^{self.slots} "
-                                 f"exceeds budget {_BUDGET}")
+        if self.dim > _BUDGET or self.cutoff ** self.slots >= 2 ** 63:
+            raise BudgetExceeded(f"basis of {self.dim} states (box {self.cutoff}^"
+                                 f"{self.slots}) exceeds the budget of {_BUDGET} "
+                                 f"states or of int64 box codes")
 
     @property
     def slots(self) -> int:
@@ -81,14 +93,6 @@ class FockConfig:
     @property
     def dim(self) -> int:
         return comb(self.cutoff - 1 + self.copies, self.copies) ** self.modes
-
-    def slot(self, mode: int, copy: int) -> int:
-        """Flattened slot of (mode i, copy j), both 1-based."""
-        if not 1 <= mode <= self.modes:
-            raise ValueError(f"mode index {mode} out of range 1..{self.modes}")
-        if not 1 <= copy <= self.copies:
-            raise ValueError(f"copy index {copy} out of range 1..{self.copies}")
-        return (copy - 1) * self.modes + (mode - 1)
 
 
 @dataclass(frozen=True)
@@ -216,20 +220,6 @@ def annihilation(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, cutoff)), 1).astype(complex)
 
 
-def slot_annihilation(config: FockConfig, slot: int) -> sparse.csr_matrix:
-    """Lowering operator of one slot on the basis; its adjoint is the clipped raising."""
-    occ = occupations(config)
-    code = np.ravel_multi_index(occ.T, (config.cutoff,) * config.slots)
-    src = np.nonzero(occ[:, slot])[0]
-    dst = np.searchsorted(code, code[src] - config.cutoff ** (config.slots - 1 - slot))
-    return sparse.csr_matrix((np.sqrt(occ[src, slot]).astype(complex), (dst, src)),
-                             shape=(config.dim, config.dim))
-
-
-def mode_annihilation(config: FockConfig, mode: int, copy: int) -> sparse.csr_matrix:
-    return slot_annihilation(config, config.slot(mode, copy))
-
-
 def coherent_vector(theta: complex, cutoff: int) -> np.ndarray:
     """Cutoff expansion e^{-|theta|^2/2} sum_k theta^k/sqrt(k!) over k < cutoff."""
     k = np.arange(cutoff)
@@ -248,11 +238,21 @@ def coherent_tail_mass(theta: complex, cutoff: int) -> float:
     return float(max(0.0, 1.0 - np.real(v.conj() @ v)))
 
 
+def _slot_values(config: FockConfig, Z) -> np.ndarray:
+    """Per-slot values in copy-major order: Z[i, j] for mode i of copy j.
+
+    ``Z`` may also be an m-vector (the same column for every copy) or a
+    scalar (the same value in every slot).
+    """
+    Z = np.asarray(Z, dtype=complex)
+    if Z.ndim < 2:
+        Z = np.broadcast_to(Z.reshape(-1, 1), (config.modes, config.copies))
+    return Z.reshape(config.modes, config.copies).T.ravel()
+
+
 def coherent_product_vector(config: FockConfig, Z) -> np.ndarray:
-    """Product coherent vector for the m x n displacement matrix Z."""
-    Z = np.asarray(Z, dtype=complex).reshape(config.modes, config.copies)
-    vecs = [coherent_vector(Z[i, j], config.cutoff)
-            for j in range(config.copies) for i in range(config.modes)]
+    """Product coherent vector for the displacements Z (as in ``_slot_values``)."""
+    vecs = [coherent_vector(z, config.cutoff) for z in _slot_values(config, Z)]
     return _product_entries(vecs, occupations(config))
 
 
@@ -290,22 +290,13 @@ def thermal_coherent_state(theta: complex, mixture: float, cutoff: int) -> Trunc
 
 
 def _slot_factors(config: FockConfig, Z, mixture: float) -> list:
-    """Single-mode displaced thermal states in slot order, column j of Z per copy.
-
-    ``Z`` may be an m x n matrix, an m-vector (same displacement for every
-    copy), or a scalar (m = 1).
-    """
-    Z = np.asarray(Z, dtype=complex)
-    if Z.ndim == 0:
-        Z = np.full((config.modes, config.copies), complex(Z))
-    elif Z.ndim == 1:
-        Z = np.tile(Z.reshape(config.modes, 1), (1, config.copies))
-    return [thermal_coherent_state(Z[i, j], mixture, config.cutoff).entries
-            for j in range(config.copies) for i in range(config.modes)]
+    """Single-mode displaced thermal states in slot order (``Z`` as in ``_slot_values``)."""
+    return [thermal_coherent_state(z, mixture, config.cutoff).entries
+            for z in _slot_values(config, Z)]
 
 
 def product_state(config: FockConfig, Z, mixture: float) -> TruncatedState:
-    """Tensor product of displaced thermal states (``Z`` as in ``_slot_factors``)."""
+    """Tensor product of displaced thermal states (``Z`` as in ``_slot_values``)."""
     _require_dense(config)
     return TruncatedState(config, _product_entries(_slot_factors(config, Z, mixture),
                                                    occupations(config)))
@@ -323,31 +314,30 @@ def _product_entries(factors: list, occ: np.ndarray) -> np.ndarray:
 # quadratic generators
 # ---------------------------------------------------------------------------
 
-def _annihilators(config: FockConfig) -> list:
-    """a[i][j] = annihilation operator of mode i+1 in copy j+1."""
-    return [[mode_annihilation(config, i, j) for j in range(1, config.copies + 1)]
-            for i in range(1, config.modes + 1)]
+def _quadratic_generator(config: FockConfig, H, K=None) -> sparse.csr_matrix:
+    """sum H[s,t] a*_s a_t + K[s,t]/2 a*_s a*_t - conj(K[s,t])/2 a_s a_t over slots.
 
-
-def _quadratic_generator(config: FockConfig, terms) -> sparse.csr_matrix:
-    """Sum of c * (L @ R) over the (c, L, R) terms with c != 0, in order."""
+    H and K are (mn x mn) slot matrices; only their nonzero entries are
+    summed.  The lowering matrix a_s sends each basis row with a photon in
+    slot s to the row with one fewer, found by its box code.
+    """
+    occ = occupations(config)
+    code = np.ravel_multi_index(occ.T, (config.cutoff,) * config.slots)
+    low = []
+    for s in range(config.slots):
+        src = np.nonzero(occ[:, s])[0]
+        dst = np.searchsorted(code, code[src] - config.cutoff ** (config.slots - 1 - s))
+        low.append(sparse.csr_matrix((np.sqrt(occ[src, s]).astype(complex), (dst, src)),
+                                     shape=(config.dim, config.dim)))
+    terms = [(H[s, t], low[s].T, low[t]) for s, t in zip(*np.nonzero(H))]
+    if K is not None:
+        for s, t in zip(*np.nonzero(K)):
+            terms += [(0.5 * K[s, t], low[s].T, low[t].T),
+                      (-0.5 * np.conj(K[s, t]), low[s], low[t])]
     out = sparse.csr_matrix((config.dim, config.dim), dtype=complex)
     for c, L, R in terms:
-        if c != 0:
-            out = out + c * (L @ R)
+        out = out + c * (L @ R)
     return out.tocsr()
-
-
-def mode_mixing_generator(config: FockConfig, A) -> sparse.csr_matrix:
-    """sum_j sum_{i,i'} A[i,i'] a*_{i,j} a_{i',j} for anti-hermitian A."""
-    A = np.asarray(A, dtype=complex).reshape(config.modes, config.modes)
-    if np.max(np.abs(A + A.conj().T)) > 1e-9:
-        raise ValueError("A must be anti-hermitian")
-    a = _annihilators(config)
-    m = range(config.modes)
-    return _quadratic_generator(config, (
-        (A[i, i2], a[i][j].conj().T, a[i2][j])
-        for j in range(config.copies) for i in m for i2 in m))
 
 
 def copy_mixing_generator(config: FockConfig, B) -> sparse.csr_matrix:
@@ -355,20 +345,7 @@ def copy_mixing_generator(config: FockConfig, B) -> sparse.csr_matrix:
     B = np.asarray(B, dtype=complex).reshape(config.copies, config.copies)
     if np.max(np.abs(B + B.conj().T)) > 1e-9:
         raise ValueError("B must be anti-hermitian")
-    a = _annihilators(config)
-    n = range(config.copies)
-    return _quadratic_generator(config, (
-        (B[j, k], a[i][j].conj().T, a[i][k])
-        for i in range(config.modes) for j in n for k in n))
-
-
-def plane_rotation_matrix(n: int, j: int, k: int) -> np.ndarray:
-    """Real antisymmetric n x n matrix with -1 at (j,k) and +1 at (k,j), 1-based."""
-    J = np.zeros((n, n))
-    if j != k:
-        J[j - 1, k - 1] = -1.0
-        J[k - 1, j - 1] = 1.0
-    return J
+    return _quadratic_generator(config, np.kron(B, np.eye(config.modes)))
 
 
 def beamsplitter_generator(config: FockConfig, j: int, k: int) -> sparse.csr_matrix:
@@ -379,22 +356,10 @@ def beamsplitter_generator(config: FockConfig, j: int, k: int) -> sparse.csr_mat
     for idx in (j, k):
         if not 1 <= idx <= config.copies:
             raise ValueError(f"copy index {idx} out of range 1..{config.copies}")
-    if j == k:
-        return sparse.csr_matrix((config.dim, config.dim), dtype=complex)
-    return copy_mixing_generator(config, plane_rotation_matrix(config.copies, j, k))
-
-
-def phase_difference_generator(config: FockConfig, j: int, k: int) -> sparse.csr_matrix:
-    """Diagonal i * (photon number of copy j - photon number of copy k)."""
-    for idx in (j, k):
-        if not 1 <= idx <= config.copies:
-            raise ValueError(f"copy index {idx} out of range 1..{config.copies}")
-    occ = occupations(config)
-    diag = np.zeros(config.dim)
-    for i in range(1, config.modes + 1):
-        if j != k:
-            diag += occ[:, config.slot(i, j)] - occ[:, config.slot(i, k)]
-    return sparse.diags(1j * diag.astype(complex), format="csr")
+    B = np.zeros((config.copies, config.copies))
+    if j != k:
+        B[j - 1, k - 1], B[k - 1, j - 1] = -1.0, 1.0
+    return copy_mixing_generator(config, B)
 
 
 def squeeze_generator(eta: SqueezeParam, config: FockConfig) -> sparse.csr_matrix:
@@ -404,18 +369,8 @@ def squeeze_generator(eta: SqueezeParam, config: FockConfig) -> sparse.csr_matri
     """
     if eta.modes != config.modes:
         raise ValueError("eta mode count does not match the configuration")
-    A, S = eta.A, eta.S
-    a = _annihilators(config)
-    m = range(config.modes)
-    terms = []
-    for j in range(config.copies):
-        for i in m:
-            for i2 in m:
-                up, up2 = a[i][j].conj().T, a[i2][j].conj().T
-                terms += [(A[i, i2], up, a[i2][j]),
-                          (0.5 * S[i, i2], up, up2),
-                          (-0.5 * np.conj(S[i, i2]), a[i][j], a[i2][j])]
-    return _quadratic_generator(config, terms)
+    I_n = np.eye(config.copies)
+    return _quadratic_generator(config, np.kron(I_n, eta.A), np.kron(I_n, eta.S))
 
 
 def squeeze(eta: SqueezeParam, config: FockConfig) -> TruncatedOperator:

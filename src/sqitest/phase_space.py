@@ -42,8 +42,11 @@ def parse_complex(token: str) -> complex:
     return complex(float(token))
 
 
-def _parse_kv_text(text: str) -> dict:
-    """Parse ``key = value`` lines; '#' starts a comment."""
+def _parse_kv_text(text: str, keys) -> dict:
+    """Parse ``key = value`` lines; '#' starts a comment.
+
+    Raises ValueError for a key not in ``keys`` and for a repeated key.
+    """
     out = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -51,8 +54,12 @@ def _parse_kv_text(text: str) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"malformed config line: {raw!r}")
-        key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in keys:
+            raise ValueError(f"unknown config key {key!r}; known keys: {' '.join(keys)}")
+        if key in out:
+            raise ValueError(f"duplicate config key {key!r}")
+        out[key] = val
     return out
 
 
@@ -130,7 +137,11 @@ class SqueezeParam:
 
     @classmethod
     def from_text(cls, text: str) -> "SqueezeParam":
-        kv = _parse_kv_text(text)
+        keys = ("m", "A", "S")
+        kv = _parse_kv_text(text, keys)
+        missing = [key for key in keys if key not in kv]
+        if missing:
+            raise ValueError(f"squeeze parameter text lacks {' and '.join(missing)}")
         m = int(kv["m"])
         A = np.array([parse_complex(t) for t in kv["A"].split()]).reshape(m, m)
         S = np.array([parse_complex(t) for t in kv["S"].split()]).reshape(m, m)

@@ -69,7 +69,7 @@ def test_criterion_2_count_difference_law_equivalence():
     assert worst_tv < 1e-8
 
     # truncated-space leg: m = 1 (the m = 2 case at d = 40 would need
-    # dimension 40^4 > 2^20, beyond the configured budget)
+    # 820^2 = 672 400 basis states, beyond the dense limit of 4096)
     cfg = fock.FockConfig(1, 2, 40)
     obs = fock.TruncatedOperator(
         cfg, (-1j) * fock.beamsplitter_generator(cfg, 1, 2).toarray())

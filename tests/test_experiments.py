@@ -56,6 +56,10 @@ class TestExperimentConfig:
         assert cfg.etas == ("zero", "L-imag-theta")
         assert cfg.seed == 42 and cfg.out == "x.csv"
 
+    def test_from_text_rejects_duplicate_key(self):
+        with pytest.raises(ValueError, match="duplicate config key 'n'"):
+            ExperimentConfig.from_text("n = 3\nn = 4\n")
+
 
 class TestRunCurve:
     def test_zero_grid_gives_trivial_row(self, tmp_path):
@@ -194,6 +198,22 @@ class TestCli:
                      "--out", str(tmp_path / "c.csv")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_config_typo_is_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text("theta_mx = 9\n")
+        code = main(["curve", "--config", str(cfg_path), "--out", str(tmp_path / "c.csv")])
+        assert code == 2
+        assert "error: unknown config key 'theta_mx'" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_eta_file_without_S_is_error(self, tmp_path, capsys):
+        eta_path = tmp_path / "eta.txt"
+        eta_path.write_text("m = 1\nA = 0\n")
+        code = main(["curve", "--eta", str(eta_path), "--theta-steps", "3",
+                     "--theta-max", "1.0", "--out", str(tmp_path / "c.csv")])
+        assert code == 2
+        assert "error: squeeze parameter text lacks S" in capsys.readouterr().err
 
     def test_verify_command(self, tmp_path, capsys):
         report_path = tmp_path / "report.txt"

@@ -24,8 +24,6 @@ from sqitest.fock import (
     copy_mixing_generator,
     defect_spectral_measures,
     displacement,
-    mode_mixing_generator,
-    phase_difference_generator,
     photon_sectors,
     product_state,
     rotation_average_projector,
@@ -39,6 +37,10 @@ from sqitest.fock import (
     thermal_coherent_state,
 )
 from sqitest.phase_space import SqueezeParam
+
+
+# i (photon number of copy 1 - photon number of copy 2) as a copy-mixing matrix
+PHASE_DIFFERENCE = np.diag([1j, -1j])
 
 
 def random_eta(rng, m=1, scale=1.0):
@@ -57,7 +59,13 @@ class TestConfig:
 
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceeded):
-            FockConfig(2, 2, 40)  # 40^4 > 2^20
+            FockConfig(2, 3, 20)  # 1540^2 = 2 371 600 basis states > 2^20
+
+    @pytest.mark.parametrize("shape", [(1, 6, 12), (2, 3, 11)])
+    def test_budget_counts_basis_states_not_the_box(self, shape):
+        # boxes of 12^6 and 11^6 exceed 2^20; their bases (12 376 and
+        # 81 796 states) do not
+        assert FockConfig(*shape).dim <= 2 ** 20
 
     @pytest.mark.parametrize("shape", [(1, 3, 6), (2, 2, 4), (2, 3, 3)])
     def test_basis_is_whole_photon_sectors(self, shape):
@@ -72,14 +80,30 @@ class TestConfig:
             totals = occ[idx[0]].reshape(n, m).sum(axis=0)
             assert len(idx) == math.prod(comb(K + n - 1, n - 1) for K in totals)
 
-    def test_slot_layout(self):
-        cfg = FockConfig(2, 3, 4)
-        assert cfg.slot(1, 1) == 0
-        assert cfg.slot(2, 1) == 1
-        assert cfg.slot(1, 2) == 2
-        assert cfg.slot(2, 3) == 5
-        with pytest.raises(ValueError):
-            cfg.slot(3, 1)
+    def test_generators_match_kron_forms(self):
+        # slot 0 is the most significant tensor factor, and the pair terms
+        # carry S/2 on both orders of each slot pair
+        d = 4
+        a = annihilation(d)
+        one = np.eye(d)
+        low = [np.kron(a, one), np.kron(one, a)]
+        rise = [x.T for x in low]
+        A = np.array([[0.3j, 0.5 - 0.2j], [-0.5 - 0.2j, -0.1j]])
+        S = np.array([[0.2, 0.4 + 0.1j], [0.4 + 0.1j, -0.3j]])
+        # n = 1: the basis is the whole box
+        got = squeeze_generator(SqueezeParam(2, A, S), FockConfig(2, 1, d)).toarray()
+        want = sum(A[i, k] * rise[i] @ low[k] + 0.5 * S[i, k] * rise[i] @ rise[k]
+                   - 0.5 * np.conj(S[i, k]) * low[i] @ low[k]
+                   for i in range(2) for k in range(2))
+        assert np.max(np.abs(got - want)) < 1e-14
+        # (1, 2, d): copy mixing keeps the total, so it is the box form on
+        # the basis rows
+        cfg = FockConfig(1, 2, d)
+        occ = fock.occupations(cfg)
+        rows = occ[:, 0] * d + occ[:, 1]
+        got = copy_mixing_generator(cfg, A).toarray()
+        want = sum(A[j, k] * rise[j] @ low[k] for j in range(2) for k in range(2))
+        assert np.max(np.abs(got - want[np.ix_(rows, rows)])) < 1e-14
 
 
 class TestAnnihilation:
@@ -241,11 +265,11 @@ class TestGenerators:
         with pytest.raises(ValueError):
             beamsplitter_generator(cfg, 0, 1)
         with pytest.raises(ValueError):
-            phase_difference_generator(cfg, 1, 3)
+            beamsplitter_generator(cfg, 1, 3)
 
     def test_phase_difference_small_case(self):
         cfg = FockConfig(1, 2, 2)
-        got = phase_difference_generator(cfg, 1, 2).toarray()
+        got = copy_mixing_generator(cfg, PHASE_DIFFERENCE).toarray()
         want = np.diag([0.0, -1j, 1j])
         assert np.allclose(got, want)
 
@@ -253,7 +277,7 @@ class TestGenerators:
         cfg = FockConfig(1, 2, 4)
         occ = fock.occupations(cfg)
         want = 1j * (occ[:, 0] - occ[:, 1])
-        got = np.diag(phase_difference_generator(cfg, 1, 2).toarray())
+        got = np.diag(copy_mixing_generator(cfg, PHASE_DIFFERENCE).toarray())
         assert np.allclose(got, want)
 
     def test_beamsplitter_unitarily_equivalent_to_phase_difference(self):
@@ -261,7 +285,7 @@ class TestGenerators:
         # the copy-mixing generator into the photon-number difference
         cfg = FockConfig(1, 2, 10)
         v = beamsplitter_generator(cfg, 1, 2)
-        dgen = phase_difference_generator(cfg, 1, 2)
+        dgen = copy_mixing_generator(cfg, PHASE_DIFFERENCE)
         U = expm((np.pi / 4) * v.toarray())
         V = expm((np.pi / 4) * dgen.toarray())
         got = U.conj().T @ V.conj().T @ v.toarray() @ V @ U
@@ -278,7 +302,7 @@ class TestGenerators:
         Z = 0.3 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
         psi = coherent_product_vector(cfg, Z)
         moved = expm_multiply(copy_mixing_generator(cfg, B).tocsc(), psi)
-        moved = expm_multiply(mode_mixing_generator(cfg, A).tocsc(), moved)
+        moved = expm_multiply(squeeze_generator(SqueezeParam(2, A, 0 * A), cfg).tocsc(), moved)
         target_Z = expm(A) @ Z @ expm(-B.conj())
         target = coherent_product_vector(cfg, target_Z)
         eps = max(1.0 - np.linalg.norm(psi) ** 2, 1.0 - np.linalg.norm(target) ** 2)
@@ -512,7 +536,7 @@ class TestSpectralMeasure:
         # state draws from the same law as the copy-mixing observable
         cfg = FockConfig(1, 2, 30)
         obs = TruncatedOperator(
-            cfg, (-1j) * phase_difference_generator(cfg, 1, 2).toarray())
+            cfg, (-1j) * copy_mixing_generator(cfg, PHASE_DIFFERENCE).toarray())
         th, N = 0.6, 0.5
         rho = product_state(cfg, np.exp(1j * np.pi / 4) * th, N)
         sm = spectral_measure(rho, obs)
