@@ -30,7 +30,7 @@ D = fock.displacement(theta, 40)
 coh = fock.coherent_vector(theta, 40)
 print(f"displacement of the vacuum reproduces the coherent expansion: "
       f"max diff {np.max(np.abs(D.entries[:, 0] - coh)):.2e}")
-print(f"coherent tail mass at cutoff 40: {fock.coherent_tail_mass(theta, 40):.2e}")
+print(f"coherent tail mass at cutoff 40: {1.0 - np.real(coh.conj() @ coh):.2e}")
 
 rho = fock.thermal_coherent_state(0.5, 0.3, 40)
 print(f"displaced thermal state truncation loss: {rho.trunc_loss:.2e}")

@@ -1,7 +1,8 @@
 """Special distributions for the two displacement tests.
 
 Continuous side: the noncentral F density/cdf as a Poisson-weighted beta
-series, and the level-alpha critical point of the central F distribution.
+series, and the level-alpha critical point of the central F distribution
+from the inverse incomplete beta function.
 
 Discrete side: the lattice law of the photon count-difference statistic
 observed on two copies of a displaced thermal state.  Its characteristic
@@ -27,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaincc, gammaln, hyp0f1, ive, pdtr, pdtrc
+from scipy.special import (betainc, betaincc, betainccinv, betaincinv, gammaln, hyp0f1,
+                           ive, pdtr, pdtrc)
 
 # Series stopping: relative floor plus an absolute guard against underflow
 # stalls when the noncentrality is large.
@@ -486,31 +488,24 @@ def noncentral_f_cdf(c: float, params: NoncentralFParams) -> float:
 
 
 def critical_point(alpha: float, mu: int, nu: int) -> float:
-    """Smallest c with P(central F > c) = alpha, by bracketing bisection.
+    """The c with P(central F > c) = alpha, in closed form.
 
+    P(F > c) = I_y(nu/2, mu/2) with y = nu / (mu c + nu), so y is the inverse
+    regularized incomplete beta function at alpha and c = nu (1 - y) / (mu y),
+    with 1 - y taken from the complementary inverse of I_{1-y}(mu/2, nu/2)
+    = 1 - alpha.  No step forms 1 - alpha, so small alpha keeps its bits.
     alpha in (0, 1) strictly: alpha = 0 has no finite critical point (the
     resulting acceptance rule is trivial) and alpha = 1 degenerates to 0.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    params = NoncentralFParams(mu, nu, 0.0)
-    target = 1.0 - alpha
-    lo, hi = 0.0, 1.0
-    while noncentral_f_cdf(hi, params) < target:
-        hi *= 2.0
-        if hi > 1e18:
-            raise RuntimeError("failed to bracket the critical point")
-    while hi - lo > 1e-14 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if noncentral_f_cdf(mid, params) < target:
-            lo = mid
-        else:
-            hi = mid
-    c = 0.5 * (lo + hi)
-    if abs(noncentral_f_cdf(c, params) - target) > 1e-10:
-        raise RuntimeError("critical point solve did not reach tolerance")
+    y = betaincinv(nu / 2.0, mu / 2.0, alpha)
+    if not y > np.finfo(float).tiny:  # scipy clamps a y below the normal range
+        raise ValueError(f"the level-{alpha:g} critical point of F({mu}, {nu}) "
+                         "exceeds the float range")
+    c = float(nu * betainccinv(mu / 2.0, nu / 2.0, alpha) / (mu * y))
+    if abs(noncentral_f_cdf(c, NoncentralFParams(mu, nu, 0.0)) - (1.0 - alpha)) > 1e-10:
+        raise ValueError(f"the critical point of F({mu}, {nu}) misses level {alpha:g}")
     return c
 
 

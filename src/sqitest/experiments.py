@@ -52,6 +52,11 @@ class ExperimentConfig:
     out: str = "error_curve.csv"
 
     def __post_init__(self):
+        for key in ("theta_min", "theta_max"):
+            if not np.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite")
+        if not 0.0 <= self.mixture < np.inf:
+            raise ValueError("N must be finite and >= 0")
         if self.theta_steps < 1:
             raise ValueError("theta grid needs at least one point")
         if self.theta_steps > 1 and self.theta_max <= self.theta_min:

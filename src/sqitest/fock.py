@@ -106,9 +106,6 @@ class TruncatedOperator:
             raise ValueError("entry matrix side must equal the configured dimension")
         object.__setattr__(self, "entries", entries)
 
-    def hermiticity_defect(self) -> float:
-        return _hermiticity_defect(self.entries)
-
     def unitarity_defect(self) -> float:
         g = self.entries.conj().T @ self.entries - np.eye(self.config.dim)
         return float(np.max(np.abs(g)))
@@ -131,16 +128,9 @@ class TruncatedState:
         """Probability mass lost to the cutoff: 1 - trace."""
         return float(1.0 - np.real(np.trace(self.entries)))
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries).min())
-
-
-def _hermiticity_defect(entries: np.ndarray) -> float:
-    return float(np.max(np.abs(entries - entries.conj().T)))
-
 
 def _check_hermitian(entries: np.ndarray, what: str):
-    defect = _hermiticity_defect(entries)
+    defect = float(np.max(np.abs(entries - entries.conj().T)))
     if defect > _HERM_TOL:
         raise ValueError(f"{what} must be hermitian (defect {defect:.3e})")
 
@@ -233,11 +223,6 @@ def coherent_vector(theta: complex, cutoff: int) -> np.ndarray:
     return np.exp(logmag) * phase
 
 
-def coherent_tail_mass(theta: complex, cutoff: int) -> float:
-    v = coherent_vector(theta, cutoff)
-    return float(max(0.0, 1.0 - np.real(v.conj() @ v)))
-
-
 def _slot_values(config: FockConfig, Z) -> np.ndarray:
     """Per-slot values in copy-major order: Z[i, j] for mode i of copy j.
 
@@ -256,18 +241,6 @@ def coherent_product_vector(config: FockConfig, Z) -> np.ndarray:
     return _product_entries(vecs, occupations(config))
 
 
-def thermal_occupation(mixture: float, cutoff: int) -> np.ndarray:
-    """Geometric occupation law (1/(N+1)) (N/(N+1))^k, truncated."""
-    if mixture < 0:
-        raise ValueError("mixture must be >= 0")
-    if mixture == 0.0:
-        p = np.zeros(cutoff)
-        p[0] = 1.0
-        return p
-    ratio = mixture / (mixture + 1.0)
-    return (1.0 / (mixture + 1.0)) * ratio ** np.arange(cutoff)
-
-
 def displacement(theta: complex, cutoff: int) -> TruncatedOperator:
     """exp(theta a* - conj(theta) a) at the cutoff; exactly unitary there."""
     a = annihilation(cutoff)
@@ -276,10 +249,14 @@ def displacement(theta: complex, cutoff: int) -> TruncatedOperator:
 
 
 def thermal_coherent_state(theta: complex, mixture: float, cutoff: int) -> TruncatedState:
-    """Displaced thermal single-mode state at the cutoff."""
+    """Displaced thermal single-mode state at the cutoff.
+
+    The thermal occupation law is geometric, (1/(N+1)) (N/(N+1))^k, truncated.
+    """
     if mixture < 0:
         raise ValueError("mixture must be >= 0")
-    diag = np.diag(thermal_occupation(mixture, cutoff)).astype(complex)
+    occupation = (1.0 / (mixture + 1.0)) * (mixture / (mixture + 1.0)) ** np.arange(cutoff)
+    diag = np.diag(occupation).astype(complex)
     if theta == 0:
         rho = diag
     else:

@@ -168,18 +168,23 @@ class GaussianSpec:
 
 @dataclass(frozen=True)
 class PhaseSpaceMoments:
-    """Mean vector and covariance of the heterodyne outcome distribution."""
+    """Mean vector and covariance of the heterodyne outcome distribution.
+
+    Both checks allow a defect of 1e-12 times max(1, max |sigma|), because
+    the entries of sigma grow like e^{2|S|} under squeezing.
+    """
 
     mu: np.ndarray
     sigma: np.ndarray
 
     def __post_init__(self):
+        tol = _STRICT_TOL * max(1.0, np.max(np.abs(self.sigma)))
         sym = np.max(np.abs(self.sigma - self.sigma.T))
-        if sym > _STRICT_TOL:
+        if sym > tol:
             raise ValueError(f"sigma not symmetric (defect {sym:.3e})")
         dim = self.sigma.shape[0]
         floor = np.linalg.eigvalsh(self.sigma - np.eye(dim) / 4.0).min()
-        if floor < -_STRICT_TOL:
+        if floor < -tol:
             raise ValueError("sigma - I/4 must be positive definite")
 
 
@@ -200,14 +205,14 @@ def moments(spec: GaussianSpec) -> PhaseSpaceMoments:
 def fourier_wigner(spec: GaussianSpec, u, v) -> complex:
     """Characteristic function Tr[rho exp(-i w.r)] at w = (u; v).
 
-    Equals exp(-(2N+1)/4 w.T G G.T w - i sqrt(2) w.T G (Re theta; Im theta)).
+    Equals exp(-w.T (sigma - I/4) w - i sqrt(2) w.T mu) with (mu, sigma) the
+    heterodyne moments of ``moments``.
     """
     w = np.concatenate([np.atleast_1d(np.asarray(u, float)),
                         np.atleast_1d(np.asarray(v, float))])
-    G = spec.eta.G
-    quad = (2.0 * spec.mixture + 1.0) / 4.0 * (w @ (G @ G.T) @ w)
-    lin = np.sqrt(2.0) * (w @ (G @ real_parts(spec.theta)))
-    return complex(np.exp(-quad - 1j * lin))
+    mom = moments(spec)
+    quad = w @ (mom.sigma - np.eye(w.size) / 4.0) @ w
+    return complex(np.exp(-quad - 1j * np.sqrt(2.0) * (w @ mom.mu)))
 
 
 def rng_stream(seed, *path) -> np.random.Generator:
@@ -221,15 +226,6 @@ def rng_stream(seed, *path) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entries)))
 
 
-def _cholesky_with_jitter(sigma: np.ndarray) -> np.ndarray:
-    # sigma >= I/4 analytically; jitter only absorbs float rounding.
-    try:
-        return np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        dim = sigma.shape[0]
-        return np.linalg.cholesky(sigma + 1e-12 * np.eye(dim))
-
-
 def heterodyne_sample(spec: GaussianSpec, count: int,
                       rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` i.i.d. heterodyne outcomes from ``rng``, shape (count, 2m).
@@ -239,7 +235,8 @@ def heterodyne_sample(spec: GaussianSpec, count: int,
     if count < 1:
         raise ValueError("count must be >= 1")
     mom = moments(spec)
-    L = _cholesky_with_jitter(mom.sigma)
+    # sigma >= I/4; LinAlgError (a ValueError) once rounding breaks that, |S| >= 18
+    L = np.linalg.cholesky(mom.sigma)
     z = rng.standard_normal((count, 2 * spec.modes))
     return mom.mu + z @ L.T
 

@@ -458,6 +458,18 @@ class TestCriticalPoint:
         mine = critical_point(0.05, 2, 1)
         assert abs(mine - oracle) / oracle < 1e-6
 
+    @pytest.mark.parametrize("nu", [1, 2, 5, 40])
+    @pytest.mark.parametrize("alpha", [0.5, 0.05, 1e-6, 1e-9, 1e-12])
+    def test_two_numerator_dof_closed_form(self, alpha, nu):
+        # mu = 2: P(F > c) = (1 + 2c/nu)^(-nu/2), so c = (nu/2)(alpha^(-2/nu) - 1)
+        want = (nu / 2.0) * np.expm1(-(2.0 / nu) * np.log(alpha))
+        assert critical_point(alpha, 2, nu) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_beyond_float_range_rejected(self):
+        # c = (alpha^(-2) - 1)/2 overflows; the inverse beta clamps y = 1/(2c + 1)
+        with pytest.raises(ValueError, match="float range"):
+            critical_point(1e-200, 2, 1)
+
     def test_degenerate_levels_rejected(self):
         # alpha = 0 would need an infinite critical point (trivial acceptance)
         with pytest.raises(ValueError):

@@ -36,6 +36,17 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(alpha=0.0)
 
+    @pytest.mark.parametrize("kwargs,key", [
+        ({"theta_max": float("nan")}, "theta_max"),
+        ({"theta_max": float("inf")}, "theta_max"),
+        ({"mixture": float("nan")}, "N"),
+        ({"mixture": float("inf"), "copies": 2}, "N"),
+    ])
+    def test_non_finite_bounds_rejected(self, kwargs, key):
+        # nan fails every comparison, so theta_max <= theta_min let it through
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            ExperimentConfig(**kwargs)
+
     def test_single_point_grid_allowed(self):
         cfg = ExperimentConfig(theta_min=0.0, theta_max=0.0, theta_steps=1)
         assert cfg.theta_grid.tolist() == [0.0]
@@ -214,6 +225,48 @@ class TestCli:
                      "--theta-max", "1.0", "--out", str(tmp_path / "c.csv")])
         assert code == 2
         assert "error: squeeze parameter text lacks S" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,key", [
+        (["--theta-max", "nan"], "theta_max"),
+        (["--theta-max", "inf"], "theta_max"),
+        (["--N", "nan"], "N"),
+        (["--N", "inf", "--n", "2"], "N"),
+    ])
+    def test_non_finite_bounds_are_errors(self, tmp_path, capsys, argv, key):
+        code = main(["curve", *argv, "--out", str(tmp_path / "c.csv")])
+        assert code == 2
+        assert f"error: {key} must be finite" in capsys.readouterr().err
+
+    def test_non_finite_bound_in_config_file_is_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text("theta_max = nan\n")
+        code = main(["curve", "--config", str(cfg_path), "--out", str(tmp_path / "c.csv")])
+        assert code == 2
+        assert "error: theta_max must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--alpha", "1e-10"],
+        ["--m", "3", "--n", "7", "--alpha", "1e-9"],
+    ])
+    def test_small_alpha_curve_command(self, tmp_path, argv):
+        out = tmp_path / "c.csv"
+        assert main(["curve", *argv, "--out", str(out)]) == 0
+        _, header, rows = read_curve(out)
+        hh = rows[:, [i for i, h in enumerate(header) if h.startswith("beta_hh_")]]
+        assert np.all((hh > 0.0) & (hh <= 1.0))
+
+    def test_strongly_squeezed_eta_file_curve_command(self, tmp_path):
+        eta_path = tmp_path / "strong.txt"
+        eta_path.write_text(SqueezeParam(1, np.zeros((1, 1)),
+                                         np.array([[12.0 * np.exp(0.52j)]])).to_text())
+        out = tmp_path / "c.csv"
+        code = main(["curve", "--eta", str(eta_path), "--n", "4", "--reps", "20000",
+                     "--out", str(out)])
+        assert code == 0
+        _, header, rows = read_curve(out)
+        col = {h: rows[:, i] for i, h in enumerate(header)}
+        assert np.all(np.abs(col["beta_hh_eta_strong_mc"] - col["beta_hh_eta_strong"])
+                      <= 4 * col["beta_hh_eta_strong_stderr"])
 
     def test_verify_command(self, tmp_path, capsys):
         report_path = tmp_path / "report.txt"

@@ -203,6 +203,24 @@ class TestKappa:
             got = kappa(np.array([th * np.exp(1j * phi)]), eta, N)
             assert got == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("r", [10.5, 12.0, 15.0])
+    @pytest.mark.parametrize("phi", [0.0, 0.52, 1.57, 2.62])
+    def test_strong_squeezing_closed_form(self, r, phi):
+        # S = r e^{i phi}: G = U diag(e^r, e^-r) U^T with U the rotation by
+        # phi/2, so kappa is diagonal in y = U^T (Re theta, Im theta)
+        theta = 0.7 - 0.4j
+        eta = SqueezeParam(1, np.zeros((1, 1)), np.array([[r * np.exp(1j * phi)]]))
+        U = np.array([[np.cos(phi / 2), -np.sin(phi / 2)],
+                      [np.sin(phi / 2), np.cos(phi / 2)]])
+        y = U.T @ np.array([theta.real, theta.imag])
+        for N in (0.0, 0.3, 2.0):
+            c = (2 * N + 1) / 4
+            want = y[0] ** 2 / (c + np.exp(-2 * r) / 4) + y[1] ** 2 / (c + np.exp(2 * r) / 4)
+            assert kappa(theta, eta, N) == pytest.approx(want, rel=1e-12, abs=0.0)
+            spec = GaussianSpec(1, theta, eta, N)
+            moments(spec)
+            assert heterodyne_sample(spec, 4, rng_stream(0)).shape == (4, 2)
+
 
 class TestPoolingRotationMatrix:
     def test_two_copies_explicit(self):
