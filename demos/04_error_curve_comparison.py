@@ -25,10 +25,11 @@ spec_si = ht.TestSpec(1, 3, 0.0, 0.05, "si")
 spec_hh = ht.TestSpec(1, 3, 0.0, 0.05, "hh")
 from sqitest.phase_space import SqueezeParam
 eta0 = SqueezeParam.zero(1)
+thetas = np.linspace(0.0, 3.0, 7)
+beta_hh = ht.hh_type2_analytic(thetas[:, None], eta0, spec_hh)
 print(f"{'theta':>6} {'beta_si':>12} {'beta_hh(eta=0)':>15}")
-for t in np.linspace(0.0, 3.0, 7):
-    print(f"{t:6.2f} {ht.si_type2_closed(t, spec_si):12.6f} "
-          f"{ht.hh_type2_analytic(t, eta0, spec_hh):15.6f}")
+for t, bh in zip(thetas, beta_hh):
+    print(f"{t:6.2f} {ht.si_type2_closed(t, spec_si):12.6f} {bh:15.6f}")
 
 print("\n== where the curves cross ==")
 res = ht.crossing_check(0.05, np.linspace(0.05, 40.0, 320))

@@ -2,7 +2,10 @@
 
 Continuous side: the noncentral F density/cdf as a Poisson-weighted beta
 series, and the level-alpha critical point of the central F distribution
-from the inverse incomplete beta function.
+from the inverse incomplete beta function.  Density and cdf share one
+Poisson-mixture engine that takes an array of noncentralities: the lambda-free
+factors of the series are tabled once per group of summation windows, and
+each lambda adds only its Poisson weights over its own window.
 
 Discrete side: the lattice law of the photon count-difference statistic
 observed on two copies of a displaced thermal state.  Its characteristic
@@ -38,6 +41,12 @@ _ABS_FLOOR = 1e-300
 # Poisson-mixture series (noncentral F): the bound on the dropped terms,
 # relative to the running total, at which a side stops.
 _TAIL_STOP = 1e-17
+# Largest temporary of that series, in entries: the atoms of one group of
+# windows and the k-span of its tables.
+_GROUP_CAP = 2 ** 13
+# Incomplete-beta anchors of the noncentral F cdf's table: one per this
+# many atoms, the rest by a downward recurrence.
+_ANCHOR_STEP = 512
 # Grid doublings tried by the characteristic-function inversion.
 _CF_DOUBLINGS = 12
 # Largest -log f(0) of a photon-number law built in one recurrence: f(0)
@@ -322,16 +331,21 @@ def total_variation(a: IntegerDistribution, b: IntegerDistribution) -> float:
 
 @dataclass(frozen=True)
 class NoncentralFParams:
-    """Degrees of freedom (mu, nu) and noncentrality lambda >= 0."""
+    """Degrees of freedom (mu, nu) and noncentrality lambda >= 0.
+
+    lambda is a float or an array of them; the density and cdf then return
+    a float or an array of lambda's shape.
+    """
 
     mu_dof: int
     nu_dof: int
-    noncentrality: float = 0.0
+    noncentrality: float | np.ndarray = 0.0
 
     def __post_init__(self):
         if self.mu_dof < 1 or self.nu_dof < 1:
             raise ValueError("degrees of freedom must be >= 1")
-        if not 0.0 <= self.noncentrality < np.inf:
+        lam = np.asarray(self.noncentrality, dtype=float)
+        if not np.all((lam >= 0.0) & (lam < np.inf)):
             raise ValueError("noncentrality must be finite and >= 0")
 
 
@@ -354,22 +368,6 @@ def _stirling_remainder(z):
     return out
 
 
-def _log_poisson(k, mean: float):
-    """log(e^{-mean} mean^k / k!) for integers k >= 0 and mean > 0.
-
-    In the saddle-point form -[k log(k/mean) + mean - k] - log sqrt(2 pi k)
-    minus the Stirling remainder, no two large terms cancel: within five
-    standard deviations of mean = 5e5 it is good to about 4e-13 absolute,
-    where k log(mean) - log k! loses about 1e-9.
-    """
-    k = np.asarray(k, dtype=float)
-    kk = np.maximum(k, 1.0)
-    with np.errstate(over="ignore"):  # a subnormal mean: deviance inf, weight 0
-        deviance = kk * np.log1p((kk - mean) / mean) - (kk - mean)
-    out = -deviance - 0.5 * np.log(2.0 * np.pi * kk) - _stirling_remainder(kk)
-    return np.where(k == 0, -mean, out)
-
-
 def _log_beta_density(z, b: float, log_x: float, log_1mx: float):
     """log[x^z (1-x)^b / B(z, b)] for z, b > 0, without cancellation at large z.
 
@@ -382,109 +380,192 @@ def _log_beta_density(z, b: float, log_x: float, log_1mx: float):
     return log_gamma_ratio - gammaln(b) + z * log_x + b * log_1mx
 
 
-def _sum_from_mode(half: float, terms, rest_below, rest_above) -> float:
-    """Sum over k >= 0 of a Poisson(half)-weighted series, outward from the mode.
+def _sum_windows(half, lo, hi, table):
+    """Sum w_k(h) t_k over k in [lo, hi) for each window (h, lo, hi).
 
-    ``terms(k)`` gives the terms at an integer array k; ``rest_below(k)``
-    bounds the sum of the terms below k, and ``rest_above(k)`` that of the
-    terms above k.  Blocks of about ten Poisson standard deviations, and at
-    most 2^16 terms to bound memory, are added downward from the mode
-    floor(half) and then upward from it, each side until its bound is at
-    most _TAIL_STOP of the running total (or is nan).  There is no cap on
-    the number of blocks.
+    w_k(h) is the Poisson(h) pmf and ``table(k0, k1)`` gives the
+    lambda-free factors t_k on [k0, k1).  Returns each window's sum, its
+    first and last terms, and t_k at its last k.  Windows are cut into
+    chunks of at most _GROUP_CAP atoms, and the chunks, in order of their
+    first k, into groups whose atoms and k-span both stay within
+    _GROUP_CAP, so no temporary is larger.  Per group, t_k and the k-only
+    part c_k = -log sqrt(2 pi k) - (Stirling remainder of k) are built once
+    over its span, and every atom adds one deviance in the saddle-point form
+
+        log w_k(h) = c_k - [k log1p((k - h)/h) - (k - h)],   log w_0(h) = -h,
+
+    where no two large terms cancel: within five standard deviations of
+    h = 5e5 it is good to about 4e-13 absolute, where k log(h) - log k!
+    loses about 1e-9.  The atoms of a group form one flat ragged array,
+    summed per chunk by ``np.add.reduceat``.
     """
-    lo = hi = int(half)
-    block = min(64 + int(10.0 * np.sqrt(half)), 2 ** 16)
-    total = 0.0
-    while lo > 0:
-        k = np.arange(max(lo - block, 0), lo)
-        total += float(terms(k).sum())
-        lo = int(k[0])
-        if lo == 0 or not rest_below(lo) > _TAIL_STOP * total:
-            break
+    count = -(-(hi - lo) // _GROUP_CAP)
+    owner = np.repeat(np.arange(len(lo)), count)
+    head = np.cumsum(count) - count
+    c_lo = lo[owner] + _GROUP_CAP * (np.arange(owner.size) - head[owner])
+    c_hi = np.minimum(c_lo + _GROUP_CAP, hi[owner])
+    sums, first, last, t_last = (np.empty(owner.size) for _ in range(4))
+    order = np.argsort(c_lo, kind="stable")
+    start = 0
+    while start < order.size:
+        k0, atoms, k1 = c_lo[order[start]], 0, 0
+        stop = start
+        while stop < order.size:
+            j = order[stop]
+            if atoms + c_hi[j] - c_lo[j] > _GROUP_CAP or c_hi[j] - k0 > _GROUP_CAP:
+                break
+            atoms, k1, stop = atoms + c_hi[j] - c_lo[j], max(k1, c_hi[j]), stop + 1
+        group, start = order[start:stop], stop
+        t = table(k0, k1)
+        ks = np.maximum(np.arange(k0, k1, dtype=float), 1.0)
+        c = -0.5 * np.log(2.0 * np.pi * ks) - _stirling_remainder(ks)
+        size = c_hi[group] - c_lo[group]
+        offset = np.cumsum(size) - size
+        at = np.arange(atoms) + np.repeat(c_lo[group] - k0 - offset, size)
+        k, h = ks[at], np.repeat(half[owner[group]], size)
+        with np.errstate(over="ignore"):  # a subnormal h: deviance inf, weight 0
+            deviance = k * np.log1p((k - h) / h) - (k - h)
+        log_w = np.where(at + k0 == 0, -h, c[at] - deviance)
+        terms = np.exp(log_w) * t[at]
+        end = offset + size - 1
+        sums[group] = np.add.reduceat(terms, offset)
+        first[group], last[group], t_last[group] = terms[offset], terms[end], t[at[end]]
+    tail = head + count - 1
+    return np.add.reduceat(sums, head), first[head], last[tail], t_last[tail]
+
+
+def _poisson_mixture(half, table, rest_below, rest_above):
+    """sum_k w_k(h) t_k for each Poisson mean h > 0 of the 1-D array ``half``.
+
+    Every h sums one window of k around its mode floor(h), first
+    [mode - B, mode + B) with B = 64 + 10 sqrt(h).  ``rest_below(lo, h,
+    term)`` bounds the sum of the terms below the window's first k, given
+    the term there; ``rest_above(k, h, term, t)`` bounds those above its
+    last k, given the term and t_k there.  Each side whose bound exceeds
+    _TAIL_STOP of the running total is widened by B, and only the windows
+    of those h; a side stops at k = 0 or once its bound is at most that (or
+    is nan).  There is no cap on the number of widenings.
+    """
+    mode = np.floor(half).astype(np.int64)
+    block = 64 + np.floor(10.0 * np.sqrt(half)).astype(np.int64)
+    lo, hi = np.maximum(mode - block, 0), mode + block
+    total, first, last, t_last = _sum_windows(half, lo, hi, table)
+    down, up = lo > 0, np.ones(half.shape, dtype=bool)
     while True:
-        k = np.arange(hi, hi + block)
-        total += float(terms(k).sum())
-        hi += block
-        if not rest_above(hi - 1) > _TAIL_STOP * total:
+        b, a = np.flatnonzero(down), np.flatnonzero(up)
+        down[b] = rest_below(lo[b], half[b], first[b]) > _TAIL_STOP * total[b]
+        up[a] = rest_above(hi[a] - 1, half[a], last[a], t_last[a]) > _TAIL_STOP * total[a]
+        b, a = np.flatnonzero(down), np.flatnonzero(up)
+        if not b.size + a.size:
             return total
+        new_lo = np.maximum(lo[b] - block[b], 0)
+        sums, edge_first, edge_last, edge_t = _sum_windows(
+            np.concatenate([half[b], half[a]]), np.concatenate([new_lo, hi[a]]),
+            np.concatenate([lo[b], hi[a] + block[a]]), table)
+        total[b] += sums[:b.size]
+        total[a] += sums[b.size:]
+        lo[b], first[b], down[b] = new_lo, edge_first[:b.size], new_lo > 0
+        hi[a] += block[a]
+        last[a], t_last[a] = edge_last[b.size:], edge_t[b.size:]
 
 
-def noncentral_f_pdf(f: float, params: NoncentralFParams) -> float:
+def _constant_at(lam, value: float):
+    """``value`` at every noncentrality of ``lam``: a float, or an array of its shape."""
+    lam = np.asarray(lam)
+    return value if lam.ndim == 0 else np.full(lam.shape, value)
+
+
+def _mixture_at(lam, central: float, table, rest_below, rest_above):
+    """The series at every noncentrality of ``lam``: a float, or an array of its shape.
+
+    ``central`` is its value at lambda = 0, the k = 0 term alone.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if not lam.any():
+        return _constant_at(lam, central)
+    half = lam.ravel() / 2.0
+    pos = half > 0.0
+    out = np.full(half.shape, central)
+    out[pos] = _poisson_mixture(half[pos], table, rest_below, rest_above)
+    return float(out[0]) if lam.ndim == 0 else out.reshape(lam.shape)
+
+
+def _geometric_rest(term, q):
+    """term (q + q^2 + ...), and inf where the ratio q is not below 1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(q < 1.0, term * q / (1.0 - q), np.inf)
+
+
+def noncentral_f_pdf(f: float, params: NoncentralFParams):
     """Density sum_k w_k x^{k+mu/2} (1-x)^{nu/2} / (B(k+mu/2, nu/2) f).
 
     Here x = mu f / (mu f + nu) and w_k is the Poisson(lambda/2) pmf.  The
     ratio of successive terms falls as k grows, so on either side of the
-    summed range the dropped terms are bounded by a geometric series in the
-    ratio at its edge (see ``_sum_from_mode``).
+    summed window the dropped terms are bounded by a geometric series in the
+    ratio at its edge (see ``_poisson_mixture``).
     """
     if f <= 0:
         raise ValueError("f must be positive")
-    mu, nu, half = params.mu_dof, params.nu_dof, params.noncentrality / 2.0
+    mu, nu, lam = params.mu_dof, params.nu_dof, params.noncentrality
     if mu * f == np.inf:  # x would be inf/inf; the density vanishes there
-        return 0.0
+        return _constant_at(lam, 0.0)
     a, b = mu / 2.0, nu / 2.0
     x = mu * f / (mu * f + nu)
     log_x, log_1mx, log_f = np.log(x), np.log1p(-x), np.log(f)
-    if half == 0.0:
-        return float(np.exp(_log_beta_density(a, b, log_x, log_1mx) - log_f))
 
-    def term(k):
-        return np.exp(_log_poisson(k, half)
-                      + _log_beta_density(k + a, b, log_x, log_1mx) - log_f)
+    def table(k0, k1):
+        return np.exp(_log_beta_density(np.arange(k0, k1) + a, b, log_x, log_1mx) - log_f)
 
-    def ratio(k):  # term(k + 1) / term(k)
-        return half * x * (k + a + b) / ((k + 1.0) * (k + a))
+    def ratio(k, h):  # term(k + 1) / term(k)
+        return h * x * (k + a + b) / ((k + 1.0) * (k + a))
 
-    def geometric_rest(k, q):  # term(k) (q + q^2 + ...)
-        return float(term(k)) * q / (1.0 - q) if q < 1.0 else np.inf
-
-    return _sum_from_mode(half, term,
-                          lambda k: geometric_rest(k, 1.0 / ratio(k - 1)),
-                          lambda k: geometric_rest(k, ratio(k)))
+    central = float(np.exp(_log_beta_density(a, b, log_x, log_1mx) - log_f))
+    return _mixture_at(lam, central, table,
+                       lambda k, h, term: _geometric_rest(term, 1.0 / ratio(k - 1, h)),
+                       lambda k, h, term, t: _geometric_rest(term, ratio(k, h)))
 
 
-def noncentral_f_cdf(c: float, params: NoncentralFParams) -> float:
+def noncentral_f_cdf(c: float, params: NoncentralFParams):
     """P(F <= c) = sum_k w_k I_x(k + mu/2, nu/2), x = mu c / (mu c + nu).
 
     w_k is the Poisson(lambda/2) pmf and I_x the regularized incomplete
-    beta function, which falls as k grows.  The sum runs outward from the
-    Poisson mode (see ``_sum_from_mode``): the terms below the summed range
+    beta function, which falls as k grows.  The sum runs over a window
+    around the Poisson mode (see ``_poisson_mixture``): the terms below it
     add up to at most the Poisson mass there, since I_x <= 1, and those
     above it to at most the Poisson mass there times I_x at its edge.
-    Within a block, one incomplete-beta call at the top gives I_x there,
-    and I_x(z, b) = I_x(z + 1, b) + x^z (1-x)^b / (z B(z, b)) (DLMF 8.17.20)
-    adds positive terms downward from it.  Where x > 1/2, I_x(z, b) is
-    taken as the complement I^c_y(b, z) of y = 1 - x = nu / (mu c + nu),
-    so 1 - x keeps its bits when c is large.
+    Over a table's span, one incomplete-beta call at each top of
+    _ANCHOR_STEP atoms gives I_x there, and I_x(z, b) = I_x(z + 1, b) +
+    x^z (1-x)^b / (z B(z, b)) (DLMF 8.17.20) adds positive terms downward
+    from it.  Where x > 1/2, I_x(z, b) is taken as the complement
+    I^c_y(b, z) of y = 1 - x = nu / (mu c + nu), so 1 - x keeps its bits
+    when c is large.
     """
-    if c <= 0:
-        return 0.0
-    mu, nu, half = params.mu_dof, params.nu_dof, params.noncentrality / 2.0
-    if mu * c == np.inf:  # x would be inf/inf; all the mass lies below c
-        return 1.0
+    mu, nu, lam = params.mu_dof, params.nu_dof, params.noncentrality
+    if c <= 0 or mu * c == np.inf:  # at mu c = inf, x would be inf/inf
+        return _constant_at(lam, float(c > 0))
     a, b = mu / 2.0, nu / 2.0
     # x and y = 1 - x are both formed directly, so neither loses its bits
     x, y = mu * c / (mu * c + nu), nu / (mu * c + nu)
+    log_x = np.log(x) if x <= y else np.log1p(-y)
+    log_1mx = np.log(y)
 
     def ibeta(z):  # I_x(z, b), evaluated through the smaller of x and y
         return betainc(z, b, x) if x <= y else betaincc(b, z, y)
 
-    if half == 0.0:
-        return float(ibeta(a))
-    log_x = np.log(x) if x <= y else np.log1p(-y)
-    log_1mx = np.log(y)
+    def table(k0, k1):  # I_x(k + a, b) on [k0, k1)
+        z = np.arange(k0, k1) + a
+        steps = np.exp(_log_beta_density(z, b, log_x, log_1mx) - np.log(z))
+        pad = -z.size % _ANCHOR_STEP
+        steps = np.concatenate([np.zeros(pad), steps]).reshape(-1, _ANCHOR_STEP)
+        steps[:, -1] = 0.0  # each row's top is its anchor
+        anchors = ibeta(z[_ANCHOR_STEP - 1 - pad::_ANCHOR_STEP])
+        rows = np.cumsum(steps[:, ::-1], axis=1)[:, ::-1] + anchors[:, None]
+        return rows.ravel()[pad:]
 
-    def term(k):
-        z = k + a
-        steps = np.exp(_log_beta_density(z[:-1], b, log_x, log_1mx) - np.log(z[:-1]))
-        below_top = np.append(np.cumsum(steps[::-1])[::-1], 0.0)
-        return np.exp(_log_poisson(k, half)) * (ibeta(z[-1]) + below_top)
-
-    total = _sum_from_mode(half, term,
-                           lambda k: pdtr(k - 1, half),
-                           lambda k: pdtrc(k, half) * ibeta(k + a))
-    return min(total, 1.0)
+    total = _mixture_at(lam, float(ibeta(a)), table,
+                        lambda k, h, term: pdtr(k - 1, h),
+                        lambda k, h, term, t: pdtrc(k, h) * t)
+    return np.minimum(total, 1.0) if isinstance(total, np.ndarray) else min(total, 1.0)
 
 
 def critical_point(alpha: float, mu: int, nu: int) -> float:

@@ -3,8 +3,10 @@
 HH: Hotelling's T-squared on heterodyne outcomes.  The scaled statistic
 F = (nu / (mu (n-1))) T^2 with mu = 2m, nu = n - 2m follows a noncentral F
 law with noncentrality lambda = n * kappa(theta, eta, N), so its type II
-error is the noncentral F cdf at the level-alpha critical point; a seeded
-Monte Carlo route simulates the whole chain instead.
+error is the noncentral F cdf at the level-alpha critical point.  A whole
+stack of displacements takes one kappa and one cdf call, since only lambda
+moves along it.  A seeded Monte Carlo route simulates the whole chain
+instead, on whitened draws: T^2 does not change under x -> L^{-1} x.
 
 SI: the squeezing-invariant test.  For a pure alternative (mixture 0) the
 type II error has the closed form
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import distributions as dist
 from .distributions import NoncentralFParams
-from .phase_space import GaussianSpec, SqueezeParam, heterodyne_sample, kappa, rng_stream
+from .phase_space import GaussianSpec, SqueezeParam, kappa, moments, rng_stream
 
 # Replicates per block of the Monte Carlo route.
 _MC_CHUNK = 2 ** 15
@@ -88,7 +90,8 @@ def hotelling_F(samples: np.ndarray) -> float:
     """Scaled Hotelling statistic (nu / (mu (n-1))) * n xbar' Sbar^{-1} xbar.
 
     ``samples`` is an (n, 2m) array of heterodyne outcomes; the sample
-    covariance uses divisor n - 1.
+    covariance uses divisor n - 1.  The samples are centred before the
+    shared kernel reads their moments.
     """
     samples = np.asarray(samples, dtype=float)
     n, p = samples.shape
@@ -97,50 +100,56 @@ def hotelling_F(samples: np.ndarray) -> float:
     m = p // 2
     if n <= 2 * m:
         raise ValueError("need more than 2m samples")
-    t2 = float(_hotelling_t2(samples[None])[0])
+    xbar = samples.mean(axis=0)
+    t2 = float(_hotelling_t2((samples - xbar)[None], xbar)[0])
     if t2 == np.inf:
         raise SingularCovarianceError("sample covariance is singular")
     mu, nu = 2 * m, n - 2 * m
     return (nu / (mu * (n - 1))) * t2
 
 
-def _hotelling_t2(x: np.ndarray) -> np.ndarray:
-    """T^2 = n xbar' S^{-1} xbar for each replicate of an (R, n, p) block.
+def _hotelling_t2(z: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """T^2 = n xbar' S^{-1} xbar of the replicates z[r] + shift, for an (R, n, p) block z.
 
-    S is the sample covariance with divisor n - 1.  The work is done on the
-    R-long columns x[:, k, i], with Python loops only over the small n and
-    p: per-dimension sums give xbar, centred products the p(p+1)/2 distinct
-    entries of S, and an unpivoted Cholesky factor S = L L' with the forward
-    solve L y = xbar gives T^2 = n |y|^2.  S is positive semidefinite, so no
-    pivoting is needed.  A pivot that is not positive makes y, and so T^2,
-    non-finite; such a replicate reads +inf, the limit of the form when xbar
-    leaves the range of a singular S, so it counts as a rejection.
+    S is the sample covariance with divisor n - 1.  Adding ``shift`` to
+    every copy moves xbar but not S, so S is read from z alone, from its
+    uncentred moments sum_k z_ki z_kj - n zbar_i zbar_j: one strided
+    product per entry on the R-long columns z[:, :, i], which keeps its
+    bits while z's mean is small next to its spread (callers pass centred
+    or whitened draws).  Python loops run only over the small p: an
+    unpivoted Cholesky factor S = L L' and the forward solve L y = xbar give
+    T^2 = n |y|^2.  S is positive semidefinite, so no pivoting is needed.
+    A pivot that is not positive makes y, and so T^2, non-finite; such a
+    replicate reads +inf, the limit of the form when xbar leaves the range
+    of a singular S, so it counts as a rejection.
     """
-    _, n, p = x.shape
-    dev, xbar = [], []
-    for i in range(p):
-        cols = [x[:, k, i] for k in range(n)]
-        xbar.append(sum(cols) / n)
-        dev.append([c - xbar[i] for c in cols])
+    _, n, p = z.shape
+    cols = [z[:, :, i] for i in range(p)]
+    zbar = [c.sum(axis=1) / n for c in cols]
     L = [[None] * p for _ in range(p)]
     y = []
     with np.errstate(all="ignore"):
         for j in range(p):
             for i in range(j, p):
-                s = (sum(a * b for a, b in zip(dev[i], dev[j])) / (n - 1)
-                     - sum(L[i][k] * L[j][k] for k in range(j)))
+                s = ((np.einsum("rk,rk->r", cols[i], cols[j]) - n * zbar[i] * zbar[j])
+                     / (n - 1) - sum(L[i][k] * L[j][k] for k in range(j)))
                 if i == j:
                     L[j][j] = np.sqrt(s)
                 else:
                     L[i][j] = s / L[j][j]
-            y.append((xbar[j] - sum(L[j][k] * y[k] for k in range(j))) / L[j][j])
+            xbar = zbar[j] + shift[..., j]
+            y.append((xbar - sum(L[j][k] * y[k] for k in range(j))) / L[j][j])
         t2 = n * sum(v * v for v in y)
     t2[~np.isfinite(t2)] = np.inf
     return t2
 
 
-def hh_type2_analytic(theta, eta: SqueezeParam, spec: TestSpec) -> float:
-    """Type II error of the Hotelling test: noncentral F cdf at the critical point."""
+def hh_type2_analytic(theta, eta: SqueezeParam, spec: TestSpec):
+    """Type II error of the Hotelling test: noncentral F cdf at the critical point.
+
+    One displacement gives a float; a (k, m) stack of them gives a (k,)
+    array from one ``kappa`` and one cdf call.
+    """
     if spec.kind != "hh":
         raise ValueError("spec.kind must be 'hh'")
     lam = spec.copies * kappa(theta, eta, spec.mixture)
@@ -161,21 +170,27 @@ def hh_type2_montecarlo(theta, eta: SqueezeParam, spec: TestSpec, reps: int,
 
     Deterministic under a fixed seed.  Replicates are drawn in order from
     the single stream (seed,) and reduced in blocks of _MC_CHUNK, so memory
-    stays bounded and the estimate does not depend on the block size.
+    stays bounded and the estimate does not depend on the block size.  T^2
+    is unchanged by x -> L^{-1} x, so with sigma = L L' the outcomes
+    mu + L z of ``heterodyne_sample`` are evaluated whitened, as z + delta
+    with delta = L^{-1} mu: the same standard normal draws z, and no
+    per-chunk transform.
     """
     if spec.kind != "hh":
         raise ValueError("spec.kind must be 'hh'")
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    gspec = GaussianSpec(spec.modes, np.atleast_1d(np.asarray(theta, dtype=complex)),
-                         eta, spec.mixture)
+    mom = moments(GaussianSpec(spec.modes, np.atleast_1d(np.asarray(theta, dtype=complex)),
+                               eta, spec.mixture))
+    # sigma >= I/4; LinAlgError (a ValueError) once rounding breaks that, |S| >= 18
+    delta = np.linalg.solve(np.linalg.cholesky(mom.sigma), mom.mu)
     n, p = spec.copies, 2 * spec.modes
     rng = rng_stream(seed)
     accepted = 0
     for start in range(0, reps, _MC_CHUNK):
         size = min(_MC_CHUNK, reps - start)
-        x = heterodyne_sample(gspec, size * n, rng=rng).reshape(size, n, p)
-        f = (spec.nu_dof / (spec.mu_dof * (n - 1))) * _hotelling_t2(x)
+        z = rng.standard_normal((size * n, p)).reshape(size, n, p)
+        f = (spec.nu_dof / (spec.mu_dof * (n - 1))) * _hotelling_t2(z, delta)
         accepted += int(np.count_nonzero(f <= spec.critical_point))
     accept = accepted / reps
     stderr = float(np.sqrt(max(accept * (1.0 - accept), 1e-12) / reps))
@@ -251,7 +266,7 @@ def crossing_check(alpha: float, theta_grid) -> CrossingResult:
     spec_hh = TestSpec(1, 3, 0.0, alpha, "hh")
     eta0 = SqueezeParam.zero(1)
     beta_si = np.array([si_type2_closed(t, spec_si) for t in grid])
-    beta_hh = np.array([hh_type2_analytic(t, eta0, spec_hh) for t in grid])
+    beta_hh = hh_type2_analytic(grid[:, None], eta0, spec_hh)
     small = large = None
     margin = 1e-12
     for t, bs, bh in zip(grid, beta_si, beta_hh):

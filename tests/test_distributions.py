@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
-from scipy.special import comb, erfc, gammaln, ncfdtr
+from scipy.special import comb, erfc, gammaln, ncfdtr, pdtr, pdtrc
 
+from sqitest import distributions as dist
 from sqitest.distributions import (
     ConvergenceError,
     IntegerDistribution,
@@ -345,6 +346,45 @@ class TestNoncentralF:
         # a series over the Poisson(lambda/2) weights has no mode to start from
         with pytest.raises(ValueError):
             NoncentralFParams(2, 1, lam)
+
+    @pytest.mark.parametrize("bad", [-1.0, float("inf"), float("nan")])
+    def test_bad_entry_of_a_noncentrality_array_rejected(self, bad):
+        with pytest.raises(ValueError):
+            NoncentralFParams(2, 1, np.array([0.5, bad, 3.0]))
+
+    @pytest.mark.parametrize("fn", [noncentral_f_cdf, noncentral_f_pdf])
+    def test_array_call_equals_per_noncentrality_calls(self, fn):
+        # unsorted, with repeats, 0, a subnormal value and two huge ones; at
+        # c = 5e11 the lambda = 1e12 entries sit near their mean
+        lams = np.array([7.5, 0.0, 1e12, 3.25, 1e-310, 7.5, 1e10, 480.0, 0.0, 2e4, 3.25])
+        c = 5e11
+        got = fn(c, NoncentralFParams(2, 1, lams))
+        assert isinstance(got, np.ndarray) and got.shape == lams.shape
+        want = [fn(c, NoncentralFParams(2, 1, lam)) for lam in lams]
+        assert all(isinstance(w, float) for w in want)
+        assert np.all(got > 0)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_array_keeps_its_shape(self):
+        lams = np.array([[0.0, 1.0], [5.0, 20.0]])
+        got = noncentral_f_cdf(2.0, NoncentralFParams(2, 1, lams))
+        assert got.shape == (2, 2)
+        assert got[1, 0] == noncentral_f_cdf(2.0, NoncentralFParams(2, 1, 5.0))
+
+    def test_engine_sums_poisson_weights_within_the_group_cap(self):
+        # with every t_k = 1 the series is the Poisson mass, 1; no table,
+        # and so no temporary, spans more than the group cap
+        spans = []
+
+        def ones(k0, k1):
+            spans.append(k1 - k0)
+            return np.ones(k1 - k0)
+
+        half = np.array([5e11, 0.3, 5e9, 2e3, 2e3 + 0.5, 40.0])
+        total = dist._poisson_mixture(half, ones, lambda k, h, term: pdtr(k - 1, h),
+                                      lambda k, h, term, t: pdtrc(k, h) * t)
+        np.testing.assert_allclose(total, 1.0, rtol=0.0, atol=1e-12)
+        assert max(spans) <= dist._GROUP_CAP
 
     @pytest.mark.parametrize("lam", [0.0, 5.0])
     @pytest.mark.parametrize("c", [np.inf, 1e308])

@@ -73,6 +73,15 @@ class TestHotellingStatistic:
         X = rng.standard_normal((5, 2))
         assert hotelling_F(3.7 * X) == pytest.approx(hotelling_F(X), rel=1e-10)
 
+    def test_offset_data_matches_explicit_solve(self):
+        # the kernel reads uncentred moments, so hotelling_F centres first
+        rng = np.random.default_rng(8)
+        X = 1e3 + rng.standard_normal((7, 4))
+        xbar = X.mean(axis=0)
+        cov = (X - xbar).T @ (X - xbar) / 6.0
+        t2 = 7.0 * xbar @ np.linalg.solve(cov, xbar)
+        assert hotelling_F(X) == pytest.approx((3.0 / (4.0 * 6.0)) * t2, rel=1e-10, abs=0.0)
+
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             hotelling_F(np.zeros((2, 2)))
@@ -82,9 +91,10 @@ class TestHotellingKernel:
     @pytest.mark.parametrize("n, p", [(4, 2), (6, 4), (9, 6)])
     def test_matches_per_replicate_solve(self, n, p):
         rng = np.random.default_rng(100 * n + p)
-        x = rng.standard_normal((64, n, p)) + rng.standard_normal(p)
-        x[17] = x[17, 0]  # identical copies: a singular sample covariance
-        got = _hotelling_t2(x)
+        z, shift = rng.standard_normal((64, n, p)), rng.standard_normal(p)
+        z[17] = z[17, 0]  # identical copies: a singular sample covariance
+        got = _hotelling_t2(z, shift)
+        x = z + shift
         for r in range(len(x)):
             if r == 17:
                 assert got[r] == np.inf
@@ -137,6 +147,19 @@ class TestHHAnalytic:
             lam = 3 * kappa(np.array([th]), eta0, 0.0)
             beta = hh_type2_analytic(th, eta0, spec)
             assert beta > np.exp(-lam / 2.0) * 0.95
+
+    def test_one_theta_gives_a_float_and_a_stack_an_array(self):
+        spec = TestSpec(2, 6, 0.3, 0.05, "hh")
+        eta = SqueezeParam.axis_family(1.5, modes=2)
+        stack = np.array([[0.0, 0.0], [0.5, 0.2j], [1.0 - 0.5j, 0.3]])
+        got = hh_type2_analytic(stack, eta, spec)
+        assert isinstance(got, np.ndarray) and got.shape == (3,)
+        for theta, beta in zip(stack, got):
+            one = hh_type2_analytic(theta, eta, spec)
+            assert isinstance(one, float)
+            assert one == pytest.approx(beta, rel=1e-14, abs=0.0)
+        assert isinstance(hh_type2_analytic(0.5, SqueezeParam.zero(1),
+                                            TestSpec(1, 3, 0.0, 0.05, "hh")), float)
 
     def test_critical_point_solved_once_per_spec(self, monkeypatch):
         calls = []

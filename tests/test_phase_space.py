@@ -177,6 +177,23 @@ class TestHeterodyneSampling:
 
 
 class TestKappa:
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("N", [0.0, 0.5])
+    def test_stack_equals_per_row_calls(self, m, N):
+        rng = np.random.default_rng(10 * m + int(2 * N))
+        eta = random_eta(rng, m, scale=1.5)
+        stack = 3.0 * (rng.standard_normal((7, m)) + 1j * rng.standard_normal((7, m)))
+        stack[2] = 0.0
+        got = kappa(stack, eta, N)
+        assert isinstance(got, np.ndarray) and got.shape == (7,)
+        want = [kappa(row, eta, N) for row in stack]
+        assert all(isinstance(w, float) for w in want)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+    def test_stack_of_wrong_width_rejected(self):
+        with pytest.raises(ValueError):
+            kappa(np.zeros((3, 2)), SqueezeParam.zero(1), 0.0)
+
     def test_axis_family_closed_form(self):
         for r in (0.3, 1.0, 2.5):
             for N in (0.0, 0.5, 2.0):
