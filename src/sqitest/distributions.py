@@ -3,9 +3,11 @@
 Continuous side: the noncentral F density/cdf as a Poisson-weighted beta
 series, and the level-alpha critical point of the central F distribution
 from the inverse incomplete beta function.  Density and cdf share one
-Poisson-mixture engine that takes an array of noncentralities: the lambda-free
-factors of the series are tabled once per group of summation windows, and
-each lambda adds only its Poisson weights over its own window.
+Poisson-mixture engine that takes an array of noncentralities and returns
+its shape.  Each series gives the engine only its lambda-free factors, which
+are tabled once per group of summation windows, and the k where they peak;
+each lambda adds only its Poisson weights over its own window, and the
+engine bounds the terms outside it from those two.
 
 Discrete side: the lattice law of the photon count-difference statistic
 observed on two copies of a displaced thermal state.  Its characteristic
@@ -34,8 +36,8 @@ import numpy as np
 from scipy.special import (betainc, betaincc, betainccinv, betaincinv, gammaln, hyp0f1,
                            ive, pdtr, pdtrc)
 
-# Series stopping: relative floor plus an absolute guard against underflow
-# stalls when the noncentrality is large.
+# Stopping of the Skellam series oracle: relative floor plus an absolute
+# guard against underflow stalls when its rate is large.
 _REL_STOP = 1e-16
 _ABS_FLOOR = 1e-300
 # Poisson-mixture series (noncentral F): the bound on the dropped terms,
@@ -47,8 +49,10 @@ _GROUP_CAP = 2 ** 13
 # Incomplete-beta anchors of the noncentral F cdf's table: one per this
 # many atoms, the rest by a downward recurrence.
 _ANCHOR_STEP = 512
-# Grid doublings tried by the characteristic-function inversion.
+# Grid doublings tried by the characteristic-function inversion, and the
+# largest change between two successive grids at which it has settled.
 _CF_DOUBLINGS = 12
+_CF_TOL = 1e-10
 # Largest -log f(0) of a photon-number law built in one recurrence: f(0)
 # stays normal.
 _LOG_F0_SPLIT = 500.0
@@ -236,11 +240,11 @@ def skellam_pmf(y: int, lam: float) -> float:
     return total
 
 
-def invert_integer_cf(cf, support_bound: int, tol: float = 1e-10) -> IntegerDistribution:
+def invert_integer_cf(cf, support_bound: int) -> IntegerDistribution:
     """Recover an integer-lattice pmf from its characteristic function.
 
     pmf(y) = (1/2pi) int_{-pi}^{pi} cf(r) e^{-iry} dr, trapezoid rule on a
-    uniform grid with doubling until two successive grids agree to ``tol``;
+    uniform grid with doubling until two successive grids agree to _CF_TOL;
     raises ConvergenceError if they never do within _CF_DOUBLINGS grids.
     Raises ValueError if mass beyond ``support_bound`` exceeds _MASS_TOL.
     """
@@ -253,13 +257,13 @@ def invert_integer_cf(cf, support_bound: int, tol: float = 1e-10) -> IntegerDist
         vals = np.asarray(cf(r), dtype=complex)
         # e^{-i y r_j} = (-1)^y e^{-2 pi i y j / K}; K > 2S + 1 keeps y mod K distinct
         pmf = sign * np.fft.fft(vals)[ys % K].real / K
-        if prev is not None and np.max(np.abs(pmf - prev)) < tol:
+        if prev is not None and np.max(np.abs(pmf - prev)) < _CF_TOL:
             break
         prev = pmf
         K *= 2
     else:
         raise ConvergenceError(
-            f"cf inversion did not settle to {tol:g} in {_CF_DOUBLINGS} grids")
+            f"cf inversion did not settle to {_CF_TOL:g} in {_CF_DOUBLINGS} grids")
     pmf = np.clip(pmf, 0.0, None)
     missing = 1.0 - pmf.sum()
     if missing > _MASS_TOL:
@@ -384,13 +388,13 @@ def _sum_windows(half, lo, hi, table):
     """Sum w_k(h) t_k over k in [lo, hi) for each window (h, lo, hi).
 
     w_k(h) is the Poisson(h) pmf and ``table(k0, k1)`` gives the
-    lambda-free factors t_k on [k0, k1).  Returns each window's sum, its
-    first and last terms, and t_k at its last k.  Windows are cut into
-    chunks of at most _GROUP_CAP atoms, and the chunks, in order of their
-    first k, into groups whose atoms and k-span both stay within
-    _GROUP_CAP, so no temporary is larger.  Per group, t_k and the k-only
-    part c_k = -log sqrt(2 pi k) - (Stirling remainder of k) are built once
-    over its span, and every atom adds one deviance in the saddle-point form
+    lambda-free factors t_k on [k0, k1).  Returns each window's sum and
+    t_k at its first and at its last k.  Windows are cut into chunks of at
+    most _GROUP_CAP atoms, and the chunks, in order of their first k, into
+    groups whose atoms and k-span both stay within _GROUP_CAP, so no
+    temporary is larger.  Per group, t_k and the k-only part
+    c_k = -log sqrt(2 pi k) - (Stirling remainder of k) are built once over
+    its span, and every atom adds one deviance in the saddle-point form
 
         log w_k(h) = c_k - [k log1p((k - h)/h) - (k - h)],   log w_0(h) = -h,
 
@@ -404,7 +408,7 @@ def _sum_windows(half, lo, hi, table):
     head = np.cumsum(count) - count
     c_lo = lo[owner] + _GROUP_CAP * (np.arange(owner.size) - head[owner])
     c_hi = np.minimum(c_lo + _GROUP_CAP, hi[owner])
-    sums, first, last, t_last = (np.empty(owner.size) for _ in range(4))
+    sums, t_first, t_last = (np.empty(owner.size) for _ in range(3))
     order = np.argsort(c_lo, kind="stable")
     start = 0
     while start < order.size:
@@ -426,123 +430,106 @@ def _sum_windows(half, lo, hi, table):
         with np.errstate(over="ignore"):  # a subnormal h: deviance inf, weight 0
             deviance = k * np.log1p((k - h) / h) - (k - h)
         log_w = np.where(at + k0 == 0, -h, c[at] - deviance)
-        terms = np.exp(log_w) * t[at]
-        end = offset + size - 1
-        sums[group] = np.add.reduceat(terms, offset)
-        first[group], last[group], t_last[group] = terms[offset], terms[end], t[at[end]]
-    tail = head + count - 1
-    return np.add.reduceat(sums, head), first[head], last[tail], t_last[tail]
+        sums[group] = np.add.reduceat(np.exp(log_w) * t[at], offset)
+        t_first[group], t_last[group] = t[at[offset]], t[at[offset + size - 1]]
+    return np.add.reduceat(sums, head), t_first[head], t_last[head + count - 1]
 
 
-def _poisson_mixture(half, table, rest_below, rest_above):
+def _poisson_mixture(half, table, peak: int):
     """sum_k w_k(h) t_k for each Poisson mean h > 0 of the 1-D array ``half``.
 
-    Every h sums one window of k around its mode floor(h), first
-    [mode - B, mode + B) with B = 64 + 10 sqrt(h).  ``rest_below(lo, h,
-    term)`` bounds the sum of the terms below the window's first k, given
-    the term there; ``rest_above(k, h, term, t)`` bounds those above its
-    last k, given the term and t_k there.  Each side whose bound exceeds
-    _TAIL_STOP of the running total is widened by B, and only the windows
-    of those h; a side stops at k = 0 or once its bound is at most that (or
-    is nan).  There is no cap on the number of widenings.
+    ``table(k0, k1)`` gives the lambda-free factors t_k >= 0 on [k0, k1),
+    which rise up to k = ``peak`` and fall after it.  Every h sums one
+    window of k around its mode floor(h), first [mode - B, mode + B) with
+    B = 64 + 10 sqrt(h).  The terms below a window that starts at lo > 0
+    add up to at most pdtr(lo - 1, h) times t_lo (lo <= peak) or t_peak,
+    those above one that ends at hi - 1 to at most pdtrc(hi - 1, h) times
+    t_{hi-1} (hi - 1 >= peak) or t_peak.  Each side whose bound exceeds
+    _TAIL_STOP of the running total is widened by B, for those h alone,
+    until k = 0 or its bound is at most that; there is no cap.
     """
     mode = np.floor(half).astype(np.int64)
     block = 64 + np.floor(10.0 * np.sqrt(half)).astype(np.int64)
     lo, hi = np.maximum(mode - block, 0), mode + block
-    total, first, last, t_last = _sum_windows(half, lo, hi, table)
+    total, t_lo, t_hi = _sum_windows(half, lo, hi, table)
+    t_peak = table(peak, peak + 1)[0]
     down, up = lo > 0, np.ones(half.shape, dtype=bool)
     while True:
         b, a = np.flatnonzero(down), np.flatnonzero(up)
-        down[b] = rest_below(lo[b], half[b], first[b]) > _TAIL_STOP * total[b]
-        up[a] = rest_above(hi[a] - 1, half[a], last[a], t_last[a]) > _TAIL_STOP * total[a]
+        below = pdtr(lo[b] - 1, half[b]) * np.where(lo[b] <= peak, t_lo[b], t_peak)
+        above = pdtrc(hi[a] - 1, half[a]) * np.where(hi[a] - 1 >= peak, t_hi[a], t_peak)
+        down[b], up[a] = below > _TAIL_STOP * total[b], above > _TAIL_STOP * total[a]
         b, a = np.flatnonzero(down), np.flatnonzero(up)
         if not b.size + a.size:
             return total
         new_lo = np.maximum(lo[b] - block[b], 0)
-        sums, edge_first, edge_last, edge_t = _sum_windows(
+        sums, edge_first, edge_last = _sum_windows(
             np.concatenate([half[b], half[a]]), np.concatenate([new_lo, hi[a]]),
             np.concatenate([lo[b], hi[a] + block[a]]), table)
         total[b] += sums[:b.size]
         total[a] += sums[b.size:]
-        lo[b], first[b], down[b] = new_lo, edge_first[:b.size], new_lo > 0
+        lo[b], t_lo[b], down[b] = new_lo, edge_first[:b.size], new_lo > 0
         hi[a] += block[a]
-        last[a], t_last[a] = edge_last[b.size:], edge_t[b.size:]
+        t_hi[a] = edge_last[b.size:]
 
 
-def _constant_at(lam, value: float):
-    """``value`` at every noncentrality of ``lam``: a float, or an array of its shape."""
-    lam = np.asarray(lam)
-    return value if lam.ndim == 0 else np.full(lam.shape, value)
+def _mixture_at(lam, table, peak: int):
+    """The series at every noncentrality of ``lam``, in its shape.
 
-
-def _mixture_at(lam, central: float, table, rest_below, rest_above):
-    """The series at every noncentrality of ``lam``: a float, or an array of its shape.
-
-    ``central`` is its value at lambda = 0, the k = 0 term alone.
+    At lambda = 0 the series is its k = 0 term alone.  A 0-d ``lam`` gives
+    a numpy float.
     """
     lam = np.asarray(lam, dtype=float)
-    if not lam.any():
-        return _constant_at(lam, central)
     half = lam.ravel() / 2.0
     pos = half > 0.0
-    out = np.full(half.shape, central)
-    out[pos] = _poisson_mixture(half[pos], table, rest_below, rest_above)
-    return float(out[0]) if lam.ndim == 0 else out.reshape(lam.shape)
-
-
-def _geometric_rest(term, q):
-    """term (q + q^2 + ...), and inf where the ratio q is not below 1."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(q < 1.0, term * q / (1.0 - q), np.inf)
+    out = np.empty(half.shape)
+    if not pos.all():
+        out[~pos] = table(0, 1)[0]
+    if pos.any():
+        out[pos] = _poisson_mixture(half[pos], table, peak)
+    return out.reshape(lam.shape)[()]
 
 
 def noncentral_f_pdf(f: float, params: NoncentralFParams):
     """Density sum_k w_k x^{k+mu/2} (1-x)^{nu/2} / (B(k+mu/2, nu/2) f).
 
     Here x = mu f / (mu f + nu) and w_k is the Poisson(lambda/2) pmf.  The
-    ratio of successive terms falls as k grows, so on either side of the
-    summed window the dropped terms are bounded by a geometric series in the
-    ratio at its edge (see ``_poisson_mixture``).
+    factor t_k after w_k has ratio t_{k+1}/t_k = x (k + a + b)/(k + a),
+    a = mu/2, b = nu/2, which is at least 1 while k + a <= b x/(1 - x) =
+    b mu f / nu, so t_k peaks at k* = max(0, floor(b mu f / nu - a) + 1)
+    (see ``_poisson_mixture``).  The output has the shape of lambda.
     """
     if f <= 0:
         raise ValueError("f must be positive")
     mu, nu, lam = params.mu_dof, params.nu_dof, params.noncentrality
     if mu * f == np.inf:  # x would be inf/inf; the density vanishes there
-        return _constant_at(lam, 0.0)
+        return np.zeros(np.shape(lam))[()]
     a, b = mu / 2.0, nu / 2.0
     x = mu * f / (mu * f + nu)
     log_x, log_1mx, log_f = np.log(x), np.log1p(-x), np.log(f)
 
-    def table(k0, k1):
-        return np.exp(_log_beta_density(np.arange(k0, k1) + a, b, log_x, log_1mx) - log_f)
+    def table(k0, k1):  # k0 + a in float: the peak of a huge f is past the int64 range
+        z = np.arange(k1 - k0) + (k0 + a)
+        return np.exp(_log_beta_density(z, b, log_x, log_1mx) - log_f)
 
-    def ratio(k, h):  # term(k + 1) / term(k)
-        return h * x * (k + a + b) / ((k + 1.0) * (k + a))
-
-    central = float(np.exp(_log_beta_density(a, b, log_x, log_1mx) - log_f))
-    return _mixture_at(lam, central, table,
-                       lambda k, h, term: _geometric_rest(term, 1.0 / ratio(k - 1, h)),
-                       lambda k, h, term, t: _geometric_rest(term, ratio(k, h)))
+    return _mixture_at(lam, table, int(max(np.floor(mu * f / nu * b - a) + 1.0, 0.0)))
 
 
 def noncentral_f_cdf(c: float, params: NoncentralFParams):
     """P(F <= c) = sum_k w_k I_x(k + mu/2, nu/2), x = mu c / (mu c + nu).
 
     w_k is the Poisson(lambda/2) pmf and I_x the regularized incomplete
-    beta function, which falls as k grows.  The sum runs over a window
-    around the Poisson mode (see ``_poisson_mixture``): the terms below it
-    add up to at most the Poisson mass there, since I_x <= 1, and those
-    above it to at most the Poisson mass there times I_x at its edge.
-    Over a table's span, one incomplete-beta call at each top of
-    _ANCHOR_STEP atoms gives I_x there, and I_x(z, b) = I_x(z + 1, b) +
-    x^z (1-x)^b / (z B(z, b)) (DLMF 8.17.20) adds positive terms downward
-    from it.  Where x > 1/2, I_x(z, b) is taken as the complement
-    I^c_y(b, z) of y = 1 - x = nu / (mu c + nu), so 1 - x keeps its bits
-    when c is large.
+    beta function, which falls as k grows, so its table peaks at k = 0 (see
+    ``_poisson_mixture``).  Over a table's span, one incomplete-beta call
+    at each top of _ANCHOR_STEP atoms gives I_x there, and I_x(z, b) =
+    I_x(z + 1, b) + x^z (1-x)^b / (z B(z, b)) (DLMF 8.17.20) adds positive
+    terms downward from it.  Where x > 1/2, I_x(z, b) is taken as the
+    complement I^c_y(b, z) of y = 1 - x = nu / (mu c + nu), so 1 - x keeps
+    its bits when c is large.  The output has the shape of lambda.
     """
     mu, nu, lam = params.mu_dof, params.nu_dof, params.noncentrality
     if c <= 0 or mu * c == np.inf:  # at mu c = inf, x would be inf/inf
-        return _constant_at(lam, float(c > 0))
+        return np.full(np.shape(lam), float(c > 0))[()]
     a, b = mu / 2.0, nu / 2.0
     # x and y = 1 - x are both formed directly, so neither loses its bits
     x, y = mu * c / (mu * c + nu), nu / (mu * c + nu)
@@ -554,6 +541,8 @@ def noncentral_f_cdf(c: float, params: NoncentralFParams):
 
     def table(k0, k1):  # I_x(k + a, b) on [k0, k1)
         z = np.arange(k0, k1) + a
+        if z.size == 1:  # its own anchor, as at lambda = 0 and at the peak
+            return ibeta(z)
         steps = np.exp(_log_beta_density(z, b, log_x, log_1mx) - np.log(z))
         pad = -z.size % _ANCHOR_STEP
         steps = np.concatenate([np.zeros(pad), steps]).reshape(-1, _ANCHOR_STEP)
@@ -562,10 +551,7 @@ def noncentral_f_cdf(c: float, params: NoncentralFParams):
         rows = np.cumsum(steps[:, ::-1], axis=1)[:, ::-1] + anchors[:, None]
         return rows.ravel()[pad:]
 
-    total = _mixture_at(lam, float(ibeta(a)), table,
-                        lambda k, h, term: pdtr(k - 1, h),
-                        lambda k, h, term, t: pdtrc(k, h) * t)
-    return np.minimum(total, 1.0) if isinstance(total, np.ndarray) else min(total, 1.0)
+    return np.minimum(_mixture_at(lam, table, 0), 1.0)
 
 
 def critical_point(alpha: float, mu: int, nu: int) -> float:
@@ -596,7 +582,7 @@ def beta_function(x: float, y: float) -> float:
     return float(np.exp(gammaln(x) + gammaln(y) - gammaln(x + y)))
 
 
-def exp_cos_integral_scaled(z: float, n: int) -> float:
+def exp_cos_integral_scaled(z, n: int):
     """e^{-|z|} int_0^pi e^{z cos phi} sin^{n-2} phi dphi, overflow-free.
 
     The integral is even in z and equals sqrt(pi) Gamma(nu + 1/2)
@@ -604,15 +590,19 @@ def exp_cos_integral_scaled(z: float, n: int) -> float:
     value is that expression with the exponentially scaled Bessel function
     ive, evaluated in logarithms.  Where ive underflows (z = 0, or |z|
     small against nu) the series form B((n-1)/2, 1/2) e^{-|z|}
-    0F1(; nu + 1; z^2/4) takes over.
+    0F1(; nu + 1; z^2/4) takes over; it is evaluated only there, since
+    scipy's 0F1 breaks down at large z.  The output has the shape of z.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    x = abs(float(z))
+    x = np.abs(np.asarray(z, dtype=float))
     nu = (n - 2) / 2.0
-    bessel = float(ive(nu, x))
-    if x == 0.0 or bessel < np.finfo(float).tiny:
-        series = float(np.exp(-x) * hyp0f1(nu + 1.0, x * x / 4.0))
-        return beta_function((n - 1) / 2.0, 0.5) * series
-    return float(np.exp(0.5 * np.log(np.pi) + gammaln(nu + 0.5)
-                        + nu * np.log(2.0 / x) + np.log(bessel)))
+    bessel = ive(nu, x)
+    low = (x == 0.0) | (bessel < np.finfo(float).tiny)
+    xl, xh = x[low], x[~low]
+    out = np.empty(x.shape)
+    series = np.exp(-xl) * hyp0f1(nu + 1.0, xl * xl / 4.0)
+    out[low] = beta_function((n - 1) / 2.0, 0.5) * series
+    out[~low] = np.exp(0.5 * np.log(np.pi) + gammaln(nu + 0.5)
+                       + nu * np.log(2.0 / xh) + np.log(bessel[~low]))
+    return out[()]

@@ -106,11 +106,9 @@ def _resolve_eta(entry: str, modes: int):
 def _beta_si_column(config: ExperimentConfig, grid: np.ndarray):
     spec = ht.TestSpec(config.modes, config.copies, config.mixture, config.alpha, "si")
     if config.mixture == 0.0:
-        return np.array([ht.si_type2_closed(t, spec) for t in grid]), None
+        return ht.si_type2_closed(grid, spec), None
     if config.copies == 2:
-        vals = np.array([ht.si_type2_n2(t, config.modes, config.mixture, config.alpha)
-                         for t in grid])
-        return vals, None
+        return ht.si_type2_n2(grid, config.modes, config.mixture, config.alpha), None
     note = ("beta_si not evaluated: no closed form for mixture > 0 with more than "
             "two copies; use the truncated-space oracle directly")
     return np.full(grid.shape, np.nan), note
@@ -341,7 +339,7 @@ def _verify_tests(report: VerifyReport):
     spec_s = ht.TestSpec(1, 3, 0.0, 0.5, "si")
     thetas = np.array([2.0, 3.0, 4.0])
     ratios = (ht.hh_type2_analytic(thetas[:, None], eta0, spec_r)
-              / [ht.si_type2_closed(t, spec_s) for t in thetas])
+              / ht.si_type2_closed(thetas, spec_s))
     ok = bool(np.all(np.diff(ratios) < 0))
     report.add("tail_ratio_decreasing", 0.0 if ok else 1.0, 0.5,
                note="alpha = 0.5 puts the grid inside the tail regime")

@@ -3,10 +3,11 @@
 HH: Hotelling's T-squared on heterodyne outcomes.  The scaled statistic
 F = (nu / (mu (n-1))) T^2 with mu = 2m, nu = n - 2m follows a noncentral F
 law with noncentrality lambda = n * kappa(theta, eta, N), so its type II
-error is the noncentral F cdf at the level-alpha critical point.  A whole
-stack of displacements takes one kappa and one cdf call, since only lambda
-moves along it.  A seeded Monte Carlo route simulates the whole chain
-instead, on whitened draws: T^2 does not change under x -> L^{-1} x.
+error is the noncentral F cdf at the level-alpha critical point.  Every
+analytic error map returns the shape of its displacement input (a numpy
+float for one); an HH stack takes one kappa and one cdf call.  A seeded
+Monte Carlo route simulates the whole chain instead, on whitened draws:
+T^2 does not change under x -> L^{-1} x.
 
 SI: the squeezing-invariant test.  For a pure alternative (mixture 0) the
 type II error has the closed form
@@ -147,8 +148,8 @@ def _hotelling_t2(z: np.ndarray, shift: np.ndarray) -> np.ndarray:
 def hh_type2_analytic(theta, eta: SqueezeParam, spec: TestSpec):
     """Type II error of the Hotelling test: noncentral F cdf at the critical point.
 
-    One displacement gives a float; a (k, m) stack of them gives a (k,)
-    array from one ``kappa`` and one cdf call.
+    ``theta`` has shape (..., m), as in ``kappa``, and the output has shape
+    (...), from one ``kappa`` and one cdf call.
     """
     if spec.kind != "hh":
         raise ValueError("spec.kind must be 'hh'")
@@ -197,28 +198,35 @@ def hh_type2_montecarlo(theta, eta: SqueezeParam, spec: TestSpec, reps: int,
     return MonteCarloEstimate(accept, stderr, reps)
 
 
-def si_type2_closed(theta_norm: float, spec: TestSpec) -> float:
+def si_type2_closed(theta_norm, spec: TestSpec):
     """Closed-form type II error of the invariant test for a pure state."""
     if spec.mixture != 0.0:
         raise ValueError("closed form available only for mixture 0")
     n = spec.copies
-    z = n * float(theta_norm) ** 2
+    theta = np.asarray(theta_norm, dtype=float)
+    # theta^2 by Python's float power (libm pow), which keeps the curves' CSV
+    # bytes: numpy's square differs from it in the last bit for about 1 theta in 800
+    z = n * np.array([t ** 2 for t in theta.ravel().tolist()]).reshape(theta.shape)
     scaled = dist.exp_cos_integral_scaled(z, n)
     return (1.0 - spec.alpha) * scaled / dist.beta_function((n - 1) / 2.0, 0.5)
 
 
-def si_type2_n2(theta_norm: float, modes: int, mixture: float, alpha: float) -> float:
+def si_type2_n2(theta_norm, modes: int, mixture: float, alpha: float):
     """Type II error of the two-copy invariant test via the lattice law.
 
     The observable is the square of the count-difference statistic Y, so
     thresholding it is thresholding |Y|: the randomized threshold test is
-    set on the null law of |Y| and evaluated on the displaced one.
+    set on the null law of |Y|, built once per call, and evaluated on the
+    displaced one at each entry of ``theta_norm``.
     """
     def abs_law(theta):
         law = dist.count_difference_distribution(modes, theta, mixture)
         return dist.lattice_law(np.abs(law.support), law.pmf)
 
-    return dist.randomized_acceptance(abs_law(0.0), abs_law(float(theta_norm)), alpha)
+    theta = np.asarray(theta_norm, dtype=float)
+    null = abs_law(0.0)
+    out = [dist.randomized_acceptance(null, abs_law(t), alpha) for t in theta.ravel()]
+    return np.array(out, dtype=float).reshape(theta.shape)[()]
 
 
 def si_small_theta_slope(spec: TestSpec) -> float:
@@ -229,11 +237,12 @@ def si_small_theta_slope(spec: TestSpec) -> float:
     """
     if spec.mixture != 0.0:
         raise ValueError("slope extraction implemented for mixture 0")
-    g = [(1.0 - spec.alpha - si_type2_closed(t, spec)) / t ** 2 for t in _SLOPE_THETAS]
+    t = np.array(_SLOPE_THETAS)
+    g = (1.0 - spec.alpha - si_type2_closed(t, spec)) / t ** 2
     # remainder is O(theta^2) and theta halves, so the ratio in theta^2 is 4
     for _ in range(len(_SLOPE_THETAS) - 1):
-        g = [(4.0 * g[i + 1] - g[i]) / 3.0 for i in range(len(g) - 1)]
-    return g[0]
+        g = (4.0 * g[1:] - g[:-1]) / 3.0
+    return float(g[0])
 
 
 @dataclass(frozen=True)
@@ -265,7 +274,7 @@ def crossing_check(alpha: float, theta_grid) -> CrossingResult:
     spec_si = TestSpec(1, 3, 0.0, alpha, "si")
     spec_hh = TestSpec(1, 3, 0.0, alpha, "hh")
     eta0 = SqueezeParam.zero(1)
-    beta_si = np.array([si_type2_closed(t, spec_si) for t in grid])
+    beta_si = si_type2_closed(grid, spec_si)
     beta_hh = hh_type2_analytic(grid[:, None], eta0, spec_hh)
     small = large = None
     margin = 1e-12

@@ -244,19 +244,19 @@ def heterodyne_sample(spec: GaussianSpec, count: int,
 def kappa(theta, eta: SqueezeParam, mixture: float):
     """Signal-to-noise quadratic form mu.T sigma^{-1} mu (both from eta).
 
-    ``theta`` is one displacement (a scalar for m = 1, or an m-vector),
-    which gives a float, or a (k, m) stack of them, which gives a (k,)
-    array.  sigma is formed and solved once for the whole stack, with
-    mu = (Re theta; Im theta) G^T row by row.
+    ``theta`` has shape (..., m), one displacement per row (a scalar is one
+    displacement of one mode), and the output has shape (...): a 0-d
+    numpy float for one displacement.  sigma is formed and solved once for
+    the whole stack, with mu = (Re theta; Im theta) G^T row by row.
     """
-    theta = np.asarray(theta, dtype=complex)
-    rows = theta.reshape(1, eta.modes) if theta.ndim < 2 else theta
-    if rows.ndim != 2 or rows.shape[1] != eta.modes:
-        raise ValueError(f"theta stack must have shape (k, {eta.modes})")
+    theta = np.atleast_1d(np.asarray(theta, dtype=complex))
+    if theta.shape[-1] != eta.modes:
+        raise ValueError(f"theta must have shape (..., {eta.modes})")
+    rows = theta.reshape(-1, eta.modes)
     sigma = moments(GaussianSpec(eta.modes, np.zeros(eta.modes), eta, mixture)).sigma
     mu = np.concatenate([rows.real, rows.imag], axis=1) @ eta.G.T
     out = np.einsum("ij,ji->i", mu, np.linalg.solve(sigma, mu.T))
-    return float(out[0]) if theta.ndim < 2 else out
+    return out.reshape(theta.shape[:-1])[()]
 
 
 def pooling_rotation_matrix(n: int) -> np.ndarray:

@@ -1,10 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
-from scipy.special import comb, erfc, gammaln, ncfdtr, pdtr, pdtrc
+from scipy.special import comb, erfc, gammaln, ncfdtr
 
 from sqitest import distributions as dist
 from sqitest.distributions import (
@@ -30,6 +32,22 @@ from sqitest.distributions import (
 
 def point_mass(value):
     return IntegerDistribution(value, np.array([1.0]))
+
+
+def assert_shape_rule(fn, values, rtol=0.0):
+    """``fn`` maps a stack of six inputs to a (6,) or (2, 3) array, and one to a numpy float.
+
+    ``values`` stacks the six inputs along its first axis.  The (2, 3)
+    output is the (6,) one reshaped bit for bit, and the (6,) output equals
+    the six single calls to ``rtol``; 0 means bit for bit.
+    """
+    values = np.asarray(values)
+    one = [fn(values[i, ...]) for i in range(6)]
+    assert all(isinstance(w, np.float64) for w in one)
+    flat, grid = fn(values), fn(values.reshape((2, 3) + values.shape[1:]))
+    assert flat.shape == (6,) and grid.shape == (2, 3)
+    np.testing.assert_array_equal(grid.ravel(), flat)
+    np.testing.assert_allclose(flat, one, rtol=rtol, atol=0.0)
 
 
 def polya_aeppli_direct(rate, p, xs):
@@ -272,10 +290,11 @@ class TestCfInversion:
         with pytest.raises(ValueError):
             invert_integer_cf(lambda r: neg_binomial_cf(1, 0.9, r), 2)
 
-    def test_unsettled_inversion_raises(self):
-        # no two successive grids agree to tol = 0, so the doubling runs out
+    def test_unsettled_inversion_raises(self, monkeypatch):
+        # one grid has no predecessor to agree with, so the doubling runs out
+        monkeypatch.setattr(dist, "_CF_DOUBLINGS", 1)
         with pytest.raises(ConvergenceError):
-            invert_integer_cf(lambda r: neg_binomial_cf(2, 0.45, r), 5, tol=0.0)
+            invert_integer_cf(lambda r: neg_binomial_cf(2, 0.45, r), 5)
 
 
 class TestNoncentralF:
@@ -370,6 +389,28 @@ class TestNoncentralF:
         got = noncentral_f_cdf(2.0, NoncentralFParams(2, 1, lams))
         assert got.shape == (2, 2)
         assert got[1, 0] == noncentral_f_cdf(2.0, NoncentralFParams(2, 1, 5.0))
+        # every lambda > 0 of `shared` sums the one window [0, 81)
+        shared = [0.0, 5.0, 5.02, 0.0, 5.06, 5.1]
+        mixed = [0.0, 1.0, 5.0, 1e-310, 20.0, 480.0]
+        for x in (0.5, 2.0, 199.5):
+            def pdf(lam):
+                return noncentral_f_pdf(x, NoncentralFParams(2, 1, lam))
+
+            def cdf(lam):
+                return noncentral_f_cdf(x, NoncentralFParams(2, 1, lam))
+
+            assert_shape_rule(pdf, shared)
+            assert_shape_rule(pdf, mixed)
+            assert_shape_rule(cdf, shared)
+            # the cdf table anchors I_x at the top of its group's k-span; in
+            # `mixed` that is the top of lambda = 480's window, above those
+            # of lambda = 1, 5, 1e-310 and 20, whose sums may round apart
+            assert_shape_rule(cdf, mixed, rtol=1e-14)
+            got = cdf(np.array(mixed))
+            assert got[0] == cdf(0.0) and got[5] == cdf(480.0)
+        for n in (2, 5, 60):
+            assert_shape_rule(lambda z: exp_cos_integral_scaled(z, n),
+                              [0.0, 1e-300, 0.7, -30.0, 4800.0, 1e5])
 
     def test_engine_sums_poisson_weights_within_the_group_cap(self):
         # with every t_k = 1 the series is the Poisson mass, 1; no table,
@@ -381,8 +422,7 @@ class TestNoncentralF:
             return np.ones(k1 - k0)
 
         half = np.array([5e11, 0.3, 5e9, 2e3, 2e3 + 0.5, 40.0])
-        total = dist._poisson_mixture(half, ones, lambda k, h, term: pdtr(k - 1, h),
-                                      lambda k, h, term, t: pdtrc(k, h) * t)
+        total = dist._poisson_mixture(half, ones, 0)
         np.testing.assert_allclose(total, 1.0, rtol=0.0, atol=1e-12)
         assert max(spans) <= dist._GROUP_CAP
 
@@ -395,6 +435,19 @@ class TestNoncentralF:
     @pytest.mark.parametrize("f", [np.inf, 1e308])
     def test_pdf_is_zero_where_mu_f_overflows(self, lam, f):
         assert noncentral_f_pdf(f, NoncentralFParams(2, 1, lam)) == 0.0
+
+    @pytest.mark.parametrize("lam", [1e9, 1e12])
+    def test_pdf_far_below_the_bulk_is_zero(self, lam):
+        # every term underflows; the bound on the terms below the window must
+        # not read inf there, or the window walks down towards k = 0
+        assert noncentral_f_pdf(2.0, NoncentralFParams(2, 1, lam)) == 0.0
+
+    @pytest.mark.parametrize("mu,nu,lam,f", [(2, 5, 0.5, 1e4), (4, 30, 2.0, 500.0)])
+    def test_pdf_whose_table_peaks_far_above_the_poisson_mode(self, mu, nu, lam, f):
+        # t_k peaks near k = mu f / 2 (1e4 and 999 here), past the first window
+        want = stats.ncf.pdf(f, mu, nu, lam)
+        assert noncentral_f_pdf(f, NoncentralFParams(mu, nu, lam)) == pytest.approx(
+            want, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("lam", [4e5, 1e6])
     def test_pdf_at_huge_noncentrality(self, lam):
@@ -564,6 +617,13 @@ class TestSpecialIntegrals:
             want, _ = quad(lambda p: np.exp(z * np.cos(p) - z) * np.sin(p) ** (n - 2),
                            0.0, np.pi, epsabs=1e-300, epsrel=1e-12, limit=400)
             assert exp_cos_integral_scaled(z, n) == pytest.approx(want, rel=1e-10)
+
+    def test_series_form_sees_only_the_entries_that_need_it(self, monkeypatch):
+        # scipy's 0F1 raises and swallows ZeroDivisionError at large arguments
+        seen = []
+        monkeypatch.setattr(sys, "unraisablehook", seen.append)
+        exp_cos_integral_scaled(np.array([0.0, 1e4, 2e4]), 2)
+        assert seen == []
 
     def test_scaled_variant_handles_huge_arguments(self):
         val = exp_cos_integral_scaled(5000.0, 3)

@@ -269,6 +269,14 @@ class TestSIClosedForm:
         with pytest.raises(ValueError):
             si_type2_closed(0.3, TestSpec(1, 2, 0.5, 0.05, "si"))
 
+    def test_array_keeps_its_shape(self):
+        from tests.test_distributions import assert_shape_rule
+
+        for n in (2, 3, 7):
+            spec = TestSpec(1, n, 0.0, 0.05, "si")
+            assert_shape_rule(lambda t: si_type2_closed(t, spec),
+                              [0.0, 0.01, 0.5, 2.0, 40.0, 400.0])
+
     def test_monotone_decreasing_and_bounded(self):
         spec = TestSpec(1, 3, 0.0, 0.05, "si")
         grid = np.linspace(0.1, 2.5, 13)
@@ -293,6 +301,13 @@ class TestSITwoCopies:
         spec = TestSpec(2, 2, 0.0, 0.05, "si")
         assert abs(si_type2_n2(0.5, 2, 0.0, 0.05)
                    - si_type2_closed(0.5, spec)) < 1e-8
+
+    @pytest.mark.parametrize("m,N", [(1, 0.0), (2, 0.5)])
+    def test_array_keeps_its_shape(self, m, N):
+        from tests.test_distributions import assert_shape_rule
+
+        assert_shape_rule(lambda t: si_type2_n2(t, m, N, 0.05),
+                          [0.0, 0.3, 0.3, 0.7, 1.2, 2.5])
 
     def test_level_zero_is_nontrivial_for_pure_states(self):
         beta = si_type2_n2(0.8, 1, 0.0, 0.0)
