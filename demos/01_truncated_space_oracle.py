@@ -69,7 +69,8 @@ print(f"kernel projector == group average: "
 
 vec = fock.coherent_product_vector(cfg, np.full((1, 2), 0.4))
 got = float(np.real(vec.conj() @ (W.entries @ vec)))
-from sqitest.distributions import beta_function, exp_cos_integral_scaled
-want = exp_cos_integral_scaled(2 * 0.16, 2) / beta_function(0.5, 0.5)
+from scipy.special import beta
+from sqitest.distributions import exp_cos_integral_scaled
+want = exp_cos_integral_scaled(2 * 0.16, 2) / beta(0.5, 0.5)
 print(f"coherent expectation of the average: {got:.8f} "
       f"(closed form {want:.8f})")

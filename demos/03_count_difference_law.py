@@ -45,7 +45,7 @@ print("\n== special cases ==")
 pure = dist.count_difference_distribution(1, s, 0.0)
 lam = s * s
 print(f"mixture 0 reduces to a Skellam law: P(Y=0) = {pure.prob(0):.10f} "
-      f"vs series {dist.skellam_pmf(0, lam):.10f}")
+      f"vs Bessel {dist.skellam_pmf(0, lam):.10f}")
 
 print("\n== the noncentral F side of the comparison ==")
 params = dist.NoncentralFParams(2, 1, 3.0)

@@ -10,18 +10,13 @@ each lambda adds only its Poisson weights over its own window, and the
 engine bounds the terms outside it from those two.
 
 Discrete side: the lattice law of the photon count-difference statistic
-observed on two copies of a displaced thermal state.  Its characteristic
-function factorizes as
-
-    phi(r) = [gamma(r) gamma(-r)]^m  psi_s(r) psi_s(-r),
-    gamma(r) = 1 / (N + 1 - N e^{ir}),
-    psi_s(r) = exp[gamma(r) (e^{ir} - 1) s^2],
-
-with s the displacement norm; equivalently the variable is X - X' for two
-independent photon counts of one displaced thermal copy, each the negative
-binomial NB_m(p), p = N/(N+1), convolved with a Polya-Aeppli law (a
-compound Poisson law of rate s^2/(N+1) with geometric jumps).  That photon
-law comes from one recurrence of positive terms (``photon_number_law``).
+observed on two copies of a displaced thermal state, X - X' for two
+independent photon counts of one copy, each the negative binomial NB_m(p),
+p = N/(N+1), convolved with a Polya-Aeppli law (a compound Poisson law of
+rate s^2/(N+1) with geometric jumps, s the displacement norm).  That photon
+law comes from one recurrence of positive terms (``photon_number_law``); its
+characteristic function phi is its pgf on the unit circle
+(``photon_number_cf``), and that of X - X' is |phi|^2.
 Both routes are implemented and cross-checked; plain Fourier inversion on
 the integer lattice serves as the bridge.  Integer spectra of the Fock oracle
 are read as lattice laws too (``lattice_law``), and both invariant-test
@@ -33,13 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import (betainc, betaincc, betainccinv, betaincinv, gammaln, hyp0f1,
-                           ive, pdtr, pdtrc)
+from scipy.special import (beta, betainc, betaincc, betainccinv, betaincinv, gammaln,
+                           hyp0f1, ive, pdtr, pdtrc)
 
-# Stopping of the Skellam series oracle: relative floor plus an absolute
-# guard against underflow stalls when its rate is large.
-_REL_STOP = 1e-16
-_ABS_FLOOR = 1e-300
 # Poisson-mixture series (noncentral F): the bound on the dropped terms,
 # relative to the running total, at which a side stops.
 _TAIL_STOP = 1e-17
@@ -125,11 +116,6 @@ class IntegerDistribution:
         return out if out.size > 1 else out[0]
 
 
-def neg_binomial_cf(shape: int, p: float, r) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    return (1 - p) ** shape * (1 - p * np.exp(1j * r)) ** (-shape)
-
-
 def photon_number_law(modes: float, rate: float, p: float) -> IntegerDistribution:
     """NB(modes, p) convolved with the Polya-Aeppli law of rate ``rate``.
 
@@ -203,41 +189,31 @@ def count_difference_distribution(modes: int, displacement_norm: float,
     return IntegerDistribution(cut - x.hi, pmf[cut: len(pmf) - cut], tail + trimmed)
 
 
+def photon_number_cf(modes: float, rate: float, p: float, r) -> np.ndarray:
+    """Characteristic function of ``photon_number_law(modes, rate, p)``.
+
+    Its pgf (1-p)^m (1-pz)^(-m) exp(rate (z-1)/(1-pz)) at z = e^{ir}; the
+    output has the shape of r.
+    """
+    z = np.exp(1j * np.asarray(r, dtype=float))
+    return ((1.0 - p) / (1.0 - p * z)) ** modes * np.exp(rate * (z - 1.0) / (1.0 - p * z))
+
+
 def count_difference_cf(modes: int, displacement_norm: float, mixture: float,
                         r) -> np.ndarray:
-    """Characteristic function [gamma(r)gamma(-r)]^m psi_s(r) psi_s(-r)."""
-    r = np.asarray(r, dtype=float)
+    """Characteristic function |phi(r)|^2 of X - X', phi that of one photon count."""
     N = float(mixture)
-    s2 = float(displacement_norm) ** 2
-
-    def gamma(rr):
-        return 1.0 / (N + 1.0 - N * np.exp(1j * rr))
-
-    def psi(rr):
-        return np.exp(gamma(rr) * (np.exp(1j * rr) - 1.0) * s2)
-
-    return (gamma(r) * gamma(-r)) ** modes * psi(r) * psi(-r)
+    rate = float(displacement_norm) ** 2 / (N + 1.0)
+    return np.abs(photon_number_cf(modes, rate, N / (N + 1.0), r)) ** 2
 
 
 def skellam_pmf(y: int, lam: float) -> float:
-    """Direct series for P(P1 - P2 = y), P1, P2 ~ Poisson(lam) independent.
+    """P(P1 - P2 = y) = e^{-2 lam} I_|y|(2 lam), P1, P2 ~ Poisson(lam) independent.
 
-    sum_j e^{-2 lam} lam^{2j+|y|} / (j! (j+|y|)!); kept independent of the
-    convolution construction so it can serve as its oracle.
+    The scaled Bessel function ``ive``; kept independent of the convolution
+    construction so it can serve as its oracle.
     """
-    y = abs(int(y))
-    if lam == 0.0:
-        return 1.0 if y == 0 else 0.0
-    total = 0.0
-    j = 0
-    while True:
-        logt = -2.0 * lam + (2 * j + y) * np.log(lam) - gammaln(j + 1) - gammaln(j + y + 1)
-        term = np.exp(logt)
-        total += term
-        if j > lam and (term < _REL_STOP * total or term < _ABS_FLOOR):
-            break
-        j += 1
-    return total
+    return float(ive(abs(int(y)), 2.0 * lam))
 
 
 def invert_integer_cf(cf, support_bound: int) -> IntegerDistribution:
@@ -490,6 +466,13 @@ def _mixture_at(lam, table, peak: int):
     return out.reshape(lam.shape)[()]
 
 
+def _beta_argument(mu: int, nu: int, f: float):
+    """x = mu f / (mu f + nu), y = 1 - x, log x and log y, with x and y each
+    formed directly, so neither loses its bits, and log x through the smaller."""
+    x, y = mu * f / (mu * f + nu), nu / (mu * f + nu)
+    return x, y, (np.log(x) if x <= y else np.log1p(-y)), np.log(y)
+
+
 def noncentral_f_pdf(f: float, params: NoncentralFParams):
     """Density sum_k w_k x^{k+mu/2} (1-x)^{nu/2} / (B(k+mu/2, nu/2) f).
 
@@ -505,8 +488,8 @@ def noncentral_f_pdf(f: float, params: NoncentralFParams):
     if mu * f == np.inf:  # x would be inf/inf; the density vanishes there
         return np.zeros(np.shape(lam))[()]
     a, b = mu / 2.0, nu / 2.0
-    x = mu * f / (mu * f + nu)
-    log_x, log_1mx, log_f = np.log(x), np.log1p(-x), np.log(f)
+    _, _, log_x, log_1mx = _beta_argument(mu, nu, f)
+    log_f = np.log(f)
 
     def table(k0, k1):  # k0 + a in float: the peak of a huge f is past the int64 range
         z = np.arange(k1 - k0) + (k0 + a)
@@ -531,10 +514,7 @@ def noncentral_f_cdf(c: float, params: NoncentralFParams):
     if c <= 0 or mu * c == np.inf:  # at mu c = inf, x would be inf/inf
         return np.full(np.shape(lam), float(c > 0))[()]
     a, b = mu / 2.0, nu / 2.0
-    # x and y = 1 - x are both formed directly, so neither loses its bits
-    x, y = mu * c / (mu * c + nu), nu / (mu * c + nu)
-    log_x = np.log(x) if x <= y else np.log1p(-y)
-    log_1mx = np.log(y)
+    x, y, log_x, log_1mx = _beta_argument(mu, nu, c)
 
     def ibeta(z):  # I_x(z, b), evaluated through the smaller of x and y
         return betainc(z, b, x) if x <= y else betaincc(b, z, y)
@@ -576,12 +556,6 @@ def critical_point(alpha: float, mu: int, nu: int) -> float:
     return c
 
 
-def beta_function(x: float, y: float) -> float:
-    if x <= 0 or y <= 0:
-        raise ValueError("beta function arguments must be positive")
-    return float(np.exp(gammaln(x) + gammaln(y) - gammaln(x + y)))
-
-
 def exp_cos_integral_scaled(z, n: int):
     """e^{-|z|} int_0^pi e^{z cos phi} sin^{n-2} phi dphi, overflow-free.
 
@@ -602,7 +576,7 @@ def exp_cos_integral_scaled(z, n: int):
     xl, xh = x[low], x[~low]
     out = np.empty(x.shape)
     series = np.exp(-xl) * hyp0f1(nu + 1.0, xl * xl / 4.0)
-    out[low] = beta_function((n - 1) / 2.0, 0.5) * series
+    out[low] = beta((n - 1) / 2.0, 0.5) * series
     out[~low] = np.exp(0.5 * np.log(np.pi) + gammaln(nu + 0.5)
                        + nu * np.log(2.0 / xh) + np.log(bessel[~low]))
     return out[()]

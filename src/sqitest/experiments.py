@@ -10,6 +10,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import beta
 
 from . import distributions as dist
 from . import fock
@@ -252,7 +253,7 @@ def _verify_fock(report: VerifyReport):
             vec = fock.coherent_product_vector(cfgn, np.full((1, n), r))
             got = float(np.real(vec.conj() @ (W.entries @ vec)))
             z = n * r ** 2
-            want = dist.exp_cos_integral_scaled(z, n) / dist.beta_function((n - 1) / 2, 0.5)
+            want = dist.exp_cos_integral_scaled(z, n) / beta((n - 1) / 2, 0.5)
             worst = max(worst, abs(got - want))
         report.add(f"rotation_average_inner_n{n}", worst, 1e-5)
 
@@ -280,7 +281,7 @@ def _verify_distributions(report: VerifyReport):
     report.add("count_difference_cf_vs_compound", worst, 1e-8)
 
     nb = dist.photon_number_law(2, 0.0, 0.4)
-    inv = dist.invert_integer_cf(lambda r: dist.neg_binomial_cf(2, 0.4, r), nb.hi + 8)
+    inv = dist.invert_integer_cf(lambda r: dist.photon_number_cf(2, 0.0, 0.4, r), nb.hi + 8)
     report.add("neg_binomial_cf_roundtrip", dist.total_variation(nb, inv), 1e-10)
 
     y = dist.count_difference_distribution(1, 0.8, 0.0)

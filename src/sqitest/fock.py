@@ -52,6 +52,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import expm, eigh
 from scipy.sparse.linalg import expm_multiply
+from scipy.special import gammaln, xlogy
 
 from . import distributions as dist
 from .phase_space import SqueezeParam, pooling_rotation_matrix
@@ -213,14 +214,8 @@ def annihilation(cutoff: int) -> np.ndarray:
 def coherent_vector(theta: complex, cutoff: int) -> np.ndarray:
     """Cutoff expansion e^{-|theta|^2/2} sum_k theta^k/sqrt(k!) over k < cutoff."""
     k = np.arange(cutoff)
-    if theta == 0:
-        v = np.zeros(cutoff, dtype=complex)
-        v[0] = 1.0
-        return v
-    from scipy.special import gammaln
-    logmag = -abs(theta) ** 2 / 2.0 + k * np.log(abs(theta)) - 0.5 * gammaln(k + 1.0)
-    phase = np.exp(1j * k * np.angle(theta))
-    return np.exp(logmag) * phase
+    r2 = abs(theta) ** 2
+    return np.exp(0.5 * (xlogy(k, r2) - r2 - gammaln(k + 1.0)) + 1j * k * np.angle(theta))
 
 
 def _slot_values(config: FockConfig, Z) -> np.ndarray:

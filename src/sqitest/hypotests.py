@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.special import beta
 
 from . import distributions as dist
 from .distributions import NoncentralFParams
@@ -208,7 +209,7 @@ def si_type2_closed(theta_norm, spec: TestSpec):
     # bytes: numpy's square differs from it in the last bit for about 1 theta in 800
     z = n * np.array([t ** 2 for t in theta.ravel().tolist()]).reshape(theta.shape)
     scaled = dist.exp_cos_integral_scaled(z, n)
-    return (1.0 - spec.alpha) * scaled / dist.beta_function((n - 1) / 2.0, 0.5)
+    return (1.0 - spec.alpha) * scaled / beta((n - 1) / 2.0, 0.5)
 
 
 def si_type2_n2(theta_norm, modes: int, mixture: float, alpha: float):

@@ -262,18 +262,11 @@ def kappa(theta, eta: SqueezeParam, mixture: float):
 def pooling_rotation_matrix(n: int) -> np.ndarray:
     """Orthogonal n x n matrix R with R @ ones(n) = sqrt(n) e_n.
 
-    Built as the product R_{n-1} ... R_1 of plane rotations by arctan(sqrt k)
-    in the (k, k+1) plane; pools the common signal of n copies into the last.
+    The Helmert matrix with its first row, ones(n)/sqrt(n), moved last; row
+    k < n is (1, ..., 1, -k, 0, ..., 0)/sqrt(k(k+1)).  It pools the common
+    signal of n copies into the last.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    R = np.eye(n)
-    for k in range(1, n):
-        t = np.arctan(np.sqrt(k))
-        Rk = np.eye(n)
-        Rk[k - 1, k - 1] = np.cos(t)
-        Rk[k, k] = np.cos(t)
-        Rk[k - 1, k] = -np.sin(t)
-        Rk[k, k - 1] = np.sin(t)
-        R = Rk @ R
-    return R
+    from scipy.linalg import helmert
+    return np.roll(helmert(n, full=True), -1, axis=0)

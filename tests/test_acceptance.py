@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import beta
 from scipy.stats import kstest
 
 from sqitest import distributions as dist
@@ -241,7 +242,7 @@ def test_criterion_8_rotation_facts():
             vec = fock.coherent_product_vector(cfg, np.full((1, n), r))
             got = float(np.real(vec.conj() @ (W.entries @ vec)))
             z = n * r * r
-            want = dist.exp_cos_integral_scaled(z, n) / dist.beta_function(
+            want = dist.exp_cos_integral_scaled(z, n) / beta(
                 (n - 1) / 2.0, 0.5)
             worst_avg = max(worst_avg, abs(got - want))
     assert worst_avg < 1e-5

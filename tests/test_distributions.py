@@ -6,23 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
-from scipy.special import comb, erfc, gammaln, ncfdtr
+from scipy.special import beta, comb, erfc, gammaln, ncfdtr
 
 from sqitest import distributions as dist
 from sqitest.distributions import (
     ConvergenceError,
     IntegerDistribution,
     NoncentralFParams,
-    beta_function,
     count_difference_cf,
     count_difference_distribution,
     critical_point,
     exp_cos_integral_scaled,
     invert_integer_cf,
     lattice_law,
-    neg_binomial_cf,
     noncentral_f_cdf,
     noncentral_f_pdf,
+    photon_number_cf,
     photon_number_law,
     randomized_acceptance,
     skellam_pmf,
@@ -163,6 +162,8 @@ class TestPhotonNumberLaw:
     def test_zero_p_is_poisson(self, m):
         d = photon_number_law(m, 3.7, 0.0)
         assert np.max(np.abs(d.pmf - stats.poisson.pmf(d.support, 3.7))) < 1e-15
+        r = np.linspace(-np.pi, np.pi, 33)
+        assert np.max(np.abs(photon_number_cf(m, 3.7, 0.0, r) - d.cf(r))) < 1e-14
 
     @pytest.mark.parametrize("m,rate,p", [
         (0, 0.4, 0.3), (0, 2.0, 0.5), (0, 0.8, 0.97), (0, 900.0, 0.2),
@@ -177,6 +178,9 @@ class TestPhotonNumberLaw:
         assert var == pytest.approx((m * p + rate * (1 + p)) / (1 - p) ** 2, rel=1e-10)
         assert d.tail_mass < 1e-13
         assert d.cf(0.0) == pytest.approx(1.0)
+        # (0, 900, 0.2) and (1, 900, 0.5): -log f(0) > 500, a law built in parts
+        r = np.linspace(-np.pi, np.pi, 33)
+        assert np.max(np.abs(photon_number_cf(m, rate, p, r) - d.cf(r))) < 1e-12
 
     @pytest.mark.parametrize("m,rate,p", [(1, 0.8, 0.4), (2, 3.0, 0.25), (1, 25.0, 5 / 6)])
     def test_matches_neg_binomial_convolved_with_direct_sum(self, m, rate, p):
@@ -214,6 +218,21 @@ class TestCountDifferenceLaw:
                 assert d.prob(y) == pytest.approx(skellam_pmf(y, lam), abs=1e-13)
             # P(Y = 0) = e^{-2 lam} I0(2 lam) via the Bessel series oracle
             assert d.prob(0) == pytest.approx(np.exp(-2 * lam) * bessel_i0_series(2 * lam))
+
+    @pytest.mark.parametrize("lam", [0.01, 1.0, 50.0, 200.0])
+    def test_skellam_against_high_precision_sum(self, lam):
+        # sum_j e^{-2 lam} lam^{2j+y} / (j! (j+y)!) in 40-digit mpmath arithmetic
+        mp = pytest.importorskip("mpmath")
+        for y in range(40):
+            with mp.workdps(40):
+                L = mp.mpf(lam)
+                term, total, j = mp.exp(-2 * L) * L ** y / mp.factorial(y), mp.mpf(0), 0
+                while not (j > lam and term < 1e-45 * total):
+                    total += term
+                    term *= L * L / ((j + 1) * (j + 1 + y))
+                    j += 1
+            for sign in (1, -1):
+                assert skellam_pmf(sign * y, lam) == pytest.approx(float(total), rel=1e-13)
 
     def test_exactly_symmetric(self):
         d = count_difference_distribution(2, 0.8, 0.7)
@@ -283,18 +302,18 @@ class TestCfInversion:
 
     def test_neg_binomial_round_trip(self):
         nb = photon_number_law(2, 0.0, 0.45)
-        inv = invert_integer_cf(lambda r: neg_binomial_cf(2, 0.45, r), nb.hi + 8)
+        inv = invert_integer_cf(lambda r: photon_number_cf(2, 0.0, 0.45, r), nb.hi + 8)
         assert total_variation(nb, inv) < 1e-10
 
     def test_support_bound_violation_raises(self):
         with pytest.raises(ValueError):
-            invert_integer_cf(lambda r: neg_binomial_cf(1, 0.9, r), 2)
+            invert_integer_cf(lambda r: photon_number_cf(1, 0.0, 0.9, r), 2)
 
     def test_unsettled_inversion_raises(self, monkeypatch):
         # one grid has no predecessor to agree with, so the doubling runs out
         monkeypatch.setattr(dist, "_CF_DOUBLINGS", 1)
         with pytest.raises(ConvergenceError):
-            invert_integer_cf(lambda r: neg_binomial_cf(2, 0.45, r), 5)
+            invert_integer_cf(lambda r: photon_number_cf(2, 0.0, 0.45, r), 5)
 
 
 class TestNoncentralF:
@@ -303,7 +322,7 @@ class TestNoncentralF:
         params = NoncentralFParams(4, 3, 0.0)
         for f in (0.3, 1.0, 4.0):
             x = 4 * f / (4 * f + 3)
-            want = x ** 2 * (1 - x) ** 1.5 / (beta_function(2.0, 1.5) * f)
+            want = x ** 2 * (1 - x) ** 1.5 / (beta(2.0, 1.5) * f)
             assert noncentral_f_pdf(f, params) == pytest.approx(want, rel=1e-14)
 
     def test_pdf_nonnegative_and_rejects_bad_f(self):
@@ -435,6 +454,18 @@ class TestNoncentralF:
     @pytest.mark.parametrize("f", [np.inf, 1e308])
     def test_pdf_is_zero_where_mu_f_overflows(self, lam, f):
         assert noncentral_f_pdf(f, NoncentralFParams(2, 1, lam)) == 0.0
+
+    @pytest.mark.parametrize("f,want", [
+        (1e15, 1.8310542819422985698e-23),
+        (5e15, 1.6377447379660202876e-24),
+        (1e20, 5.7903020503417935279e-31),
+    ])
+    def test_pdf_at_huge_f_keeps_the_complement(self, f, want):
+        # want: sum_k w_k x^{k+1} (1-x)^{1/2} / (B(k+1, 1/2) f), mu = 2, nu = 1,
+        # lambda = 3, in 40-digit mpmath arithmetic; forming 1 - x as 1 - x
+        # left it 5 % off at 1e15 and divided by zero at 5e15
+        got = noncentral_f_pdf(f, NoncentralFParams(2, 1, 3.0))
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("lam", [1e9, 1e12])
     def test_pdf_far_below_the_bulk_is_zero(self, lam):
@@ -581,16 +612,10 @@ class TestCriticalPoint:
 
 
 class TestSpecialIntegrals:
-    def test_beta_function_values(self):
-        assert beta_function(1.0, 0.5) == pytest.approx(2.0)
-        assert beta_function(0.5, 0.5) == pytest.approx(np.pi)
-        with pytest.raises(ValueError):
-            beta_function(0.0, 1.0)
-
     def test_reduces_to_beta_at_zero(self):
         for n in (2, 3, 5):
             assert exp_cos_integral_scaled(0.0, n) == pytest.approx(
-                beta_function((n - 1) / 2.0, 0.5), rel=1e-12)
+                beta((n - 1) / 2.0, 0.5), rel=1e-12)
 
     def test_two_copy_case_is_bessel(self):
         for z in (0.3, 1.0, 2.7):

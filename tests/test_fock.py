@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
+from scipy.special import beta
 
 from sqitest import distributions as dist
 from sqitest import fock
@@ -126,8 +127,10 @@ class TestAnnihilation:
 
 class TestCoherentVector:
     def test_vacuum(self):
-        v = coherent_vector(0.0, 6)
-        assert v[0] == 1.0 and np.all(v[1:] == 0)
+        for theta in (0, 0.0, 0j):
+            for d in (2, 6, 200):
+                v = coherent_vector(theta, d)
+                assert v.dtype == complex and np.array_equal(v, np.eye(d)[0])
 
     def test_inner_product_formula(self):
         d = 40
@@ -484,7 +487,7 @@ class TestRotationAverage:
             vec = coherent_product_vector(cfg, np.full((1, n), r))
             got = float(np.real(vec.conj() @ (W.entries @ vec)))
             z = n * r * r
-            want = dist.exp_cos_integral_scaled(z, n) / dist.beta_function(
+            want = dist.exp_cos_integral_scaled(z, n) / beta(
                 (n - 1) / 2.0, 0.5)
             assert abs(got - want) < 1e-5
 

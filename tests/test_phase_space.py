@@ -263,3 +263,16 @@ class TestPoolingRotationMatrix:
     def test_needs_two_copies(self):
         with pytest.raises(ValueError):
             pooling_rotation_matrix(1)
+
+    def test_equals_plane_rotation_product(self):
+        # reference: R_{n-1} ... R_1, R_k the rotation by arctan(sqrt k) in
+        # the (k, k+1) plane, signs included
+        for n in range(2, 11):
+            want = np.eye(n)
+            for k in range(1, n):
+                t = np.arctan(np.sqrt(k))
+                Rk = np.eye(n)
+                Rk[k - 1, k - 1] = Rk[k, k] = np.cos(t)
+                Rk[k - 1, k], Rk[k, k - 1] = -np.sin(t), np.sin(t)
+                want = Rk @ want
+            assert np.max(np.abs(pooling_rotation_matrix(n) - want)) < 1e-15
