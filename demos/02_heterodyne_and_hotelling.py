@@ -42,7 +42,7 @@ print(f"three heterodyne outcomes:\n{data}")
 print(f"scaled Hotelling statistic: {ht.hotelling_F(data):.4f}")
 
 analytic = ht.hh_type2_analytic(0.5, eta0, spec_hh)
-mc = ht.hh_type2_montecarlo(0.5, eta0, spec_hh, reps=100000, seed=3)
+mc = ht.hh_type2_montecarlo(0.5, eta0, spec_hh, reps=100000, rng=rng_stream(3))
 print(f"type II error at displacement 0.5: analytic {analytic:.5f}, "
       f"simulated {mc.value:.5f} +/- {mc.stderr:.5f}")
 

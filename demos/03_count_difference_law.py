@@ -3,8 +3,9 @@
 
 The observable measured by the two-copy invariant test is the square of a
 photon count-difference statistic.  Its lattice law is built three ways and
-shown to agree: the compound construction (negative binomial differences
-convolved with scaled Poisson differences), Fourier inversion of the
+shown to agree: the compound construction (the difference X - X' of two
+independent photon counts, each ``photon_number_law``: a negative binomial
+convolved with a Polya-Aeppli law), Fourier inversion of the
 characteristic-function product, and the spectral measure of the literal
 truncated-space observable.
 

@@ -25,8 +25,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for key, (_, cast, text) in CONFIG_KEYS.items():
         curve.add_argument("--" + key.replace("_", "-"), type=cast, help=text)
     curve.add_argument("--eta", action="append",
-                       help=f"squeezing entry: preset {ETA_PRESETS} or a parameter "
-                            "file; repeatable")
+                       help=f"squeezing entry: preset {tuple(ETA_PRESETS)} or a "
+                            "parameter file; repeatable")
 
     verify = sub.add_parser("verify", help="run a named cross-check battery")
     verify.add_argument("suite", choices=["fock", "distributions", "tests", "all"])

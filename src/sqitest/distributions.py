@@ -110,10 +110,9 @@ class IntegerDistribution:
         return float(self.support @ self.pmf)
 
     def cf(self, r) -> np.ndarray:
-        """Characteristic function sum_y pmf(y) e^{iry} (vectorized in r)."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.exp(1j * np.outer(r, self.support)) @ self.pmf
-        return out if out.size > 1 else out[0]
+        """Characteristic function sum_y pmf(y) e^{iry}, in the shape of r."""
+        r = np.asarray(r, dtype=float)
+        return (np.exp(1j * np.multiply.outer(r, self.support)) @ self.pmf)[()]
 
 
 def photon_number_law(modes: float, rate: float, p: float) -> IntegerDistribution:

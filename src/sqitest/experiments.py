@@ -1,7 +1,7 @@
 """Batch experiment driver: error-curve sweeps and verification suites.
 
 Everything printed or written here is produced by library calls that carry
-their own tests; this module only arranges grids, seeds and files.
+their own tests; this module only arranges grids, random streams and files.
 """
 
 from __future__ import annotations
@@ -15,9 +15,11 @@ from scipy.special import beta
 from . import distributions as dist
 from . import fock
 from . import hypotests as ht
-from .phase_space import SqueezeParam, _parse_kv_text
+from .phase_space import SqueezeParam, _parse_kv_text, rng_stream
 
-ETA_PRESETS = ("zero", "L-real-theta", "L-imag-theta")
+# eta preset -> (column label, s of A = 0 and S = s I, orientation of theta)
+ETA_PRESETS = {"zero": ("eta0", 0.0, 1.0), "L-real-theta": ("etaL_real", 1.0, 1.0),
+               "L-imag-theta": ("etaL_imag", 1.0, 1.0j)}
 
 # Scalar keys of a config file, each also a ``sqitest curve`` flag (with -
 # for _): key -> (ExperimentConfig field, cast, help).  The eta entries are
@@ -47,7 +49,7 @@ class ExperimentConfig:
     theta_min: float = 0.0
     theta_max: float = 3.0
     theta_steps: int = 31
-    etas: tuple = ETA_PRESETS
+    etas: tuple = tuple(ETA_PRESETS)
     reps: int = 0
     seed: int = 0
     out: str = "error_curve.csv"
@@ -70,8 +72,6 @@ class ExperimentConfig:
 
     @property
     def theta_grid(self) -> np.ndarray:
-        if self.theta_steps == 1:
-            return np.array([self.theta_min])
         return np.linspace(self.theta_min, self.theta_max, self.theta_steps)
 
     @classmethod
@@ -86,14 +86,10 @@ class ExperimentConfig:
 
 def _resolve_eta(entry: str, modes: int):
     """Map an eta preset name or file path to (label, SqueezeParam, orientation)."""
-    if entry == "zero":
-        return "eta0", SqueezeParam.zero(modes), 1.0
-    if entry == "L-real-theta":
-        return "etaL_real", SqueezeParam(modes, np.zeros((modes, modes)),
-                                         np.eye(modes, dtype=complex)), 1.0
-    if entry == "L-imag-theta":
-        return "etaL_imag", SqueezeParam(modes, np.zeros((modes, modes)),
-                                         np.eye(modes, dtype=complex)), 1.0j
+    if entry in ETA_PRESETS:
+        label, s, orient = ETA_PRESETS[entry]
+        return label, SqueezeParam(modes, np.zeros((modes, modes)),
+                                   s * np.eye(modes, dtype=complex)), orient
     if os.path.exists(entry):
         with open(entry) as fh:
             eta = SqueezeParam.from_text(fh.read())
@@ -149,7 +145,7 @@ def run_curve(config: ExperimentConfig) -> str:
         columns[f"beta_hh_{label}"] = ht.hh_type2_analytic(thetas, eta, spec_hh)
         if config.reps > 0:
             mcs = [ht.hh_type2_montecarlo(theta, eta, spec_hh, config.reps,
-                                          seed=config.seed + 1000003 * stream + 7919 * i)
+                                          rng_stream(config.seed, stream, i))
                    for i, theta in enumerate(thetas)]
             columns[f"beta_hh_{label}_mc"] = np.array([e.value for e in mcs])
             columns[f"beta_hh_{label}_stderr"] = np.array([e.stderr for e in mcs])
@@ -164,12 +160,9 @@ def run_curve(config: ExperimentConfig) -> str:
         f"# reps = {config.reps}", f"# seed = {config.seed}",
     ]
     header += [f"# note: {n}" for n in notes]
-    names = list(columns)
-    lines = header + [",".join(names)]
-    for row in zip(*(columns[n] for n in names)):
-        lines.append(",".join(f"{x:.17g}" for x in row))
     with open(config.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        np.savetxt(fh, np.column_stack(list(columns.values())), fmt="%.17g",
+                   delimiter=",", header="\n".join(header + [",".join(columns)]), comments="")
     return config.out
 
 
@@ -213,7 +206,7 @@ class VerifyReport:
 
 
 def _verify_fock(report: VerifyReport):
-    rng = np.random.default_rng(20240917)
+    rng = rng_stream(20240917)
 
     cfg = fock.FockConfig(1, 2, 12)
     a = fock.annihilation(12)
@@ -314,11 +307,11 @@ def _verify_tests(report: VerifyReport):
     spec3 = ht.TestSpec(1, 3, 0.0, 0.05, "hh")
     eta0 = SqueezeParam.zero(1)
 
-    mc = ht.hh_type2_montecarlo(0.0, eta0, spec3, 50000, seed=5)
+    mc = ht.hh_type2_montecarlo(0.0, eta0, spec3, 50000, rng_stream(5))
     report.add("hh_null_calibration", abs(mc.value - 0.95), 4 * mc.stderr,
                note="Monte Carlo, 4 sigma band")
 
-    mc = ht.hh_type2_montecarlo(0.5, eta0, spec3, 50000, seed=6)
+    mc = ht.hh_type2_montecarlo(0.5, eta0, spec3, 50000, rng_stream(6))
     an = ht.hh_type2_analytic(0.5, eta0, spec3)
     report.add("hh_mc_vs_analytic", abs(mc.value - an), 4 * mc.stderr,
                note="Monte Carlo, 4 sigma band")

@@ -251,12 +251,8 @@ def thermal_coherent_state(theta: complex, mixture: float, cutoff: int) -> Trunc
     if mixture < 0:
         raise ValueError("mixture must be >= 0")
     occupation = (1.0 / (mixture + 1.0)) * (mixture / (mixture + 1.0)) ** np.arange(cutoff)
-    diag = np.diag(occupation).astype(complex)
-    if theta == 0:
-        rho = diag
-    else:
-        D = displacement(theta, cutoff).entries
-        rho = D @ diag @ D.conj().T
+    D = displacement(theta, cutoff).entries
+    rho = D @ np.diag(occupation) @ D.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     return TruncatedState(FockConfig(1, 1, cutoff), rho)
 

@@ -5,9 +5,9 @@ F = (nu / (mu (n-1))) T^2 with mu = 2m, nu = n - 2m follows a noncentral F
 law with noncentrality lambda = n * kappa(theta, eta, N), so its type II
 error is the noncentral F cdf at the level-alpha critical point.  Every
 analytic error map returns the shape of its displacement input (a numpy
-float for one); an HH stack takes one kappa and one cdf call.  A seeded
-Monte Carlo route simulates the whole chain instead, on whitened draws:
-T^2 does not change under x -> L^{-1} x.
+float for one); an HH stack takes one kappa and one cdf call.  A Monte
+Carlo route simulates the whole chain instead, on whitened draws from the
+stream it is given: T^2 does not change under x -> L^{-1} x.
 
 SI: the squeezing-invariant test.  For a pure alternative (mixture 0) the
 type II error has the closed form
@@ -30,7 +30,7 @@ from scipy.special import beta
 
 from . import distributions as dist
 from .distributions import NoncentralFParams
-from .phase_space import GaussianSpec, SqueezeParam, kappa, moments, rng_stream
+from .phase_space import GaussianSpec, SqueezeParam, kappa, moments
 
 # Replicates per block of the Monte Carlo route.
 _MC_CHUNK = 2 ** 15
@@ -167,11 +167,11 @@ class MonteCarloEstimate:
 
 
 def hh_type2_montecarlo(theta, eta: SqueezeParam, spec: TestSpec, reps: int,
-                        seed: int = 0) -> MonteCarloEstimate:
+                        rng: np.random.Generator) -> MonteCarloEstimate:
     """Acceptance frequency of the Hotelling test over simulated heterodyne data.
 
-    Deterministic under a fixed seed.  Replicates are drawn in order from
-    the single stream (seed,) and reduced in blocks of _MC_CHUNK, so memory
+    Deterministic for a fixed stream (see ``rng_stream``).  Replicates are
+    drawn in order from ``rng`` and reduced in blocks of _MC_CHUNK, so memory
     stays bounded and the estimate does not depend on the block size.  T^2
     is unchanged by x -> L^{-1} x, so with sigma = L L' the outcomes
     mu + L z of ``heterodyne_sample`` are evaluated whitened, as z + delta
@@ -187,7 +187,6 @@ def hh_type2_montecarlo(theta, eta: SqueezeParam, spec: TestSpec, reps: int,
     # sigma >= I/4; LinAlgError (a ValueError) once rounding breaks that, |S| >= 18
     delta = np.linalg.solve(np.linalg.cholesky(mom.sigma), mom.mu)
     n, p = spec.copies, 2 * spec.modes
-    rng = rng_stream(seed)
     accepted = 0
     for start in range(0, reps, _MC_CHUNK):
         size = min(_MC_CHUNK, reps - start)
@@ -204,10 +203,7 @@ def si_type2_closed(theta_norm, spec: TestSpec):
     if spec.mixture != 0.0:
         raise ValueError("closed form available only for mixture 0")
     n = spec.copies
-    theta = np.asarray(theta_norm, dtype=float)
-    # theta^2 by Python's float power (libm pow), which keeps the curves' CSV
-    # bytes: numpy's square differs from it in the last bit for about 1 theta in 800
-    z = n * np.array([t ** 2 for t in theta.ravel().tolist()]).reshape(theta.shape)
+    z = n * np.square(np.asarray(theta_norm, dtype=float))
     scaled = dist.exp_cos_integral_scaled(z, n)
     return (1.0 - spec.alpha) * scaled / beta((n - 1) / 2.0, 0.5)
 
@@ -277,13 +273,8 @@ def crossing_check(alpha: float, theta_grid) -> CrossingResult:
     eta0 = SqueezeParam.zero(1)
     beta_si = si_type2_closed(grid, spec_si)
     beta_hh = hh_type2_analytic(grid[:, None], eta0, spec_hh)
-    small = large = None
     margin = 1e-12
-    for t, bs, bh in zip(grid, beta_si, beta_hh):
-        if t <= 0:
-            continue
-        if small is None and bs < bh - margin:
-            small = float(t)
-        if large is None and bs > bh + margin:
-            large = float(t)
+    hits = [grid[(grid > 0) & mask]
+            for mask in (beta_si < beta_hh - margin, beta_si > beta_hh + margin)]
+    small, large = (float(h[0]) if h.size else None for h in hits)
     return CrossingResult(small, large, grid, beta_si, beta_hh)

@@ -188,16 +188,10 @@ class PhaseSpaceMoments:
             raise ValueError("sigma - I/4 must be positive definite")
 
 
-def real_parts(theta) -> np.ndarray:
-    """Stack (Re theta; Im theta) into a real 2m-vector."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=complex))
-    return np.concatenate([theta.real, theta.imag])
-
-
 def moments(spec: GaussianSpec) -> PhaseSpaceMoments:
     """Heterodyne outcome mean and covariance of one copy."""
     G = spec.eta.G
-    mu = G @ real_parts(spec.theta)
+    mu = G @ np.concatenate([spec.theta.real, spec.theta.imag])
     sigma = (2.0 * spec.mixture + 1.0) / 4.0 * (G @ G.T) + np.eye(2 * spec.modes) / 4.0
     return PhaseSpaceMoments(mu, 0.5 * (sigma + sigma.T))
 
@@ -218,12 +212,12 @@ def fourier_wigner(spec: GaussianSpec, u, v) -> complex:
 def rng_stream(seed, *path) -> np.random.Generator:
     """Counter-based generator for the stream (seed, *path).
 
-    Streams are split by seeding a Philox engine with the integer tuple
-    (seed, *path); distinct tuples give statistically independent streams,
-    so experiments and replicates can be drawn in parallel reproducibly.
+    A Philox engine seeded by SeedSequence(seed, spawn_key=path); entropy
+    (seed, *path) would be zero-padded, making (seed,) and (seed, 0) one
+    stream.  Distinct tuples give independent, reproducible streams.
     """
-    entries = (int(seed),) + tuple(int(p) for p in path)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entries)))
+    seq = np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
+    return np.random.Generator(np.random.Philox(seq))
 
 
 def heterodyne_sample(spec: GaussianSpec, count: int,

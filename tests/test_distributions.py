@@ -34,16 +34,19 @@ def point_mass(value):
 
 
 def assert_shape_rule(fn, values, rtol=0.0):
-    """``fn`` maps a stack of six inputs to a (6,) or (2, 3) array, and one to a numpy float.
+    """``fn`` maps a stack of six inputs to a (6,) or (2, 3) array, and one to a numpy scalar.
 
-    ``values`` stacks the six inputs along its first axis.  The (2, 3)
-    output is the (6,) one reshaped bit for bit, and the (6,) output equals
-    the six single calls to ``rtol``; 0 means bit for bit.
+    ``values`` stacks the six inputs along its first axis.  A single input
+    gives a numpy scalar of the stack's dtype (a float, or a complex for a
+    characteristic function).  The (2, 3) output is the (6,) one reshaped
+    bit for bit, and the (6,) output equals the six single calls to
+    ``rtol``; 0 means bit for bit.
     """
     values = np.asarray(values)
     one = [fn(values[i, ...]) for i in range(6)]
-    assert all(isinstance(w, np.float64) for w in one)
     flat, grid = fn(values), fn(values.reshape((2, 3) + values.shape[1:]))
+    assert flat.dtype in (np.float64, np.complex128)
+    assert all(type(w) is flat.dtype.type for w in one)
     assert flat.shape == (6,) and grid.shape == (2, 3)
     np.testing.assert_array_equal(grid.ravel(), flat)
     np.testing.assert_allclose(flat, one, rtol=rtol, atol=0.0)
@@ -83,6 +86,11 @@ class TestIntegerDistribution:
         assert d.cdf(-2) == 0.0
         assert d.cdf(0) == pytest.approx(0.5)
         assert d.cdf(10) == pytest.approx(1.0)
+
+    def test_cf_keeps_the_shape_of_r(self):
+        d = IntegerDistribution(-1, np.array([0.2, 0.3, 0.5]))
+        assert_shape_rule(d.cf, [0.0, 0.5, -1.0, np.pi, 2.5, -3.0])
+        assert d.cf(np.array([0.7])).shape == (1,)
 
 
 class TestLatticeLaw:

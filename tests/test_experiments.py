@@ -1,6 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sqitest
 from sqitest.cli import main
 from sqitest.experiments import (
     ExperimentConfig,
@@ -156,6 +160,18 @@ class TestRunCurve:
         _, header, _ = read_curve(out)
         assert "beta_hh_eta_myeta" in header
 
+    def test_monte_carlo_streams_do_not_shift_with_the_seed(self, tmp_path):
+        # near-equal thetas accept on the same draws, so if point i of one
+        # seed drew point i + 1's stream of another, the estimates would match
+        def mc(seed):
+            out = tmp_path / f"c{seed}.csv"
+            run_curve(ExperimentConfig(theta_min=1.0, theta_max=1.0 + 1e-9, theta_steps=3,
+                                       etas=("zero",), reps=4000, seed=seed, out=str(out)))
+            _, header, rows = read_curve(out)
+            return rows[:, header.index("beta_hh_eta0_mc")]
+
+        assert not np.array_equal(mc(7919)[:-1], mc(0)[1:])
+
     def test_unknown_eta_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             run_curve(ExperimentConfig(etas=("bogus",), theta_steps=2,
@@ -167,14 +183,23 @@ class TestRunVerify:
         with pytest.raises(ValueError):
             run_verify("nope")
 
-    def test_distributions_suite_passes(self):
-        report = run_verify("distributions")
+    @pytest.mark.parametrize("suite", ["fock", "distributions", "tests"])
+    def test_suite_passes(self, suite):
+        report = run_verify(suite)
         assert report.failures == 0
         text = report.format()
         assert "[PASS]" in text and "failed" in text
 
 
 class TestCli:
+    def test_scipy_imports_stay_the_pinned_set(self):
+        # the modules a CLI start-up loads, read as bench/run.py's setup_code
+        # reads them; scipy.stats alone would add about 0.7 s
+        pattern = re.compile(r"^\s*(?:from|import)\s+(scipy(?:\.\w+)*)", re.M)
+        mods = {m for path in Path(sqitest.__file__).parent.glob("*.py")
+                for m in pattern.findall(path.read_text())}
+        assert mods == {"scipy", "scipy.linalg", "scipy.sparse.linalg", "scipy.special"}
+
     def test_curve_command(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
         code = main(["curve", "--theta-steps", "3", "--theta-max", "1.0",

@@ -181,20 +181,20 @@ class TestHHAnalytic:
 class TestHHMonteCarlo:
     def test_null_calibration(self):
         spec = TestSpec(1, 3, 0.0, 0.05, "hh")
-        est = hh_type2_montecarlo(0.0, SqueezeParam.zero(1), spec, 10 ** 5, seed=1)
+        est = hh_type2_montecarlo(0.0, SqueezeParam.zero(1), spec, 10 ** 5, rng_stream(1))
         assert abs(est.value - 0.95) < 4 * est.stderr
 
     def test_matches_analytic(self):
         spec = TestSpec(1, 3, 0.0, 0.05, "hh")
         eta0 = SqueezeParam.zero(1)
-        est = hh_type2_montecarlo(0.5, eta0, spec, 10 ** 5, seed=2)
+        est = hh_type2_montecarlo(0.5, eta0, spec, 10 ** 5, rng_stream(2))
         want = hh_type2_analytic(0.5, eta0, spec)
         assert abs(est.value - want) < 4 * est.stderr
 
     def test_matches_analytic_with_squeezing(self):
         spec = TestSpec(1, 3, 0.5, 0.05, "hh")
         eta = SqueezeParam.axis_family(1.5)
-        est = hh_type2_montecarlo(0.4, eta, spec, 10 ** 5, seed=3)
+        est = hh_type2_montecarlo(0.4, eta, spec, 10 ** 5, rng_stream(3))
         want = hh_type2_analytic(0.4, eta, spec)
         assert abs(est.value - want) < 4 * est.stderr
 
@@ -203,14 +203,14 @@ class TestHHMonteCarlo:
         spec = TestSpec(2, 6, 0.0, 0.05, "hh")
         eta = SqueezeParam.axis_family(1.5, modes=2)
         theta = np.array([1.2, 0.8j])
-        est = hh_type2_montecarlo(theta, eta, spec, 10 ** 5, seed=4)
+        est = hh_type2_montecarlo(theta, eta, spec, 10 ** 5, rng_stream(4))
         want = hh_type2_analytic(theta, eta, spec)
         assert abs(est.value - want) < 4 * est.stderr
 
     def test_deterministic(self):
         spec = TestSpec(1, 3, 0.0, 0.05, "hh")
-        a = hh_type2_montecarlo(0.3, SqueezeParam.zero(1), spec, 2000, seed=9)
-        b = hh_type2_montecarlo(0.3, SqueezeParam.zero(1), spec, 2000, seed=9)
+        a = hh_type2_montecarlo(0.3, SqueezeParam.zero(1), spec, 2000, rng_stream(9))
+        b = hh_type2_montecarlo(0.3, SqueezeParam.zero(1), spec, 2000, rng_stream(9))
         assert a == b
 
     def test_singular_replicate_counts_as_rejection(self):
@@ -218,7 +218,7 @@ class TestHHMonteCarlo:
         # which used to abort the whole batched solve
         eta = SqueezeParam(1, np.zeros((1, 1)), np.eye(1, dtype=complex))
         spec = TestSpec(1, 3, 0.0, 0.05, "hh")
-        est = hh_type2_montecarlo(0.0, eta, spec, 400_000, seed=1000106)
+        est = hh_type2_montecarlo(0.0, eta, spec, 400_000, rng_stream(1000106))
         assert abs(est.value - 0.95) < 5 * est.stderr
 
     def test_blocked_estimate_equals_one_batch(self):
@@ -226,7 +226,7 @@ class TestHHMonteCarlo:
         spec = TestSpec(1, 4, 0.5, 0.05, "hh")
         eta = SqueezeParam.axis_family(1.5)
         reps, n, seed = 3 * 2 ** 15 + 17, spec.copies, 7
-        est = hh_type2_montecarlo(0.4, eta, spec, reps, seed=seed)
+        est = hh_type2_montecarlo(0.4, eta, spec, reps, rng_stream(seed))
         gspec = GaussianSpec(1, np.array([0.4]), eta, 0.5)
         x = heterodyne_sample(gspec, reps * n, rng=rng_stream(seed)).reshape(reps, n, 2)
         xbar = x.mean(axis=1)
@@ -242,7 +242,7 @@ class TestHHMonteCarlo:
     def test_needs_positive_reps(self):
         spec = TestSpec(1, 3, 0.0, 0.05, "hh")
         with pytest.raises(ValueError):
-            hh_type2_montecarlo(0.3, SqueezeParam.zero(1), spec, 0)
+            hh_type2_montecarlo(0.3, SqueezeParam.zero(1), spec, 0, rng_stream(0))
 
 
 class TestSIClosedForm:

@@ -171,6 +171,12 @@ class TestHeterodyneSampling:
         b = heterodyne_sample(spec, 50, rng=rng_stream(7, 1))
         assert not np.allclose(a, b)
 
+    @pytest.mark.parametrize("short,long", [((5,), (5, 0)), ((5, 1), (5, 1, 0))])
+    def test_trailing_zero_gives_a_new_stream(self, short, long):
+        a = rng_stream(*short).standard_normal(8)
+        b = rng_stream(*long).standard_normal(8)
+        assert not np.any(a == b)
+
     def test_count_validation(self):
         spec = GaussianSpec(1, np.array([0.1]), SqueezeParam.zero(1), 0.0)
         with pytest.raises(ValueError):
