@@ -7,6 +7,7 @@ their own tests; this module only arranges grids, random streams and files.
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,12 +112,24 @@ def _beta_si_column(config: ExperimentConfig, grid: np.ndarray):
     return np.full(grid.shape, np.nan), note
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_curve(config: ExperimentConfig) -> str:
     """Write the error-curve CSV for the configured sweep; returns the path.
 
     Columns: theta, beta_si, then one beta_hh_<label> per eta entry (plus
     _mc and _stderr columns when reps > 0).  Reruns with the same config
-    and seed are byte-identical.
+    and seed are byte-identical.  The Monte Carlo points, one per (eta
+    entry j, theta point i), run concurrently on a thread pool of at most
+    one worker per usable CPU; each draws from its own
+    ``rng_stream(seed, j, i)``, so the bytes do not depend on the schedule.
+    The analytic columns are computed first, which fills the cached
+    critical point and squeeze matrices that the workers then only read.
     """
     grid = config.theta_grid
     columns = {"theta": grid}
@@ -134,21 +147,29 @@ def run_curve(config: ExperimentConfig) -> str:
     else:
         notes.append("beta_hh not evaluated: the Hotelling test needs more than "
                      "2m copies")
+    points = []  # (column label, theta index, theta, eta, stream) per Monte Carlo point
     for stream, entry in enumerate(config.etas):
         label, eta, orient = _resolve_eta(entry, config.modes)
+        suffixes = ("", "_mc", "_stderr") if config.reps > 0 else ("",)
+        for suffix in suffixes:
+            columns[f"beta_hh_{label}{suffix}"] = np.full(grid.shape, np.nan)
         if spec_hh is None:
-            suffixes = ("", "_mc", "_stderr") if config.reps > 0 else ("",)
-            for suffix in suffixes:
-                columns[f"beta_hh_{label}{suffix}"] = np.full(grid.shape, np.nan)
             continue
         thetas = orient * np.outer(grid, np.eye(config.modes, 1))
         columns[f"beta_hh_{label}"] = ht.hh_type2_analytic(thetas, eta, spec_hh)
         if config.reps > 0:
-            mcs = [ht.hh_type2_montecarlo(theta, eta, spec_hh, config.reps,
-                                          rng_stream(config.seed, stream, i))
-                   for i, theta in enumerate(thetas)]
-            columns[f"beta_hh_{label}_mc"] = np.array([e.value for e in mcs])
-            columns[f"beta_hh_{label}_stderr"] = np.array([e.stderr for e in mcs])
+            points += [(label, i, theta, eta, rng_stream(config.seed, stream, i))
+                       for i, theta in enumerate(thetas)]
+    if points:
+        def estimate(point):
+            _, _, theta, eta, rng = point
+            return ht.hh_type2_montecarlo(theta, eta, spec_hh, config.reps, rng)
+
+        with ThreadPoolExecutor(min(len(points), _usable_cpus())) as pool:
+            estimates = list(pool.map(estimate, points))
+        for (label, i, *_), est in zip(points, estimates):
+            columns[f"beta_hh_{label}_mc"][i] = est.value
+            columns[f"beta_hh_{label}_stderr"][i] = est.stderr
 
     header = [
         f"# m = {config.modes}", f"# n = {config.copies}",

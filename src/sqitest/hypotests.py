@@ -33,7 +33,7 @@ from .distributions import NoncentralFParams
 from .phase_space import GaussianSpec, SqueezeParam, kappa, moments
 
 # Replicates per block of the Monte Carlo route.
-_MC_CHUNK = 2 ** 15
+_MC_CHUNK = 2 ** 13
 # Halving theta sequence of the small-theta slope extrapolation.
 _SLOPE_THETAS = (1e-2, 5e-3, 2.5e-3)
 
@@ -115,25 +115,26 @@ def _hotelling_t2(z: np.ndarray, shift: np.ndarray) -> np.ndarray:
 
     S is the sample covariance with divisor n - 1.  Adding ``shift`` to
     every copy moves xbar but not S, so S is read from z alone, from its
-    uncentred moments sum_k z_ki z_kj - n zbar_i zbar_j: one strided
-    product per entry on the R-long columns z[:, :, i], which keeps its
+    uncentred moments sum_k z_ki z_kj - n zbar_i zbar_j, which keep their
     bits while z's mean is small next to its spread (callers pass centred
-    or whitened draws).  Python loops run only over the small p: an
-    unpivoted Cholesky factor S = L L' and the forward solve L y = xbar give
-    T^2 = n |y|^2.  S is positive semidefinite, so no pivoting is needed.
-    A pivot that is not positive makes y, and so T^2, non-finite; such a
-    replicate reads +inf, the limit of the form when xbar leaves the range
-    of a singular S, so it counts as a rejection.
+    or whitened draws).  z is copied once into a contiguous (p, n, R)
+    array, so every sum and product runs over R-long contiguous rows.
+    Python loops run only over the small p: an unpivoted Cholesky factor
+    S = L L' and the forward solve L y = xbar give T^2 = n |y|^2.  S is
+    positive semidefinite, so no pivoting is needed.  A pivot that is not
+    positive makes y, and so T^2, non-finite; such a replicate reads +inf,
+    the limit of the form when xbar leaves the range of a singular S, so it
+    counts as a rejection.
     """
     _, n, p = z.shape
-    cols = [z[:, :, i] for i in range(p)]
-    zbar = [c.sum(axis=1) / n for c in cols]
+    cols = np.ascontiguousarray(z.transpose(2, 1, 0))
+    zbar = [c.sum(axis=0) / n for c in cols]
     L = [[None] * p for _ in range(p)]
     y = []
     with np.errstate(all="ignore"):
         for j in range(p):
             for i in range(j, p):
-                s = ((np.einsum("rk,rk->r", cols[i], cols[j]) - n * zbar[i] * zbar[j])
+                s = ((np.einsum("kr,kr->r", cols[i], cols[j]) - n * zbar[i] * zbar[j])
                      / (n - 1) - sum(L[i][k] * L[j][k] for k in range(j)))
                 if i == j:
                     L[j][j] = np.sqrt(s)
@@ -176,7 +177,12 @@ def hh_type2_montecarlo(theta, eta: SqueezeParam, spec: TestSpec, reps: int,
     is unchanged by x -> L^{-1} x, so with sigma = L L' the outcomes
     mu + L z of ``heterodyne_sample`` are evaluated whitened, as z + delta
     with delta = L^{-1} mu: the same standard normal draws z, and no
-    per-chunk transform.
+    per-chunk transform.  A call writes to nothing shared but ``rng`` and
+    the caches ``spec.critical_point`` and ``eta.G``, so once those are
+    filled, calls on distinct streams may run concurrently, as the points
+    of ``run_curve`` do: numpy's normal fill, ufuncs and einsum release the
+    interpreter lock, and each estimate depends on its stream alone, not
+    on the schedule.
     """
     if spec.kind != "hh":
         raise ValueError("spec.kind must be 'hh'")

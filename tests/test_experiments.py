@@ -1,18 +1,22 @@
 import re
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sqitest
+from sqitest import hypotests as ht
 from sqitest.cli import main
 from sqitest.experiments import (
     ExperimentConfig,
+    _resolve_eta,
     run_curve,
     run_verify,
 )
 from sqitest.hypotests import si_type2_n2
-from sqitest.phase_space import SqueezeParam
+from sqitest.phase_space import SqueezeParam, rng_stream
 
 
 def read_curve(path):
@@ -172,6 +176,32 @@ class TestRunCurve:
 
         assert not np.array_equal(mc(7919)[:-1], mc(0)[1:])
 
+    def test_pooled_points_equal_serial_calls(self, tmp_path):
+        # 9 points, more than workers, and blocks that cross their edges; a
+        # short switch interval makes the workers interleave often
+        out = tmp_path / "c.csv"
+        cfg = ExperimentConfig(copies=4, theta_steps=3, reps=3 * ht._MC_CHUNK + 5,
+                               seed=12, out=str(out))
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_curve(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+        _, header, rows = read_curve(out)
+        spec = ht.TestSpec(1, 4, 0.0, 0.05, "hh")
+        for j, entry in enumerate(cfg.etas):
+            label, eta, orient = _resolve_eta(entry, 1)
+            want = [ht.hh_type2_montecarlo(orient * t, eta, spec, cfg.reps,
+                                           rng_stream(cfg.seed, j, i))
+                    for i, t in enumerate(cfg.theta_grid)]
+            assert rows[:, header.index(f"beta_hh_{label}_mc")].tolist() == [
+                e.value for e in want]
+            assert rows[:, header.index(f"beta_hh_{label}_stderr")].tolist() == [
+                e.stderr for e in want]
+
     def test_unknown_eta_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             run_curve(ExperimentConfig(etas=("bogus",), theta_steps=2,
@@ -292,6 +322,24 @@ class TestCli:
         col = {h: rows[:, i] for i, h in enumerate(header)}
         assert np.all(np.abs(col["beta_hh_eta_strong_mc"] - col["beta_hh_eta_strong"])
                       <= 4 * col["beta_hh_eta_strong_stderr"])
+
+    def test_worker_error_reaches_the_command(self, tmp_path, capsys, monkeypatch):
+        # the path a LinAlgError from the Cholesky of a strongly squeezed
+        # covariance takes: raised in a pool thread, reported by the CLI
+        serial = ht.hh_type2_montecarlo
+
+        def failing(theta, eta, spec, reps, rng):
+            if theta[0] == 0.5 and np.any(eta.S):  # L-real-theta, middle theta
+                raise ValueError("middle point failed")
+            return serial(theta, eta, spec, reps, rng)
+
+        monkeypatch.setattr(ht, "hh_type2_montecarlo", failing)
+        threads = threading.active_count()
+        code = main(["curve", "--n", "4", "--theta-max", "1", "--theta-steps", "3",
+                     "--reps", "100", "--out", str(tmp_path / "c.csv")])
+        assert code == 2
+        assert "error: middle point failed" in capsys.readouterr().err
+        assert threading.active_count() == threads
 
     def test_verify_command(self, tmp_path, capsys):
         report_path = tmp_path / "report.txt"

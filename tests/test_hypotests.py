@@ -10,6 +10,7 @@ from sqitest.fock import FockConfig, si_type2_fock
 from sqitest.hypotests import (
     SingularCovarianceError,
     TestSpec,
+    _MC_CHUNK,
     _hotelling_t2,
     crossing_check,
     hh_type2_analytic,
@@ -89,7 +90,8 @@ class TestHotellingStatistic:
 
 
 class TestHotellingKernel:
-    @pytest.mark.parametrize("n, p", [(4, 2), (6, 4), (9, 6)])
+    # (40, 2): a long copy axis, where the contiguous sums round differently
+    @pytest.mark.parametrize("n, p", [(4, 2), (6, 4), (9, 6), (40, 2)])
     def test_matches_per_replicate_solve(self, n, p):
         rng = np.random.default_rng(100 * n + p)
         z, shift = rng.standard_normal((64, n, p)), rng.standard_normal(p)
@@ -222,10 +224,10 @@ class TestHHMonteCarlo:
         assert abs(est.value - 0.95) < 5 * est.stderr
 
     def test_blocked_estimate_equals_one_batch(self):
-        # three full blocks of 2^15 replicates and a partial one
+        # three full blocks of _MC_CHUNK replicates and a partial one
         spec = TestSpec(1, 4, 0.5, 0.05, "hh")
         eta = SqueezeParam.axis_family(1.5)
-        reps, n, seed = 3 * 2 ** 15 + 17, spec.copies, 7
+        reps, n, seed = 3 * _MC_CHUNK + 17, spec.copies, 7
         est = hh_type2_montecarlo(0.4, eta, spec, reps, rng_stream(seed))
         gspec = GaussianSpec(1, np.array([0.4]), eta, 0.5)
         x = heterodyne_sample(gspec, reps * n, rng=rng_stream(seed)).reshape(reps, n, 2)
