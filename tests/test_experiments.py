@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import sqitest
+from sqitest import experiments
 from sqitest import hypotests as ht
 from sqitest.cli import main
 from sqitest.experiments import (
@@ -176,9 +177,10 @@ class TestRunCurve:
 
         assert not np.array_equal(mc(7919)[:-1], mc(0)[1:])
 
-    def test_pooled_points_equal_serial_calls(self, tmp_path):
-        # 9 points, more than workers, and blocks that cross their edges; a
+    def test_pooled_points_equal_serial_calls(self, tmp_path, monkeypatch):
+        # 9 points on two workers, and blocks that cross their edges; a
         # short switch interval makes the workers interleave often
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
         out = tmp_path / "c.csv"
         cfg = ExperimentConfig(copies=4, theta_steps=3, reps=3 * ht._MC_CHUNK + 5,
                                seed=12, out=str(out))
