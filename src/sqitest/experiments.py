@@ -7,7 +7,6 @@ their own tests; this module only arranges grids, random streams and files.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +32,7 @@ CONFIG_KEYS = {
     "theta_min": ("theta_min", float, "smallest displacement norm"),
     "theta_max": ("theta_max", float, "largest displacement norm"),
     "theta_steps": ("theta_steps", int, "number of grid points"),
-    "reps": ("reps", int, "Monte Carlo replicates per point (0 = analytic only)"),
+    "reps": ("reps", int, "Monte Carlo replicates, shared by every point (0 = analytic only)"),
     "seed": ("seed", int, "base random seed"),
     "out": ("out", str, "output CSV path"),
 }
@@ -67,6 +66,8 @@ class ExperimentConfig:
             raise ValueError("theta_max must exceed theta_min")
         if self.reps < 0:
             raise ValueError("reps must be >= 0 (0 = analytic only)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly inside (0, 1)")
         object.__setattr__(self, "etas", tuple(self.etas))
@@ -112,24 +113,14 @@ def _beta_si_column(config: ExperimentConfig, grid: np.ndarray):
     return np.full(grid.shape, np.nan), note
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def run_curve(config: ExperimentConfig) -> str:
     """Write the error-curve CSV for the configured sweep; returns the path.
 
-    Columns: theta, beta_si, then one beta_hh_<label> per eta entry (plus
-    _mc and _stderr columns when reps > 0).  Reruns with the same config
-    and seed are byte-identical.  The Monte Carlo points, one per (eta
-    entry j, theta point i), run concurrently on a thread pool of at most
-    one worker per usable CPU; each draws from its own
-    ``rng_stream(seed, j, i)``, so the bytes do not depend on the schedule.
-    The analytic columns are computed first, which fills the cached
-    critical point and squeeze matrices that the workers then only read.
+    Columns: theta, beta_si, then one beta_hh_<label> per eta entry, whose
+    labels must differ (plus _mc and _stderr columns when reps > 0).  Every
+    Monte Carlo point, one per (eta entry, theta), is a whitened shift of
+    the same replicates from ``rng_stream(seed)``, so reruns are
+    byte-identical, and the points are not independent of each other.
     """
     grid = config.theta_grid
     columns = {"theta": grid}
@@ -147,10 +138,12 @@ def run_curve(config: ExperimentConfig) -> str:
     else:
         notes.append("beta_hh not evaluated: the Hotelling test needs more than "
                      "2m copies")
-    points = []  # (column label, theta index, theta, eta, stream) per Monte Carlo point
-    for stream, entry in enumerate(config.etas):
+    suffixes = ("", "_mc", "_stderr") if config.reps > 0 else ("",)
+    shifts = {}  # column label -> whitened shifts of the grid, when reps > 0
+    for entry in config.etas:
         label, eta, orient = _resolve_eta(entry, config.modes)
-        suffixes = ("", "_mc", "_stderr") if config.reps > 0 else ("",)
+        if f"beta_hh_{label}" in columns:
+            raise ValueError(f"eta entries repeat the column label {label!r}")
         for suffix in suffixes:
             columns[f"beta_hh_{label}{suffix}"] = np.full(grid.shape, np.nan)
         if spec_hh is None:
@@ -158,18 +151,12 @@ def run_curve(config: ExperimentConfig) -> str:
         thetas = orient * np.outer(grid, np.eye(config.modes, 1))
         columns[f"beta_hh_{label}"] = ht.hh_type2_analytic(thetas, eta, spec_hh)
         if config.reps > 0:
-            points += [(label, i, theta, eta, rng_stream(config.seed, stream, i))
-                       for i, theta in enumerate(thetas)]
-    if points:
-        def estimate(point):
-            _, _, theta, eta, rng = point
-            return ht.hh_type2_montecarlo(theta, eta, spec_hh, config.reps, rng)
-
-        with ThreadPoolExecutor(min(len(points), _usable_cpus())) as pool:
-            estimates = list(pool.map(estimate, points))
-        for (label, i, *_), est in zip(points, estimates):
-            columns[f"beta_hh_{label}_mc"][i] = est.value
-            columns[f"beta_hh_{label}_stderr"][i] = est.stderr
+            shifts[label] = ht._whiten(thetas, eta, spec_hh)
+    if shifts:
+        est = ht._hotelling_acceptance(np.stack(list(shifts.values())), spec_hh,
+                                       config.reps, rng_stream(config.seed))
+        for label, value, stderr in zip(shifts, est.value, est.stderr):
+            columns[f"beta_hh_{label}_mc"], columns[f"beta_hh_{label}_stderr"] = value, stderr
 
     header = [
         f"# m = {config.modes}", f"# n = {config.copies}",
@@ -328,13 +315,11 @@ def _verify_tests(report: VerifyReport):
     spec3 = ht.TestSpec(1, 3, 0.0, 0.05, "hh")
     eta0 = SqueezeParam.zero(1)
 
-    mc = ht.hh_type2_montecarlo(0.0, eta0, spec3, 50000, rng_stream(5))
-    report.add("hh_null_calibration", abs(mc.value - 0.95), 4 * mc.stderr,
+    mc = ht.hh_type2_montecarlo(np.array([[0.0], [0.5]]), eta0, spec3, 50000, rng_stream(5))
+    report.add("hh_null_calibration", abs(mc.value[0] - 0.95), 4 * mc.stderr[0],
                note="Monte Carlo, 4 sigma band")
-
-    mc = ht.hh_type2_montecarlo(0.5, eta0, spec3, 50000, rng_stream(6))
     an = ht.hh_type2_analytic(0.5, eta0, spec3)
-    report.add("hh_mc_vs_analytic", abs(mc.value - an), 4 * mc.stderr,
+    report.add("hh_mc_vs_analytic", abs(mc.value[1] - an), 4 * mc.stderr[1],
                note="Monte Carlo, 4 sigma band")
 
     slope = ht.si_small_theta_slope(ht.TestSpec(1, 3, 0.0, 0.05, "si"))

@@ -103,47 +103,46 @@ def hotelling_F(samples: np.ndarray) -> float:
     if n <= 2 * m:
         raise ValueError("need more than 2m samples")
     xbar = samples.mean(axis=0)
-    t2 = float(_hotelling_t2((samples - xbar)[None], xbar)[0])
-    if t2 == np.inf:
+    t2 = float(_hotelling_factor((samples - xbar)[None])(xbar)[0])
+    if not np.isfinite(t2):
         raise SingularCovarianceError("sample covariance is singular")
     mu, nu = 2 * m, n - 2 * m
     return (nu / (mu * (n - 1))) * t2
 
 
-def _hotelling_t2(z: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """T^2 = n xbar' S^{-1} xbar of the replicates z[r] + shift, for an (R, n, p) block z.
+def _hotelling_factor(z: np.ndarray):
+    """Factor the sample covariances of an (R, n, p) block z once; returns t2(shift).
 
-    S is the sample covariance with divisor n - 1.  Adding ``shift`` to
-    every copy moves xbar but not S, so S is read from z alone, from its
-    uncentred moments sum_k z_ki z_kj - n zbar_i zbar_j, which keep their
-    bits while z's mean is small next to its spread (callers pass centred
-    or whitened draws).  z is copied once into a contiguous (p, n, R)
-    array, so every sum and product runs over R-long contiguous rows.
-    Python loops run only over the small p: an unpivoted Cholesky factor
-    S = L L' and the forward solve L y = xbar give T^2 = n |y|^2.  S is
-    positive semidefinite, so no pivoting is needed.  A pivot that is not
-    positive makes y, and so T^2, non-finite; such a replicate reads +inf,
-    the limit of the form when xbar leaves the range of a singular S, so it
-    counts as a rejection.
+    t2(shift) is T^2 = n xbar' S^{-1} xbar of each replicate z[r] + shift; a
+    shift moves xbar but not S (divisor n - 1).  S comes from the uncentred
+    moments of z, exact while its mean is small next to its spread (callers
+    pass centred or whitened draws), summed over R-long rows of one
+    contiguous (p, n, R) copy.  Loops run over the small p only: an
+    unpivoted Cholesky factor S = L L' once, and per shift the forward solve
+    L y = xbar, with T^2 = n |y|^2.  A pivot that is not positive makes T^2
+    inf or nan, which fails every test ``<= c``: a rejection.
     """
     _, n, p = z.shape
     cols = np.ascontiguousarray(z.transpose(2, 1, 0))
     zbar = [c.sum(axis=0) / n for c in cols]
     L = [[None] * p for _ in range(p)]
-    y = []
     with np.errstate(all="ignore"):
         for j in range(p):
             for i in range(j, p):
                 s = ((np.einsum("kr,kr->r", cols[i], cols[j]) - n * zbar[i] * zbar[j])
                      / (n - 1) - sum(L[i][k] * L[j][k] for k in range(j)))
-                if i == j:
-                    L[j][j] = np.sqrt(s)
-                else:
-                    L[i][j] = s / L[j][j]
-            xbar = zbar[j] + shift[..., j]
-            y.append((xbar - sum(L[j][k] * y[k] for k in range(j))) / L[j][j])
-        t2 = n * sum(v * v for v in y)
-    t2[~np.isfinite(t2)] = np.inf
+                L[i][j] = np.sqrt(s) if i == j else s / L[j][j]
+
+    def t2(shift):
+        y = []
+        with np.errstate(all="ignore"):
+            for j in range(p):
+                r = zbar[j] + shift[j]
+                for k in range(j):
+                    r -= L[j][k] * y[k]
+                y.append(r / L[j][j])
+            return n * sum(v * v for v in y)
+
     return t2
 
 
@@ -162,46 +161,60 @@ def hh_type2_analytic(theta, eta: SqueezeParam, spec: TestSpec):
 
 @dataclass(frozen=True)
 class MonteCarloEstimate:
-    value: float
-    stderr: float
+    value: float | np.ndarray
+    stderr: float | np.ndarray
     reps: int
+
+
+def _whiten(theta, eta: SqueezeParam, spec: TestSpec) -> np.ndarray:
+    """Shifts L^{-1} mu, sigma = L L', of shape (..., 2m), each row solved on its own."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=complex))
+    if theta.shape[-1] != spec.modes:
+        raise ValueError(f"theta must have shape (..., {spec.modes})")
+    sigma = moments(GaussianSpec(spec.modes, np.zeros(spec.modes), eta, spec.mixture)).sigma
+    L = np.linalg.cholesky(sigma)  # LinAlgError (a ValueError) once |S| >= 18 breaks sigma >= I/4
+    mu = eta.G @ np.concatenate([theta.real, theta.imag], axis=-1)[..., None]
+    return np.linalg.solve(L, mu)[..., 0]
+
+
+def _hotelling_acceptance(shifts: np.ndarray, spec: TestSpec, reps: int,
+                          rng: np.random.Generator) -> MonteCarloEstimate:
+    """Acceptance frequency of the Hotelling test at each whitened shift (..., 2m).
+
+    Every shift is added to the same ``reps`` replicates z of n standard
+    normal copies, drawn in order from ``rng`` and reduced in blocks of
+    _MC_CHUNK, each factored once: memory stays bounded, and each shift's
+    estimate depends neither on the block size nor on the other shifts.
+    """
+    if spec.kind != "hh":
+        raise ValueError("spec.kind must be 'hh'")
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    n, p = spec.copies, spec.mu_dof
+    scale = spec.nu_dof / (spec.mu_dof * (n - 1))
+    accepted = np.zeros(shifts.shape[:-1], dtype=np.int64)
+    for start in range(0, reps, _MC_CHUNK):
+        size = min(_MC_CHUNK, reps - start)
+        t2 = _hotelling_factor(rng.standard_normal((size * n, p)).reshape(size, n, p))
+        for i in np.ndindex(accepted.shape):
+            accepted[i] += np.count_nonzero(scale * t2(shifts[i]) <= spec.critical_point)
+    accept = accepted / reps
+    stderr = np.sqrt(np.maximum(accept * (1.0 - accept), 1e-12) / reps)
+    return MonteCarloEstimate(accept[()], stderr[()], reps)
 
 
 def hh_type2_montecarlo(theta, eta: SqueezeParam, spec: TestSpec, reps: int,
                         rng: np.random.Generator) -> MonteCarloEstimate:
     """Acceptance frequency of the Hotelling test over simulated heterodyne data.
 
-    Deterministic for a fixed stream (see ``rng_stream``).  Replicates are
-    drawn in order from ``rng`` and reduced in blocks of _MC_CHUNK, so memory
-    stays bounded and the estimate does not depend on the block size.  T^2
-    is unchanged by x -> L^{-1} x, so with sigma = L L' the outcomes
-    mu + L z of ``heterodyne_sample`` are evaluated whitened, as z + delta
-    with delta = L^{-1} mu: the same standard normal draws z, and no
-    per-chunk transform.  A call writes to nothing shared but ``rng`` and
-    the caches ``spec.critical_point`` and ``eta.G``, so once those are
-    filled, calls on distinct streams may run concurrently, as the points
-    of ``run_curve`` do: numpy's normal fill, ufuncs and einsum release the
-    interpreter lock, and each estimate depends on its stream alone, not
-    on the schedule.
+    ``theta`` has shape (..., m), as in ``kappa``; the estimate has shape
+    (...).  T^2 is unchanged by x -> L^{-1} x, so with sigma = L L' the
+    outcomes mu + L z of ``heterodyne_sample`` are evaluated as z + L^{-1} mu:
+    the same draws z from ``rng``, shared by every theta of the stack.  So
+    each entry equals the call with that theta alone on a fresh copy of the
+    stream, and the entries are not independent of each other.
     """
-    if spec.kind != "hh":
-        raise ValueError("spec.kind must be 'hh'")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    mom = moments(GaussianSpec(spec.modes, np.atleast_1d(np.asarray(theta, dtype=complex)),
-                               eta, spec.mixture))
-    # sigma >= I/4; LinAlgError (a ValueError) once rounding breaks that, |S| >= 18
-    delta = np.linalg.solve(np.linalg.cholesky(mom.sigma), mom.mu)
-    n, p = spec.copies, 2 * spec.modes
-    accepted = 0
-    for start in range(0, reps, _MC_CHUNK):
-        size = min(_MC_CHUNK, reps - start)
-        z = rng.standard_normal((size * n, p)).reshape(size, n, p)
-        f = (spec.nu_dof / (spec.mu_dof * (n - 1))) * _hotelling_t2(z, delta)
-        accepted += int(np.count_nonzero(f <= spec.critical_point))
-    accept = accepted / reps
-    stderr = float(np.sqrt(max(accept * (1.0 - accept), 1e-12) / reps))
-    return MonteCarloEstimate(accept, stderr, reps)
+    return _hotelling_acceptance(_whiten(theta, eta, spec), spec, reps, rng)
 
 
 def si_type2_closed(theta_norm, spec: TestSpec):

@@ -1,13 +1,10 @@
 import re
-import sys
-import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sqitest
-from sqitest import experiments
 from sqitest import hypotests as ht
 from sqitest.cli import main
 from sqitest.experiments import (
@@ -44,6 +41,15 @@ class TestExperimentConfig:
             ExperimentConfig(reps=-1)
         with pytest.raises(ValueError):
             ExperimentConfig(alpha=0.0)
+
+    def test_negative_seed_rejected(self):
+        # numpy's own error ("expected non-negative integer") did not name
+        # the seed, and with reps = 0 the seed was accepted and echoed
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            ExperimentConfig(seed=-1)
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            ExperimentConfig.from_text("seed = -1\nreps = 0\n")
+        assert ExperimentConfig(seed=0).seed == 0
 
     @pytest.mark.parametrize("kwargs,key", [
         ({"theta_max": float("nan")}, "theta_max"),
@@ -166,8 +172,8 @@ class TestRunCurve:
         assert "beta_hh_eta_myeta" in header
 
     def test_monte_carlo_streams_do_not_shift_with_the_seed(self, tmp_path):
-        # near-equal thetas accept on the same draws, so if point i of one
-        # seed drew point i + 1's stream of another, the estimates would match
+        # near-equal thetas accept on the same draws, so if seed 7919 replayed
+        # seed 0's draws, the estimates would match
         def mc(seed):
             out = tmp_path / f"c{seed}.csv"
             run_curve(ExperimentConfig(theta_min=1.0, theta_max=1.0 + 1e-9, theta_steps=3,
@@ -177,32 +183,55 @@ class TestRunCurve:
 
         assert not np.array_equal(mc(7919)[:-1], mc(0)[1:])
 
-    def test_pooled_points_equal_serial_calls(self, tmp_path, monkeypatch):
-        # 9 points on two workers, and blocks that cross their edges; a
-        # short switch interval makes the workers interleave often
-        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    def test_monte_carlo_columns_equal_one_stacked_call(self, tmp_path):
+        # every point is a shift of the draws of rng_stream(seed), so each
+        # column equals one stacked call on a fresh copy of that stream;
+        # blocks cross the edges of _MC_CHUNK
         out = tmp_path / "c.csv"
         cfg = ExperimentConfig(copies=4, theta_steps=3, reps=3 * ht._MC_CHUNK + 5,
                                seed=12, out=str(out))
-        threads = threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            run_curve(cfg)
-        finally:
-            sys.setswitchinterval(interval)
-        assert threading.active_count() == threads
+        run_curve(cfg)
         _, header, rows = read_curve(out)
         spec = ht.TestSpec(1, 4, 0.0, 0.05, "hh")
-        for j, entry in enumerate(cfg.etas):
+        for entry in cfg.etas:
             label, eta, orient = _resolve_eta(entry, 1)
-            want = [ht.hh_type2_montecarlo(orient * t, eta, spec, cfg.reps,
-                                           rng_stream(cfg.seed, j, i))
-                    for i, t in enumerate(cfg.theta_grid)]
-            assert rows[:, header.index(f"beta_hh_{label}_mc")].tolist() == [
-                e.value for e in want]
-            assert rows[:, header.index(f"beta_hh_{label}_stderr")].tolist() == [
-                e.stderr for e in want]
+            want = ht.hh_type2_montecarlo(orient * cfg.theta_grid[:, None], eta, spec,
+                                          cfg.reps, rng_stream(cfg.seed))
+            assert rows[:, header.index(f"beta_hh_{label}_mc")].tolist() == want.value.tolist()
+            assert (rows[:, header.index(f"beta_hh_{label}_stderr")].tolist()
+                    == want.stderr.tolist())
+
+    def test_theta_zero_agrees_across_columns(self, tmp_path):
+        # theta = 0 is the zero shift under every squeezing: one estimate
+        out = tmp_path / "c.csv"
+        run_curve(ExperimentConfig(copies=4, theta_steps=2, theta_max=1.0, reps=3000,
+                                   seed=5, out=str(out)))
+        _, header, rows = read_curve(out)
+        for suffix in ("_mc", "_stderr"):
+            cells = {rows[0, i] for i, h in enumerate(header)
+                     if h.startswith("beta_hh_") and h.endswith(suffix)}
+            assert len(cells) == 1
+        assert rows[1, header.index("beta_hh_etaL_real_mc")] != rows[
+            1, header.index("beta_hh_etaL_imag_mc")]
+
+    @pytest.mark.parametrize("same_stem", [False, True])
+    def test_repeated_eta_label_rejected(self, tmp_path, same_stem):
+        # the later column used to overwrite the earlier one silently
+        if same_stem:
+            etas = []
+            for folder in ("a", "b"):
+                (tmp_path / folder).mkdir()
+                path = tmp_path / folder / "squeeze.txt"
+                path.write_text(SqueezeParam.axis_family(1.5).to_text())
+                etas.append(str(path))
+            label = "eta_squeeze"
+        else:
+            etas, label = ["zero", "zero"], "eta0"
+        out = tmp_path / "c.csv"
+        with pytest.raises(ValueError, match=f"repeat the column label '{label}'"):
+            run_curve(ExperimentConfig(theta_steps=2, theta_max=1.0, etas=etas,
+                                       out=str(out)))
+        assert not out.exists()
 
     def test_unknown_eta_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -325,23 +354,36 @@ class TestCli:
         assert np.all(np.abs(col["beta_hh_eta_strong_mc"] - col["beta_hh_eta_strong"])
                       <= 4 * col["beta_hh_eta_strong_stderr"])
 
-    def test_worker_error_reaches_the_command(self, tmp_path, capsys, monkeypatch):
-        # the path a LinAlgError from the Cholesky of a strongly squeezed
-        # covariance takes: raised in a pool thread, reported by the CLI
-        serial = ht.hh_type2_montecarlo
+    def test_monte_carlo_error_reaches_the_command(self, tmp_path, capsys, monkeypatch):
+        # an error raised inside the Monte Carlo, here in its second block,
+        # is reported by the CLI, and no CSV is written
+        factor, blocks = ht._hotelling_factor, []
 
-        def failing(theta, eta, spec, reps, rng):
-            if theta[0] == 0.5 and np.any(eta.S):  # L-real-theta, middle theta
-                raise ValueError("middle point failed")
-            return serial(theta, eta, spec, reps, rng)
+        def failing(z):
+            blocks.append(len(z))
+            if len(blocks) == 2:
+                raise ValueError("second block failed")
+            return factor(z)
 
-        monkeypatch.setattr(ht, "hh_type2_montecarlo", failing)
-        threads = threading.active_count()
+        monkeypatch.setattr(ht, "_hotelling_factor", failing)
+        out = tmp_path / "c.csv"
         code = main(["curve", "--n", "4", "--theta-max", "1", "--theta-steps", "3",
-                     "--reps", "100", "--out", str(tmp_path / "c.csv")])
+                     "--reps", str(2 * ht._MC_CHUNK), "--out", str(out)])
         assert code == 2
-        assert "error: middle point failed" in capsys.readouterr().err
-        assert threading.active_count() == threads
+        assert "error: second block failed" in capsys.readouterr().err
+        assert blocks == [ht._MC_CHUNK] * 2 and not out.exists()
+
+    def test_repeated_eta_label_is_usage_error(self, tmp_path, capsys):
+        code = main(["curve", "--eta", "zero", "--eta", "zero",
+                     "--out", str(tmp_path / "c.csv")])
+        assert code == 2
+        assert "error: eta entries repeat the column label 'eta0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reps", ["0", "10"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, reps):
+        code = main(["curve", "--seed", "-1", "--reps", reps, "--out", str(tmp_path / "c.csv")])
+        assert code == 2
+        assert "error: seed must be >= 0" in capsys.readouterr().err
 
     def test_verify_command(self, tmp_path, capsys):
         report_path = tmp_path / "report.txt"

@@ -11,7 +11,9 @@ from sqitest.hypotests import (
     SingularCovarianceError,
     TestSpec,
     _MC_CHUNK,
-    _hotelling_t2,
+    _hotelling_acceptance,
+    _hotelling_factor,
+    _whiten,
     crossing_check,
     hh_type2_analytic,
     hh_type2_montecarlo,
@@ -21,6 +23,19 @@ from sqitest.hypotests import (
     si_type2_n2,
 )
 from sqitest.phase_space import GaussianSpec, SqueezeParam, heterodyne_sample, kappa, rng_stream
+
+
+def one_batch_acceptance(gspec, spec, reps, seed):
+    """Acceptance frequency of ``reps`` replicates of ``heterodyne_sample`` outcomes
+    from ``rng_stream(seed)``, each covariance solved with ``np.linalg.solve``."""
+    n = spec.copies
+    x = heterodyne_sample(gspec, reps * n, rng_stream(seed)).reshape(reps, n, 2 * spec.modes)
+    xbar = x.mean(axis=1)
+    centered = x - xbar[:, None, :]
+    cov = np.einsum("rni,rnj->rij", centered, centered) / (n - 1)
+    sol = np.linalg.solve(cov, xbar[..., None])[..., 0]
+    f_vals = (spec.nu_dof / (spec.mu_dof * (n - 1))) * (n * np.einsum("ri,ri->r", xbar, sol))
+    return float(np.mean(f_vals <= spec.critical_point))
 
 
 class TestTestSpec:
@@ -96,11 +111,11 @@ class TestHotellingKernel:
         rng = np.random.default_rng(100 * n + p)
         z, shift = rng.standard_normal((64, n, p)), rng.standard_normal(p)
         z[17] = z[17, 0]  # identical copies: a singular sample covariance
-        got = _hotelling_t2(z, shift)
+        got = _hotelling_factor(z)(shift)
         x = z + shift
         for r in range(len(x)):
             if r == 17:
-                assert got[r] == np.inf
+                assert not np.isfinite(got[r])  # fails every test "<= c"
                 continue
             xbar = x[r].mean(axis=0)
             centered = x[r] - xbar
@@ -227,17 +242,10 @@ class TestHHMonteCarlo:
         # three full blocks of _MC_CHUNK replicates and a partial one
         spec = TestSpec(1, 4, 0.5, 0.05, "hh")
         eta = SqueezeParam.axis_family(1.5)
-        reps, n, seed = 3 * _MC_CHUNK + 17, spec.copies, 7
+        reps, seed = 3 * _MC_CHUNK + 17, 7
         est = hh_type2_montecarlo(0.4, eta, spec, reps, rng_stream(seed))
-        gspec = GaussianSpec(1, np.array([0.4]), eta, 0.5)
-        x = heterodyne_sample(gspec, reps * n, rng=rng_stream(seed)).reshape(reps, n, 2)
-        xbar = x.mean(axis=1)
-        centered = x - xbar[:, None, :]
-        cov = np.einsum("rni,rnj->rij", centered, centered) / (n - 1)
-        sol = np.linalg.solve(cov, xbar[..., None])[..., 0]
-        f_vals = (spec.nu_dof / (spec.mu_dof * (n - 1))) * (
-            n * np.einsum("ri,ri->r", xbar, sol))
-        accept = float(np.mean(f_vals <= spec.critical_point))
+        accept = one_batch_acceptance(GaussianSpec(1, np.array([0.4]), eta, 0.5), spec,
+                                      reps, seed)
         assert est.value == accept
         assert est.stderr == float(np.sqrt(accept * (1.0 - accept) / reps))
 
@@ -245,6 +253,44 @@ class TestHHMonteCarlo:
         spec = TestSpec(1, 3, 0.0, 0.05, "hh")
         with pytest.raises(ValueError):
             hh_type2_montecarlo(0.3, SqueezeParam.zero(1), spec, 0, rng_stream(0))
+
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_stack_equals_per_theta_calls(self, modes):
+        # every theta is a shift of the same draws, so each entry is the
+        # call with that theta alone on a fresh copy of the stream
+        spec = TestSpec(modes, 2 * modes + 2, 0.3, 0.05, "hh")
+        eta = SqueezeParam.axis_family(1.5, modes=modes)
+        rng = np.random.default_rng(modes)
+        stack = (rng.standard_normal((2, 3, modes))
+                 + 1j * rng.standard_normal((2, 3, modes)))
+        stack[0, 0] = 0.0
+        reps = _MC_CHUNK + 11
+        est = hh_type2_montecarlo(stack, eta, spec, reps, rng_stream(21))
+        assert est.value.shape == est.stderr.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            one = hh_type2_montecarlo(stack[idx], eta, spec, reps, rng_stream(21))
+            assert isinstance(one.value, np.float64) and isinstance(one.stderr, np.float64)
+            assert one.value == est.value[idx] and one.stderr == est.stderr[idx]
+
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_shift_stack_equals_one_batch(self, modes):
+        # two squeezings and three thetas on one stream, with a partial
+        # block, against heterodyne outcomes solved one replicate at a time
+        spec = TestSpec(modes, 2 * modes + 2, 0.5, 0.05, "hh")
+        etas = (SqueezeParam.zero(modes), SqueezeParam.axis_family(1.5, modes=modes))
+        thetas = np.outer([0.0, 0.4, 0.9j], np.ones(modes))
+        reps, seed = 2 * _MC_CHUNK + 17, 8
+        est = _hotelling_acceptance(np.stack([_whiten(thetas, eta, spec) for eta in etas]),
+                                    spec, reps, rng_stream(seed))
+        assert est.value.shape == (2, 3)
+        for j, eta in enumerate(etas):
+            for i, theta in enumerate(thetas):
+                accept = one_batch_acceptance(GaussianSpec(modes, theta, eta, 0.5), spec,
+                                              reps, seed)
+                assert est.value[j, i] == accept
+                assert est.stderr[j, i] == float(np.sqrt(accept * (1.0 - accept) / reps))
+        # theta = 0 is the zero shift under every squeezing
+        assert est.value[0, 0] == est.value[1, 0]
 
 
 class TestSIClosedForm:
