@@ -34,7 +34,7 @@ for r in (2.0, 1.0, 0.3, 0.05):
 print("as r -> 0 the squeezing hides the displacement from heterodyne data")
 
 print("\n== the Hotelling decision rule on simulated data ==")
-spec_hh = ht.TestSpec(modes=1, copies=3, mixture=0.0, alpha=0.05, kind="hh")
+spec_hh = ht.TestSpec(modes=1, copies=3, mixture=0.0, alpha=0.05)
 eta0 = SqueezeParam.zero(1)
 data = heterodyne_sample(GaussianSpec(1, np.array([0.8]), eta0, 0.0), 3,
                          rng=rng_stream(7))

@@ -21,13 +21,12 @@ config = ExperimentConfig(modes=1, copies=3, mixture=0.0, alpha=0.05,
 path = run_curve(config)
 print(f"wrote {path}")
 
-spec_si = ht.TestSpec(1, 3, 0.0, 0.05, "si")
-spec_hh = ht.TestSpec(1, 3, 0.0, 0.05, "hh")
+spec = ht.TestSpec(1, 3, 0.0, 0.05)  # one problem, both tests
 from sqitest.phase_space import SqueezeParam
 eta0 = SqueezeParam.zero(1)
 thetas = np.linspace(0.0, 3.0, 7)
-beta_si = ht.si_type2_closed(thetas, spec_si)
-beta_hh = ht.hh_type2_analytic(thetas[:, None], eta0, spec_hh)
+beta_si = ht.si_type2_closed(thetas, spec)
+beta_hh = ht.hh_type2_analytic(thetas[:, None], eta0, spec)
 print(f"{'theta':>6} {'beta_si':>12} {'beta_hh(eta=0)':>15}")
 for t, bs, bh in zip(thetas, beta_si, beta_hh):
     print(f"{t:6.2f} {bs:12.6f} {bh:15.6f}")
@@ -41,7 +40,7 @@ print(f"Hotelling test overtakes at theta = {res.theta_large:.2f} "
 
 print("\n== small-displacement slopes ==")
 for n in (2, 3):
-    slope = ht.si_small_theta_slope(ht.TestSpec(1, n, 0.0, 0.05, "si"))
+    slope = ht.si_small_theta_slope(ht.TestSpec(1, n, 0.0, 0.05))
     print(f"  copies n = {n}: quadratic slope {slope:.4f} "
           f"(limit (1 - alpha) n = {0.95 * n:.4f})")
 

@@ -481,8 +481,8 @@ def noncentral_f_pdf(f: float, params: NoncentralFParams):
     b mu f / nu, so t_k peaks at k* = max(0, floor(b mu f / nu - a) + 1)
     (see ``_poisson_mixture``).  The output has the shape of lambda.
     """
-    if f <= 0:
-        raise ValueError("f must be positive")
+    if not f > 0:  # NaN fails this too
+        raise ValueError(f"f must be positive, got {f}")
     mu, nu, lam = params.mu_dof, params.nu_dof, params.noncentrality
     if mu * f == np.inf:  # x would be inf/inf; the density vanishes there
         return np.zeros(np.shape(lam))[()]
@@ -509,6 +509,8 @@ def noncentral_f_cdf(c: float, params: NoncentralFParams):
     complement I^c_y(b, z) of y = 1 - x = nu / (mu c + nu), so 1 - x keeps
     its bits when c is large.  The output has the shape of lambda.
     """
+    if np.isnan(c):
+        raise ValueError("c must not be NaN")
     mu, nu, lam = params.mu_dof, params.nu_dof, params.noncentrality
     if c <= 0 or mu * c == np.inf:  # at mu c = inf, x would be inf/inf
         return np.full(np.shape(lam), float(c > 0))[()]

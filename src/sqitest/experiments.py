@@ -102,12 +102,11 @@ def _resolve_eta(entry: str, modes: int):
     raise ValueError(f"unknown eta preset or missing file: {entry!r}")
 
 
-def _beta_si_column(config: ExperimentConfig, grid: np.ndarray):
-    spec = ht.TestSpec(config.modes, config.copies, config.mixture, config.alpha, "si")
-    if config.mixture == 0.0:
+def _beta_si_column(spec: ht.TestSpec, grid: np.ndarray):
+    if spec.mixture == 0.0:
         return ht.si_type2_closed(grid, spec), None
-    if config.copies == 2:
-        return ht.si_type2_n2(grid, config.modes, config.mixture, config.alpha), None
+    if spec.copies == 2:
+        return ht.si_type2_n2(grid, spec.modes, spec.mixture, spec.alpha), None
     note = ("beta_si not evaluated: no closed form for mixture > 0 with more than "
             "two copies; use the truncated-space oracle directly")
     return np.full(grid.shape, np.nan), note
@@ -125,17 +124,15 @@ def run_curve(config: ExperimentConfig) -> str:
     grid = config.theta_grid
     columns = {"theta": grid}
     notes = []
+    spec = ht.TestSpec(config.modes, config.copies, config.mixture, config.alpha)
 
-    beta_si, note = _beta_si_column(config, grid)
+    beta_si, note = _beta_si_column(spec, grid)
     columns["beta_si"] = beta_si
     if note:
         notes.append(note)
 
-    spec_hh = None
-    if config.copies > 2 * config.modes:
-        spec_hh = ht.TestSpec(config.modes, config.copies, config.mixture,
-                              config.alpha, "hh")
-    else:
+    run_hh = config.copies > 2 * config.modes
+    if not run_hh:
         notes.append("beta_hh not evaluated: the Hotelling test needs more than "
                      "2m copies")
     suffixes = ("", "_mc", "_stderr") if config.reps > 0 else ("",)
@@ -146,14 +143,14 @@ def run_curve(config: ExperimentConfig) -> str:
             raise ValueError(f"eta entries repeat the column label {label!r}")
         for suffix in suffixes:
             columns[f"beta_hh_{label}{suffix}"] = np.full(grid.shape, np.nan)
-        if spec_hh is None:
+        if not run_hh:
             continue
         thetas = orient * np.outer(grid, np.eye(config.modes, 1))
-        columns[f"beta_hh_{label}"] = ht.hh_type2_analytic(thetas, eta, spec_hh)
+        columns[f"beta_hh_{label}"] = ht.hh_type2_analytic(thetas, eta, spec)
         if config.reps > 0:
-            shifts[label] = ht._whiten(thetas, eta, spec_hh)
+            shifts[label] = ht._whiten(thetas, eta, spec)
     if shifts:
-        est = ht._hotelling_acceptance(np.stack(list(shifts.values())), spec_hh,
+        est = ht._hotelling_acceptance(np.stack(list(shifts.values())), spec,
                                        config.reps, rng_stream(config.seed))
         for label, value, stderr in zip(shifts, est.value, est.stderr):
             columns[f"beta_hh_{label}_mc"], columns[f"beta_hh_{label}_stderr"] = value, stderr
@@ -261,7 +258,7 @@ def _verify_fock(report: VerifyReport):
     worst = 0.0
     for n in (2, 3):
         cfgn = fock.FockConfig(1, n, 24)
-        spec = ht.TestSpec(1, n, 0.0, 0.05, "si")
+        spec = ht.TestSpec(1, n, 0.0, 0.05)
         got = fock.si_type2_fock(0.5, 0.0, 0.05, cfgn)
         worst = max(worst, abs(got - ht.si_type2_closed(0.5, spec)))
     report.add("si_error_fock_vs_closed", worst, 1e-4)
@@ -312,7 +309,7 @@ def _verify_distributions(report: VerifyReport):
 
 
 def _verify_tests(report: VerifyReport):
-    spec3 = ht.TestSpec(1, 3, 0.0, 0.05, "hh")
+    spec3 = ht.TestSpec(1, 3, 0.0, 0.05)
     eta0 = SqueezeParam.zero(1)
 
     mc = ht.hh_type2_montecarlo(np.array([[0.0], [0.5]]), eta0, spec3, 50000, rng_stream(5))
@@ -322,7 +319,7 @@ def _verify_tests(report: VerifyReport):
     report.add("hh_mc_vs_analytic", abs(mc.value[1] - an), 4 * mc.stderr[1],
                note="Monte Carlo, 4 sigma band")
 
-    slope = ht.si_small_theta_slope(ht.TestSpec(1, 3, 0.0, 0.05, "si"))
+    slope = ht.si_small_theta_slope(spec3)
     report.add("si_small_theta_slope", abs(slope / (0.95 * 3) - 1.0), 5e-3)
 
     betas = {r: ht.hh_type2_analytic(0.5, SqueezeParam.axis_family(r), spec3)
@@ -335,11 +332,10 @@ def _verify_tests(report: VerifyReport):
     report.add("error_curve_crossing", 0.0 if res.found_both else 1.0, 0.5,
                note=f"witnesses {res.theta_small}, {res.theta_large}")
 
-    spec_r = ht.TestSpec(1, 3, 0.0, 0.5, "hh")
-    spec_s = ht.TestSpec(1, 3, 0.0, 0.5, "si")
+    spec_half = ht.TestSpec(1, 3, 0.0, 0.5)
     thetas = np.array([2.0, 3.0, 4.0])
-    ratios = (ht.hh_type2_analytic(thetas[:, None], eta0, spec_r)
-              / ht.si_type2_closed(thetas, spec_s))
+    ratios = (ht.hh_type2_analytic(thetas[:, None], eta0, spec_half)
+              / ht.si_type2_closed(thetas, spec_half))
     ok = bool(np.all(np.diff(ratios) < 0))
     report.add("tail_ratio_decreasing", 0.0 if ok else 1.0, 0.5,
                note="alpha = 0.5 puts the grid inside the tail regime")

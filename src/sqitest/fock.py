@@ -248,8 +248,8 @@ def thermal_coherent_state(theta: complex, mixture: float, cutoff: int) -> Trunc
 
     The thermal occupation law is geometric, (1/(N+1)) (N/(N+1))^k, truncated.
     """
-    if mixture < 0:
-        raise ValueError("mixture must be >= 0")
+    if not 0.0 <= mixture < np.inf:
+        raise ValueError("mixture must be finite and >= 0")
     occupation = (1.0 / (mixture + 1.0)) * (mixture / (mixture + 1.0)) ** np.arange(cutoff)
     D = displacement(theta, cutoff).entries
     rho = D @ np.diag(occupation) @ D.conj().T

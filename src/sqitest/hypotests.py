@@ -40,7 +40,11 @@ _SLOPE_THETAS = (1e-2, 5e-3, 2.5e-3)
 
 @dataclass(frozen=True)
 class TestSpec:
-    """Problem dimensions and level for one of the two tests."""
+    """The problem both tests answer: m modes, n copies, mixture N, level alpha.
+
+    Both tests need n >= 2, alpha in [0, 1] and a finite N >= 0; the
+    Hotelling routes check the rest when they read ``critical_point``.
+    """
 
     __test__ = False  # not a pytest case despite the name
 
@@ -48,27 +52,14 @@ class TestSpec:
     copies: int
     mixture: float
     alpha: float
-    kind: str = "si"  # "hh" | "si"
 
     def __post_init__(self):
-        if self.kind not in ("hh", "si"):
-            raise ValueError("kind must be 'hh' or 'si'")
+        if self.copies < 2:
+            raise ValueError("both tests need at least two copies")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if self.mixture < 0:
-            raise ValueError("mixture must be >= 0")
-        if self.kind == "hh" and self.copies <= 2 * self.modes:
-            raise ValueError(
-                "the Hotelling test needs more than 2m copies "
-                "(sample covariance is singular otherwise)"
-            )
-        if self.kind == "hh" and self.alpha in (0.0, 1.0):
-            raise ValueError(
-                "the Hotelling test needs alpha strictly inside (0, 1): its "
-                "critical point is infinite at 0 and degenerate at 1"
-            )
-        if self.kind == "si" and self.copies < 2:
-            raise ValueError("the invariant test needs at least two copies")
+        if not 0.0 <= self.mixture < np.inf:
+            raise ValueError("mixture must be finite and >= 0")
 
     @property
     def mu_dof(self) -> int:
@@ -80,7 +71,14 @@ class TestSpec:
 
     @cached_property
     def critical_point(self) -> float:
-        """Level-alpha critical point of the central F(mu, nu) law, solved once."""
+        """Level-alpha critical point of the central F(mu, nu) law, solved once.
+
+        Every Hotelling route reads it first, so it raises ValueError for
+        n <= 2m and, in ``dist.critical_point``, for alpha outside (0, 1).
+        """
+        if self.copies <= 2 * self.modes:
+            raise ValueError("the Hotelling test needs more than 2m copies "
+                             "(sample covariance is singular otherwise)")
         return dist.critical_point(self.alpha, self.mu_dof, self.nu_dof)
 
 
@@ -93,7 +91,8 @@ def hotelling_F(samples: np.ndarray) -> float:
 
     ``samples`` is an (n, 2m) array of heterodyne outcomes; the sample
     covariance uses divisor n - 1.  The samples are centred before the
-    shared kernel reads their moments.
+    shared kernel reads their moments.  Samples that are not all finite
+    raise a ValueError that is not a ``SingularCovarianceError``.
     """
     samples = np.asarray(samples, dtype=float)
     n, p = samples.shape
@@ -102,6 +101,8 @@ def hotelling_F(samples: np.ndarray) -> float:
     m = p // 2
     if n <= 2 * m:
         raise ValueError("need more than 2m samples")
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("samples must be finite")
     xbar = samples.mean(axis=0)
     t2 = float(_hotelling_factor((samples - xbar)[None])(xbar)[0])
     if not np.isfinite(t2):
@@ -152,11 +153,9 @@ def hh_type2_analytic(theta, eta: SqueezeParam, spec: TestSpec):
     ``theta`` has shape (..., m), as in ``kappa``, and the output has shape
     (...), from one ``kappa`` and one cdf call.
     """
-    if spec.kind != "hh":
-        raise ValueError("spec.kind must be 'hh'")
+    c = spec.critical_point
     lam = spec.copies * kappa(theta, eta, spec.mixture)
-    return dist.noncentral_f_cdf(spec.critical_point,
-                                 NoncentralFParams(spec.mu_dof, spec.nu_dof, lam))
+    return dist.noncentral_f_cdf(c, NoncentralFParams(spec.mu_dof, spec.nu_dof, lam))
 
 
 @dataclass(frozen=True)
@@ -186,8 +185,7 @@ def _hotelling_acceptance(shifts: np.ndarray, spec: TestSpec, reps: int,
     _MC_CHUNK, each factored once: memory stays bounded, and each shift's
     estimate depends neither on the block size nor on the other shifts.
     """
-    if spec.kind != "hh":
-        raise ValueError("spec.kind must be 'hh'")
+    c = spec.critical_point
     if reps < 1:
         raise ValueError("reps must be >= 1")
     n, p = spec.copies, spec.mu_dof
@@ -197,7 +195,7 @@ def _hotelling_acceptance(shifts: np.ndarray, spec: TestSpec, reps: int,
         size = min(_MC_CHUNK, reps - start)
         t2 = _hotelling_factor(rng.standard_normal((size * n, p)).reshape(size, n, p))
         for i in np.ndindex(accepted.shape):
-            accepted[i] += np.count_nonzero(scale * t2(shifts[i]) <= spec.critical_point)
+            accepted[i] += np.count_nonzero(scale * t2(shifts[i]) <= c)
     accept = accepted / reps
     stderr = np.sqrt(np.maximum(accept * (1.0 - accept), 1e-12) / reps)
     return MonteCarloEstimate(accept[()], stderr[()], reps)
@@ -279,19 +277,18 @@ class CrossingResult:
 def crossing_check(alpha: float, theta_grid) -> CrossingResult:
     """Scan for the two orderings of the error curves (one mode, three copies).
 
-    Small displacements favor the invariant test (beta_si < beta_hh); the
-    Hotelling curve eventually undercuts it because its tail decays
-    exponentially in theta^2 while the invariant test's decays like
-    theta^{-2}.  At alpha = 0.05 the second crossing sits near theta = 31,
-    so grids must extend that far; missing witnesses are reported as None,
-    never fabricated.
+    Both curves come from one ``TestSpec(1, 3, 0, alpha)`` at eta = 0, so
+    alpha must lie inside (0, 1).  Small displacements favor the invariant
+    test (beta_si < beta_hh); the Hotelling curve eventually undercuts it
+    because its tail decays exponentially in theta^2 while the invariant
+    test's decays like theta^{-2}.  At alpha = 0.05 the second crossing sits
+    near theta = 31, so grids must extend that far; missing witnesses are
+    reported as None, never fabricated.
     """
     grid = np.asarray(theta_grid, dtype=float)
-    spec_si = TestSpec(1, 3, 0.0, alpha, "si")
-    spec_hh = TestSpec(1, 3, 0.0, alpha, "hh")
-    eta0 = SqueezeParam.zero(1)
-    beta_si = si_type2_closed(grid, spec_si)
-    beta_hh = hh_type2_analytic(grid[:, None], eta0, spec_hh)
+    spec = TestSpec(1, 3, 0.0, alpha)
+    beta_si = si_type2_closed(grid, spec)
+    beta_hh = hh_type2_analytic(grid[:, None], SqueezeParam.zero(1), spec)
     margin = 1e-12
     hits = [grid[(grid > 0) & mask]
             for mask in (beta_si < beta_hh - margin, beta_si > beta_hh + margin)]

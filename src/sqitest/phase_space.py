@@ -162,8 +162,8 @@ class GaussianSpec:
         object.__setattr__(self, "theta", theta)
         if self.eta.modes != self.modes:
             raise ValueError("eta mode count does not match")
-        if self.mixture < 0:
-            raise ValueError("mixture must be >= 0")
+        if not 0.0 <= self.mixture < np.inf:
+            raise ValueError("mixture must be finite and >= 0")
 
 
 @dataclass(frozen=True)

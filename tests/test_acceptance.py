@@ -31,7 +31,7 @@ def test_criterion_1_closed_form_triple_agreement():
     thetas = (0.0, 0.3, 0.7)
 
     worst_lattice = 0.0
-    spec2 = ht.TestSpec(1, 2, 0.0, ALPHA, "si")
+    spec2 = ht.TestSpec(1, 2, 0.0, ALPHA)
     for th in thetas:
         closed = ht.si_type2_closed(th, spec2)
         lattice = ht.si_type2_n2(th, 1, 0.0, ALPHA)
@@ -41,7 +41,7 @@ def test_criterion_1_closed_form_triple_agreement():
     worst_fock = 0.0
     for n in (2, 3):
         cfg = fock.FockConfig(1, n, 30)
-        spec = ht.TestSpec(1, n, 0.0, ALPHA, "si")
+        spec = ht.TestSpec(1, n, 0.0, ALPHA)
         for th in thetas:
             got = fock.si_type2_fock(th, 0.0, ALPHA, cfg)
             worst_fock = max(worst_fock, abs(got - ht.si_type2_closed(th, spec)))
@@ -107,7 +107,7 @@ def test_criterion_3_noncentral_f_engine():
     tail = 1.0 - dist.noncentral_f_cdf(c, dist.NoncentralFParams(2, 1, 0.0))
     assert abs(tail - ALPHA) < 1e-9
 
-    spec = ht.TestSpec(1, 3, 0.0, ALPHA, "hh")
+    spec = ht.TestSpec(1, 3, 0.0, ALPHA)
     from sqitest.phase_space import GaussianSpec, heterodyne_sample, rng_stream
 
     gspec = GaussianSpec(1, np.array([0.0]), SqueezeParam.zero(1), 0.0)
@@ -131,7 +131,7 @@ def test_criterion_3_noncentral_f_engine():
 def test_criterion_4_squeezing_dependence_and_supremum():
     # theta = 0.5, N = 0: the Hotelling error moves with the squeezing family
     # and climbs to the trivial level 1 - alpha as the family collapses
-    spec = ht.TestSpec(1, 3, 0.0, ALPHA, "hh")
+    spec = ht.TestSpec(1, 3, 0.0, ALPHA)
     th = 0.5
 
     betas = {}
@@ -172,7 +172,7 @@ def test_criterion_6_asymptotic_slopes_and_tails():
     th = 2.5e-3
     worst = 0.0
     for n in (2, 3):
-        spec = ht.TestSpec(1, n, 0.0, ALPHA, "si")
+        spec = ht.TestSpec(1, n, 0.0, ALPHA)
         beta = ht.si_type2_closed(th, spec)
         ratio = (1 - ALPHA - beta) / (n * th * th * (1 - ALPHA))
         worst = max(worst, abs(ratio - 1.0))
@@ -181,12 +181,12 @@ def test_criterion_6_asymptotic_slopes_and_tails():
     # large displacements, n = 3: theta^2 beta_si stays bounded while the
     # Hotelling-to-invariant ratio falls once the level puts the critical
     # point inside the tail regime (alpha = 0.5 exhibits it on {2, 3, 4})
-    spec_si = ht.TestSpec(1, 3, 0.0, ALPHA, "si")
+    spec_si = ht.TestSpec(1, 3, 0.0, ALPHA)
     scaled = [t * t * ht.si_type2_closed(t, spec_si) for t in (2.0, 3.0, 4.0)]
     assert max(scaled) < 0.2
 
-    spec_hh5 = ht.TestSpec(1, 3, 0.0, 0.5, "hh")
-    spec_si5 = ht.TestSpec(1, 3, 0.0, 0.5, "si")
+    spec_hh5 = ht.TestSpec(1, 3, 0.0, 0.5)
+    spec_si5 = ht.TestSpec(1, 3, 0.0, 0.5)
     eta0 = SqueezeParam.zero(1)
     ratios = [ht.hh_type2_analytic(t, eta0, spec_hh5) / ht.si_type2_closed(t, spec_si5)
               for t in (2.0, 3.0, 4.0)]

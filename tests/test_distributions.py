@@ -463,6 +463,16 @@ class TestNoncentralF:
     def test_pdf_is_zero_where_mu_f_overflows(self, lam, f):
         assert noncentral_f_pdf(f, NoncentralFParams(2, 1, lam)) == 0.0
 
+    @pytest.mark.parametrize("c", [0.0, -1.0])
+    def test_cdf_is_zero_at_nonpositive_c(self, c):
+        assert noncentral_f_cdf(c, NoncentralFParams(2, 1, 5.0)) == 0.0
+
+    @pytest.mark.parametrize("fn", [noncentral_f_cdf, noncentral_f_pdf])
+    def test_nan_argument_rejected(self, fn):
+        name = "c" if fn is noncentral_f_cdf else "f"
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            fn(np.nan, NoncentralFParams(2, 1, [1.0, 3.0]))
+
     @pytest.mark.parametrize("f,want", [
         (1e15, 1.8310542819422985698e-23),
         (5e15, 1.6377447379660202876e-24),

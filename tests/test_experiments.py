@@ -192,7 +192,7 @@ class TestRunCurve:
                                seed=12, out=str(out))
         run_curve(cfg)
         _, header, rows = read_curve(out)
-        spec = ht.TestSpec(1, 4, 0.0, 0.05, "hh")
+        spec = ht.TestSpec(1, 4, 0.0, 0.05)
         for entry in cfg.etas:
             label, eta, orient = _resolve_eta(entry, 1)
             want = ht.hh_type2_montecarlo(orient * cfg.theta_grid[:, None], eta, spec,

@@ -176,6 +176,11 @@ class TestThermalCoherentState:
         with pytest.raises(ValueError):
             thermal_coherent_state(0.1, -0.5, 8)
 
+    @pytest.mark.parametrize("mixture", [np.nan, np.inf])
+    def test_mixture_must_be_finite(self, mixture):
+        with pytest.raises(ValueError):
+            thermal_coherent_state(0.1, mixture, 4)
+
 
 class TestDisplacement:
     def test_zero_is_identity(self):
@@ -587,6 +592,11 @@ class TestSiErrorProbability:
         with pytest.raises(ValueError):
             si_type2_fock(0.1, 0.0, 1.5, cfg)
 
+    @pytest.mark.parametrize("mixture", [np.nan, np.inf])
+    def test_mixture_must_be_finite(self, mixture):
+        with pytest.raises(ValueError):
+            si_type2_fock(0.3, mixture, 0.05, FockConfig(1, 2, 10))
+
     def test_vanishing_mixture_lands_on_pure(self):
         # the mixture -> 0 limit: a vanishing mixture must land on the
         # pure-state answer, whose null is exactly the vacuum
@@ -600,7 +610,7 @@ class TestSiErrorProbability:
         theta = np.array([0.3, 0.2j])
         got = si_type2_fock(theta, 0.0, 0.05, FockConfig(2, 3, 5))
         want = ht.si_type2_closed(float(np.linalg.norm(theta)),
-                                  ht.TestSpec(2, 3, 0.0, 0.05, "si"))
+                                  ht.TestSpec(2, 3, 0.0, 0.05))
         assert abs(got - want) < 1e-6
 
     def test_three_copy_mixture_calibrated_and_monotone(self):

@@ -39,29 +39,39 @@ def one_batch_acceptance(gspec, spec, reps, seed):
 
 
 class TestTestSpec:
+    @staticmethod
+    def _only_hotelling_refuses(copies, alpha):
+        spec = TestSpec(1, copies, 0.0, alpha)
+        assert np.isfinite(si_type2_closed(0.3, spec))
+        eta0 = SqueezeParam.zero(1)
+        with pytest.raises(ValueError):
+            hh_type2_analytic(0.3, eta0, spec)
+        rng = rng_stream(0)
+        with pytest.raises(ValueError):
+            hh_type2_montecarlo(0.3, eta0, spec, 100, rng)
+        assert rng.random() == rng_stream(0).random()  # raised before its first draw
+
     def test_hotelling_needs_enough_copies(self):
-        with pytest.raises(ValueError):
-            TestSpec(1, 2, 0.0, 0.05, "hh")
-        TestSpec(1, 3, 0.0, 0.05, "hh")  # minimal valid case
-
-    def test_invariant_needs_two_copies(self):
-        with pytest.raises(ValueError):
-            TestSpec(1, 1, 0.0, 0.05, "si")
-
-    def test_level_range(self):
-        with pytest.raises(ValueError):
-            TestSpec(1, 3, 0.0, 1.2, "hh")
+        self._only_hotelling_refuses(2, 0.05)
 
     def test_hotelling_needs_interior_level(self):
         # the central F critical point is infinite at alpha = 0 and 0 at 1
         for alpha in (0.0, 1.0):
-            with pytest.raises(ValueError):
-                TestSpec(1, 3, 0.0, alpha, "hh")
-            TestSpec(1, 3, 0.0, alpha, "si")  # the invariant test takes both
+            self._only_hotelling_refuses(3, alpha)
 
-    def test_kind_validation(self):
+    def test_invariant_needs_two_copies(self):
         with pytest.raises(ValueError):
-            TestSpec(1, 3, 0.0, 0.05, "nope")
+            TestSpec(1, 1, 0.0, 0.05)
+
+    def test_level_range(self):
+        for alpha in (1.2, np.nan):
+            with pytest.raises(ValueError):
+                TestSpec(1, 3, 0.0, alpha)
+
+    @pytest.mark.parametrize("mixture", [-1.0, np.nan, np.inf])
+    def test_mixture_must_be_finite_and_nonnegative(self, mixture):
+        with pytest.raises(ValueError):
+            TestSpec(1, 3, mixture, 0.05)
 
 
 class TestHotellingStatistic:
@@ -103,6 +113,13 @@ class TestHotellingStatistic:
         with pytest.raises(ValueError):
             hotelling_F(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_are_not_a_singular_covariance(self, bad):
+        X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, bad]])
+        with pytest.raises(ValueError, match="finite") as err:
+            hotelling_F(X)
+        assert not isinstance(err.value, SingularCovarianceError)
+
 
 class TestHotellingKernel:
     # (40, 2): a long copy axis, where the contiguous sums round differently
@@ -126,14 +143,14 @@ class TestHotellingKernel:
 
 class TestHHAnalytic:
     def test_null_gives_level(self):
-        spec = TestSpec(1, 3, 0.0, 0.05, "hh")
+        spec = TestSpec(1, 3, 0.0, 0.05)
         got = hh_type2_analytic(0.0, SqueezeParam.zero(1), spec)
         assert abs(got - 0.95) < 1e-9
 
     def test_supremum_over_squeezing_reaches_trivial(self):
         # along the axis family the noncentrality collapses as r -> 0, so the
         # error probability climbs monotonically to 1 - alpha
-        spec = TestSpec(1, 3, 0.0, 0.05, "hh")
+        spec = TestSpec(1, 3, 0.0, 0.05)
         vals = [hh_type2_analytic(0.5, SqueezeParam.axis_family(r), spec)
                 for r in (1.0, 0.5, 0.1, 0.01)]
         assert all(b > a - 1e-6 for a, b in zip(vals, vals[1:]))
@@ -153,13 +170,13 @@ class TestHHAnalytic:
         assert slope == pytest.approx((1.0 - alpha - delta) / 2.0, rel=0.01)
 
     def test_eta_dependence(self):
-        spec = TestSpec(1, 3, 0.0, 0.05, "hh")
+        spec = TestSpec(1, 3, 0.0, 0.05)
         b1 = hh_type2_analytic(0.5, SqueezeParam.axis_family(1.0), spec)
         b2 = hh_type2_analytic(0.5, SqueezeParam.axis_family(0.1), spec)
         assert abs(b1 - b2) > 1e-2  # far above solver tolerance
 
     def test_lower_bound_exponential(self):
-        spec = TestSpec(1, 3, 0.0, 0.05, "hh")
+        spec = TestSpec(1, 3, 0.0, 0.05)
         eta0 = SqueezeParam.zero(1)
         for th in (0.3, 0.7, 1.5):
             lam = 3 * kappa(np.array([th]), eta0, 0.0)
@@ -167,7 +184,7 @@ class TestHHAnalytic:
             assert beta > np.exp(-lam / 2.0) * 0.95
 
     def test_one_theta_gives_a_float_and_a_stack_an_array(self):
-        spec = TestSpec(2, 6, 0.3, 0.05, "hh")
+        spec = TestSpec(2, 6, 0.3, 0.05)
         eta = SqueezeParam.axis_family(1.5, modes=2)
         stack = np.array([[0.0, 0.0], [0.5, 0.2j], [1.0 - 0.5j, 0.3]])
         got = hh_type2_analytic(stack, eta, spec)
@@ -177,39 +194,35 @@ class TestHHAnalytic:
             assert isinstance(one, float)
             assert one == pytest.approx(beta, rel=1e-14, abs=0.0)
         assert isinstance(hh_type2_analytic(0.5, SqueezeParam.zero(1),
-                                            TestSpec(1, 3, 0.0, 0.05, "hh")), float)
+                                            TestSpec(1, 3, 0.0, 0.05)), float)
 
     def test_critical_point_solved_once_per_spec(self, monkeypatch):
         calls = []
         solve = dist.critical_point
         monkeypatch.setattr(dist, "critical_point",
                             lambda *a: calls.append(a) or solve(*a))
-        spec = TestSpec(1, 3, 0.0, 0.05, "hh")
+        spec = TestSpec(1, 3, 0.0, 0.05)
         for t in (0.0, 0.5, 1.0):
             hh_type2_analytic(t, SqueezeParam.zero(1), spec)
         assert len(calls) == 1
         assert spec.critical_point == solve(0.05, 2, 1)
 
-    def test_requires_hh_spec(self):
-        with pytest.raises(ValueError):
-            hh_type2_analytic(0.1, SqueezeParam.zero(1), TestSpec(1, 3, 0.0, 0.05, "si"))
-
 
 class TestHHMonteCarlo:
     def test_null_calibration(self):
-        spec = TestSpec(1, 3, 0.0, 0.05, "hh")
+        spec = TestSpec(1, 3, 0.0, 0.05)
         est = hh_type2_montecarlo(0.0, SqueezeParam.zero(1), spec, 10 ** 5, rng_stream(1))
         assert abs(est.value - 0.95) < 4 * est.stderr
 
     def test_matches_analytic(self):
-        spec = TestSpec(1, 3, 0.0, 0.05, "hh")
+        spec = TestSpec(1, 3, 0.0, 0.05)
         eta0 = SqueezeParam.zero(1)
         est = hh_type2_montecarlo(0.5, eta0, spec, 10 ** 5, rng_stream(2))
         want = hh_type2_analytic(0.5, eta0, spec)
         assert abs(est.value - want) < 4 * est.stderr
 
     def test_matches_analytic_with_squeezing(self):
-        spec = TestSpec(1, 3, 0.5, 0.05, "hh")
+        spec = TestSpec(1, 3, 0.5, 0.05)
         eta = SqueezeParam.axis_family(1.5)
         est = hh_type2_montecarlo(0.4, eta, spec, 10 ** 5, rng_stream(3))
         want = hh_type2_analytic(0.4, eta, spec)
@@ -217,7 +230,7 @@ class TestHHMonteCarlo:
 
     def test_matches_analytic_with_two_modes(self):
         # p = 4: the Cholesky kernel beyond the 2x2 covariance
-        spec = TestSpec(2, 6, 0.0, 0.05, "hh")
+        spec = TestSpec(2, 6, 0.0, 0.05)
         eta = SqueezeParam.axis_family(1.5, modes=2)
         theta = np.array([1.2, 0.8j])
         est = hh_type2_montecarlo(theta, eta, spec, 10 ** 5, rng_stream(4))
@@ -225,7 +238,7 @@ class TestHHMonteCarlo:
         assert abs(est.value - want) < 4 * est.stderr
 
     def test_deterministic(self):
-        spec = TestSpec(1, 3, 0.0, 0.05, "hh")
+        spec = TestSpec(1, 3, 0.0, 0.05)
         a = hh_type2_montecarlo(0.3, SqueezeParam.zero(1), spec, 2000, rng_stream(9))
         b = hh_type2_montecarlo(0.3, SqueezeParam.zero(1), spec, 2000, rng_stream(9))
         assert a == b
@@ -234,13 +247,13 @@ class TestHHMonteCarlo:
         # replicate 177588 of this stream has an exactly singular covariance,
         # which used to abort the whole batched solve
         eta = SqueezeParam(1, np.zeros((1, 1)), np.eye(1, dtype=complex))
-        spec = TestSpec(1, 3, 0.0, 0.05, "hh")
+        spec = TestSpec(1, 3, 0.0, 0.05)
         est = hh_type2_montecarlo(0.0, eta, spec, 400_000, rng_stream(1000106))
         assert abs(est.value - 0.95) < 5 * est.stderr
 
     def test_blocked_estimate_equals_one_batch(self):
         # three full blocks of _MC_CHUNK replicates and a partial one
-        spec = TestSpec(1, 4, 0.5, 0.05, "hh")
+        spec = TestSpec(1, 4, 0.5, 0.05)
         eta = SqueezeParam.axis_family(1.5)
         reps, seed = 3 * _MC_CHUNK + 17, 7
         est = hh_type2_montecarlo(0.4, eta, spec, reps, rng_stream(seed))
@@ -250,7 +263,7 @@ class TestHHMonteCarlo:
         assert est.stderr == float(np.sqrt(accept * (1.0 - accept) / reps))
 
     def test_needs_positive_reps(self):
-        spec = TestSpec(1, 3, 0.0, 0.05, "hh")
+        spec = TestSpec(1, 3, 0.0, 0.05)
         with pytest.raises(ValueError):
             hh_type2_montecarlo(0.3, SqueezeParam.zero(1), spec, 0, rng_stream(0))
 
@@ -258,7 +271,7 @@ class TestHHMonteCarlo:
     def test_stack_equals_per_theta_calls(self, modes):
         # every theta is a shift of the same draws, so each entry is the
         # call with that theta alone on a fresh copy of the stream
-        spec = TestSpec(modes, 2 * modes + 2, 0.3, 0.05, "hh")
+        spec = TestSpec(modes, 2 * modes + 2, 0.3, 0.05)
         eta = SqueezeParam.axis_family(1.5, modes=modes)
         rng = np.random.default_rng(modes)
         stack = (rng.standard_normal((2, 3, modes))
@@ -276,7 +289,7 @@ class TestHHMonteCarlo:
     def test_shift_stack_equals_one_batch(self, modes):
         # two squeezings and three thetas on one stream, with a partial
         # block, against heterodyne outcomes solved one replicate at a time
-        spec = TestSpec(modes, 2 * modes + 2, 0.5, 0.05, "hh")
+        spec = TestSpec(modes, 2 * modes + 2, 0.5, 0.05)
         etas = (SqueezeParam.zero(modes), SqueezeParam.axis_family(1.5, modes=modes))
         thetas = np.outer([0.0, 0.4, 0.9j], np.ones(modes))
         reps, seed = 2 * _MC_CHUNK + 17, 8
@@ -296,19 +309,19 @@ class TestHHMonteCarlo:
 class TestSIClosedForm:
     def test_null_gives_level_exactly(self):
         for n in (2, 3, 5):
-            spec = TestSpec(1, n, 0.0, 0.05, "si")
+            spec = TestSpec(1, n, 0.0, 0.05)
             assert si_type2_closed(0.0, spec) == pytest.approx(0.95, abs=1e-12)
 
     def test_two_copies_bessel_form(self):
         from tests.test_distributions import bessel_i0_series
 
-        spec = TestSpec(1, 2, 0.0, 0.05, "si")
+        spec = TestSpec(1, 2, 0.0, 0.05)
         for th in (0.3, 0.8):
             want = 0.95 * np.exp(-2 * th * th) * bessel_i0_series(2 * th * th)
             assert si_type2_closed(th, spec) == pytest.approx(want, rel=1e-10)
 
     def test_three_copies_exponential_form(self):
-        spec = TestSpec(1, 3, 0.0, 0.05, "si")
+        spec = TestSpec(1, 3, 0.0, 0.05)
         for th in (0.4, 1.0):
             r = 3 * th * th
             want = 0.95 * (1 - np.exp(-2 * r)) / (r * beta(1.0, 0.5))
@@ -316,18 +329,18 @@ class TestSIClosedForm:
 
     def test_mixture_not_supported(self):
         with pytest.raises(ValueError):
-            si_type2_closed(0.3, TestSpec(1, 2, 0.5, 0.05, "si"))
+            si_type2_closed(0.3, TestSpec(1, 2, 0.5, 0.05))
 
     def test_array_keeps_its_shape(self):
         from tests.test_distributions import assert_shape_rule
 
         for n in (2, 3, 7):
-            spec = TestSpec(1, n, 0.0, 0.05, "si")
+            spec = TestSpec(1, n, 0.0, 0.05)
             assert_shape_rule(lambda t: si_type2_closed(t, spec),
                               [0.0, 0.01, 0.5, 2.0, 40.0, 400.0])
 
     def test_monotone_decreasing_and_bounded(self):
-        spec = TestSpec(1, 3, 0.0, 0.05, "si")
+        spec = TestSpec(1, 3, 0.0, 0.05)
         grid = np.linspace(0.1, 2.5, 13)
         vals = [si_type2_closed(t, spec) for t in grid]
         assert all(0.0 < v <= 0.95 for v in vals)
@@ -341,13 +354,13 @@ class TestSITwoCopies:
             assert got == pytest.approx(0.95, abs=1e-10)
 
     def test_pure_case_matches_closed_form(self):
-        spec = TestSpec(1, 2, 0.0, 0.05, "si")
+        spec = TestSpec(1, 2, 0.0, 0.05)
         for th in (0.0, 0.3, 0.7, 1.2):
             assert abs(si_type2_n2(th, 1, 0.0, 0.05)
                        - si_type2_closed(th, spec)) < 1e-8
 
     def test_multimode_pure_case(self):
-        spec = TestSpec(2, 2, 0.0, 0.05, "si")
+        spec = TestSpec(2, 2, 0.0, 0.05)
         assert abs(si_type2_n2(0.5, 2, 0.0, 0.05)
                    - si_type2_closed(0.5, spec)) < 1e-8
 
@@ -391,13 +404,13 @@ class TestSITwoCopies:
 class TestSlope:
     def test_contract_value(self):
         for n, alpha in [(2, 0.05), (3, 0.05), (3, 0.2)]:
-            slope = si_small_theta_slope(TestSpec(1, n, 0.0, alpha, "si"))
+            slope = si_small_theta_slope(TestSpec(1, n, 0.0, alpha))
             assert slope == pytest.approx((1 - alpha) * n, rel=5e-3)
 
     def test_direct_readings(self):
-        assert si_small_theta_slope(TestSpec(1, 2, 0.0, 0.05, "si")) == pytest.approx(
+        assert si_small_theta_slope(TestSpec(1, 2, 0.0, 0.05)) == pytest.approx(
             1.90, rel=0.01)
-        assert si_small_theta_slope(TestSpec(1, 3, 0.0, 0.05, "si")) == pytest.approx(
+        assert si_small_theta_slope(TestSpec(1, 3, 0.0, 0.05)) == pytest.approx(
             2.85, rel=0.01)
 
     def test_consistency_between_routes(self):
@@ -406,7 +419,7 @@ class TestSlope:
         g = [(0.95 - si_type2_n2(t, 1, 0.0, 0.05)) / t ** 2 for t in thetas]
         for _ in range(2):
             g = [(4 * g[i + 1] - g[i]) / 3.0 for i in range(len(g) - 1)]
-        closed = si_small_theta_slope(TestSpec(1, 2, 0.0, 0.05, "si"))
+        closed = si_small_theta_slope(TestSpec(1, 2, 0.0, 0.05))
         assert g[0] == pytest.approx(closed, rel=1e-6)
 
 
@@ -416,7 +429,7 @@ class TestNullLevel:
            n=st.integers(2, 7), m=st.sampled_from([1, 2]), N=st.floats(0.0, 30.0))
     def test_every_si_route_gives_one_minus_alpha_at_zero(self, alpha, n, m, N):
         want = 1.0 - alpha
-        assert abs(si_type2_closed(0.0, TestSpec(1, n, 0.0, alpha, "si")) - want) < 1e-11
+        assert abs(si_type2_closed(0.0, TestSpec(1, n, 0.0, alpha)) - want) < 1e-11
         assert abs(si_type2_n2(0.0, m, N, alpha) - want) < 1e-11
         assert abs(si_type2_fock(0.0, 0.0, alpha, FockConfig(1, 3, 6)) - want) < 1e-11
 
@@ -452,7 +465,7 @@ class TestCrossing:
 
 class TestTailOrdering:
     def test_invariant_test_tail_is_quadratic(self):
-        spec = TestSpec(1, 3, 0.0, 0.05, "si")
+        spec = TestSpec(1, 3, 0.0, 0.05)
         scaled = [t * t * si_type2_closed(t, spec) for t in (2.0, 3.0, 4.0)]
         want = 0.95 / (3.0 * beta(1.0, 0.5))
         assert all(abs(s - want) < 0.01 for s in scaled)
@@ -460,8 +473,8 @@ class TestTailOrdering:
     def test_hotelling_tail_eventually_wins(self):
         # at alpha = 0.5 the exponential-vs-quadratic tail ordering is already
         # visible on a desk-scale grid
-        spec_hh = TestSpec(1, 3, 0.0, 0.5, "hh")
-        spec_si = TestSpec(1, 3, 0.0, 0.5, "si")
+        spec_hh = TestSpec(1, 3, 0.0, 0.5)
+        spec_si = TestSpec(1, 3, 0.0, 0.5)
         eta0 = SqueezeParam.zero(1)
         ratios = [hh_type2_analytic(t, eta0, spec_hh) / si_type2_closed(t, spec_si)
                   for t in (2.0, 3.0, 4.0)]

@@ -184,6 +184,11 @@ class TestHeterodyneSampling:
 
 
 class TestKappa:
+    @pytest.mark.parametrize("mixture", [np.nan, np.inf])
+    def test_mixture_must_be_finite(self, mixture):
+        with pytest.raises(ValueError):
+            kappa(0.3, SqueezeParam.zero(1), mixture)
+
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("N", [0.0, 0.5])
     def test_stack_equals_per_row_calls(self, m, N):
@@ -196,7 +201,7 @@ class TestKappa:
         # the BLAS kernels behind the product and the solve depend on the
         # stack's height, so a row of a stack need not match its own call bit for bit
         assert_shape_rule(lambda theta: kappa(theta, eta, N), stack, rtol=1e-15)
-        spec = TestSpec(m, 2 * m + 3, N, 0.05, "hh")
+        spec = TestSpec(m, 2 * m + 3, N, 0.05)
         assert_shape_rule(lambda theta: hh_type2_analytic(theta, eta, spec), 0.3 * stack,
                           rtol=1e-14)
 
