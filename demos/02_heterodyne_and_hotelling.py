@@ -13,6 +13,7 @@ import numpy as np
 from sqitest import hypotests as ht
 from sqitest.phase_space import (
     GaussianSpec, SqueezeParam, heterodyne_sample, kappa, moments, rng_stream,
+    whitened_signal,
 )
 
 print("== phase-space moments ==")
@@ -42,7 +43,10 @@ print(f"three heterodyne outcomes:\n{data}")
 print(f"scaled Hotelling statistic: {ht.hotelling_F(data):.4f}")
 
 analytic = ht.hh_type2_analytic(0.5, eta0, spec_hh)
-mc = ht.hh_type2_montecarlo(0.5, eta0, spec_hh, reps=100000, rng=rng_stream(3))
+# T^2 is unchanged by whitening, so the simulation shifts standard normal
+# draws by the whitened signal L^{-1} mu (sigma = L L'), whose squared norm is kappa
+mc = ht.hh_type2_montecarlo(whitened_signal(0.5, eta0, 0.0), spec_hh, reps=100000,
+                            rng=rng_stream(3))
 print(f"type II error at displacement 0.5: analytic {analytic:.5f}, "
       f"simulated {mc.value:.5f} +/- {mc.stderr:.5f}")
 

@@ -45,6 +45,7 @@ from .phase_space import (
     kappa,
     moments,
     pooling_rotation_matrix,
+    whitened_signal,
 )
 
 __all__ = [
@@ -55,7 +56,7 @@ __all__ = [
     "FockConfig", "TruncatedOperator", "TruncatedState", "si_type2_fock",
     "CrossingResult", "TestSpec", "crossing_check", "hh_type2_analytic",
     "hh_type2_montecarlo", "hotelling_F", "si_type2_closed", "si_type2_n2",
-    "GaussianSpec", "PhaseSpaceMoments", "SqueezeParam",
+    "GaussianSpec", "PhaseSpaceMoments", "SqueezeParam", "whitened_signal",
     "heterodyne_sample", "kappa", "moments", "pooling_rotation_matrix",
 ]
 

@@ -15,7 +15,7 @@ from scipy.special import beta
 from . import distributions as dist
 from . import fock
 from . import hypotests as ht
-from .phase_space import SqueezeParam, _parse_kv_text, rng_stream
+from .phase_space import SqueezeParam, _parse_kv_text, rng_stream, whitened_signal
 
 # eta preset -> (column label, s of A = 0 and S = s I, orientation of theta)
 ETA_PRESETS = {"zero": ("eta0", 0.0, 1.0), "L-real-theta": ("etaL_real", 1.0, 1.0),
@@ -136,7 +136,7 @@ def run_curve(config: ExperimentConfig) -> str:
         notes.append("beta_hh not evaluated: the Hotelling test needs more than "
                      "2m copies")
     suffixes = ("", "_mc", "_stderr") if config.reps > 0 else ("",)
-    shifts = {}  # column label -> whitened shifts of the grid, when reps > 0
+    signals = {}  # column label -> whitened signals of the grid, when reps > 0
     for entry in config.etas:
         label, eta, orient = _resolve_eta(entry, config.modes)
         if f"beta_hh_{label}" in columns:
@@ -148,11 +148,11 @@ def run_curve(config: ExperimentConfig) -> str:
         thetas = orient * np.outer(grid, np.eye(config.modes, 1))
         columns[f"beta_hh_{label}"] = ht.hh_type2_analytic(thetas, eta, spec)
         if config.reps > 0:
-            shifts[label] = ht._whiten(thetas, eta, spec)
-    if shifts:
-        est = ht._hotelling_acceptance(np.stack(list(shifts.values())), spec,
-                                       config.reps, rng_stream(config.seed))
-        for label, value, stderr in zip(shifts, est.value, est.stderr):
+            signals[label] = whitened_signal(thetas, eta, config.mixture)
+    if signals:
+        est = ht.hh_type2_montecarlo(np.stack(list(signals.values())), spec,
+                                     config.reps, rng_stream(config.seed))
+        for label, value, stderr in zip(signals, est.value, est.stderr):
             columns[f"beta_hh_{label}_mc"], columns[f"beta_hh_{label}_stderr"] = value, stderr
 
     header = [
@@ -312,7 +312,8 @@ def _verify_tests(report: VerifyReport):
     spec3 = ht.TestSpec(1, 3, 0.0, 0.05)
     eta0 = SqueezeParam.zero(1)
 
-    mc = ht.hh_type2_montecarlo(np.array([[0.0], [0.5]]), eta0, spec3, 50000, rng_stream(5))
+    mc = ht.hh_type2_montecarlo(whitened_signal(np.array([[0.0], [0.5]]), eta0, 0.0), spec3,
+                                50000, rng_stream(5))
     report.add("hh_null_calibration", abs(mc.value[0] - 0.95), 4 * mc.stderr[0],
                note="Monte Carlo, 4 sigma band")
     an = ht.hh_type2_analytic(0.5, eta0, spec3)

@@ -6,8 +6,8 @@ law with noncentrality lambda = n * kappa(theta, eta, N), so its type II
 error is the noncentral F cdf at the level-alpha critical point.  Every
 analytic error map returns the shape of its displacement input (a numpy
 float for one); an HH stack takes one kappa and one cdf call.  A Monte
-Carlo route simulates the whole chain instead, on whitened draws from the
-stream it is given: T^2 does not change under x -> L^{-1} x.
+Carlo route simulates T^2 instead, on the whitened signal L^{-1} mu, whose
+squared norm is kappa: T^2 does not change under x -> L^{-1} x.
 
 SI: the squeezing-invariant test.  For a pure alternative (mixture 0) the
 type II error has the closed form
@@ -30,7 +30,7 @@ from scipy.special import beta
 
 from . import distributions as dist
 from .distributions import NoncentralFParams
-from .phase_space import GaussianSpec, SqueezeParam, kappa, moments
+from .phase_space import SqueezeParam, kappa
 
 # Replicates per block of the Monte Carlo route.
 _MC_CHUNK = 2 ** 13
@@ -42,7 +42,7 @@ _SLOPE_THETAS = (1e-2, 5e-3, 2.5e-3)
 class TestSpec:
     """The problem both tests answer: m modes, n copies, mixture N, level alpha.
 
-    Both tests need n >= 2, alpha in [0, 1] and a finite N >= 0; the
+    Both tests need m >= 1, n >= 2, alpha in [0, 1] and a finite N >= 0; the
     Hotelling routes check the rest when they read ``critical_point``.
     """
 
@@ -54,6 +54,8 @@ class TestSpec:
     alpha: float
 
     def __post_init__(self):
+        if self.modes < 1:
+            raise ValueError("modes must be >= 1")
         if self.copies < 2:
             raise ValueError("both tests need at least two copies")
         if not 0.0 <= self.alpha <= 1.0:
@@ -165,62 +167,46 @@ class MonteCarloEstimate:
     reps: int
 
 
-def _whiten(theta, eta: SqueezeParam, spec: TestSpec) -> np.ndarray:
-    """Shifts L^{-1} mu, sigma = L L', of shape (..., 2m), each row solved on its own."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=complex))
-    if theta.shape[-1] != spec.modes:
-        raise ValueError(f"theta must have shape (..., {spec.modes})")
-    sigma = moments(GaussianSpec(spec.modes, np.zeros(spec.modes), eta, spec.mixture)).sigma
-    L = np.linalg.cholesky(sigma)  # LinAlgError (a ValueError) once |S| >= 18 breaks sigma >= I/4
-    mu = eta.G @ np.concatenate([theta.real, theta.imag], axis=-1)[..., None]
-    return np.linalg.solve(L, mu)[..., 0]
+def hh_type2_montecarlo(signal, spec: TestSpec, reps: int,
+                        rng: np.random.Generator) -> MonteCarloEstimate:
+    """Acceptance frequency of the Hotelling test at each whitened signal (..., 2m).
 
-
-def _hotelling_acceptance(shifts: np.ndarray, spec: TestSpec, reps: int,
-                          rng: np.random.Generator) -> MonteCarloEstimate:
-    """Acceptance frequency of the Hotelling test at each whitened shift (..., 2m).
-
-    Every shift is added to the same ``reps`` replicates z of n standard
-    normal copies, drawn in order from ``rng`` and reduced in blocks of
-    _MC_CHUNK, each factored once: memory stays bounded, and each shift's
-    estimate depends neither on the block size nor on the other shifts.
+    T^2 is unchanged by x -> L^{-1} x, so the outcomes mu + L z of
+    ``heterodyne_sample`` are evaluated as z + ``whitened_signal``.  Every
+    signal shifts the same ``reps`` replicates z of n standard normal copies,
+    drawn in order from ``rng`` in blocks of _MC_CHUNK, each factored once:
+    memory stays bounded, and each entry of the estimate (...) equals the
+    call with that signal alone on a fresh copy of the stream, so the
+    entries are not independent of each other.
     """
     c = spec.critical_point
+    signal = np.asarray(signal, dtype=float)
+    if signal.shape[-1:] != (spec.mu_dof,) or not np.all(np.isfinite(signal)):
+        raise ValueError(f"signal must be finite, of shape (..., {spec.mu_dof})")
     if reps < 1:
         raise ValueError("reps must be >= 1")
     n, p = spec.copies, spec.mu_dof
     scale = spec.nu_dof / (spec.mu_dof * (n - 1))
-    accepted = np.zeros(shifts.shape[:-1], dtype=np.int64)
+    accepted = np.zeros(signal.shape[:-1], dtype=np.int64)
     for start in range(0, reps, _MC_CHUNK):
         size = min(_MC_CHUNK, reps - start)
         t2 = _hotelling_factor(rng.standard_normal((size * n, p)).reshape(size, n, p))
         for i in np.ndindex(accepted.shape):
-            accepted[i] += np.count_nonzero(scale * t2(shifts[i]) <= c)
+            accepted[i] += np.count_nonzero(scale * t2(signal[i]) <= c)
     accept = accepted / reps
     stderr = np.sqrt(np.maximum(accept * (1.0 - accept), 1e-12) / reps)
     return MonteCarloEstimate(accept[()], stderr[()], reps)
-
-
-def hh_type2_montecarlo(theta, eta: SqueezeParam, spec: TestSpec, reps: int,
-                        rng: np.random.Generator) -> MonteCarloEstimate:
-    """Acceptance frequency of the Hotelling test over simulated heterodyne data.
-
-    ``theta`` has shape (..., m), as in ``kappa``; the estimate has shape
-    (...).  T^2 is unchanged by x -> L^{-1} x, so with sigma = L L' the
-    outcomes mu + L z of ``heterodyne_sample`` are evaluated as z + L^{-1} mu:
-    the same draws z from ``rng``, shared by every theta of the stack.  So
-    each entry equals the call with that theta alone on a fresh copy of the
-    stream, and the entries are not independent of each other.
-    """
-    return _hotelling_acceptance(_whiten(theta, eta, spec), spec, reps, rng)
 
 
 def si_type2_closed(theta_norm, spec: TestSpec):
     """Closed-form type II error of the invariant test for a pure state."""
     if spec.mixture != 0.0:
         raise ValueError("closed form available only for mixture 0")
+    theta = np.asarray(theta_norm, dtype=float)
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta must be finite")
     n = spec.copies
-    z = n * np.square(np.asarray(theta_norm, dtype=float))
+    z = n * np.square(theta)
     scaled = dist.exp_cos_integral_scaled(z, n)
     return (1.0 - spec.alpha) * scaled / beta((n - 1) / 2.0, 0.5)
 
@@ -238,6 +224,8 @@ def si_type2_n2(theta_norm, modes: int, mixture: float, alpha: float):
         return dist.lattice_law(np.abs(law.support), law.pmf)
 
     theta = np.asarray(theta_norm, dtype=float)
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta must be finite")
     null = abs_law(0.0)
     out = [dist.randomized_acceptance(null, abs_law(t), alpha) for t in theta.ravel()]
     return np.array(out, dtype=float).reshape(theta.shape)[()]

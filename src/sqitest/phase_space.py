@@ -10,8 +10,8 @@ of one copy yields a 2m-dimensional normal outcome with
 
 where ``G_eta`` is the real symplectic-like matrix built from the blocks of
 eta.  This module provides those moments, the characteristic function of
-the outcome law, a reproducible heterodyne sampler, and the signal-to-noise
-quadratic form ``kappa = mu.T sigma^{-1} mu``.
+the outcome law, a reproducible heterodyne sampler, and the whitened mean
+L^{-1} mu (sigma = L L') whose squared norm is ``kappa = mu.T sigma^{-1} mu``.
 """
 
 from __future__ import annotations
@@ -235,22 +235,26 @@ def heterodyne_sample(spec: GaussianSpec, count: int,
     return mom.mu + z @ L.T
 
 
-def kappa(theta, eta: SqueezeParam, mixture: float):
-    """Signal-to-noise quadratic form mu.T sigma^{-1} mu (both from eta).
+def whitened_signal(theta, eta: SqueezeParam, mixture: float) -> np.ndarray:
+    """Whitened heterodyne mean L^{-1} mu, sigma = L L', of shape (..., 2m).
 
-    ``theta`` has shape (..., m), one displacement per row (a scalar is one
-    displacement of one mode), and the output has shape (...): a 0-d
-    numpy float for one displacement.  sigma is formed and solved once for
-    the whole stack, with mu = (Re theta; Im theta) G^T row by row.
+    ``theta`` of shape (..., m) must be finite; a scalar is one displacement
+    of one mode.  sigma is factored once for the stack, mu = G (Re theta; Im theta).
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=complex))
     if theta.shape[-1] != eta.modes:
         raise ValueError(f"theta must have shape (..., {eta.modes})")
-    rows = theta.reshape(-1, eta.modes)
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta must be finite")
     sigma = moments(GaussianSpec(eta.modes, np.zeros(eta.modes), eta, mixture)).sigma
-    mu = np.concatenate([rows.real, rows.imag], axis=1) @ eta.G.T
-    out = np.einsum("ij,ji->i", mu, np.linalg.solve(sigma, mu.T))
-    return out.reshape(theta.shape[:-1])[()]
+    L = np.linalg.cholesky(sigma)  # LinAlgError (a ValueError) once |S| >= 18 breaks sigma >= I/4
+    mu = eta.G @ np.concatenate([theta.real, theta.imag], axis=-1)[..., None]
+    return np.linalg.solve(L, mu)[..., 0]
+
+
+def kappa(theta, eta: SqueezeParam, mixture: float):
+    """|whitened_signal|^2 = mu' sigma^{-1} mu, of shape (...): a numpy float for one theta."""
+    return np.sum(whitened_signal(theta, eta, mixture) ** 2, axis=-1)[()]
 
 
 def pooling_rotation_matrix(n: int) -> np.ndarray:

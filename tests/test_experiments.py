@@ -14,7 +14,7 @@ from sqitest.experiments import (
     run_verify,
 )
 from sqitest.hypotests import si_type2_n2
-from sqitest.phase_space import SqueezeParam, rng_stream
+from sqitest.phase_space import SqueezeParam, rng_stream, whitened_signal
 
 
 def read_curve(path):
@@ -195,11 +195,27 @@ class TestRunCurve:
         spec = ht.TestSpec(1, 4, 0.0, 0.05)
         for entry in cfg.etas:
             label, eta, orient = _resolve_eta(entry, 1)
-            want = ht.hh_type2_montecarlo(orient * cfg.theta_grid[:, None], eta, spec,
-                                          cfg.reps, rng_stream(cfg.seed))
+            signal = whitened_signal(orient * cfg.theta_grid[:, None], eta, 0.0)
+            want = ht.hh_type2_montecarlo(signal, spec, cfg.reps, rng_stream(cfg.seed))
             assert rows[:, header.index(f"beta_hh_{label}_mc")].tolist() == want.value.tolist()
             assert (rows[:, header.index(f"beta_hh_{label}_stderr")].tolist()
                     == want.stderr.tolist())
+
+    def test_monte_carlo_is_one_public_call_per_curve(self, tmp_path, monkeypatch):
+        # every (eta, theta) point goes through hh_type2_montecarlo, the entry
+        # point the bench tracer spans and whose reps it counts, in one call
+        calls = []
+        inner = ht.hh_type2_montecarlo
+
+        def counting(signal, spec, reps, rng):
+            calls.append((np.shape(signal), reps))
+            return inner(signal, spec, reps, rng)
+
+        monkeypatch.setattr(ht, "hh_type2_montecarlo", counting)
+        for reps in (0, 100):
+            run_curve(ExperimentConfig(copies=4, theta_steps=5, reps=reps,
+                                       out=str(tmp_path / f"c{reps}.csv")))
+        assert calls == [((3, 5, 2), 100)]
 
     def test_theta_zero_agrees_across_columns(self, tmp_path):
         # theta = 0 is the zero shift under every squeezing: one estimate

@@ -11,9 +11,7 @@ from sqitest.hypotests import (
     SingularCovarianceError,
     TestSpec,
     _MC_CHUNK,
-    _hotelling_acceptance,
     _hotelling_factor,
-    _whiten,
     crossing_check,
     hh_type2_analytic,
     hh_type2_montecarlo,
@@ -22,7 +20,14 @@ from sqitest.hypotests import (
     si_type2_closed,
     si_type2_n2,
 )
-from sqitest.phase_space import GaussianSpec, SqueezeParam, heterodyne_sample, kappa, rng_stream
+from sqitest.phase_space import (
+    GaussianSpec,
+    SqueezeParam,
+    heterodyne_sample,
+    kappa,
+    rng_stream,
+    whitened_signal,
+)
 
 
 def one_batch_acceptance(gspec, spec, reps, seed):
@@ -48,7 +53,7 @@ class TestTestSpec:
             hh_type2_analytic(0.3, eta0, spec)
         rng = rng_stream(0)
         with pytest.raises(ValueError):
-            hh_type2_montecarlo(0.3, eta0, spec, 100, rng)
+            hh_type2_montecarlo(whitened_signal(0.3, eta0, 0.0), spec, 100, rng)
         assert rng.random() == rng_stream(0).random()  # raised before its first draw
 
     def test_hotelling_needs_enough_copies(self):
@@ -58,6 +63,12 @@ class TestTestSpec:
         # the central F critical point is infinite at alpha = 0 and 0 at 1
         for alpha in (0.0, 1.0):
             self._only_hotelling_refuses(3, alpha)
+
+    @pytest.mark.parametrize("modes", [0, -1])
+    def test_needs_a_mode(self, modes):
+        # modes = 0 used to build, and si_type2_closed then returned 0.734
+        with pytest.raises(ValueError, match="modes must be >= 1"):
+            TestSpec(modes, 3, 0.0, 0.05)
 
     def test_invariant_needs_two_copies(self):
         with pytest.raises(ValueError):
@@ -211,20 +222,20 @@ class TestHHAnalytic:
 class TestHHMonteCarlo:
     def test_null_calibration(self):
         spec = TestSpec(1, 3, 0.0, 0.05)
-        est = hh_type2_montecarlo(0.0, SqueezeParam.zero(1), spec, 10 ** 5, rng_stream(1))
+        est = hh_type2_montecarlo(np.zeros(2), spec, 10 ** 5, rng_stream(1))
         assert abs(est.value - 0.95) < 4 * est.stderr
 
     def test_matches_analytic(self):
         spec = TestSpec(1, 3, 0.0, 0.05)
         eta0 = SqueezeParam.zero(1)
-        est = hh_type2_montecarlo(0.5, eta0, spec, 10 ** 5, rng_stream(2))
+        est = hh_type2_montecarlo(whitened_signal(0.5, eta0, 0.0), spec, 10 ** 5, rng_stream(2))
         want = hh_type2_analytic(0.5, eta0, spec)
         assert abs(est.value - want) < 4 * est.stderr
 
     def test_matches_analytic_with_squeezing(self):
         spec = TestSpec(1, 3, 0.5, 0.05)
         eta = SqueezeParam.axis_family(1.5)
-        est = hh_type2_montecarlo(0.4, eta, spec, 10 ** 5, rng_stream(3))
+        est = hh_type2_montecarlo(whitened_signal(0.4, eta, 0.5), spec, 10 ** 5, rng_stream(3))
         want = hh_type2_analytic(0.4, eta, spec)
         assert abs(est.value - want) < 4 * est.stderr
 
@@ -233,14 +244,16 @@ class TestHHMonteCarlo:
         spec = TestSpec(2, 6, 0.0, 0.05)
         eta = SqueezeParam.axis_family(1.5, modes=2)
         theta = np.array([1.2, 0.8j])
-        est = hh_type2_montecarlo(theta, eta, spec, 10 ** 5, rng_stream(4))
+        est = hh_type2_montecarlo(whitened_signal(theta, eta, 0.0), spec, 10 ** 5,
+                                  rng_stream(4))
         want = hh_type2_analytic(theta, eta, spec)
         assert abs(est.value - want) < 4 * est.stderr
 
     def test_deterministic(self):
         spec = TestSpec(1, 3, 0.0, 0.05)
-        a = hh_type2_montecarlo(0.3, SqueezeParam.zero(1), spec, 2000, rng_stream(9))
-        b = hh_type2_montecarlo(0.3, SqueezeParam.zero(1), spec, 2000, rng_stream(9))
+        signal = whitened_signal(0.3, SqueezeParam.zero(1), 0.0)
+        a = hh_type2_montecarlo(signal, spec, 2000, rng_stream(9))
+        b = hh_type2_montecarlo(signal, spec, 2000, rng_stream(9))
         assert a == b
 
     def test_singular_replicate_counts_as_rejection(self):
@@ -248,7 +261,8 @@ class TestHHMonteCarlo:
         # which used to abort the whole batched solve
         eta = SqueezeParam(1, np.zeros((1, 1)), np.eye(1, dtype=complex))
         spec = TestSpec(1, 3, 0.0, 0.05)
-        est = hh_type2_montecarlo(0.0, eta, spec, 400_000, rng_stream(1000106))
+        est = hh_type2_montecarlo(whitened_signal(0.0, eta, 0.0), spec, 400_000,
+                                  rng_stream(1000106))
         assert abs(est.value - 0.95) < 5 * est.stderr
 
     def test_blocked_estimate_equals_one_batch(self):
@@ -256,7 +270,7 @@ class TestHHMonteCarlo:
         spec = TestSpec(1, 4, 0.5, 0.05)
         eta = SqueezeParam.axis_family(1.5)
         reps, seed = 3 * _MC_CHUNK + 17, 7
-        est = hh_type2_montecarlo(0.4, eta, spec, reps, rng_stream(seed))
+        est = hh_type2_montecarlo(whitened_signal(0.4, eta, 0.5), spec, reps, rng_stream(seed))
         accept = one_batch_acceptance(GaussianSpec(1, np.array([0.4]), eta, 0.5), spec,
                                       reps, seed)
         assert est.value == accept
@@ -265,12 +279,21 @@ class TestHHMonteCarlo:
     def test_needs_positive_reps(self):
         spec = TestSpec(1, 3, 0.0, 0.05)
         with pytest.raises(ValueError):
-            hh_type2_montecarlo(0.3, SqueezeParam.zero(1), spec, 0, rng_stream(0))
+            hh_type2_montecarlo(whitened_signal(0.3, SqueezeParam.zero(1), 0.0), spec, 0,
+                                rng_stream(0))
+
+    @pytest.mark.parametrize("signal", [0.3, np.zeros(3), np.zeros((2, 4))])
+    def test_signal_needs_width_2m(self, signal):
+        spec = TestSpec(1, 4, 0.0, 0.05)
+        rng = rng_stream(0)
+        with pytest.raises(ValueError, match=r"finite, of shape \(\.\.\., 2\)"):
+            hh_type2_montecarlo(signal, spec, 100, rng)
+        assert rng.random() == rng_stream(0).random()  # raised before its first draw
 
     @pytest.mark.parametrize("modes", [1, 2])
     def test_stack_equals_per_theta_calls(self, modes):
-        # every theta is a shift of the same draws, so each entry is the
-        # call with that theta alone on a fresh copy of the stream
+        # every signal is a shift of the same draws, so each entry is the
+        # call with that theta's signal alone on a fresh copy of the stream
         spec = TestSpec(modes, 2 * modes + 2, 0.3, 0.05)
         eta = SqueezeParam.axis_family(1.5, modes=modes)
         rng = np.random.default_rng(modes)
@@ -278,10 +301,11 @@ class TestHHMonteCarlo:
                  + 1j * rng.standard_normal((2, 3, modes)))
         stack[0, 0] = 0.0
         reps = _MC_CHUNK + 11
-        est = hh_type2_montecarlo(stack, eta, spec, reps, rng_stream(21))
+        est = hh_type2_montecarlo(whitened_signal(stack, eta, 0.3), spec, reps, rng_stream(21))
         assert est.value.shape == est.stderr.shape == (2, 3)
         for idx in np.ndindex(2, 3):
-            one = hh_type2_montecarlo(stack[idx], eta, spec, reps, rng_stream(21))
+            one = hh_type2_montecarlo(whitened_signal(stack[idx], eta, 0.3), spec, reps,
+                                      rng_stream(21))
             assert isinstance(one.value, np.float64) and isinstance(one.stderr, np.float64)
             assert one.value == est.value[idx] and one.stderr == est.stderr[idx]
 
@@ -293,8 +317,8 @@ class TestHHMonteCarlo:
         etas = (SqueezeParam.zero(modes), SqueezeParam.axis_family(1.5, modes=modes))
         thetas = np.outer([0.0, 0.4, 0.9j], np.ones(modes))
         reps, seed = 2 * _MC_CHUNK + 17, 8
-        est = _hotelling_acceptance(np.stack([_whiten(thetas, eta, spec) for eta in etas]),
-                                    spec, reps, rng_stream(seed))
+        signals = np.stack([whitened_signal(thetas, eta, 0.5) for eta in etas])
+        est = hh_type2_montecarlo(signals, spec, reps, rng_stream(seed))
         assert est.value.shape == (2, 3)
         for j, eta in enumerate(etas):
             for i, theta in enumerate(thetas):
@@ -479,3 +503,29 @@ class TestTailOrdering:
         ratios = [hh_type2_analytic(t, eta0, spec_hh) / si_type2_closed(t, spec_si)
                   for t in (2.0, 3.0, 4.0)]
         assert ratios[0] > ratios[1] > ratios[2]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("route", ["kappa", "hh_type2_analytic", "hh_type2_montecarlo",
+                                   "si_type2_closed", "si_type2_n2"])
+def test_non_finite_theta_rejected(route, bad):
+    # each map used to answer differently: a silent 0.0 acceptance, nan, or
+    # an unrelated conversion error
+    eta0, spec = SqueezeParam.zero(1), TestSpec(1, 4, 0.0, 0.05)
+    rng = rng_stream(1)
+    call = {
+        "kappa": lambda t: kappa(t, eta0, 0.0),
+        "hh_type2_analytic": lambda t: hh_type2_analytic(t, eta0, spec),
+        "hh_type2_montecarlo": lambda t: hh_type2_montecarlo(
+            whitened_signal(t, eta0, 0.0), spec, 2000, rng),
+        "si_type2_closed": lambda t: si_type2_closed(t, spec),
+        "si_type2_n2": lambda t: si_type2_n2(t, 1, 0.5, 0.05),
+    }[route]
+    for theta in (bad, np.array([[0.3], [bad]])):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            call(theta)
+    if route == "hh_type2_montecarlo":
+        # a non-finite signal handed in directly fails the same way, before any draw
+        with pytest.raises(ValueError, match="signal must be finite, of shape"):
+            hh_type2_montecarlo(np.array([0.3, bad]), spec, 2000, rng)
+        assert rng.random() == rng_stream(1).random()

@@ -14,6 +14,7 @@ from sqitest.phase_space import (
     parse_complex,
     pooling_rotation_matrix,
     rng_stream,
+    whitened_signal,
 )
 
 
@@ -252,6 +253,40 @@ class TestKappa:
             spec = GaussianSpec(1, theta, eta, N)
             moments(spec)
             assert heterodyne_sample(spec, 4, rng_stream(0)).shape == (4, 2)
+
+
+class TestWhitenedSignal:
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("N", [0.0, 0.5])
+    def test_shape_rule_and_per_copy_moments(self, m, N):
+        # theta (..., m) gives (..., 2m); each row is L^{-1} mu of that
+        # theta's own moments, sigma = L L'
+        rng = np.random.default_rng(20 + 10 * m + int(2 * N))
+        eta = random_eta(rng, m, scale=1.5)
+        stack = 3.0 * (rng.standard_normal((6, m)) + 1j * rng.standard_normal((6, m)))
+        flat = whitened_signal(stack, eta, N)
+        grid = whitened_signal(stack.reshape(2, 3, m), eta, N)
+        assert flat.shape == (6, 2 * m) and grid.shape == (2, 3, 2 * m)
+        np.testing.assert_array_equal(grid.reshape(6, 2 * m), flat)
+        for theta, row in zip(stack, flat):
+            one = whitened_signal(theta, eta, N)
+            assert one.shape == (2 * m,)
+            mom = moments(GaussianSpec(m, theta, eta, N))
+            want = np.linalg.solve(np.linalg.cholesky(mom.sigma), mom.mu)
+            scale = np.max(np.abs(want))
+            np.testing.assert_allclose(one, row, rtol=0.0, atol=1e-15 * scale)
+            np.testing.assert_allclose(one, want, rtol=0.0, atol=1e-14 * scale)
+        assert whitened_signal(0.3, SqueezeParam.zero(1), N).shape == (2,)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("N", [0.0, 0.5])
+    def test_kappa_is_its_squared_norm(self, m, N):
+        rng = np.random.default_rng(40 + 10 * m + int(2 * N))
+        eta = random_eta(rng, m, scale=1.5)
+        stack = 3.0 * (rng.standard_normal((6, m)) + 1j * rng.standard_normal((6, m)))
+        stack[2] = 0.0
+        want = np.linalg.norm(whitened_signal(stack, eta, N), axis=-1) ** 2
+        np.testing.assert_allclose(kappa(stack, eta, N), want, rtol=1e-15, atol=0.0)
 
 
 class TestPoolingRotationMatrix:
