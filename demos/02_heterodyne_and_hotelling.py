@@ -12,18 +12,16 @@ import numpy as np
 
 from sqitest import hypotests as ht
 from sqitest.phase_space import (
-    GaussianSpec, SqueezeParam, heterodyne_sample, kappa, moments, rng_stream,
-    whitened_signal,
+    SqueezeParam, heterodyne_sample, kappa, moments, rng_stream, whitened_signal,
 )
 
 print("== phase-space moments ==")
 eta = SqueezeParam.axis_family(1.5)
-spec = GaussianSpec(1, np.array([0.5]), eta, mixture=0.2)
-mom = moments(spec)
+mu, sigma = moments(0.5, eta, mixture=0.2)
 print(f"G matrix for the axis family (r = 1.5):\n{eta.G}")
-print(f"outcome mean {mom.mu}, covariance\n{mom.sigma}")
+print(f"outcome mean {mu}, covariance\n{sigma}")
 
-draws = heterodyne_sample(spec, 200000, rng=rng_stream(1))
+draws = heterodyne_sample(0.5, eta, 0.2, 200000, rng=rng_stream(1))
 print(f"sample mean {draws.mean(axis=0)} (200k draws)")
 print(f"sample covariance\n{np.cov(draws.T)}")
 
@@ -37,8 +35,7 @@ print("as r -> 0 the squeezing hides the displacement from heterodyne data")
 print("\n== the Hotelling decision rule on simulated data ==")
 spec_hh = ht.TestSpec(modes=1, copies=3, mixture=0.0, alpha=0.05)
 eta0 = SqueezeParam.zero(1)
-data = heterodyne_sample(GaussianSpec(1, np.array([0.8]), eta0, 0.0), 3,
-                         rng=rng_stream(7))
+data = heterodyne_sample(0.8, eta0, 0.0, 3, rng=rng_stream(7))
 print(f"three heterodyne outcomes:\n{data}")
 print(f"scaled Hotelling statistic: {ht.hotelling_F(data):.4f}")
 

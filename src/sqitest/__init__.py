@@ -38,8 +38,6 @@ from .hypotests import (
     si_type2_n2,
 )
 from .phase_space import (
-    GaussianSpec,
-    PhaseSpaceMoments,
     SqueezeParam,
     heterodyne_sample,
     kappa,
@@ -56,8 +54,8 @@ __all__ = [
     "FockConfig", "TruncatedOperator", "TruncatedState", "si_type2_fock",
     "CrossingResult", "TestSpec", "crossing_check", "hh_type2_analytic",
     "hh_type2_montecarlo", "hotelling_F", "si_type2_closed", "si_type2_n2",
-    "GaussianSpec", "PhaseSpaceMoments", "SqueezeParam", "whitened_signal",
-    "heterodyne_sample", "kappa", "moments", "pooling_rotation_matrix",
+    "SqueezeParam", "heterodyne_sample", "kappa", "moments", "pooling_rotation_matrix",
+    "whitened_signal",
 ]
 
 __version__ = "0.1.0"

@@ -324,8 +324,9 @@ class NoncentralFParams:
         if self.mu_dof < 1 or self.nu_dof < 1:
             raise ValueError("degrees of freedom must be >= 1")
         lam = np.asarray(self.noncentrality, dtype=float)
-        if not np.all((lam >= 0.0) & (lam < np.inf)):
-            raise ValueError("noncentrality must be finite and >= 0")
+        # from lambda/2 = 2^53 on, consecutive Poisson indices k are not distinct floats
+        if not np.all((lam >= 0.0) & (lam < 2.0 ** 54)):
+            raise ValueError("noncentrality must be finite, >= 0 and below 2^54 (lambda/2 < 2^53)")
 
 
 def _stirling_remainder(z):
@@ -557,22 +558,42 @@ def critical_point(alpha: float, mu: int, nu: int) -> float:
     return c
 
 
+def _ive_hankel(nu: float, x):
+    """ive(nu, x) by Hankel's expansion (DLMF 10.40.1), for arrays x >> nu^2.
+
+    Summed until a term is below 1e-17 of the sum; 64 terms unsettled raise.
+    """
+    term = total = np.ones(x.shape)
+    for k in range(1, 64):
+        term = term * ((2 * k - 1) ** 2 - 4.0 * nu * nu) / (8.0 * k * x)
+        total = total + term
+        if np.all(np.abs(term) <= 1e-17 * total):
+            return total / np.sqrt(2.0 * np.pi * x)
+    raise ValueError(f"Hankel's expansion of I_{nu:g} does not settle at x = {x.min():.3g}")
+
+
 def exp_cos_integral_scaled(z, n: int):
     """e^{-|z|} int_0^pi e^{z cos phi} sin^{n-2} phi dphi, overflow-free.
 
     The integral is even in z and equals sqrt(pi) Gamma(nu + 1/2)
     (2/|z|)^nu I_nu(|z|) with nu = (n-2)/2 (DLMF 10.32.2), so the scaled
     value is that expression with the exponentially scaled Bessel function
-    ive, evaluated in logarithms.  Where ive underflows (z = 0, or |z|
-    small against nu) the series form B((n-1)/2, 1/2) e^{-|z|}
-    0F1(; nu + 1; z^2/4) takes over; it is evaluated only there, since
-    scipy's 0F1 breaks down at large z.  The output has the shape of z.
+    ive (``_ive_hankel`` from |z| ~ 1.07e9 on, where scipy's gives NaN),
+    evaluated in logarithms.  Where ive underflows (z = 0, or |z| small
+    against nu) the series form B((n-1)/2, 1/2) e^{-|z|} 0F1(; nu + 1; z^2/4)
+    takes over; it is evaluated only there, since scipy's 0F1 breaks down at
+    large z.  z must be finite; the output has its shape.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     x = np.abs(np.asarray(z, dtype=float))
+    if not np.all(np.isfinite(x)):
+        raise ValueError("z must be finite")
     nu = (n - 2) / 2.0
-    bessel = ive(nu, x)
+    bessel = np.asarray(ive(nu, x))
+    far = np.isnan(bessel)  # scipy's ive gives NaN from x ~ 1.07e9 on
+    if np.any(far):
+        bessel[far] = _ive_hankel(nu, x[far])
     low = (x == 0.0) | (bessel < np.finfo(float).tiny)
     xl, xh = x[low], x[~low]
     out = np.empty(x.shape)

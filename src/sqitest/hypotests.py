@@ -198,16 +198,21 @@ def hh_type2_montecarlo(signal, spec: TestSpec, reps: int,
     return MonteCarloEstimate(accept[()], stderr[()], reps)
 
 
+def _scaled_squares(theta_norm, scale: int):
+    """scale * theta^2 over the array theta_norm, each entry checked finite."""
+    with np.errstate(over="ignore"):
+        z = scale * np.square(np.asarray(theta_norm, dtype=float))
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"theta must be finite, with {scale} * theta^2 in the float range")
+    return z
+
+
 def si_type2_closed(theta_norm, spec: TestSpec):
     """Closed-form type II error of the invariant test for a pure state."""
     if spec.mixture != 0.0:
         raise ValueError("closed form available only for mixture 0")
-    theta = np.asarray(theta_norm, dtype=float)
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("theta must be finite")
     n = spec.copies
-    z = n * np.square(theta)
-    scaled = dist.exp_cos_integral_scaled(z, n)
+    scaled = dist.exp_cos_integral_scaled(_scaled_squares(theta_norm, n), n)
     return (1.0 - spec.alpha) * scaled / beta((n - 1) / 2.0, 0.5)
 
 
@@ -224,8 +229,7 @@ def si_type2_n2(theta_norm, modes: int, mixture: float, alpha: float):
         return dist.lattice_law(np.abs(law.support), law.pmf)
 
     theta = np.asarray(theta_norm, dtype=float)
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("theta must be finite")
+    _scaled_squares(theta, 1)
     null = abs_law(0.0)
     out = [dist.randomized_acceptance(null, abs_law(t), alpha) for t in theta.ravel()]
     return np.array(out, dtype=float).reshape(theta.shape)[()]

@@ -9,9 +9,10 @@ of one copy yields a 2m-dimensional normal outcome with
     covariance sigma = (2N+1)/4 * G_eta @ G_eta.T + I/4
 
 where ``G_eta`` is the real symplectic-like matrix built from the blocks of
-eta.  This module provides those moments, the characteristic function of
-the outcome law, a reproducible heterodyne sampler, and the whitened mean
-L^{-1} mu (sigma = L L') whose squared norm is ``kappa = mu.T sigma^{-1} mu``.
+eta.  ``moments`` alone forms and checks both, for one theta or a stack.
+The characteristic function and the heterodyne sampler (one theta each)
+read from it, as does the whitened mean L^{-1} mu (sigma = L L') whose
+squared norm is ``kappa = mu.T sigma^{-1} mu``.
 """
 
 from __future__ import annotations
@@ -81,6 +82,8 @@ class SqueezeParam:
             raise ValueError("modes must be >= 1")
         A = np.asarray(self.A, dtype=complex).reshape(m, m)
         S = np.asarray(self.S, dtype=complex).reshape(m, m)
+        if not np.all(np.isfinite([A, S])):  # NaN would pass every defect comparison
+            raise ValueError("squeeze parameter entries must be finite")
         defect_a = np.max(np.abs(A + A.conj().T)) if m else 0.0
         defect_s = np.max(np.abs(S - S.T)) if m else 0.0
         if defect_a > _REPAIR_TOL or defect_s > _REPAIR_TOL:
@@ -148,65 +151,42 @@ class SqueezeParam:
         return cls(m, A, S)
 
 
-@dataclass(frozen=True)
-class GaussianSpec:
-    """One copy of a displaced, squeezed thermal state."""
+def moments(theta, eta: SqueezeParam, mixture: float):
+    """Heterodyne outcome mean mu, shape (..., 2m), and covariance sigma, (2m, 2m).
 
-    modes: int
-    theta: np.ndarray = field(repr=False)
-    eta: SqueezeParam
-    mixture: float = 0.0
-
-    def __post_init__(self):
-        theta = np.atleast_1d(np.asarray(self.theta, dtype=complex)).reshape(self.modes)
-        object.__setattr__(self, "theta", theta)
-        if self.eta.modes != self.modes:
-            raise ValueError("eta mode count does not match")
-        if not 0.0 <= self.mixture < np.inf:
-            raise ValueError("mixture must be finite and >= 0")
-
-
-@dataclass(frozen=True)
-class PhaseSpaceMoments:
-    """Mean vector and covariance of the heterodyne outcome distribution.
-
-    Both checks allow a defect of 1e-12 times max(1, max |sigma|), because
-    the entries of sigma grow like e^{2|S|} under squeezing.
+    ``theta`` (..., m) must be finite; a scalar is one displacement of one
+    mode.  sigma - I/4 >= 0 is checked to 1e-12 max(1, max |sigma|), since
+    sigma's entries grow like e^{2|S|} under squeezing.
     """
-
-    mu: np.ndarray
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        tol = _STRICT_TOL * max(1.0, np.max(np.abs(self.sigma)))
-        sym = np.max(np.abs(self.sigma - self.sigma.T))
-        if sym > tol:
-            raise ValueError(f"sigma not symmetric (defect {sym:.3e})")
-        dim = self.sigma.shape[0]
-        floor = np.linalg.eigvalsh(self.sigma - np.eye(dim) / 4.0).min()
-        if floor < -tol:
-            raise ValueError("sigma - I/4 must be positive definite")
-
-
-def moments(spec: GaussianSpec) -> PhaseSpaceMoments:
-    """Heterodyne outcome mean and covariance of one copy."""
-    G = spec.eta.G
-    mu = G @ np.concatenate([spec.theta.real, spec.theta.imag])
-    sigma = (2.0 * spec.mixture + 1.0) / 4.0 * (G @ G.T) + np.eye(2 * spec.modes) / 4.0
-    return PhaseSpaceMoments(mu, 0.5 * (sigma + sigma.T))
+    theta = np.atleast_1d(np.asarray(theta, dtype=complex))
+    if theta.shape[-1] != eta.modes:
+        raise ValueError(f"theta must have shape (..., {eta.modes})")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta must be finite")
+    if not 0.0 <= mixture < np.inf:
+        raise ValueError("mixture must be finite and >= 0")
+    G, eye = eta.G, np.eye(2 * eta.modes)
+    sigma = (2.0 * mixture + 1.0) / 4.0 * (G @ G.T) + eye / 4.0
+    sigma = 0.5 * (sigma + sigma.T)
+    tol = _STRICT_TOL * max(1.0, np.max(np.abs(sigma)))
+    if np.linalg.eigvalsh(sigma - eye / 4.0).min() < -tol:
+        raise ValueError("sigma - I/4 must be positive definite")
+    mu = (G @ np.concatenate([theta.real, theta.imag], axis=-1)[..., None])[..., 0]
+    return mu, sigma
 
 
-def fourier_wigner(spec: GaussianSpec, u, v) -> complex:
-    """Characteristic function Tr[rho exp(-i w.r)] at w = (u; v).
+def fourier_wigner(theta, eta: SqueezeParam, mixture: float, u, v) -> complex:
+    """Characteristic function Tr[rho exp(-i w.r)] at w = (u; v), for one theta.
 
     Equals exp(-w.T (sigma - I/4) w - i sqrt(2) w.T mu) with (mu, sigma) the
     heterodyne moments of ``moments``.
     """
-    w = np.concatenate([np.atleast_1d(np.asarray(u, float)),
-                        np.atleast_1d(np.asarray(v, float))])
-    mom = moments(spec)
-    quad = w @ (mom.sigma - np.eye(w.size) / 4.0) @ w
-    return complex(np.exp(-quad - 1j * np.sqrt(2.0) * (w @ mom.mu)))
+    if np.ndim(theta) > 1:
+        raise ValueError("fourier_wigner takes one theta, not a stack")
+    w = np.concatenate([np.atleast_1d(u), np.atleast_1d(v)]).astype(float)
+    mu, sigma = moments(theta, eta, mixture)
+    quad = w @ (sigma - np.eye(w.size) / 4.0) @ w
+    return complex(np.exp(-quad - 1j * np.sqrt(2.0) * (w @ mu)))
 
 
 def rng_stream(seed, *path) -> np.random.Generator:
@@ -220,36 +200,31 @@ def rng_stream(seed, *path) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def heterodyne_sample(spec: GaussianSpec, count: int,
+def heterodyne_sample(theta, eta: SqueezeParam, mixture: float, count: int,
                       rng: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` i.i.d. heterodyne outcomes from ``rng``, shape (count, 2m).
+    """Draw ``count`` i.i.d. heterodyne outcomes of one theta from ``rng``, shape (count, 2m).
 
     Deterministic for a fixed stream (see ``rng_stream``).
     """
+    if np.ndim(theta) > 1:
+        raise ValueError("heterodyne_sample takes one theta, not a stack")
     if count < 1:
         raise ValueError("count must be >= 1")
-    mom = moments(spec)
+    mu, sigma = moments(theta, eta, mixture)
     # sigma >= I/4; LinAlgError (a ValueError) once rounding breaks that, |S| >= 18
-    L = np.linalg.cholesky(mom.sigma)
-    z = rng.standard_normal((count, 2 * spec.modes))
-    return mom.mu + z @ L.T
+    L = np.linalg.cholesky(sigma)
+    z = rng.standard_normal((count, 2 * eta.modes))
+    return mu + z @ L.T
 
 
 def whitened_signal(theta, eta: SqueezeParam, mixture: float) -> np.ndarray:
     """Whitened heterodyne mean L^{-1} mu, sigma = L L', of shape (..., 2m).
 
-    ``theta`` of shape (..., m) must be finite; a scalar is one displacement
-    of one mode.  sigma is factored once for the stack, mu = G (Re theta; Im theta).
+    ``theta`` follows ``moments``; sigma is factored once for the stack.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=complex))
-    if theta.shape[-1] != eta.modes:
-        raise ValueError(f"theta must have shape (..., {eta.modes})")
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("theta must be finite")
-    sigma = moments(GaussianSpec(eta.modes, np.zeros(eta.modes), eta, mixture)).sigma
+    mu, sigma = moments(theta, eta, mixture)
     L = np.linalg.cholesky(sigma)  # LinAlgError (a ValueError) once |S| >= 18 breaks sigma >= I/4
-    mu = eta.G @ np.concatenate([theta.real, theta.imag], axis=-1)[..., None]
-    return np.linalg.solve(L, mu)[..., 0]
+    return np.linalg.solve(L, mu[..., None])[..., 0]
 
 
 def kappa(theta, eta: SqueezeParam, mixture: float):

@@ -108,11 +108,11 @@ def test_criterion_3_noncentral_f_engine():
     assert abs(tail - ALPHA) < 1e-9
 
     spec = ht.TestSpec(1, 3, 0.0, ALPHA)
-    from sqitest.phase_space import GaussianSpec, heterodyne_sample, rng_stream
+    from sqitest.phase_space import heterodyne_sample, rng_stream
 
-    gspec = GaussianSpec(1, np.array([0.0]), SqueezeParam.zero(1), 0.0)
     reps, n = 10 ** 5, 3
-    x = heterodyne_sample(gspec, reps * n, rng=rng_stream(12345)).reshape(reps, n, 2)
+    x = heterodyne_sample(0.0, SqueezeParam.zero(1), 0.0, reps * n,
+                          rng=rng_stream(12345)).reshape(reps, n, 2)
     xbar = x.mean(axis=1)
     centered = x - xbar[:, None, :]
     cov = np.einsum("rni,rnj->rij", centered, centered) / (n - 1)

@@ -398,6 +398,14 @@ class TestNoncentralF:
         with pytest.raises(ValueError):
             NoncentralFParams(2, 1, np.array([0.5, bad, 3.0]))
 
+    @pytest.mark.parametrize("lam", [2.0 ** 54, 2e19, 1e25, 1e38, np.array([0.5, 1e38])])
+    def test_noncentrality_past_the_float_index_range_rejected(self, lam):
+        # from lambda/2 = 2^53 on consecutive Poisson indices are not distinct
+        # floats; the cdf used to give 1.0 at 1e38, "array is too big" at
+        # 2e19 and a MemoryError at 1e25
+        with pytest.raises(ValueError, match="below 2\\^54 \\(lambda/2 < 2\\^53\\)"):
+            NoncentralFParams(2, 1, lam)
+
     @pytest.mark.parametrize("fn", [noncentral_f_cdf, noncentral_f_pdf])
     def test_array_call_equals_per_noncentrality_calls(self, fn):
         # unsorted, with repeats, 0, a subnormal value and two huge ones; at
@@ -671,3 +679,24 @@ class TestSpecialIntegrals:
     def test_scaled_variant_handles_huge_arguments(self):
         val = exp_cos_integral_scaled(5000.0, 3)
         assert val == pytest.approx((1 - np.exp(-10000.0)) / 5000.0, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 12])
+    def test_past_the_range_of_scipys_ive(self, n):
+        # scipy's ive returns NaN from |z| ~ 1.07e9 on; there Hankel's expansion
+        # takes over, checked against 40-digit mpmath and, for n = 3, (1 - e^{-2z})/z
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        zs = np.array([1.0e9, 1.2e9, 3e10, 1e15])
+        got = exp_cos_integral_scaled(-zs, n)
+        nu = (n - 2) / 2.0
+        for z, g in zip(zs, got):
+            want = (mp.sqrt(mp.pi) * mp.gamma(nu + 0.5) * (2 / mp.mpf(z)) ** nu
+                    * mp.besseli(nu, z) * mp.exp(-mp.mpf(z)))
+            assert g == pytest.approx(float(want), rel=1e-13, abs=0.0)
+        if n == 3:
+            np.testing.assert_allclose(got, 1.0 / zs, rtol=1e-13)
+
+    @pytest.mark.parametrize("z", [np.inf, np.nan, np.array([1.0, -np.inf])])
+    def test_non_finite_argument_rejected(self, z):
+        with pytest.raises(ValueError, match="z must be finite"):
+            exp_cos_integral_scaled(z, 3)

@@ -328,6 +328,24 @@ class TestCli:
         assert code == 2
         assert "error: squeeze parameter text lacks S" in capsys.readouterr().err
 
+    def test_eta_file_with_non_finite_entry_is_error(self, tmp_path, capsys):
+        eta_path = tmp_path / "eta.txt"
+        eta_path.write_text("m = 1\nA = 0\nS = nan\n")
+        out = tmp_path / "c.csv"
+        code = main(["curve", "--eta", str(eta_path), "--theta-steps", "3",
+                     "--theta-max", "1.0", "--out", str(out)])
+        assert code == 2
+        assert "error: squeeze parameter entries must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_theta_past_the_noncentral_f_range_is_error(self, tmp_path, capsys):
+        # beta_hh used to read 1 and beta_si nan here, with exit code 0
+        out = tmp_path / "c.csv"
+        code = main(["curve", "--theta-max", "1e100", "--theta-steps", "3", "--out", str(out)])
+        assert code == 2
+        assert "noncentrality must be finite, >= 0 and below 2^54" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv,key", [
         (["--theta-max", "nan"], "theta_max"),
         (["--theta-max", "inf"], "theta_max"),

@@ -21,7 +21,6 @@ from sqitest.hypotests import (
     si_type2_n2,
 )
 from sqitest.phase_space import (
-    GaussianSpec,
     SqueezeParam,
     heterodyne_sample,
     kappa,
@@ -30,11 +29,12 @@ from sqitest.phase_space import (
 )
 
 
-def one_batch_acceptance(gspec, spec, reps, seed):
+def one_batch_acceptance(theta, eta, spec, reps, seed):
     """Acceptance frequency of ``reps`` replicates of ``heterodyne_sample`` outcomes
     from ``rng_stream(seed)``, each covariance solved with ``np.linalg.solve``."""
     n = spec.copies
-    x = heterodyne_sample(gspec, reps * n, rng_stream(seed)).reshape(reps, n, 2 * spec.modes)
+    x = heterodyne_sample(theta, eta, spec.mixture, reps * n, rng_stream(seed))
+    x = x.reshape(reps, n, 2 * spec.modes)
     xbar = x.mean(axis=1)
     centered = x - xbar[:, None, :]
     cov = np.einsum("rni,rnj->rij", centered, centered) / (n - 1)
@@ -271,8 +271,7 @@ class TestHHMonteCarlo:
         eta = SqueezeParam.axis_family(1.5)
         reps, seed = 3 * _MC_CHUNK + 17, 7
         est = hh_type2_montecarlo(whitened_signal(0.4, eta, 0.5), spec, reps, rng_stream(seed))
-        accept = one_batch_acceptance(GaussianSpec(1, np.array([0.4]), eta, 0.5), spec,
-                                      reps, seed)
+        accept = one_batch_acceptance(0.4, eta, spec, reps, seed)
         assert est.value == accept
         assert est.stderr == float(np.sqrt(accept * (1.0 - accept) / reps))
 
@@ -322,8 +321,7 @@ class TestHHMonteCarlo:
         assert est.value.shape == (2, 3)
         for j, eta in enumerate(etas):
             for i, theta in enumerate(thetas):
-                accept = one_batch_acceptance(GaussianSpec(modes, theta, eta, 0.5), spec,
-                                              reps, seed)
+                accept = one_batch_acceptance(theta, eta, spec, reps, seed)
                 assert est.value[j, i] == accept
                 assert est.stderr[j, i] == float(np.sqrt(accept * (1.0 - accept) / reps))
         # theta = 0 is the zero shift under every squeezing
@@ -503,6 +501,26 @@ class TestTailOrdering:
         ratios = [hh_type2_analytic(t, eta0, spec_hh) / si_type2_closed(t, spec_si)
                   for t in (2.0, 3.0, 4.0)]
         assert ratios[0] > ratios[1] > ratios[2]
+
+
+@pytest.mark.parametrize("call,theta", [
+    (lambda t: si_type2_closed(t, TestSpec(1, 3, 0.0, 0.05)), 1e160),
+    (lambda t: si_type2_n2(t, 1, 0.5, 0.05), 1e200),
+])
+def test_theta_whose_square_overflows_rejected(call, theta):
+    # n theta^2 = inf used to give nan (closed form) or an OverflowError (n = 2)
+    with pytest.raises(ValueError, match="theta must be finite, with . \\* theta\\^2"):
+        call(np.array([0.3, theta]))
+
+
+def test_closed_form_far_past_the_bulk():
+    # n = 3: beta = (1 - alpha) (1 - e^{-2z}) / (2z), z = 3 theta^2; scipy's ive
+    # gives NaN from z ~ 1.07e9 on, which used to reach this column.  The value
+    # is formed in logarithms, so |log beta| ~ 460 at theta = 1e100 costs ~1e-13
+    theta = np.array([1e4, 2e4, 1e5, 1e100])
+    want = 0.95 / (6.0 * theta ** 2)
+    np.testing.assert_allclose(si_type2_closed(theta, TestSpec(1, 3, 0.0, 0.05)), want,
+                               rtol=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -3,8 +3,6 @@ import pytest
 
 from sqitest.hypotests import TestSpec, hh_type2_analytic
 from sqitest.phase_space import (
-    GaussianSpec,
-    PhaseSpaceMoments,
     SqueezeParam,
     format_complex,
     fourier_wigner,
@@ -49,11 +47,14 @@ class TestSqueezeParam:
         for z in (0.25 - 1.5j, 1.0, -2.75 + 0j, 3e-7 + 2e-9j):
             assert parse_complex(format_complex(z)) == complex(z)
 
-
-class TestGaussianSpec:
-    def test_negative_mixture_rejected(self):
-        with pytest.raises(ValueError):
-            GaussianSpec(1, np.array([0.1]), SqueezeParam.zero(1), -0.1)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("block", ["A", "S"])
+    def test_non_finite_entries_rejected(self, bad, block):
+        # NaN fails every defect comparison, so it used to build and give NaN moments
+        blocks = {"A": np.zeros((2, 2), dtype=complex), "S": np.zeros((2, 2), dtype=complex)}
+        blocks[block][1, 1] = bad
+        with pytest.raises(ValueError, match="entries must be finite"):
+            SqueezeParam(2, blocks["A"], blocks["S"])
 
 
 class TestGMatrix:
@@ -80,47 +81,74 @@ class TestGMatrix:
 
 class TestMoments:
     def test_zero_displacement(self):
-        spec = GaussianSpec(1, np.array([0.0]), SqueezeParam.zero(1), 0.5)
-        assert np.allclose(moments(spec).mu, 0.0)
+        mu, _ = moments(0.0, SqueezeParam.zero(1), 0.5)
+        assert np.allclose(mu, 0.0)
 
     def test_vacuum_covariance(self):
-        spec = GaussianSpec(1, np.array([0.2]), SqueezeParam.zero(1), 0.0)
-        assert np.allclose(moments(spec).sigma, np.eye(2) / 2)
+        _, sigma = moments(0.2, SqueezeParam.zero(1), 0.0)
+        assert np.allclose(sigma, np.eye(2) / 2)
 
     def test_unit_mixture_covariance(self):
-        spec = GaussianSpec(1, np.array([0.2]), SqueezeParam.zero(1), 1.0)
-        assert np.allclose(moments(spec).sigma, np.eye(2))
+        _, sigma = moments(0.2, SqueezeParam.zero(1), 1.0)
+        assert np.allclose(sigma, np.eye(2))
 
     def test_sigma_dominates_quarter_identity(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
-            spec = GaussianSpec(1, np.array([0.1]), random_eta(rng, 1, 1.5),
-                                float(rng.uniform(0, 2)))
-            gap = np.linalg.eigvalsh(moments(spec).sigma - np.eye(2) / 4).min()
-            assert gap > 0
+            _, sigma = moments(0.1, random_eta(rng, 1, 1.5), float(rng.uniform(0, 2)))
+            assert np.linalg.eigvalsh(sigma - np.eye(2) / 4).min() > 0
 
-    def test_moments_validation(self):
-        with pytest.raises(ValueError):
-            PhaseSpaceMoments(np.zeros(2), np.array([[1.0, 0.2], [0.1, 1.0]]))
+    def test_negative_mixture_rejected(self):
+        with pytest.raises(ValueError, match="mixture must be finite and >= 0"):
+            moments(0.1, SqueezeParam.zero(1), -0.1)
+
+    @pytest.mark.parametrize("theta", [np.zeros(2), np.zeros((3, 2)), np.nan, [0.1, np.inf]])
+    def test_theta_of_wrong_width_or_not_finite_rejected(self, theta):
+        with pytest.raises(ValueError, match="theta must"):
+            moments(theta, SqueezeParam.zero(1), 0.0)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_shape_rule_and_per_row_calls(self, m):
+        # theta (..., m) gives mu (..., 2m), row by row, and one sigma (2m, 2m)
+        rng = np.random.default_rng(60 + m)
+        eta = random_eta(rng, m, scale=1.5)
+        stack = 3.0 * (rng.standard_normal((6, m)) + 1j * rng.standard_normal((6, m)))
+        mu, sigma = moments(stack, eta, 0.4)
+        grid_mu, grid_sigma = moments(stack.reshape(2, 3, m), eta, 0.4)
+        assert mu.shape == (6, 2 * m) and grid_mu.shape == (2, 3, 2 * m)
+        np.testing.assert_array_equal(grid_mu.reshape(6, 2 * m), mu)
+        for theta, row in zip(stack, mu):
+            one_mu, one_sigma = moments(theta, eta, 0.4)
+            assert one_mu.shape == (2 * m,)
+            np.testing.assert_array_equal(one_mu, row)
+            np.testing.assert_array_equal(sigma, one_sigma)
+            np.testing.assert_array_equal(grid_sigma, one_sigma)
+        assert one_sigma.shape == (2 * m, 2 * m)
+        np.testing.assert_array_equal(one_sigma, one_sigma.T)
+        if m == 1:
+            assert moments(0.3 - 0.2j, eta, 0.4)[0].shape == (2,)
 
 
 class TestFourierWigner:
     def test_normalized_at_origin(self):
-        spec = GaussianSpec(1, np.array([0.3 + 0.2j]), SqueezeParam.zero(1), 0.4)
-        assert fourier_wigner(spec, 0.0, 0.0) == pytest.approx(1.0)
+        got = fourier_wigner(0.3 + 0.2j, SqueezeParam.zero(1), 0.4, 0.0, 0.0)
+        assert got == pytest.approx(1.0)
 
     def test_vacuum_form(self):
-        spec = GaussianSpec(1, np.array([0.0]), SqueezeParam.zero(1), 0.0)
         for u, v in [(0.5, -0.2), (1.0, 1.0)]:
             want = np.exp(-(u * u + v * v) / 4.0)
-            assert fourier_wigner(spec, u, v) == pytest.approx(want)
+            assert fourier_wigner(0.0, SqueezeParam.zero(1), 0.0, u, v) == pytest.approx(want)
 
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(9)
-        spec = GaussianSpec(1, np.array([0.4 - 0.1j]), random_eta(rng, 1, 0.5), 0.3)
+        eta = random_eta(rng, 1, 0.5)
         for u, v in [(0.7, 0.1), (-0.2, 1.3)]:
-            assert fourier_wigner(spec, -u, -v) == pytest.approx(
-                np.conj(fourier_wigner(spec, u, v)))
+            assert fourier_wigner(0.4 - 0.1j, eta, 0.3, -u, -v) == pytest.approx(
+                np.conj(fourier_wigner(0.4 - 0.1j, eta, 0.3, u, v)))
+
+    def test_stack_rejected(self):
+        with pytest.raises(ValueError, match="one theta"):
+            fourier_wigner(np.zeros((2, 1)), SqueezeParam.zero(1), 0.0, 0.1, 0.2)
 
     def test_matches_truncated_space_trace(self):
         # Tr[rho exp(-i(u q + v p))] computed literally at cutoff 40
@@ -137,39 +165,49 @@ class TestFourierWigner:
             eta = random_eta(rng, 1, 0.5)
             S = fock.squeeze(eta, cfg).entries
             rho = S @ fock.thermal_coherent_state(theta, N, d).entries @ S.conj().T
-            spec = GaussianSpec(1, np.array([theta]), eta, N)
             for u, v in [(0.4, -0.3), (0.8, 0.5)]:
                 got = np.trace(rho @ expm(-1j * (u * q + v * p)))
-                want = fourier_wigner(spec, u, v)
+                want = fourier_wigner(theta, eta, N, u, v)
                 assert abs(got - want) < 1e-5
 
 
 class TestHeterodyneSampling:
     def test_law_of_large_numbers(self):
-        spec = GaussianSpec(1, np.array([0.5 + 0.2j]), SqueezeParam.zero(1), 0.0)
-        draws = heterodyne_sample(spec, 10 ** 6, rng=rng_stream(42))
-        mom = moments(spec)
-        sd = np.sqrt(np.diag(mom.sigma))
-        assert np.all(np.abs(draws.mean(axis=0) - mom.mu) < 5 * sd / 1000.0)
+        eta = SqueezeParam.zero(1)
+        draws = heterodyne_sample(0.5 + 0.2j, eta, 0.0, 10 ** 6, rng=rng_stream(42))
+        mu, sigma = moments(0.5 + 0.2j, eta, 0.0)
+        sd = np.sqrt(np.diag(sigma))
+        assert np.all(np.abs(draws.mean(axis=0) - mu) < 5 * sd / 1000.0)
 
     def test_sample_covariance(self):
-        spec = GaussianSpec(1, np.array([0.0]), SqueezeParam.zero(1), 0.0)
-        draws = heterodyne_sample(spec, 10 ** 6, rng=rng_stream(1))
+        eta = SqueezeParam.zero(1)
+        draws = heterodyne_sample(0.0, eta, 0.0, 10 ** 6, rng=rng_stream(1))
         cov = np.cov(draws.T)
-        mom = moments(spec)
-        rel = np.linalg.norm(cov - mom.sigma) / np.linalg.norm(mom.sigma)
+        _, sigma = moments(0.0, eta, 0.0)
+        rel = np.linalg.norm(cov - sigma) / np.linalg.norm(sigma)
         assert rel < 0.01
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_draws_are_moments_plus_cholesky_shift(self, m):
+        # mu + z L' with sigma = L L' and z the standard normals of the same stream
+        rng = np.random.default_rng(70 + m)
+        eta = random_eta(rng, m, scale=1.5)
+        theta = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        mu, sigma = moments(theta, eta, 0.6)
+        z = rng_stream(9).standard_normal((40, 2 * m))
+        want = mu + z @ np.linalg.cholesky(sigma).T
+        np.testing.assert_array_equal(heterodyne_sample(theta, eta, 0.6, 40, rng_stream(9)), want)
+
     def test_fixed_seed_reproduces(self):
-        spec = GaussianSpec(1, np.array([0.1]), SqueezeParam.zero(1), 0.3)
-        a = heterodyne_sample(spec, 100, rng=rng_stream(7))
-        b = heterodyne_sample(spec, 100, rng=rng_stream(7))
+        eta = SqueezeParam.zero(1)
+        a = heterodyne_sample(0.1, eta, 0.3, 100, rng=rng_stream(7))
+        b = heterodyne_sample(0.1, eta, 0.3, 100, rng=rng_stream(7))
         assert a.tobytes() == b.tobytes()
 
     def test_streams_are_split(self):
-        spec = GaussianSpec(1, np.array([0.1]), SqueezeParam.zero(1), 0.0)
-        a = heterodyne_sample(spec, 50, rng=rng_stream(7, 0))
-        b = heterodyne_sample(spec, 50, rng=rng_stream(7, 1))
+        eta = SqueezeParam.zero(1)
+        a = heterodyne_sample(0.1, eta, 0.0, 50, rng=rng_stream(7, 0))
+        b = heterodyne_sample(0.1, eta, 0.0, 50, rng=rng_stream(7, 1))
         assert not np.allclose(a, b)
 
     @pytest.mark.parametrize("short,long", [((5,), (5, 0)), ((5, 1), (5, 1, 0))])
@@ -179,9 +217,14 @@ class TestHeterodyneSampling:
         assert not np.any(a == b)
 
     def test_count_validation(self):
-        spec = GaussianSpec(1, np.array([0.1]), SqueezeParam.zero(1), 0.0)
         with pytest.raises(ValueError):
-            heterodyne_sample(spec, 0, rng=rng_stream(0))
+            heterodyne_sample(0.1, SqueezeParam.zero(1), 0.0, 0, rng=rng_stream(0))
+
+    def test_stack_rejected(self):
+        rng = rng_stream(0)
+        with pytest.raises(ValueError, match="one theta"):
+            heterodyne_sample(np.zeros((2, 1)), SqueezeParam.zero(1), 0.0, 4, rng)
+        assert rng.random() == rng_stream(0).random()  # raised before its first draw
 
 
 class TestKappa:
@@ -250,9 +293,8 @@ class TestKappa:
             c = (2 * N + 1) / 4
             want = y[0] ** 2 / (c + np.exp(-2 * r) / 4) + y[1] ** 2 / (c + np.exp(2 * r) / 4)
             assert kappa(theta, eta, N) == pytest.approx(want, rel=1e-12, abs=0.0)
-            spec = GaussianSpec(1, theta, eta, N)
-            moments(spec)
-            assert heterodyne_sample(spec, 4, rng_stream(0)).shape == (4, 2)
+            moments(theta, eta, N)
+            assert heterodyne_sample(theta, eta, N, 4, rng_stream(0)).shape == (4, 2)
 
 
 class TestWhitenedSignal:
@@ -271,8 +313,8 @@ class TestWhitenedSignal:
         for theta, row in zip(stack, flat):
             one = whitened_signal(theta, eta, N)
             assert one.shape == (2 * m,)
-            mom = moments(GaussianSpec(m, theta, eta, N))
-            want = np.linalg.solve(np.linalg.cholesky(mom.sigma), mom.mu)
+            mu, sigma = moments(theta, eta, N)
+            want = np.linalg.solve(np.linalg.cholesky(sigma), mu)
             scale = np.max(np.abs(want))
             np.testing.assert_allclose(one, row, rtol=0.0, atol=1e-15 * scale)
             np.testing.assert_allclose(one, want, rtol=0.0, atol=1e-14 * scale)
