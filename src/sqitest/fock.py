@@ -19,7 +19,8 @@ squeezing.
 Generators: every quadratic generator is one call of
 ``_quadratic_generator(config, H, K)``, the form
 sum H[s,t] a*_s a_t + K[s,t]/2 a*_s a*_t - conj(K[s,t])/2 a_s a_t over slot
-pairs, built from the slot lowering matrices of one occupation table.
+pairs, whose entries (``_quadratic_entries``) are found by box-code lookup
+in one occupation table.
 
 Basis: the occupation tuples whose per-mode photon totals over the n
 copies are all <= d-1, in lexicographic order (vacuum first);
@@ -33,11 +34,13 @@ and every defect spectrum is integer.  States report their truncation
 loss (1 - trace).
 
 ``si_type2_fock`` works sector by sector, with one route for pure and
-mixed states alike: the blocks of the sparse Casimir form of the defect
-observable (``casimir_defect``, no exponential) are cut out with a check
-that no entry couples two sectors, each block is eigendecomposed once, and
-each product state enters only through its sector blocks, formed from its
-single-mode factors.  The dense whole-space operators, among them the
+mixed states alike: each block of the Casimir form of the defect
+observable (``defect_blocks``, no exponential) is built straight from the
+generator entries as a small dense real matrix, with a check that no entry
+couples two sectors; each block is eigendecomposed once, and each product
+state enters only through its sector blocks, formed from its single-mode
+factors.  The sparse whole-space ``casimir_defect`` is assembled from the
+same blocks.  The dense whole-space operators, among them the
 exponential-built ``rotation_defect_observable``, stay as the references
 the tests compare against.
 """
@@ -183,23 +186,6 @@ def photon_sectors(config: FockConfig) -> list:
     return np.split(order, np.nonzero(np.diff(key[order]))[0] + 1)
 
 
-def sector_blocks(op, sectors: list) -> list:
-    """Sparse diagonal blocks op[idx, idx], one per sector of a partition.
-
-    Raises ValueError if a nonzero entry of ``op`` couples two sectors, so
-    the blocks are exact restrictions of ``op`` and never an approximation.
-    """
-    label = np.empty(op.shape[0], dtype=np.intp)
-    for s, idx in enumerate(sectors):
-        label[idx] = s
-    coo = sparse.coo_matrix(op)
-    nonzero = coo.data != 0
-    if np.any(label[coo.row[nonzero]] != label[coo.col[nonzero]]):
-        raise ValueError("operator couples different photon sectors (not passive)")
-    op = sparse.csr_matrix(op)
-    return [op[idx][:, idx] for idx in sectors]
-
-
 # ---------------------------------------------------------------------------
 # elementary operators and states
 # ---------------------------------------------------------------------------
@@ -211,10 +197,23 @@ def annihilation(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, cutoff)), 1).astype(complex)
 
 
+def _squared_amplitude(theta: complex) -> float:
+    """|theta|^2, or ValueError unless it is finite.
+
+    A NaN would otherwise pass silently into every amplitude and every law
+    built from them.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        r2 = np.abs(np.complex128(theta)) ** 2
+    if not np.isfinite(r2):
+        raise ValueError(f"displacement must be finite with finite |theta|^2, got {theta!r}")
+    return float(r2)
+
+
 def coherent_vector(theta: complex, cutoff: int) -> np.ndarray:
     """Cutoff expansion e^{-|theta|^2/2} sum_k theta^k/sqrt(k!) over k < cutoff."""
     k = np.arange(cutoff)
-    r2 = abs(theta) ** 2
+    r2 = _squared_amplitude(theta)
     return np.exp(0.5 * (xlogy(k, r2) - r2 - gammaln(k + 1.0)) + 1j * k * np.angle(theta))
 
 
@@ -237,10 +236,18 @@ def coherent_product_vector(config: FockConfig, Z) -> np.ndarray:
 
 
 def displacement(theta: complex, cutoff: int) -> TruncatedOperator:
-    """exp(theta a* - conj(theta) a) at the cutoff; exactly unitary there."""
+    """exp(theta a* - conj(theta) a) at the cutoff; exactly unitary there.
+
+    Raises ValueError for a non-finite theta and where the exponential
+    overflows (|theta| past about 1e19).
+    """
+    _squared_amplitude(theta)
     a = annihilation(cutoff)
-    gen = theta * a.conj().T - np.conj(theta) * a
-    return TruncatedOperator(FockConfig(1, 1, cutoff), expm(gen))
+    with np.errstate(over="ignore", invalid="ignore"):
+        U = expm(theta * a.conj().T - np.conj(theta) * a)
+    if not np.all(np.isfinite(U)):
+        raise ValueError(f"displacement exponential overflows at theta = {theta!r}")
+    return TruncatedOperator(FockConfig(1, 1, cutoff), U)
 
 
 def thermal_coherent_state(theta: complex, mixture: float, cutoff: int) -> TruncatedState:
@@ -258,9 +265,13 @@ def thermal_coherent_state(theta: complex, mixture: float, cutoff: int) -> Trunc
 
 
 def _slot_factors(config: FockConfig, Z, mixture: float) -> list:
-    """Single-mode displaced thermal states in slot order (``Z`` as in ``_slot_values``)."""
-    return [thermal_coherent_state(z, mixture, config.cutoff).entries
-            for z in _slot_values(config, Z)]
+    """Single-mode displaced thermal states in slot order (``Z`` as in ``_slot_values``).
+
+    One state is built per distinct slot value and shared by its slots.
+    """
+    values, slot_value = np.unique(_slot_values(config, Z), return_inverse=True)
+    states = [thermal_coherent_state(z, mixture, config.cutoff).entries for z in values]
+    return [states[i] for i in slot_value]
 
 
 def product_state(config: FockConfig, Z, mixture: float) -> TruncatedState:
@@ -282,30 +293,49 @@ def _product_entries(factors: list, occ: np.ndarray) -> np.ndarray:
 # quadratic generators
 # ---------------------------------------------------------------------------
 
+def _quadratic_entries(config: FockConfig, H, K=None) -> tuple:
+    """COO triples (dst, src, val) of the form built by ``_quadratic_generator``.
+
+    Each term a*_s a_t, a*_s a*_t or a_s a_t moves a basis row by one photon
+    in slot t, then one in slot s; the target row is found by its box code,
+    code + place[s] - place[t] for a*_s a_t.  A target off the basis is
+    dropped: the basis is closed downward, so a clipped intermediate means a
+    clipped result, and this is the exact form compressed to the basis.
+    Occupations are checked to stay within 0..cutoff-1 first, so no code
+    carries into another slot's digit.
+    """
+    occ = occupations(config)
+    d = config.cutoff
+    place = d ** np.arange(config.slots - 1, -1, -1)
+    code = occ @ place
+    # (coefficient, slot s, its step, slot t, its step) for c x_s x_t
+    terms = [(H[s, t], s, 1, t, -1) for s, t in zip(*np.nonzero(H))]
+    if K is not None:
+        for s, t in zip(*np.nonzero(K)):
+            terms += [(0.5 * K[s, t], s, 1, t, 1), (-0.5 * np.conj(K[s, t]), s, -1, t, -1)]
+    entries = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
+    for c, s, ds, t, dt in terms:
+        n_t = occ[:, t]                          # slot t before its step
+        n_s = occ[:, s] + (dt if s == t else 0)  # slot s before its step
+        ok = (n_t + dt >= 0) & (n_t + dt < d) & (n_s + ds >= 0) & (n_s + ds < d)
+        rows = np.nonzero(ok)[0]
+        target = code[rows] + ds * place[s] + dt * place[t]
+        hit = np.minimum(np.searchsorted(code, target), config.dim - 1)
+        found = code[hit] == target
+        # a lowering step weighs sqrt(n) and a raising step sqrt(n + 1)
+        amp = np.sqrt(np.maximum(n_t, n_t + dt) * np.maximum(n_s, n_s + ds))
+        entries.append((hit[found], rows[found], c * amp[rows[found]]))
+    return tuple(np.concatenate(x) for x in zip(*entries))
+
+
 def _quadratic_generator(config: FockConfig, H, K=None) -> sparse.csr_matrix:
     """sum H[s,t] a*_s a_t + K[s,t]/2 a*_s a*_t - conj(K[s,t])/2 a_s a_t over slots.
 
     H and K are (mn x mn) slot matrices; only their nonzero entries are
-    summed.  The lowering matrix a_s sends each basis row with a photon in
-    slot s to the row with one fewer, found by its box code.
+    summed, from the entries of ``_quadratic_entries``.
     """
-    occ = occupations(config)
-    code = np.ravel_multi_index(occ.T, (config.cutoff,) * config.slots)
-    low = []
-    for s in range(config.slots):
-        src = np.nonzero(occ[:, s])[0]
-        dst = np.searchsorted(code, code[src] - config.cutoff ** (config.slots - 1 - s))
-        low.append(sparse.csr_matrix((np.sqrt(occ[src, s]).astype(complex), (dst, src)),
-                                     shape=(config.dim, config.dim)))
-    terms = [(H[s, t], low[s].T, low[t]) for s, t in zip(*np.nonzero(H))]
-    if K is not None:
-        for s, t in zip(*np.nonzero(K)):
-            terms += [(0.5 * K[s, t], low[s].T, low[t].T),
-                      (-0.5 * np.conj(K[s, t]), low[s], low[t])]
-    out = sparse.csr_matrix((config.dim, config.dim), dtype=complex)
-    for c, L, R in terms:
-        out = out + c * (L @ R)
-    return out.tocsr()
+    dst, src, val = _quadratic_entries(config, H, K)
+    return sparse.csr_matrix((val.astype(complex), (dst, src)), shape=(config.dim, config.dim))
 
 
 def copy_mixing_generator(config: FockConfig, B) -> sparse.csr_matrix:
@@ -391,27 +421,87 @@ def rotation_defect_observable(config: FockConfig) -> TruncatedOperator:
     return TruncatedOperator(config, 0.5 * (T + T.conj().T))
 
 
-def casimir_defect(config: FockConfig) -> sparse.csr_matrix:
-    """The rotation-defect observable as a sparse real form sum_k G_k^* G_k.
+def gram_blocks(config: FockConfig, generators: list) -> tuple:
+    """Photon sectors, and a builder of the dense block of sum_k G_k^* G_k on each.
+
+    ``generators`` lists (H, K) slot-matrix pairs, G_k the
+    ``_quadratic_generator`` of the k-th.  Returns ``(sectors, block)``
+    with ``sectors`` as in ``photon_sectors`` and ``block(s)`` the
+    true-size dense block on sector s, built when called from the entries
+    of the G_k there: (G_k^* G_k)[j, l] sums conj(G_k[i, j]) G_k[i, l] over
+    the pairs of entries that share a row i, so the cost follows the
+    entries, not the cube of the block size.  Raises ValueError if an entry
+    of some G_k couples two sectors, so the blocks are exact restrictions
+    and never an approximation.
+    """
+    sectors = photon_sectors(config)
+    label = np.empty(config.dim, dtype=np.intp)
+    where = np.empty(config.dim, dtype=np.intp)
+    for s, idx in enumerate(sectors):
+        label[idx] = s
+        where[idx] = np.arange(len(idx))
+    keys, cols, vals = [], [], []
+    for k, (H, K) in enumerate(generators):
+        dst, src, val = _quadratic_entries(config, H, K)
+        if np.any(label[dst] != label[src]):
+            raise ValueError("operator couples different photon sectors (not passive)")
+        keys.append(label[src] * (len(generators) * config.dim) + k * config.dim + dst)
+        cols.append(where[src])
+        vals.append(val)
+    # entries sorted by sector, then by row (generator k, basis row dst)
+    keys = np.concatenate(keys)
+    order = np.argsort(keys, kind="stable")
+    keys, cols, vals = keys[order], np.concatenate(cols)[order], np.concatenate(vals)[order]
+    bounds = np.searchsorted(keys, np.arange(len(sectors) + 1) * (len(generators) * config.dim))
+    # each entry pairs with the `width` entries of its row, from `first` on
+    _, first, row, width = np.unique(keys, return_index=True, return_inverse=True,
+                                     return_counts=True)
+    first, width = first[row], width[row]
+
+    def block(s: int) -> np.ndarray:
+        lo, hi = bounds[s], bounds[s + 1]
+        w = width[lo:hi]
+        a = np.repeat(np.arange(lo, hi), w)
+        b = first[a] + np.arange(len(a)) - np.repeat(np.cumsum(w) - w, w)
+        size = len(sectors[s])
+        T = np.zeros(size * size, dtype=vals.dtype)
+        np.add.at(T, cols[a] * size + cols[b], vals[a].conj() * vals[b])
+        return T.reshape(size, size)
+
+    return sectors, block
+
+
+def defect_blocks(config: FockConfig) -> tuple:
+    """``gram_blocks`` of the rotation-defect observable: the form sum_k G_k^* G_k.
 
     G_k = copy_mixing_generator(v_k u^T - u v_k^T), with u = (1,...,1)/sqrt(n)
     and v_1..v_{n-1} the first rows of the classical pooling rotation, an
-    orthonormal basis of u-perp.  Since R maps the copy plane (k, n) to the
-    plane (v_k, u), R^* bs_{k,n} R = G_k, and every photon sector of the
-    basis is whole, so this equals ``rotation_defect_observable`` with no
-    exponential.  The sum does not depend on the basis of u-perp: it is the
-    O(n) Casimir minus that of the O(n-1) fixing u, so its spectrum is
-    integer.
+    orthonormal basis of u-perp.  Each block is real symmetric.
     """
     if config.copies < 2:
         raise ValueError("needs at least two copies")
     n = config.copies
     u = np.full(n, 1.0 / np.sqrt(n))
-    out = sparse.csr_matrix((config.dim, config.dim), dtype=complex)
-    for v in pooling_rotation_matrix(n)[:-1]:
-        G = copy_mixing_generator(config, np.outer(v, u) - np.outer(u, v))
-        out = out + G.conj().T @ G
-    return out.real.tocsr()
+    planes = [np.outer(v, u) - np.outer(u, v) for v in pooling_rotation_matrix(n)[:-1]]
+    return gram_blocks(config, [(np.kron(B, np.eye(config.modes)), None) for B in planes])
+
+
+def casimir_defect(config: FockConfig) -> sparse.csr_matrix:
+    """The rotation-defect observable as a sparse real form sum_k G_k^* G_k.
+
+    G_k is the copy-mixing generator of the plane (v_k, u) (see
+    ``defect_blocks``).  Since R maps the copy plane (k, n) to the plane
+    (v_k, u), R^* bs_{k,n} R = G_k, and every photon sector of the basis is
+    whole, so this equals ``rotation_defect_observable`` with no
+    exponential.  The sum does not depend on the basis of u-perp: it is the
+    O(n) Casimir minus that of the O(n-1) fixing u, so its spectrum is
+    integer.  It is assembled from the sector blocks of ``defect_blocks``,
+    the one construction of this form.
+    """
+    sectors, block = defect_blocks(config)
+    T = sparse.block_diag([block(s) for s in range(len(sectors))], format="coo")
+    basis = np.concatenate(sectors)
+    return sparse.csr_matrix((T.data, (basis[T.row], basis[T.col])), shape=T.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -453,24 +543,23 @@ def defect_spectral_measures(config: FockConfig, displacements: list,
 
     Equals ``spectral_measure(product_state(config, Z, mixture), T)`` for
     each Z in ``displacements``, T the dense ``casimir_defect``, but works
-    one photon sector at a time: T's sector block is real symmetric, and a
-    product state's block rho[idx, idx] is the entrywise product over slots
-    of its single-mode factors, so no whole-space matrix is built.  Real
+    one photon sector at a time: T's sector block comes straight from
+    ``defect_blocks`` as a small dense real symmetric matrix, and a product
+    state's block rho[idx, idx] is the entrywise product over slots of its
+    single-mode factors, so no whole-space matrix is built.  Real
     eigenvectors see only the real part of rho.  Sectors where every
-    state's block is zero are skipped.
+    state's block is zero are skipped before T's block is built.
     """
-    if config.copies < 2:
-        raise ValueError("needs at least two copies")
-    sectors = photon_sectors(config)
+    sectors, block = defect_blocks(config)
     occ = occupations(config)
     factors = [_slot_factors(config, Z, mixture) for Z in displacements]
     vals, masses = [], []
-    for idx, T in zip(sectors, sector_blocks(casimir_defect(config), sectors)):
+    for s, idx in enumerate(sectors):
         blocks = [_product_entries(fs, occ[idx]) for fs in factors]
         # a (positive) block is zero when its diagonal is
         if not any(rho.diagonal().any() for rho in blocks):
             continue
-        lam, vecs = eigh(T.toarray(), driver="evd")
+        lam, vecs = eigh(block(s), driver="evd")
         vals.append(lam)
         masses.append([_eigvec_masses(rho.real, vecs) for rho in blocks])
     vals = np.concatenate(vals)

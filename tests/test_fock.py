@@ -22,13 +22,14 @@ from sqitest.fock import (
     coherent_product_vector,
     coherent_vector,
     copy_mixing_generator,
+    defect_blocks,
     defect_spectral_measures,
     displacement,
+    gram_blocks,
     photon_sectors,
     product_state,
     rotation_average_projector,
     rotation_defect_observable,
-    sector_blocks,
     si_type2_fock,
     spectral_measure,
     spectral_projection,
@@ -41,6 +42,9 @@ from sqitest.phase_space import SqueezeParam
 
 # i (photon number of copy 1 - photon number of copy 2) as a copy-mixing matrix
 PHASE_DIFFERENCE = np.diag([1j, -1j])
+
+# displacements whose amplitudes are not finite numbers: |1e200|^2 overflows
+NON_FINITE = [np.nan, np.inf, complex(0, np.nan), 1e200]
 
 
 def random_eta(rng, m=1, scale=1.0):
@@ -149,6 +153,11 @@ class TestCoherentVector:
         resid = annihilation(d) @ v - th * v
         assert np.max(np.abs(resid[: d - 1])) < 1e-12
 
+    @pytest.mark.parametrize("theta", NON_FINITE)
+    def test_non_finite_displacement_rejected(self, theta):
+        with pytest.raises(ValueError):
+            coherent_vector(theta, 6)
+
 
 class TestThermalCoherentState:
     def test_thermal_diagonal(self):
@@ -181,6 +190,11 @@ class TestThermalCoherentState:
         with pytest.raises(ValueError):
             thermal_coherent_state(0.1, mixture, 4)
 
+    @pytest.mark.parametrize("theta", NON_FINITE)
+    def test_non_finite_displacement_rejected(self, theta):
+        with pytest.raises(ValueError):
+            thermal_coherent_state(theta, 0.1, 6)
+
 
 class TestDisplacement:
     def test_zero_is_identity(self):
@@ -198,6 +212,12 @@ class TestDisplacement:
 
     def test_exactly_unitary_at_cutoff(self):
         assert displacement(0.8 + 0.1j, 25).unitarity_defect() < 1e-12
+
+    @pytest.mark.parametrize("theta", [*NON_FINITE, 1e20])
+    def test_non_finite_or_overflowing_displacement_rejected(self, theta):
+        # past |theta| of about 1e19 the exponential itself overflows
+        with pytest.raises(ValueError):
+            displacement(theta, 6)
 
 
 class TestSqueeze:
@@ -397,18 +417,26 @@ class TestPhotonSectors:
 
     def test_passive_generator_blocks_reassemble(self):
         cfg = FockConfig(2, 2, 3)
-        sectors = photon_sectors(cfg)
-        v = beamsplitter_generator(cfg, 1, 2)
-        whole = np.zeros((cfg.dim, cfg.dim), dtype=complex)
-        for idx, block in zip(sectors, sector_blocks(v, sectors)):
-            whole[np.ix_(idx, idx)] = block.toarray()
-        assert np.array_equal(whole, v.toarray())
+        B = np.array([[0.0, -1.0], [1.0, 0.0]])
+        sectors, block = gram_blocks(cfg, [(np.kron(B, np.eye(2)), None)])
+        v = beamsplitter_generator(cfg, 1, 2).toarray()
+        whole = np.zeros((cfg.dim, cfg.dim))
+        for s, idx in enumerate(sectors):
+            whole[np.ix_(idx, idx)] = block(s)
+        assert np.max(np.abs(whole - v.conj().T @ v)) < 1e-14
 
     def test_block_extraction_rejects_squeezing(self):
         cfg = FockConfig(1, 2, 5)
-        eta = SqueezeParam(1, np.zeros((1, 1)), np.array([[0.3]], dtype=complex))
-        with pytest.raises(ValueError):
-            sector_blocks(squeeze_generator(eta, cfg), photon_sectors(cfg))
+        with pytest.raises(ValueError, match="couples different photon sectors"):
+            gram_blocks(cfg, [(np.zeros((2, 2)), 0.3 * np.eye(2))])
+
+    @pytest.mark.parametrize("shape", [(1, 2, 8), (1, 3, 6), (1, 4, 4), (2, 2, 4), (2, 3, 3)])
+    def test_defect_blocks_match_exponential_reference(self, shape):
+        cfg = FockConfig(*shape)
+        T = rotation_defect_observable(cfg).entries
+        sectors, block = defect_blocks(cfg)
+        for s, idx in enumerate(sectors):
+            assert np.max(np.abs(block(s) - T[np.ix_(idx, idx)])) < 1e-12
 
     @pytest.mark.parametrize("shape", [(1, 3, 6), (2, 2, 4)])
     def test_blocked_defect_measure_matches_dense(self, shape):
@@ -427,8 +455,9 @@ class TestPhotonSectors:
         # every sector is whole, so the Casimir spectrum is integer there,
         # and the lattice laws are built without the off-lattice error
         cfg = FockConfig(*shape)
-        for T in sector_blocks(casimir_defect(cfg), photon_sectors(cfg)):
-            vals = np.linalg.eigvalsh(T.toarray())
+        sectors, block = defect_blocks(cfg)
+        for s in range(len(sectors)):
+            vals = np.linalg.eigvalsh(block(s))
             assert np.max(np.abs(vals - np.rint(vals))) < 1e-9
         z = 0.3 * np.exp(0.5j * np.arange(cfg.modes))
         assert len(defect_spectral_measures(cfg, [np.zeros(cfg.modes), z], 0.4)) == 2
@@ -596,6 +625,34 @@ class TestSiErrorProbability:
     def test_mixture_must_be_finite(self, mixture):
         with pytest.raises(ValueError):
             si_type2_fock(0.3, mixture, 0.05, FockConfig(1, 2, 10))
+
+    @pytest.mark.parametrize("theta", NON_FINITE)
+    def test_non_finite_displacement_rejected(self, theta):
+        with pytest.raises(ValueError):
+            si_type2_fock(theta, 0.1, 0.05, FockConfig(1, 2, 6))
+
+    @pytest.mark.parametrize("theta, mixture, shape, want", [
+        (0.45, 0.0, (1, 3, 12), 0.5498975196875725),
+        (0.45, 0.5, (1, 2, 24), 0.9122860199951556),
+        ([0.22, 0.0], 0.05, (2, 2, 5), 0.9256846711912758),
+        (0.3, 0.1, (1, 3, 9), 0.8498358226355789),
+    ])
+    def test_oracle_values_pinned(self, theta, mixture, shape, want):
+        # the four bench oracle routes; the truncation at each cutoff is part
+        # of these values, so they are matched to rounding
+        assert abs(si_type2_fock(theta, mixture, 0.05, FockConfig(*shape)) - want) < 1e-13
+
+    def test_one_single_mode_state_per_distinct_displacement(self, monkeypatch):
+        # three copies of two modes: the null's one value and the two of theta
+        calls = []
+
+        def counting(theta, mixture, cutoff):
+            calls.append(theta)
+            return thermal_coherent_state(theta, mixture, cutoff)
+
+        monkeypatch.setattr(fock, "thermal_coherent_state", counting)
+        si_type2_fock([0.3, 0.1j], 0.1, 0.05, FockConfig(2, 3, 3))
+        assert sorted(calls, key=abs) == [0.0, 0.1j, 0.3]
 
     def test_vanishing_mixture_lands_on_pure(self):
         # the mixture -> 0 limit: a vanishing mixture must land on the
