@@ -37,12 +37,13 @@ loss (1 - trace).
 mixed states alike: each block of the Casimir form of the defect
 observable (``defect_blocks``, no exponential) is built straight from the
 generator entries as a small dense real matrix, with a check that no entry
-couples two sectors; each block is eigendecomposed once, and each product
-state enters only through its sector blocks, formed from its single-mode
-factors.  The sparse whole-space ``casimir_defect`` is assembled from the
-same blocks.  The dense whole-space operators, among them the
-exponential-built ``rotation_defect_observable``, stay as the references
-the tests compare against.
+couples two sectors; each block is eigendecomposed once.  The thermal
+null is a constant on each sector, read from the sector's photon totals,
+so only the displaced state forms dense sector blocks, from its
+single-mode factors.  The sparse whole-space ``casimir_defect`` is
+assembled from the same blocks.  The dense whole-space operators, among
+them the exponential-built ``rotation_defect_observable``, stay as the
+references the tests compare against.
 """
 
 from __future__ import annotations
@@ -180,8 +181,13 @@ def photon_sectors(config: FockConfig) -> list:
     Sectors come in lexicographic order of their totals, indices ascending
     within each.
     """
-    occ = occupations(config).reshape(config.dim, config.copies, config.modes)
-    key = np.ravel_multi_index(occ.sum(axis=1).T, (config.cutoff,) * config.modes)
+    return _photon_sectors(config, occupations(config))
+
+
+def _photon_sectors(config: FockConfig, occ: np.ndarray) -> list:
+    """``photon_sectors`` from the basis table ``occ`` of ``occupations``."""
+    totals = occ.reshape(config.dim, config.copies, config.modes).sum(axis=1)
+    key = np.ravel_multi_index(totals.T, (config.cutoff,) * config.modes)
     order = np.argsort(key, kind="stable")
     return np.split(order, np.nonzero(np.diff(key[order]))[0] + 1)
 
@@ -255,13 +261,17 @@ def thermal_coherent_state(theta: complex, mixture: float, cutoff: int) -> Trunc
 
     The thermal occupation law is geometric, (1/(N+1)) (N/(N+1))^k, truncated.
     """
-    if not 0.0 <= mixture < np.inf:
-        raise ValueError("mixture must be finite and >= 0")
-    occupation = (1.0 / (mixture + 1.0)) * (mixture / (mixture + 1.0)) ** np.arange(cutoff)
     D = displacement(theta, cutoff).entries
-    rho = D @ np.diag(occupation) @ D.conj().T
+    rho = D @ np.diag(_thermal_occupation(mixture, cutoff)) @ D.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     return TruncatedState(FockConfig(1, 1, cutoff), rho)
+
+
+def _thermal_occupation(mixture: float, cutoff: int) -> np.ndarray:
+    """Geometric occupation law (1/(N+1)) (N/(N+1))^k over k < cutoff."""
+    if not 0.0 <= mixture < np.inf:
+        raise ValueError("mixture must be finite and >= 0")
+    return (1.0 / (mixture + 1.0)) * (mixture / (mixture + 1.0)) ** np.arange(cutoff)
 
 
 def _slot_factors(config: FockConfig, Z, mixture: float) -> list:
@@ -286,14 +296,15 @@ def _product_entries(factors: list, occ: np.ndarray) -> np.ndarray:
 
     Entry (a, b) of a matrix product is prod_s factors[s][occ[a, s], occ[b, s]].
     """
-    return reduce(np.multiply, [f[np.ix_(*[o] * f.ndim)] for f, o in zip(factors, occ.T)])
+    return reduce(np.multiply, [f[o[:, None], o] if f.ndim == 2 else f[o]
+                                for f, o in zip(factors, occ.T)])
 
 
 # ---------------------------------------------------------------------------
 # quadratic generators
 # ---------------------------------------------------------------------------
 
-def _quadratic_entries(config: FockConfig, H, K=None) -> tuple:
+def _quadratic_entries(config: FockConfig, occ: np.ndarray, H, K=None) -> tuple:
     """COO triples (dst, src, val) of the form built by ``_quadratic_generator``.
 
     Each term a*_s a_t, a*_s a*_t or a_s a_t moves a basis row by one photon
@@ -302,9 +313,8 @@ def _quadratic_entries(config: FockConfig, H, K=None) -> tuple:
     dropped: the basis is closed downward, so a clipped intermediate means a
     clipped result, and this is the exact form compressed to the basis.
     Occupations are checked to stay within 0..cutoff-1 first, so no code
-    carries into another slot's digit.
+    carries into another slot's digit.  ``occ`` is the ``occupations`` table.
     """
-    occ = occupations(config)
     d = config.cutoff
     place = d ** np.arange(config.slots - 1, -1, -1)
     code = occ @ place
@@ -334,7 +344,7 @@ def _quadratic_generator(config: FockConfig, H, K=None) -> sparse.csr_matrix:
     H and K are (mn x mn) slot matrices; only their nonzero entries are
     summed, from the entries of ``_quadratic_entries``.
     """
-    dst, src, val = _quadratic_entries(config, H, K)
+    dst, src, val = _quadratic_entries(config, occupations(config), H, K)
     return sparse.csr_matrix((val.astype(complex), (dst, src)), shape=(config.dim, config.dim))
 
 
@@ -434,7 +444,12 @@ def gram_blocks(config: FockConfig, generators: list) -> tuple:
     of some G_k couples two sectors, so the blocks are exact restrictions
     and never an approximation.
     """
-    sectors = photon_sectors(config)
+    return _gram_blocks(config, occupations(config), generators)
+
+
+def _gram_blocks(config: FockConfig, occ: np.ndarray, generators: list) -> tuple:
+    """``gram_blocks`` from the basis table ``occ`` of ``occupations``."""
+    sectors = _photon_sectors(config, occ)
     label = np.empty(config.dim, dtype=np.intp)
     where = np.empty(config.dim, dtype=np.intp)
     for s, idx in enumerate(sectors):
@@ -442,7 +457,7 @@ def gram_blocks(config: FockConfig, generators: list) -> tuple:
         where[idx] = np.arange(len(idx))
     keys, cols, vals = [], [], []
     for k, (H, K) in enumerate(generators):
-        dst, src, val = _quadratic_entries(config, H, K)
+        dst, src, val = _quadratic_entries(config, occ, H, K)
         if np.any(label[dst] != label[src]):
             raise ValueError("operator couples different photon sectors (not passive)")
         keys.append(label[src] * (len(generators) * config.dim) + k * config.dim + dst)
@@ -478,12 +493,18 @@ def defect_blocks(config: FockConfig) -> tuple:
     and v_1..v_{n-1} the first rows of the classical pooling rotation, an
     orthonormal basis of u-perp.  Each block is real symmetric.
     """
+    return _defect_blocks(config, occupations(config))
+
+
+def _defect_blocks(config: FockConfig, occ: np.ndarray) -> tuple:
+    """``defect_blocks`` from the basis table ``occ`` of ``occupations``."""
     if config.copies < 2:
         raise ValueError("needs at least two copies")
     n = config.copies
     u = np.full(n, 1.0 / np.sqrt(n))
     planes = [np.outer(v, u) - np.outer(u, v) for v in pooling_rotation_matrix(n)[:-1]]
-    return gram_blocks(config, [(np.kron(B, np.eye(config.modes)), None) for B in planes])
+    return _gram_blocks(config, occ, [(np.kron(B, np.eye(config.modes)), None)
+                                      for B in planes])
 
 
 def casimir_defect(config: FockConfig) -> sparse.csr_matrix:
@@ -537,33 +558,41 @@ def _eigvec_masses(rho: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.real(np.sum(vecs.conj() * (rho @ vecs), axis=0))
 
 
-def defect_spectral_measures(config: FockConfig, displacements: list,
-                             mixture: float) -> list:
-    """Lattice laws of ``casimir_defect`` on product states, one per Z.
+def defect_spectral_measures(config: FockConfig, Z, mixture: float) -> tuple:
+    """Lattice laws ``(null, alt)`` of ``casimir_defect`` on two product states.
 
-    Equals ``spectral_measure(product_state(config, Z, mixture), T)`` for
-    each Z in ``displacements``, T the dense ``casimir_defect``, but works
-    one photon sector at a time: T's sector block comes straight from
-    ``defect_blocks`` as a small dense real symmetric matrix, and a product
-    state's block rho[idx, idx] is the entrywise product over slots of its
-    single-mode factors, so no whole-space matrix is built.  Real
-    eigenvectors see only the real part of rho.  Sectors where every
-    state's block is zero are skipped before T's block is built.
+    The null is the thermal product state and the alternative the displaced
+    one (``Z`` as in ``_slot_values``); each law equals ``spectral_measure``
+    of that ``product_state`` and the dense ``casimir_defect``, but is built
+    one photon sector at a time, and no whole-space matrix is formed.  The
+    defect's sector block comes straight from ``defect_blocks`` as a small
+    dense real symmetric matrix and is eigendecomposed once.  The thermal
+    null is c_s times the identity there, c_s the product over slots of the
+    geometric occupation law, read off the sector's photon totals, so every
+    eigenvector carries null mass c_s.  Only the displaced state forms its
+    dense block rho[idx, idx], the entrywise product over slots of its
+    single-mode factors, whose real part gives the masses.  Sectors where
+    c_s and rho's diagonal are both zero are skipped before the defect's
+    block is built.
     """
-    sectors, block = defect_blocks(config)
+    thermal = _thermal_occupation(mixture, config.cutoff)
+    factors = _slot_factors(config, Z, mixture)
     occ = occupations(config)
-    factors = [_slot_factors(config, Z, mixture) for Z in displacements]
-    vals, masses = [], []
+    sectors, block = _defect_blocks(config, occ)
+    vals, null, alt = [], [], []
     for s, idx in enumerate(sectors):
-        blocks = [_product_entries(fs, occ[idx]) for fs in factors]
+        c = np.prod(thermal[occ[idx[0]]])
+        rho = _product_entries(factors, occ[idx])
         # a (positive) block is zero when its diagonal is
-        if not any(rho.diagonal().any() for rho in blocks):
+        if c == 0.0 and not rho.diagonal().any():
             continue
         lam, vecs = eigh(block(s), driver="evd")
         vals.append(lam)
-        masses.append([_eigvec_masses(rho.real, vecs) for rho in blocks])
+        null.append(np.full(len(idx), c))
+        alt.append(_eigvec_masses(rho.real, vecs))
     vals = np.concatenate(vals)
-    return [dist.lattice_law(vals, np.concatenate(per_state)) for per_state in zip(*masses)]
+    return (dist.lattice_law(vals, np.concatenate(null)),
+            dist.lattice_law(vals, np.concatenate(alt)))
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +649,5 @@ def si_type2_fock(theta, mixture: float, alpha: float, config: FockConfig) -> fl
     if config.copies < 2:
         raise ValueError("the invariant test needs at least two copies")
     theta = np.atleast_1d(np.asarray(theta, dtype=complex)).reshape(config.modes)
-    null_law, alt_law = defect_spectral_measures(
-        config, [np.zeros(config.modes), theta], mixture)
+    null_law, alt_law = defect_spectral_measures(config, theta, mixture)
     return dist.randomized_acceptance(null_law, alt_law, alpha)

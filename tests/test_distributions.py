@@ -212,6 +212,12 @@ class TestPhotonNumberLaw:
         with pytest.raises(ValueError):
             make()
 
+    @pytest.mark.parametrize("rate", [64000.5, 1e200, np.inf])
+    def test_law_past_the_parts_bound_raises(self, rate):
+        # 1e200 would split into about 2e197 parts and never return
+        with pytest.raises(ValueError, match="more than 128 convolution parts"):
+            photon_number_law(1, rate, 0.0)
+
 
 class TestCountDifferenceLaw:
     def test_degenerate_case(self):

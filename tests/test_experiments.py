@@ -346,6 +346,15 @@ class TestCli:
         assert "noncentrality must be finite, >= 0 and below 2^54" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_two_copy_mixed_curve_at_huge_theta_is_error(self, tmp_path, capsys):
+        # the lattice law here used to loop without end
+        out = tmp_path / "c.csv"
+        code = main(["curve", "--n", "2", "--N", "0.5", "--theta-max", "1e100",
+                     "--theta-steps", "3", "--out", str(out)])
+        assert code == 2
+        assert "more than 128 convolution parts" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv,key", [
         (["--theta-max", "nan"], "theta_max"),
         (["--theta-max", "inf"], "theta_max"),

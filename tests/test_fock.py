@@ -438,17 +438,20 @@ class TestPhotonSectors:
         for s, idx in enumerate(sectors):
             assert np.max(np.abs(block(s) - T[np.ix_(idx, idx)])) < 1e-12
 
-    @pytest.mark.parametrize("shape", [(1, 3, 6), (2, 2, 4)])
+    @pytest.mark.parametrize("shape", [(1, 3, 6), (2, 2, 4), (1, 2, 8), (1, 4, 4), (2, 3, 3)])
     def test_blocked_defect_measure_matches_dense(self, shape):
+        # the null law is read off the sector totals, the displaced one from
+        # its sector blocks; both must match the dense whole-space route
         cfg = FockConfig(*shape)
         T = TruncatedOperator(cfg, casimir_defect(cfg).toarray())
         z = 0.3 * np.exp(0.5j * np.arange(cfg.modes))
-        displacements = [np.zeros(cfg.modes), z]
-        for Z, got in zip(displacements, defect_spectral_measures(cfg, displacements, 0.4)):
-            want = spectral_measure(product_state(cfg, Z, 0.4), T)
-            assert (got.lo, got.hi) == (want.lo, want.hi)
-            assert np.max(np.abs(got.pmf - want.pmf)) < 1e-12
-            assert abs(got.tail_mass - want.tail_mass) < 1e-12
+        for mixture in (0.0, 0.3, 2.0):
+            laws = defect_spectral_measures(cfg, z, mixture)
+            for Z, got in zip([np.zeros(cfg.modes), z], laws):
+                want = spectral_measure(product_state(cfg, Z, mixture), T)
+                assert (got.lo, got.hi) == (want.lo, want.hi)
+                assert np.max(np.abs(got.pmf - want.pmf)) < 1e-12
+                assert abs(got.tail_mass - want.tail_mass) < 1e-12
 
     @pytest.mark.parametrize("shape", [(1, 3, 8), (2, 2, 4)])
     def test_defect_spectrum_is_integer(self, shape):
@@ -460,7 +463,7 @@ class TestPhotonSectors:
             vals = np.linalg.eigvalsh(block(s))
             assert np.max(np.abs(vals - np.rint(vals))) < 1e-9
         z = 0.3 * np.exp(0.5j * np.arange(cfg.modes))
-        assert len(defect_spectral_measures(cfg, [np.zeros(cfg.modes), z], 0.4)) == 2
+        assert len(defect_spectral_measures(cfg, z, 0.4)) == 2
 
 
 class TestSpectralProjection:
@@ -643,7 +646,8 @@ class TestSiErrorProbability:
         assert abs(si_type2_fock(theta, mixture, 0.05, FockConfig(*shape)) - want) < 1e-13
 
     def test_one_single_mode_state_per_distinct_displacement(self, monkeypatch):
-        # three copies of two modes: the null's one value and the two of theta
+        # three copies of two modes: the two values of theta; the thermal
+        # null is read off the sector totals and builds no state
         calls = []
 
         def counting(theta, mixture, cutoff):
@@ -652,7 +656,38 @@ class TestSiErrorProbability:
 
         monkeypatch.setattr(fock, "thermal_coherent_state", counting)
         si_type2_fock([0.3, 0.1j], 0.1, 0.05, FockConfig(2, 3, 3))
-        assert sorted(calls, key=abs) == [0.0, 0.1j, 0.3]
+        assert sorted(calls, key=abs) == [0.1j, 0.3]
+
+    def test_one_occupation_table_per_call(self, monkeypatch):
+        calls, occupations = [], fock.occupations
+
+        def counting(config):
+            calls.append(config)
+            return occupations(config)
+
+        monkeypatch.setattr(fock, "occupations", counting)
+        si_type2_fock(0.3, 0.1, 0.05, FockConfig(1, 3, 9))
+        si_type2_fock([0.22, 0.0], 0.05, 0.05, FockConfig(2, 2, 5))
+        assert calls == [FockConfig(1, 3, 9), FockConfig(2, 2, 5)]
+
+    @pytest.mark.parametrize("theta, mixture, shape, sectors", [
+        (0.45, 0.0, (1, 3, 12), 12),
+        (0.45, 0.5, (1, 2, 24), 24),
+    ])
+    def test_one_eigh_per_reached_sector(self, monkeypatch, theta, mixture, shape, sectors):
+        # a work count, not a timing: the displaced state reaches every
+        # sector, and each reached sector is eigendecomposed once
+        calls, eigh = [], fock.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(fock, "eigh", counting)
+        cfg = FockConfig(*shape)
+        si_type2_fock(theta, mixture, 0.05, cfg)
+        assert len(calls) == sectors
+        assert sum(rows for rows, _ in calls) == cfg.dim
 
     def test_vanishing_mixture_lands_on_pure(self):
         # the mixture -> 0 limit: a vanishing mixture must land on the
