@@ -37,10 +37,11 @@ loss (1 - trace).
 mixed states alike: each block of the Casimir form of the defect
 observable (``defect_blocks``, no exponential) is built straight from the
 generator entries as a small dense real matrix, with a check that no entry
-couples two sectors; each block is eigendecomposed once.  The thermal
-null is a constant on each sector, read from the sector's photon totals,
-so only the displaced state forms dense sector blocks, from its
-single-mode factors.  The sparse whole-space ``casimir_defect`` is
+couples two sectors; each block is eigendecomposed once, by one direct
+call of LAPACK's divide-and-conquer ``syevd``, as ``eigh`` makes it.
+The thermal null is a constant on each sector, read from the sector's
+photon totals, so only the displaced state forms dense sector blocks,
+from its single-mode factors.  The sparse whole-space ``casimir_defect`` is
 assembled from the same blocks.  The dense whole-space operators, among
 them the exponential-built ``rotation_defect_observable``, stay as the
 references the tests compare against.
@@ -54,7 +55,7 @@ from math import comb
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import expm, eigh
+from scipy.linalg import expm, eigh, get_lapack_funcs
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln, xlogy
 
@@ -468,19 +469,25 @@ def _gram_blocks(config: FockConfig, occ: np.ndarray, generators: list) -> tuple
     order = np.argsort(keys, kind="stable")
     keys, cols, vals = keys[order], np.concatenate(cols)[order], np.concatenate(vals)[order]
     bounds = np.searchsorted(keys, np.arange(len(sectors) + 1) * (len(generators) * config.dim))
-    # each entry pairs with the `width` entries of its row, from `first` on
+    # each entry pairs with the `width` entries of its row, from `first` on;
+    # the pairs are numbered entry by entry, from `start` on
     _, first, row, width = np.unique(keys, return_index=True, return_inverse=True,
                                      return_counts=True)
     first, width = first[row], width[row]
+    start = np.concatenate([[0], np.cumsum(width)])
+    offset, conj_vals = first - start[:-1], vals.conj()
 
     def block(s: int) -> np.ndarray:
         lo, hi = bounds[s], bounds[s + 1]
-        w = width[lo:hi]
-        a = np.repeat(np.arange(lo, hi), w)
-        b = first[a] + np.arange(len(a)) - np.repeat(np.cumsum(w) - w, w)
+        a = np.repeat(np.arange(lo, hi), width[lo:hi])
+        b = offset[a] + np.arange(start[lo], start[hi])
         size = len(sectors[s])
+        at, products = cols[a] * size + cols[b], conj_vals[a] * vals[b]
         T = np.zeros(size * size, dtype=vals.dtype)
-        np.add.at(T, cols[a] * size + cols[b], vals[a].conj() * vals[b])
+        # bincount adds in entry order, as a sequential sum would
+        T.real = np.bincount(at, products.real, size * size)
+        if np.iscomplexobj(T):
+            T.imag = np.bincount(at, products.imag, size * size)
         return T.reshape(size, size)
 
     return sectors, block
@@ -558,6 +565,26 @@ def _eigvec_masses(rho: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.real(np.sum(vecs.conj() * (rho @ vecs), axis=0))
 
 
+_syevd, _syevd_lwork = get_lapack_funcs(("syevd", "syevd_lwork"), dtype=np.float64)
+
+
+def _symmetric_eigh(a: np.ndarray) -> tuple:
+    """``eigh``'s divide-and-conquer route for a finite real symmetric matrix, unchecked.
+
+    The LAPACK call ``eigh`` makes with its ``"evd"`` choice (``syevd``,
+    lower triangle), with the same workspace query, so the same bits.  The
+    wrapper's input checks cost more than the decomposition of a block of a
+    few rows; a sector block is finite and symmetric by construction, so
+    they are skipped.
+    """
+    lwork, liwork, info = _syevd_lwork(len(a), lower=1)
+    if info == 0:
+        lam, vecs, info = _syevd(a, lower=1, lwork=int(lwork), liwork=int(liwork))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"syevd failed with info = {info}")
+    return lam, vecs
+
+
 def defect_spectral_measures(config: FockConfig, Z, mixture: float) -> tuple:
     """Lattice laws ``(null, alt)`` of ``casimir_defect`` on two product states.
 
@@ -566,14 +593,15 @@ def defect_spectral_measures(config: FockConfig, Z, mixture: float) -> tuple:
     of that ``product_state`` and the dense ``casimir_defect``, but is built
     one photon sector at a time, and no whole-space matrix is formed.  The
     defect's sector block comes straight from ``defect_blocks`` as a small
-    dense real symmetric matrix and is eigendecomposed once.  The thermal
-    null is c_s times the identity there, c_s the product over slots of the
-    geometric occupation law, read off the sector's photon totals, so every
-    eigenvector carries null mass c_s.  Only the displaced state forms its
-    dense block rho[idx, idx], the entrywise product over slots of its
-    single-mode factors, whose real part gives the masses.  Sectors where
-    c_s and rho's diagonal are both zero are skipped before the defect's
-    block is built.
+    dense real symmetric matrix and is eigendecomposed once, by
+    ``_symmetric_eigh`` (LAPACK ``syevd`` without ``eigh``'s checks, the
+    same bits).  The thermal null is c_s times the identity there, c_s the
+    product over slots of the geometric occupation law, read off the
+    sector's photon totals, so every eigenvector carries null mass c_s.
+    Only the displaced state forms its dense block rho[idx, idx], the
+    entrywise product over slots of its single-mode factors, whose real
+    part gives the masses.  Sectors where c_s and rho's diagonal are both
+    zero are skipped before the defect's block is built.
     """
     thermal = _thermal_occupation(mixture, config.cutoff)
     factors = _slot_factors(config, Z, mixture)
@@ -586,7 +614,7 @@ def defect_spectral_measures(config: FockConfig, Z, mixture: float) -> tuple:
         # a (positive) block is zero when its diagonal is
         if c == 0.0 and not rho.diagonal().any():
             continue
-        lam, vecs = eigh(block(s), driver="evd")
+        lam, vecs = _symmetric_eigh(block(s))
         vals.append(lam)
         null.append(np.full(len(idx), c))
         alt.append(_eigvec_masses(rho.real, vecs))

@@ -3,7 +3,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import eigh, expm
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import beta
 
@@ -425,6 +425,33 @@ class TestPhotonSectors:
             whole[np.ix_(idx, idx)] = block(s)
         assert np.max(np.abs(whole - v.conj().T @ v)) < 1e-14
 
+    def test_complex_generator_blocks_reassemble(self):
+        # complex entries: the real and imaginary parts are summed apart
+        cfg = FockConfig(1, 2, 5)
+        B = PHASE_DIFFERENCE + np.array([[0.0, -0.7 + 0.2j], [0.7 + 0.2j, 0.0]])
+        sectors, block = gram_blocks(cfg, [(B, None)])
+        v = copy_mixing_generator(cfg, B).toarray()
+        whole = np.zeros((cfg.dim, cfg.dim), dtype=complex)
+        for s, idx in enumerate(sectors):
+            assert block(s).dtype == complex
+            whole[np.ix_(idx, idx)] = block(s)
+        assert np.max(np.abs(whole - v.conj().T @ v)) < 1e-14
+
+    def test_block_without_entries_is_a_real_zero(self):
+        # no generator entry lands on the vacuum, yet its block keeps the
+        # entries' real type
+        sectors, block = defect_blocks(FockConfig(1, 3, 4))
+        assert block(0).dtype == np.float64
+        assert np.array_equal(block(0), np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("shape", [(1, 3, 8), (2, 2, 4)])
+    def test_sector_eigh_matches_scipy_bit_for_bit(self, shape):
+        sectors, block = defect_blocks(FockConfig(*shape))
+        for s in range(len(sectors)):
+            got, want = fock._symmetric_eigh(block(s)), eigh(block(s), driver="evd")
+            for x, y in zip(got, want):
+                assert x.tobytes() == y.tobytes()
+
     def test_block_extraction_rejects_squeezing(self):
         cfg = FockConfig(1, 2, 5)
         with pytest.raises(ValueError, match="couples different photon sectors"):
@@ -677,13 +704,13 @@ class TestSiErrorProbability:
     def test_one_eigh_per_reached_sector(self, monkeypatch, theta, mixture, shape, sectors):
         # a work count, not a timing: the displaced state reaches every
         # sector, and each reached sector is eigendecomposed once
-        calls, eigh = [], fock.eigh
+        calls, sector_eigh = [], fock._symmetric_eigh
 
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return eigh(*args, **kwargs)
+        def counting(a):
+            calls.append(a.shape)
+            return sector_eigh(a)
 
-        monkeypatch.setattr(fock, "eigh", counting)
+        monkeypatch.setattr(fock, "_symmetric_eigh", counting)
         cfg = FockConfig(*shape)
         si_type2_fock(theta, mixture, 0.05, cfg)
         assert len(calls) == sectors
