@@ -4,10 +4,11 @@ Continuous side: the noncentral F density/cdf as a Poisson-weighted beta
 series, and the level-alpha critical point of the central F distribution
 from the inverse incomplete beta function.  Density and cdf share one
 Poisson-mixture engine that takes an array of noncentralities and returns
-its shape.  Each series gives the engine only its lambda-free factors, which
-are tabled once per group of summation windows, and the k where they peak;
-each lambda adds only its Poisson weights over its own window, and the
-engine bounds the terms outside it from those two.
+its shape.  Each series gives the engine only its lambda-free factors, each
+a function of k alone, and the k where they peak.  The engine tables them in
+rows of k on a fixed grid, each k at most once per pass over the summation
+windows; each lambda adds only its Poisson weights over its own window, and
+the engine bounds the terms outside it from those two.
 
 Discrete side: the lattice law of the photon count-difference statistic
 observed on two copies of a displaced thermal state, X - X' for two
@@ -35,10 +36,11 @@ from scipy.special import (beta, betainc, betaincc, betainccinv, betaincinv, gam
 # relative to the running total, at which a side stops.
 _TAIL_STOP = 1e-17
 # Largest temporary of that series, in entries: the atoms of one group of
-# windows and the k-span of its tables.
+# windows and the k-span of its table cache.  Windows are cut at its multiples.
 _GROUP_CAP = 2 ** 13
-# Incomplete-beta anchors of the noncentral F cdf's table: one per this
-# many atoms, the rest by a downward recurrence.
+# Rows of that table cache, in k (_GROUP_CAP is a multiple of it).  The
+# noncentral F cdf anchors its incomplete beta at each row's top, k = -1
+# (mod this), and fills the row by a downward recurrence.
 _ANCHOR_STEP = 512
 # Grid doublings tried by the characteristic-function inversion, and the
 # largest change between two successive grids at which it has settled.
@@ -372,13 +374,17 @@ def _sum_windows(half, lo, hi, table):
     """Sum w_k(h) t_k over k in [lo, hi) for each window (h, lo, hi).
 
     w_k(h) is the Poisson(h) pmf and ``table(k0, k1)`` gives the
-    lambda-free factors t_k on [k0, k1).  Returns each window's sum and
-    t_k at its first and at its last k.  Windows are cut into chunks of at
-    most _GROUP_CAP atoms, and the chunks, in order of their first k, into
-    groups whose atoms and k-span both stay within _GROUP_CAP, so no
-    temporary is larger.  Per group, t_k and the k-only part
-    c_k = -log sqrt(2 pi k) - (Stirling remainder of k) are built once over
-    its span, and every atom adds one deviance in the saddle-point form
+    lambda-free factors t_k on [k0, k1), called with k1 a multiple of
+    _ANCHOR_STEP.  Returns each window's sum and t_k at its first and at
+    its last k.  Windows are cut at the multiples of _GROUP_CAP into
+    chunks, and the chunks, in order of their first k, into groups of at
+    most _GROUP_CAP atoms.  t_k and the k-only part
+    c_k = -log sqrt(2 pi k) - (Stirling remainder of k) are kept in one
+    cache that slides up with the groups: k below a group are dropped, and
+    the rows of _ANCHOR_STEP k above the cache are built when a group first
+    reaches them, so each k is tabled at most once per call.  A group takes chunks only while the
+    cache it needs spans at most _GROUP_CAP k, so no temporary is larger.
+    Every atom adds one deviance in the saddle-point form
 
         log w_k(h) = c_k - [k log1p((k - h)/h) - (k - h)],   log w_0(h) = -h,
 
@@ -387,34 +393,47 @@ def _sum_windows(half, lo, hi, table):
     loses about 1e-9.  The atoms of a group form one flat ragged array,
     summed per chunk by ``np.add.reduceat``.
     """
-    count = -(-(hi - lo) // _GROUP_CAP)
+    first = lo // _GROUP_CAP
+    count = (hi - 1) // _GROUP_CAP - first + 1
     owner = np.repeat(np.arange(len(lo)), count)
     head = np.cumsum(count) - count
-    c_lo = lo[owner] + _GROUP_CAP * (np.arange(owner.size) - head[owner])
-    c_hi = np.minimum(c_lo + _GROUP_CAP, hi[owner])
+    edge = _GROUP_CAP * (first[owner] + np.arange(owner.size) - head[owner])
+    c_lo = np.maximum(lo[owner], edge)
+    c_hi = np.minimum(hi[owner], edge + _GROUP_CAP)
+    top = -(-c_hi // _ANCHOR_STEP) * _ANCHOR_STEP  # end of the row of each chunk's last k
     sums, t_first, t_last = (np.empty(owner.size) for _ in range(3))
     order = np.argsort(c_lo, kind="stable")
-    start = 0
+    base = end = start = 0
+    t = c = np.empty(0)
     while start < order.size:
         k0, atoms, k1 = c_lo[order[start]], 0, 0
         stop = start
         while stop < order.size:
             j = order[stop]
-            if atoms + c_hi[j] - c_lo[j] > _GROUP_CAP or c_hi[j] - k0 > _GROUP_CAP:
+            if atoms + c_hi[j] - c_lo[j] > _GROUP_CAP or top[j] - k0 > _GROUP_CAP:
                 break
-            atoms, k1, stop = atoms + c_hi[j] - c_lo[j], max(k1, c_hi[j]), stop + 1
+            atoms, k1, stop = atoms + c_hi[j] - c_lo[j], max(k1, top[j]), stop + 1
         group, start = order[start:stop], stop
-        t = table(k0, k1)
-        ks = np.maximum(np.arange(k0, k1, dtype=float), 1.0)
-        c = -0.5 * np.log(2.0 * np.pi * ks) - _stirling_remainder(ks)
+        if k1 > end:  # keep the cache from k0 on and build the rows past it
+            new = max(end, k0)
+            ks = np.maximum(np.arange(new, k1, dtype=float), 1.0)
+            t = np.concatenate([t[k0 - base:], table(new, k1)])
+            c = np.concatenate([c[k0 - base:],
+                                -0.5 * np.log(2.0 * np.pi * ks) - _stirling_remainder(ks)])
+            base, end = k0, k1
         size = c_hi[group] - c_lo[group]
         offset = np.cumsum(size) - size
-        at = np.arange(atoms) + np.repeat(c_lo[group] - k0 - offset, size)
-        k, h = ks[at], np.repeat(half[owner[group]], size)
+        at = np.arange(atoms) + np.repeat(c_lo[group] - base - offset, size)
+        k, h = np.maximum(at + base, 1).astype(float), np.repeat(half[owner[group]], size)
         with np.errstate(over="ignore"):  # a subnormal h: deviance inf, weight 0
-            deviance = k * np.log1p((k - h) / h) - (k - h)
-        log_w = np.where(at + k0 == 0, -h, c[at] - deviance)
-        sums[group] = np.add.reduceat(np.exp(log_w) * t[at], offset)
+            d = k - h
+            deviance = k * np.log1p(d / h) - d
+        log_w = c[at] - deviance
+        if base == 0:  # the k = 0 atoms
+            log_w[at == 0] = -h[at == 0]
+        w = np.exp(log_w, out=log_w)
+        w *= t[at]
+        sums[group] = np.add.reduceat(w, offset)
         t_first[group], t_last[group] = t[at[offset]], t[at[offset + size - 1]]
     return np.add.reduceat(sums, head), t_first[head], t_last[head + count - 1]
 
@@ -423,7 +442,10 @@ def _poisson_mixture(half, table, peak: int):
     """sum_k w_k(h) t_k for each Poisson mean h > 0 of the 1-D array ``half``.
 
     ``table(k0, k1)`` gives the lambda-free factors t_k >= 0 on [k0, k1),
-    which rise up to k = ``peak`` and fall after it.  Every h sums one
+    which rise up to k = ``peak`` and fall after it.  It is asked for rows
+    that end at a multiple of _ANCHOR_STEP and for single entries, and must
+    give each t_k as a function of k alone; then the sum for one h does not
+    depend on the other h of the call, bit for bit.  Every h sums one
     window of k around its mode floor(h), first [mode - B, mode + B) with
     B = 64 + 10 sqrt(h).  The terms below a window that starts at lo > 0
     add up to at most pdtr(lo - 1, h) times t_lo (lo <= peak) or t_peak,
@@ -511,12 +533,14 @@ def noncentral_f_cdf(c: float, params: NoncentralFParams):
 
     w_k is the Poisson(lambda/2) pmf and I_x the regularized incomplete
     beta function, which falls as k grows, so its table peaks at k = 0 (see
-    ``_poisson_mixture``).  Over a table's span, one incomplete-beta call
-    at each top of _ANCHOR_STEP atoms gives I_x there, and I_x(z, b) =
+    ``_poisson_mixture``).  The table comes in rows of _ANCHOR_STEP k, each
+    ending at a multiple of it (the first may start mid-row).  One
+    incomplete-beta call at each row's top gives I_x there, and I_x(z, b) =
     I_x(z + 1, b) + x^z (1-x)^b / (z B(z, b)) (DLMF 8.17.20) adds positive
-    terms downward from it.  Where x > 1/2, I_x(z, b) is taken as the
-    complement I^c_y(b, z) of y = 1 - x = nu / (mu c + nu), so 1 - x keeps
-    its bits when c is large.  The output has the shape of lambda.
+    terms downward from it, so each entry depends on k alone.  Where
+    x > 1/2, I_x(z, b) is taken as the complement I^c_y(b, z) of
+    y = 1 - x = nu / (mu c + nu), so 1 - x keeps its bits when c is large.
+    The output has the shape of lambda.
     """
     if np.isnan(c):
         raise ValueError("c must not be NaN")
@@ -534,7 +558,7 @@ def noncentral_f_cdf(c: float, params: NoncentralFParams):
         if z.size == 1:  # its own anchor, as at lambda = 0 and at the peak
             return ibeta(z)
         steps = np.exp(_log_beta_density(z, b, log_x, log_1mx) - np.log(z))
-        pad = -z.size % _ANCHOR_STEP
+        pad = k0 % _ANCHOR_STEP  # k1 is a row top
         steps = np.concatenate([np.zeros(pad), steps]).reshape(-1, _ANCHOR_STEP)
         steps[:, -1] = 0.0  # each row's top is its anchor
         anchors = ibeta(z[_ANCHOR_STEP - 1 - pad::_ANCHOR_STEP])

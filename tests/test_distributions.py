@@ -423,7 +423,7 @@ class TestNoncentralF:
         want = [fn(c, NoncentralFParams(2, 1, lam)) for lam in lams]
         assert all(isinstance(w, float) for w in want)
         assert np.all(got > 0)
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        np.testing.assert_array_equal(got, want)
 
     def test_array_keeps_its_shape(self):
         lams = np.array([[0.0, 1.0], [5.0, 20.0]])
@@ -443,10 +443,10 @@ class TestNoncentralF:
             assert_shape_rule(pdf, shared)
             assert_shape_rule(pdf, mixed)
             assert_shape_rule(cdf, shared)
-            # the cdf table anchors I_x at the top of its group's k-span; in
-            # `mixed` that is the top of lambda = 480's window, above those
-            # of lambda = 1, 5, 1e-310 and 20, whose sums may round apart
-            assert_shape_rule(cdf, mixed, rtol=1e-14)
+            # every table entry is a function of k alone (the cdf's anchors
+            # sit on a fixed grid of k), so lambda = 480's wider window
+            # leaves the sums of lambda = 1, 5, 1e-310 and 20 bit for bit
+            assert_shape_rule(cdf, mixed)
             got = cdf(np.array(mixed))
             assert got[0] == cdf(0.0) and got[5] == cdf(480.0)
         for n in (2, 5, 60):
@@ -466,6 +466,49 @@ class TestNoncentralF:
         total = dist._poisson_mixture(half, ones, 0)
         np.testing.assert_allclose(total, 1.0, rtol=0.0, atol=1e-12)
         assert max(spans) <= dist._GROUP_CAP
+
+    def test_engine_tables_each_k_once_on_the_anchor_grid(self, monkeypatch):
+        # the Hotelling stack of a 241-point curve to theta = 40 at eta = 0
+        # (m = 1, n = 3): within one pass of the engine no k is tabled
+        # twice, a multi-entry cdf table ends on a row top, and no table
+        # spans more than the group cap
+        from sqitest.hypotests import TestSpec, hh_type2_analytic
+        from sqitest.phase_space import SqueezeParam
+
+        passes, real = [], dist._sum_windows
+
+        def recording(half, lo, hi, table):
+            spans = []
+            passes.append(spans)
+
+            def wrapped(k0, k1):
+                spans.append((k0, k1))
+                return table(k0, k1)
+
+            return real(half, lo, hi, wrapped)
+
+        monkeypatch.setattr(dist, "_sum_windows", recording)
+        theta = np.linspace(0.0, 40.0, 241)[:, None]
+        hh_type2_analytic(theta, SqueezeParam.zero(1), TestSpec(1, 3, 0.0, 0.05))
+        assert passes and all(len(spans) > 1 for spans in passes)
+        for spans in passes:
+            ks = np.concatenate([np.arange(k0, k1) for k0, k1 in spans])
+            assert np.unique(ks).size == ks.size
+            assert all(k1 % dist._ANCHOR_STEP == 0 for k0, k1 in spans if k1 - k0 > 1)
+            assert max(k1 - k0 for k0, k1 in spans) <= dist._GROUP_CAP
+
+    @settings(derandomize=True, max_examples=6, deadline=None)
+    @given(data=st.data(), dof=st.sampled_from([(2, 1), (4, 3), (6, 10)]),
+           moderate=st.lists(st.floats(0.0, 2e4), max_size=4),
+           huge=st.floats(1e9, 1.5e9), log_c=st.floats(-1.0, 10.0))
+    def test_stacked_calls_equal_scalar_calls_property(self, data, dof, moderate, huge,
+                                                       log_c):
+        # 0, a subnormal lambda and one whose windows cross many chunk edges
+        lams = data.draw(st.permutations([0.0, 1e-310, huge, *moderate]))
+        for fn in (noncentral_f_cdf, noncentral_f_pdf):
+            got = fn(10.0 ** log_c, NoncentralFParams(*dof, np.array(lams)))
+            want = [fn(10.0 ** log_c, NoncentralFParams(*dof, lam)) for lam in lams]
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("lam", [0.0, 5.0])
     @pytest.mark.parametrize("c", [np.inf, 1e308])
