@@ -39,17 +39,18 @@ data = heterodyne_sample(0.8, eta0, 0.0, 3, rng=rng_stream(7))
 print(f"three heterodyne outcomes:\n{data}")
 print(f"scaled Hotelling statistic: {ht.hotelling_F(data):.4f}")
 
-analytic = ht.hh_type2_analytic(0.5, eta0, spec_hh)
-# T^2 is unchanged by whitening, so the simulation shifts standard normal
-# draws by the whitened signal L^{-1} mu (sigma = L L'), whose squared norm is kappa
-mc = ht.hh_type2_montecarlo(whitened_signal(0.5, eta0, 0.0), spec_hh, reps=100000,
-                            rng=rng_stream(3))
+# T^2 is unchanged by whitening, so both routes read the whitened signal
+# L^{-1} mu (sigma = L L'), whose squared norm is kappa: the simulation shifts
+# standard normal draws by it
+signal = whitened_signal(0.5, eta0, 0.0)
+analytic = ht.hh_type2_analytic(signal, spec_hh)
+mc = ht.hh_type2_montecarlo(signal, spec_hh, reps=100000, rng=rng_stream(3))
 print(f"type II error at displacement 0.5: analytic {analytic:.5f}, "
       f"simulated {mc.value:.5f} +/- {mc.stderr:.5f}")
 
 print("\nthe error probability depends on the unknown squeezing:")
 for r in (1.0, 0.5, 0.1):
-    b = ht.hh_type2_analytic(0.5, SqueezeParam.axis_family(r), spec_hh)
+    b = ht.hh_type2_analytic(whitened_signal(0.5, SqueezeParam.axis_family(r), 0.0), spec_hh)
     print(f"  r = {r:>4}: beta = {b:.5f}")
 print("the supremum over squeezing equals 1 - alpha: the Hotelling test "
       "cannot beat the trivial test in the minimax sense")

@@ -22,11 +22,11 @@ path = run_curve(config)
 print(f"wrote {path}")
 
 spec = ht.TestSpec(1, 3, 0.0, 0.05)  # one problem, both tests
-from sqitest.phase_space import SqueezeParam
+from sqitest.phase_space import SqueezeParam, whitened_signal
 eta0 = SqueezeParam.zero(1)
 thetas = np.linspace(0.0, 3.0, 7)
 beta_si = ht.si_type2_closed(thetas, spec)
-beta_hh = ht.hh_type2_analytic(thetas[:, None], eta0, spec)
+beta_hh = ht.hh_type2_analytic(whitened_signal(thetas[:, None], eta0, 0.0), spec)
 print(f"{'theta':>6} {'beta_si':>12} {'beta_hh(eta=0)':>15}")
 for t, bs, bh in zip(thetas, beta_si, beta_hh):
     print(f"{t:6.2f} {bs:12.6f} {bh:15.6f}")

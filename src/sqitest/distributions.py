@@ -5,10 +5,12 @@ series, and the level-alpha critical point of the central F distribution
 from the inverse incomplete beta function.  Density and cdf share one
 Poisson-mixture engine that takes an array of noncentralities and returns
 its shape.  Each series gives the engine only its lambda-free factors, each
-a function of k alone, and the k where they peak.  The engine tables them in
-rows of k on a fixed grid, each k at most once per pass over the summation
-windows; each lambda adds only its Poisson weights over its own window, and
-the engine bounds the terms outside it from those two.
+a function of k alone, the k where they peak and a bound C x^k on them.  The
+engine tables them in rows of k on a fixed grid, each k at most once per
+pass over the summation windows; each lambda adds only its Poisson weights
+over its own window, in rows of atoms on the same grid, and the engine
+bounds the terms outside it from those factors and, below it, from the
+Poisson weights' generating function.
 
 Discrete side: the lattice law of the photon count-difference statistic
 observed on two copies of a displaced thermal state, X - X' for two
@@ -35,13 +37,19 @@ from scipy.special import (beta, betainc, betaincc, betainccinv, betaincinv, gam
 # Poisson-mixture series (noncentral F): the bound on the dropped terms,
 # relative to the running total, at which a side stops.
 _TAIL_STOP = 1e-17
-# Largest temporary of that series, in entries: the atoms of one group of
-# windows and the k-span of its table cache.  Windows are cut at its multiples.
-_GROUP_CAP = 2 ** 13
+# Largest temporary of that series, in entries: the slots of one group of
+# rows of atoms and the k-span of its table cache.
+_GROUP_CAP = 2 ** 15
 # Rows of that table cache, in k (_GROUP_CAP is a multiple of it).  The
 # noncentral F cdf anchors its incomplete beta at each row's top, k = -1
 # (mod this), and fills the row by a downward recurrence.
 _ANCHOR_STEP = 512
+# Width of the rows of atoms that cover the summation windows, in k
+# (_ANCHOR_STEP is a multiple of it).
+_ROW = 64
+# Largest -log of a Poisson tail a window is widened for: e^-1500 times any
+# float is 0.
+_MAX_LOG_P = 1500.0
 # Grid doublings tried by the characteristic-function inversion, and the
 # largest change between two successive grids at which it has settled.
 _CF_DOUBLINGS = 12
@@ -376,44 +384,48 @@ def _sum_windows(half, lo, hi, table):
     w_k(h) is the Poisson(h) pmf and ``table(k0, k1)`` gives the
     lambda-free factors t_k on [k0, k1), called with k1 a multiple of
     _ANCHOR_STEP.  Returns each window's sum and t_k at its first and at
-    its last k.  Windows are cut at the multiples of _GROUP_CAP into
-    chunks, and the chunks, in order of their first k, into groups of at
-    most _GROUP_CAP atoms.  t_k and the k-only part
-    c_k = -log sqrt(2 pi k) - (Stirling remainder of k) are kept in one
-    cache that slides up with the groups: k below a group are dropped, and
-    the rows of _ANCHOR_STEP k above the cache are built when a group first
-    reaches them, so each k is tabled at most once per call.  A group takes chunks only while the
-    cache it needs spans at most _GROUP_CAP k, so no temporary is larger.
-    Every atom adds one deviance in the saddle-point form
+    its last k.  Every window is covered by rows of _ROW k on the absolute
+    grid of k, with h broadcast over each row; a row's slots outside its
+    window are computed but left out of its sum (``np.add.reduceat``), and
+    each window adds its row sums in order, so no window's sum depends on
+    another's.  The rows, in order of k, go in groups of at most
+    _GROUP_CAP slots whose table rows span at most _GROUP_CAP k.  t_k and
+    the k-only part c_k = -log sqrt(2 pi k) - (Stirling remainder of k) are
+    kept in one cache that slides up with the groups: k below a group are
+    dropped, and the rows of _ANCHOR_STEP k above the cache are built when a
+    group first reaches them, so each k is tabled at most once per call.
+    Every slot adds one deviance in the saddle-point form
 
         log w_k(h) = c_k - [k log1p((k - h)/h) - (k - h)],   log w_0(h) = -h,
 
     where no two large terms cancel: within five standard deviations of
     h = 5e5 it is good to about 4e-13 absolute, where k log(h) - log k!
-    loses about 1e-9.  The atoms of a group form one flat ragged array,
-    summed per chunk by ``np.add.reduceat``.
+    loses about 1e-9.
     """
-    first = lo // _GROUP_CAP
-    count = (hi - 1) // _GROUP_CAP - first + 1
+    first = lo // _ROW
+    count = (hi - 1) // _ROW - first + 1
     owner = np.repeat(np.arange(len(lo)), count)
     head = np.cumsum(count) - count
-    edge = _GROUP_CAP * (first[owner] + np.arange(owner.size) - head[owner])
-    c_lo = np.maximum(lo[owner], edge)
-    c_hi = np.minimum(hi[owner], edge + _GROUP_CAP)
-    top = -(-c_hi // _ANCHOR_STEP) * _ANCHOR_STEP  # end of the row of each chunk's last k
-    sums, t_first, t_last = (np.empty(owner.size) for _ in range(3))
-    order = np.argsort(c_lo, kind="stable")
+    row = first[owner] + np.arange(owner.size) - head[owner]
+    order = np.argsort(row, kind="stable")
+    owner, row = owner[order], row[order]
+    # each row's slots in its window, [lo, hi) less the row's first k, in [0, _ROW]
+    lo_off = np.clip(lo[owner] - row * _ROW, 0, _ROW)
+    hi_off = np.clip(hi[owner] - row * _ROW, 0, _ROW)
+    row_sums, t_first, t_last = np.empty(order.size), np.empty(len(lo)), np.empty(len(lo))
+    cols = np.arange(_ROW, dtype=float)
+    per_row, most = _ANCHOR_STEP // _ROW, min(_GROUP_CAP // _ROW, order.size)
+    # work rows of the groups; one slot past the last, as reduceat's last segment end
+    k_buf, d_buf = np.empty((most, _ROW)), np.empty((most, _ROW))
+    w_flat = np.zeros(most * _ROW + 1)
     base = end = start = 0
     t = c = np.empty(0)
     while start < order.size:
-        k0, atoms, k1 = c_lo[order[start]], 0, 0
-        stop = start
-        while stop < order.size:
-            j = order[stop]
-            if atoms + c_hi[j] - c_lo[j] > _GROUP_CAP or top[j] - k0 > _GROUP_CAP:
-                break
-            atoms, k1, stop = atoms + c_hi[j] - c_lo[j], max(k1, top[j]), stop + 1
-        group, start = order[start:stop], stop
+        k0 = row[start] * _ROW
+        # rows whose table row ends within _GROUP_CAP of k0
+        stop = min(int(np.searchsorted(row, (k0 + _GROUP_CAP) // _ANCHOR_STEP * per_row)),
+                   start + most)
+        k1 = -(-(row[stop - 1] + 1) // per_row) * _ANCHOR_STEP
         if k1 > end:  # keep the cache from k0 on and build the rows past it
             new = max(end, k0)
             ks = np.maximum(np.arange(new, k1, dtype=float), 1.0)
@@ -421,69 +433,118 @@ def _sum_windows(half, lo, hi, table):
             c = np.concatenate([c[k0 - base:],
                                 -0.5 * np.log(2.0 * np.pi * ks) - _stirling_remainder(ks)])
             base, end = k0, k1
-        size = c_hi[group] - c_lo[group]
-        offset = np.cumsum(size) - size
-        at = np.arange(atoms) + np.repeat(c_lo[group] - base - offset, size)
-        k, h = np.maximum(at + base, 1).astype(float), np.repeat(half[owner[group]], size)
+        n, rows, who = stop - start, row[start:stop], owner[start:stop]
+        at = rows - base // _ROW
+        h = half[who][:, None]
+        k = np.add((rows * _ROW).astype(float)[:, None], cols, out=k_buf[:n])
+        zero = rows == 0  # the k = 0 atoms
+        k[zero, 0] = 1.0
+        w = w_flat[:n * _ROW].reshape(n, _ROW)
         with np.errstate(over="ignore"):  # a subnormal h: deviance inf, weight 0
-            d = k - h
-            deviance = k * np.log1p(d / h) - d
-        log_w = c[at] - deviance
-        if base == 0:  # the k = 0 atoms
-            log_w[at == 0] = -h[at == 0]
-        w = np.exp(log_w, out=log_w)
-        w *= t[at]
-        sums[group] = np.add.reduceat(w, offset)
-        t_first[group], t_last[group] = t[at[offset]], t[at[offset + size - 1]]
-    return np.add.reduceat(sums, head), t_first[head], t_last[head + count - 1]
+            d = np.subtract(k, h, out=d_buf[:n])
+            deviance = np.divide(d, h, out=w)
+            np.log1p(deviance, out=deviance)
+            deviance *= k
+            deviance -= d
+        log_w = np.take(c.reshape(-1, _ROW), at, axis=0, out=d)
+        log_w -= deviance
+        log_w[zero, 0] = -h[zero, 0]
+        np.exp(log_w, out=w)
+        t_rows = np.take(t.reshape(-1, _ROW), at, axis=0, out=k)
+        w *= t_rows
+        # each row's sum over its window's slots: the even segments
+        edges = np.arange(0, n * _ROW, _ROW)
+        cut = np.column_stack([edges + lo_off[start:stop], edges + hi_off[start:stop]])
+        row_sums[start:stop] = np.add.reduceat(w_flat[:n * _ROW + 1], cut.ravel())[::2]
+        lead = np.flatnonzero(rows == first[who])
+        t_first[who[lead]] = t_rows[lead, lo_off[start + lead]]
+        tail = np.flatnonzero(hi_off[start:stop] + rows * _ROW == hi[who])
+        t_last[who[tail]] = t_rows[tail, hi_off[start + tail] - 1]
+        start = stop
+    sums = np.empty(order.size)
+    sums[order] = row_sums
+    return np.add.reduceat(sums, head), t_first, t_last
 
 
-def _poisson_mixture(half, table, peak: int):
+def _poisson_edges(mean, log_p):
+    """Window edges lo, hi around ``mean`` with P(K < lo) and P(K >= hi) below p.
+
+    K is Poisson(mean) and L = -log p.  From P(K <= mean - s) <=
+    exp(-s^2 / (2 mean)) and P(K >= mean + s) <= exp(-s^2 / (2 (mean + s/3)))
+    (Chernoff bounds), lo = floor(mean - sqrt(2 mean L)), clipped at 0, and
+    hi = ceil(mean + s) with s^2 = 2 L (mean + s/3).  L is taken in [0,
+    _MAX_LOG_P]: p = 0 asks for a tail below the float range.
+    """
+    L = np.clip(-log_p, 0.0, _MAX_LOG_P)
+    lo = np.floor(mean - np.sqrt(2.0 * mean * L)).astype(np.int64)
+    hi = np.ceil(mean + L / 3.0 + np.sqrt(L * L / 9.0 + 2.0 * mean * L)).astype(np.int64)
+    return np.maximum(lo, 0), hi
+
+
+def _poisson_mixture(half, table, peak: int, x: float, y: float, log_scale):
     """sum_k w_k(h) t_k for each Poisson mean h > 0 of the 1-D array ``half``.
 
     ``table(k0, k1)`` gives the lambda-free factors t_k >= 0 on [k0, k1),
     which rise up to k = ``peak`` and fall after it.  It is asked for rows
     that end at a multiple of _ANCHOR_STEP and for single entries, and must
     give each t_k as a function of k alone; then the sum for one h does not
-    depend on the other h of the call, bit for bit.  Every h sums one
-    window of k around its mode floor(h), first [mode - B, mode + B) with
-    B = 64 + 10 sqrt(h).  The terms below a window that starts at lo > 0
+    depend on the other h of the call, bit for bit.  t_k <= C x^k for every
+    k < lo, with x + y = 1 and log C = ``log_scale(lo)``.  Each h first sums
+    the window (``_poisson_edges``) whose Poisson tails are below _TAIL_STOP,
+    the lower one also below (2 pi h)^{-1/4}, the root of the mode's Poisson
+    mass: a table that falls with k, as the cdf's does, weighs the terms
+    below the mode more, and one pass then most often meets both bounds.
+    The terms below a window that starts at lo > 0
     add up to at most pdtr(lo - 1, h) times t_lo (lo <= peak) or t_peak,
-    those above one that ends at hi - 1 to at most pdtrc(hi - 1, h) times
+    and, since sum_k w_k(h) x^k = e^{-h y} sum_k w_k(h x), to at most
+    C e^{-h y} pdtr(lo - 1, h x): the smaller of the two holds.  Those above
+    one that ends at hi - 1 add up to at most pdtrc(hi - 1, h) times
     t_{hi-1} (hi - 1 >= peak) or t_peak.  Each side whose bound exceeds
-    _TAIL_STOP of the running total is widened by B, for those h alone,
-    until k = 0 or its bound is at most that; there is no cap.
+    _TAIL_STOP of the running total is widened, for those h alone, to where
+    the Poisson tail in its bound is below what the total allows (by at
+    least _ROW k), until k = 0 or the bound is met; there is no cap.
     """
-    mode = np.floor(half).astype(np.int64)
-    block = 64 + np.floor(10.0 * np.sqrt(half)).astype(np.int64)
-    lo, hi = np.maximum(mode - block, 0), mode + block
+    lo = _poisson_edges(half, np.log(_TAIL_STOP) - 0.25 * np.log(2.0 * np.pi * half))[0]
+    hi = _poisson_edges(half, np.log(_TAIL_STOP))[1]
     total, t_lo, t_hi = _sum_windows(half, lo, hi, table)
-    t_peak = table(peak, peak + 1)[0]
+    log_t_peak = np.log(table(peak, peak + 1)[0])
     down, up = lo > 0, np.ones(half.shape, dtype=bool)
     while True:
         b, a = np.flatnonzero(down), np.flatnonzero(up)
-        below = pdtr(lo[b] - 1, half[b]) * np.where(lo[b] <= peak, t_lo[b], t_peak)
-        above = pdtrc(hi[a] - 1, half[a]) * np.where(hi[a] - 1 >= peak, t_hi[a], t_peak)
-        down[b], up[a] = below > _TAIL_STOP * total[b], above > _TAIL_STOP * total[a]
-        b, a = np.flatnonzero(down), np.flatnonzero(up)
+        log_c = log_scale(lo[b]) - half[b] * y
+        with np.errstate(divide="ignore"):  # in logs, C e^{-h y} neither overflows nor underflows
+            log_t_lo = np.where(lo[b] <= peak, np.log(t_lo[b]), log_t_peak)
+            log_t_hi = np.where(hi[a] - 1 >= peak, np.log(t_hi[a]), log_t_peak)
+            log_below = np.minimum(np.log(pdtr(lo[b] - 1, half[b])) + log_t_lo,
+                                   np.log(pdtr(lo[b] - 1, half[b] * x)) + log_c)
+            log_above = np.log(pdtrc(hi[a] - 1, half[a])) + log_t_hi
+        room = _TAIL_STOP * total  # a bound that underflows meets a total of 0
+        down[b], up[a] = np.exp(log_below) > room[b], np.exp(log_above) > room[a]
+        keep_b, keep_a = down[b], up[a]
+        b, a = b[keep_b], a[keep_a]
         if not b.size + a.size:
             return total
-        new_lo = np.maximum(lo[b] - block[b], 0)
+        with np.errstate(divide="ignore"):
+            log_room = np.log(room)
+        new_lo = np.maximum(_poisson_edges(half[b], log_room[b] - log_t_peak)[0],
+                            _poisson_edges(half[b] * x, log_room[b] - log_c[keep_b])[0])
+        new_lo = np.maximum(np.minimum(new_lo, lo[b] - _ROW), 0)
+        new_hi = np.maximum(_poisson_edges(half[a], log_room[a] - log_t_hi[keep_a])[1],
+                            hi[a] + _ROW)
         sums, edge_first, edge_last = _sum_windows(
             np.concatenate([half[b], half[a]]), np.concatenate([new_lo, hi[a]]),
-            np.concatenate([lo[b], hi[a] + block[a]]), table)
+            np.concatenate([lo[b], new_hi]), table)
         total[b] += sums[:b.size]
         total[a] += sums[b.size:]
         lo[b], t_lo[b], down[b] = new_lo, edge_first[:b.size], new_lo > 0
-        hi[a] += block[a]
-        t_hi[a] = edge_last[b.size:]
+        hi[a], t_hi[a] = new_hi, edge_last[b.size:]
 
 
-def _mixture_at(lam, table, peak: int):
+def _mixture_at(lam, table, peak: int, x: float, y: float, log_scale):
     """The series at every noncentrality of ``lam``, in its shape.
 
     At lambda = 0 the series is its k = 0 term alone.  A 0-d ``lam`` gives
-    a numpy float.
+    a numpy float.  The other arguments are those of ``_poisson_mixture``.
     """
     lam = np.asarray(lam, dtype=float)
     half = lam.ravel() / 2.0
@@ -492,7 +553,7 @@ def _mixture_at(lam, table, peak: int):
     if not pos.all():
         out[~pos] = table(0, 1)[0]
     if pos.any():
-        out[pos] = _poisson_mixture(half[pos], table, peak)
+        out[pos] = _poisson_mixture(half[pos], table, peak, x, y, log_scale)
     return out.reshape(lam.shape)[()]
 
 
@@ -510,7 +571,9 @@ def noncentral_f_pdf(f: float, params: NoncentralFParams):
     factor t_k after w_k has ratio t_{k+1}/t_k = x (k + a + b)/(k + a),
     a = mu/2, b = nu/2, which is at least 1 while k + a <= b x/(1 - x) =
     b mu f / nu, so t_k peaks at k* = max(0, floor(b mu f / nu - a) + 1)
-    (see ``_poisson_mixture``).  The output has the shape of lambda.
+    (see ``_poisson_mixture``).  As Gamma(z + b) / Gamma(z) <= (z + b)^b,
+    t_k <= x^{k+a} (1-x)^b (lo + a + b)^b / (Gamma(b) f) for every k < lo.
+    The output has the shape of lambda.
     """
     if not f > 0:  # NaN fails this too
         raise ValueError(f"f must be positive, got {f}")
@@ -518,14 +581,18 @@ def noncentral_f_pdf(f: float, params: NoncentralFParams):
     if mu * f == np.inf:  # x would be inf/inf; the density vanishes there
         return np.zeros(np.shape(lam))[()]
     a, b = mu / 2.0, nu / 2.0
-    _, _, log_x, log_1mx = _beta_argument(mu, nu, f)
+    x, y, log_x, log_1mx = _beta_argument(mu, nu, f)
     log_f = np.log(f)
 
     def table(k0, k1):  # k0 + a in float: the peak of a huge f is past the int64 range
         z = np.arange(k1 - k0) + (k0 + a)
         return np.exp(_log_beta_density(z, b, log_x, log_1mx) - log_f)
 
-    return _mixture_at(lam, table, int(max(np.floor(mu * f / nu * b - a) + 1.0, 0.0)))
+    def log_scale(lo):
+        return a * log_x + b * log_1mx + b * np.log(lo + a + b) - gammaln(b) - log_f
+
+    peak = int(max(np.floor(mu * f / nu * b - a) + 1.0, 0.0))
+    return _mixture_at(lam, table, peak, x, y, log_scale)
 
 
 def noncentral_f_cdf(c: float, params: NoncentralFParams):
@@ -540,7 +607,13 @@ def noncentral_f_cdf(c: float, params: NoncentralFParams):
     terms downward from it, so each entry depends on k alone.  Where
     x > 1/2, I_x(z, b) is taken as the complement I^c_y(b, z) of
     y = 1 - x = nu / (mu c + nu), so 1 - x keeps its bits when c is large.
-    The output has the shape of lambda.
+    Over the integral I_x(z, b) B(z, b) = int_0^x u^{z-1} (1-u)^{b-1} du,
+    (1-u)^{b-1} is at most (1-x)^{b-1} for b <= 1 and at most 1 for b > 1,
+    and Gamma(z + b) / Gamma(z) is at most z^b for b <= 1 (Wendel) and
+    (z + b)^b always.  So for every k < lo, I_x(k + a, b) is at most
+    x^{k+a} (1-x)^{b-1} a^{b-1} / Gamma(b) for b <= 1, and
+    x^{k+a} (lo + a + b)^b / (a Gamma(b)) for b > 1.  The output has the
+    shape of lambda.
     """
     if np.isnan(c):
         raise ValueError("c must not be NaN")
@@ -565,7 +638,12 @@ def noncentral_f_cdf(c: float, params: NoncentralFParams):
         rows = np.cumsum(steps[:, ::-1], axis=1)[:, ::-1] + anchors[:, None]
         return rows.ravel()[pad:]
 
-    return np.minimum(_mixture_at(lam, table, 0), 1.0)
+    def log_scale(lo):
+        if b <= 1.0:
+            return np.full(lo.shape, a * log_x + (b - 1.0) * (log_1mx + np.log(a)) - gammaln(b))
+        return a * log_x + b * np.log(lo + a + b) - np.log(a) - gammaln(b)
+
+    return np.minimum(_mixture_at(lam, table, 0, x, y, log_scale), 1.0)
 
 
 def critical_point(alpha: float, mu: int, nu: int) -> float:

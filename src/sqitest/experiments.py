@@ -116,10 +116,12 @@ def run_curve(config: ExperimentConfig) -> str:
     """Write the error-curve CSV for the configured sweep; returns the path.
 
     Columns: theta, beta_si, then one beta_hh_<label> per eta entry, whose
-    labels must differ (plus _mc and _stderr columns when reps > 0).  Every
-    Monte Carlo point, one per (eta entry, theta), is a whitened shift of
-    the same replicates from ``rng_stream(seed)``, so reruns are
-    byte-identical, and the points are not independent of each other.
+    labels must differ (plus _mc and _stderr columns when reps > 0).  The
+    whitened signals of every (eta entry, theta) form one stack, which
+    takes one analytic call and, when reps > 0, one Monte Carlo call.  Every
+    Monte Carlo point is a shift of the same replicates from
+    ``rng_stream(seed)``, so reruns are byte-identical, and the points are
+    not independent of each other.
     """
     grid = config.theta_grid
     columns = {"theta": grid}
@@ -136,24 +138,25 @@ def run_curve(config: ExperimentConfig) -> str:
         notes.append("beta_hh not evaluated: the Hotelling test needs more than "
                      "2m copies")
     suffixes = ("", "_mc", "_stderr") if config.reps > 0 else ("",)
-    signals = {}  # column label -> whitened signals of the grid, when reps > 0
+    signals = {}  # column label -> whitened signals of the grid
     for entry in config.etas:
         label, eta, orient = _resolve_eta(entry, config.modes)
         if f"beta_hh_{label}" in columns:
             raise ValueError(f"eta entries repeat the column label {label!r}")
         for suffix in suffixes:
             columns[f"beta_hh_{label}{suffix}"] = np.full(grid.shape, np.nan)
-        if not run_hh:
-            continue
-        thetas = orient * np.outer(grid, np.eye(config.modes, 1))
-        columns[f"beta_hh_{label}"] = ht.hh_type2_analytic(thetas, eta, spec)
-        if config.reps > 0:
+        if run_hh:
+            thetas = orient * np.outer(grid, np.eye(config.modes, 1))
             signals[label] = whitened_signal(thetas, eta, config.mixture)
     if signals:
-        est = ht.hh_type2_montecarlo(np.stack(list(signals.values())), spec,
-                                     config.reps, rng_stream(config.seed))
-        for label, value, stderr in zip(signals, est.value, est.stderr):
-            columns[f"beta_hh_{label}_mc"], columns[f"beta_hh_{label}_stderr"] = value, stderr
+        stack = np.stack(list(signals.values()))
+        for label, beta_hh in zip(signals, ht.hh_type2_analytic(stack, spec)):
+            columns[f"beta_hh_{label}"] = beta_hh
+        if config.reps > 0:
+            est = ht.hh_type2_montecarlo(stack, spec, config.reps, rng_stream(config.seed))
+            for label, value, stderr in zip(signals, est.value, est.stderr):
+                columns[f"beta_hh_{label}_mc"] = value
+                columns[f"beta_hh_{label}_stderr"] = stderr
 
     header = [
         f"# m = {config.modes}", f"# n = {config.copies}",
@@ -316,14 +319,15 @@ def _verify_tests(report: VerifyReport):
                                 50000, rng_stream(5))
     report.add("hh_null_calibration", abs(mc.value[0] - 0.95), 4 * mc.stderr[0],
                note="Monte Carlo, 4 sigma band")
-    an = ht.hh_type2_analytic(0.5, eta0, spec3)
+    an = ht.hh_type2_analytic(whitened_signal(0.5, eta0, 0.0), spec3)
     report.add("hh_mc_vs_analytic", abs(mc.value[1] - an), 4 * mc.stderr[1],
                note="Monte Carlo, 4 sigma band")
 
     slope = ht.si_small_theta_slope(spec3)
     report.add("si_small_theta_slope", abs(slope / (0.95 * 3) - 1.0), 5e-3)
 
-    betas = {r: ht.hh_type2_analytic(0.5, SqueezeParam.axis_family(r), spec3)
+    betas = {r: ht.hh_type2_analytic(whitened_signal(0.5, SqueezeParam.axis_family(r), 0.0),
+                                     spec3)
              for r in (1.0, 0.5, 0.1, 1e-3)}
     report.add("hh_eta_dependence", 1e-3 / max(abs(betas[1.0] - betas[0.1]), 1e-300),
                1.0, note="beta must vary with the squeezing family")
@@ -335,7 +339,7 @@ def _verify_tests(report: VerifyReport):
 
     spec_half = ht.TestSpec(1, 3, 0.0, 0.5)
     thetas = np.array([2.0, 3.0, 4.0])
-    ratios = (ht.hh_type2_analytic(thetas[:, None], eta0, spec_half)
+    ratios = (ht.hh_type2_analytic(whitened_signal(thetas[:, None], eta0, 0.0), spec_half)
               / ht.si_type2_closed(thetas, spec_half))
     ok = bool(np.all(np.diff(ratios) < 0))
     report.add("tail_ratio_decreasing", 0.0 if ok else 1.0, 0.5,

@@ -3,11 +3,12 @@
 HH: Hotelling's T-squared on heterodyne outcomes.  The scaled statistic
 F = (nu / (mu (n-1))) T^2 with mu = 2m, nu = n - 2m follows a noncentral F
 law with noncentrality lambda = n * kappa(theta, eta, N), so its type II
-error is the noncentral F cdf at the level-alpha critical point.  Every
-analytic error map returns the shape of its displacement input (a numpy
-float for one); an HH stack takes one kappa and one cdf call.  A Monte
-Carlo route simulates T^2 instead, on the whitened signal L^{-1} mu, whose
-squared norm is kappa: T^2 does not change under x -> L^{-1} x.
+error is the noncentral F cdf at the level-alpha critical point.  Both HH
+routes take the whitened signal L^{-1} mu of ``whitened_signal``, whose
+squared norm is kappa: T^2 does not change under x -> L^{-1} x.  The
+analytic route makes one cdf call for a whole stack of signals; a Monte
+Carlo route simulates T^2 instead.  Every analytic error map returns the
+shape of its displacement input (a numpy float for one).
 
 SI: the squeezing-invariant test.  For a pure alternative (mixture 0) the
 type II error has the closed form
@@ -30,7 +31,7 @@ from scipy.special import beta
 
 from . import distributions as dist
 from .distributions import NoncentralFParams
-from .phase_space import SqueezeParam, kappa
+from .phase_space import SqueezeParam, whitened_signal
 
 # Replicates per block of the Monte Carlo route.
 _MC_CHUNK = 2 ** 13
@@ -149,14 +150,25 @@ def _hotelling_factor(z: np.ndarray):
     return t2
 
 
-def hh_type2_analytic(theta, eta: SqueezeParam, spec: TestSpec):
-    """Type II error of the Hotelling test: noncentral F cdf at the critical point.
+def _checked_signal(signal, spec: TestSpec) -> np.ndarray:
+    """``signal`` as a float array, checked finite and of shape (..., 2m).
 
-    ``theta`` has shape (..., m), as in ``kappa``, and the output has shape
-    (...), from one ``kappa`` and one cdf call.
+    It is read as a whitened signal L^{-1} mu at ``spec.mixture``.
+    """
+    signal = np.asarray(signal, dtype=float)
+    if signal.shape[-1:] != (spec.mu_dof,) or not np.all(np.isfinite(signal)):
+        raise ValueError(f"signal must be finite, of shape (..., {spec.mu_dof})")
+    return signal
+
+
+def hh_type2_analytic(signal, spec: TestSpec):
+    """Type II error of the Hotelling test at each whitened signal (..., 2m).
+
+    The noncentral F cdf at the critical point, lambda = n |signal|^2, from
+    one cdf call for the whole stack; the output has shape (...).
     """
     c = spec.critical_point
-    lam = spec.copies * kappa(theta, eta, spec.mixture)
+    lam = spec.copies * np.sum(_checked_signal(signal, spec) ** 2, axis=-1)
     return dist.noncentral_f_cdf(c, NoncentralFParams(spec.mu_dof, spec.nu_dof, lam))
 
 
@@ -180,9 +192,7 @@ def hh_type2_montecarlo(signal, spec: TestSpec, reps: int,
     entries are not independent of each other.
     """
     c = spec.critical_point
-    signal = np.asarray(signal, dtype=float)
-    if signal.shape[-1:] != (spec.mu_dof,) or not np.all(np.isfinite(signal)):
-        raise ValueError(f"signal must be finite, of shape (..., {spec.mu_dof})")
+    signal = _checked_signal(signal, spec)
     if reps < 1:
         raise ValueError("reps must be >= 1")
     n, p = spec.copies, spec.mu_dof
@@ -280,7 +290,8 @@ def crossing_check(alpha: float, theta_grid) -> CrossingResult:
     grid = np.asarray(theta_grid, dtype=float)
     spec = TestSpec(1, 3, 0.0, alpha)
     beta_si = si_type2_closed(grid, spec)
-    beta_hh = hh_type2_analytic(grid[:, None], SqueezeParam.zero(1), spec)
+    signal = whitened_signal(grid[:, None], SqueezeParam.zero(1), 0.0)
+    beta_hh = hh_type2_analytic(signal, spec)
     margin = 1e-12
     hits = [grid[(grid > 0) & mask]
             for mask in (beta_si < beta_hh - margin, beta_si > beta_hh + margin)]

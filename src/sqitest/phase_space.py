@@ -10,9 +10,9 @@ of one copy yields a 2m-dimensional normal outcome with
 
 where ``G_eta`` is the real symplectic-like matrix built from the blocks of
 eta.  ``moments`` alone forms and checks both, for one theta or a stack.
-The characteristic function and the heterodyne sampler (one theta each)
-read from it, as does the whitened mean L^{-1} mu (sigma = L L') whose
-squared norm is ``kappa = mu.T sigma^{-1} mu``.
+The heterodyne sampler (one theta) reads from it, as does the whitened mean
+L^{-1} mu (sigma = L L'), the input of both Hotelling routes, whose squared
+norm is ``kappa = mu.T sigma^{-1} mu``.
 """
 
 from __future__ import annotations
@@ -173,20 +173,6 @@ def moments(theta, eta: SqueezeParam, mixture: float):
         raise ValueError("sigma - I/4 must be positive definite")
     mu = (G @ np.concatenate([theta.real, theta.imag], axis=-1)[..., None])[..., 0]
     return mu, sigma
-
-
-def fourier_wigner(theta, eta: SqueezeParam, mixture: float, u, v) -> complex:
-    """Characteristic function Tr[rho exp(-i w.r)] at w = (u; v), for one theta.
-
-    Equals exp(-w.T (sigma - I/4) w - i sqrt(2) w.T mu) with (mu, sigma) the
-    heterodyne moments of ``moments``.
-    """
-    if np.ndim(theta) > 1:
-        raise ValueError("fourier_wigner takes one theta, not a stack")
-    w = np.concatenate([np.atleast_1d(u), np.atleast_1d(v)]).astype(float)
-    mu, sigma = moments(theta, eta, mixture)
-    quad = w @ (sigma - np.eye(w.size) / 4.0) @ w
-    return complex(np.exp(-quad - 1j * np.sqrt(2.0) * (w @ mu)))
 
 
 def rng_stream(seed, *path) -> np.random.Generator:

@@ -15,7 +15,7 @@ from scipy.stats import kstest
 from sqitest import distributions as dist
 from sqitest import fock
 from sqitest import hypotests as ht
-from sqitest.phase_space import SqueezeParam, kappa, pooling_rotation_matrix
+from sqitest.phase_space import SqueezeParam, kappa, pooling_rotation_matrix, whitened_signal
 
 ALPHA = 0.05
 
@@ -139,7 +139,7 @@ def test_criterion_4_squeezing_dependence_and_supremum():
         eta = SqueezeParam.axis_family(r)
         want_kappa = 4 * r * r * th * th / ((2 * 0.0 + 1) * r * r + 1)
         assert kappa(np.array([th]), eta, 0.0) == pytest.approx(want_kappa, abs=1e-12)
-        betas[r] = ht.hh_type2_analytic(th, eta, spec)
+        betas[r] = ht.hh_type2_analytic(whitened_signal(th, eta, 0.0), spec)
 
     spread = max(abs(betas[1.0] - betas[0.5]), abs(betas[0.5] - betas[0.1]),
                  abs(betas[1.0] - betas[0.1]))
@@ -188,8 +188,8 @@ def test_criterion_6_asymptotic_slopes_and_tails():
     spec_hh5 = ht.TestSpec(1, 3, 0.0, 0.5)
     spec_si5 = ht.TestSpec(1, 3, 0.0, 0.5)
     eta0 = SqueezeParam.zero(1)
-    ratios = [ht.hh_type2_analytic(t, eta0, spec_hh5) / ht.si_type2_closed(t, spec_si5)
-              for t in (2.0, 3.0, 4.0)]
+    ratios = [ht.hh_type2_analytic(whitened_signal(t, eta0, 0.0), spec_hh5)
+              / ht.si_type2_closed(t, spec_si5) for t in (2.0, 3.0, 4.0)]
     assert ratios[0] > ratios[1] > ratios[2]
 
     report(6, f"slope defect {worst:.2e}, theta^2 beta_si <= {max(scaled):.3f}, "

@@ -52,6 +52,35 @@ def assert_shape_rule(fn, values, rtol=0.0):
     np.testing.assert_allclose(flat, one, rtol=rtol, atol=0.0)
 
 
+def curve_tail_signals():
+    """The whitened signals (3, 241, 2) of a curve to theta = 40 at the three eta presets."""
+    from sqitest.experiments import ETA_PRESETS, _resolve_eta
+    from sqitest.phase_space import whitened_signal
+
+    theta = np.linspace(0.0, 40.0, 241)[:, None]
+    return np.stack([whitened_signal(orient * theta, eta, 0.0)
+                     for _, eta, orient in (_resolve_eta(e, 1) for e in ETA_PRESETS)])
+
+
+def recording_passes(monkeypatch):
+    """Wrap ``dist._sum_windows``: each pass appends (windows, spans), the
+    windows (lo, hi) it sums and the k-spans (k0, k1) its table is asked for."""
+    passes, real = [], dist._sum_windows
+
+    def recording(half, lo, hi, table):
+        spans = []
+        passes.append((list(zip(lo.tolist(), hi.tolist())), spans))
+
+        def wrapped(k0, k1):
+            spans.append((k0, k1))
+            return table(k0, k1)
+
+        return real(half, lo, hi, wrapped)
+
+    monkeypatch.setattr(dist, "_sum_windows", recording)
+    return passes
+
+
 def polya_aeppli_direct(rate, p, xs):
     """Independent Polya-Aeppli oracle: f(x) = sum_k Poisson(k; rate) C(x-1, k-1)
     (1-p)^k p^(x-k), the k jumps of a compound Poisson law summing to x."""
@@ -463,39 +492,67 @@ class TestNoncentralF:
             return np.ones(k1 - k0)
 
         half = np.array([5e11, 0.3, 5e9, 2e3, 2e3 + 0.5, 40.0])
-        total = dist._poisson_mixture(half, ones, 0)
+        total = dist._poisson_mixture(half, ones, 0, 1.0, 0.0, lambda lo: np.zeros(lo.shape))
         np.testing.assert_allclose(total, 1.0, rtol=0.0, atol=1e-12)
         assert max(spans) <= dist._GROUP_CAP
 
     def test_engine_tables_each_k_once_on_the_anchor_grid(self, monkeypatch):
-        # the Hotelling stack of a 241-point curve to theta = 40 at eta = 0
-        # (m = 1, n = 3): within one pass of the engine no k is tabled
-        # twice, a multi-entry cdf table ends on a row top, and no table
-        # spans more than the group cap
+        # the Hotelling stack of a 241-point curve to theta = 40 (m = 1,
+        # n = 3), at eta = 0 alone and at the three presets in one call:
+        # within one pass of the engine no k is tabled twice, a multi-entry
+        # cdf table ends on a row top, and no table spans more than the group cap
         from sqitest.hypotests import TestSpec, hh_type2_analytic
-        from sqitest.phase_space import SqueezeParam
 
-        passes, real = [], dist._sum_windows
+        spec, stack = TestSpec(1, 3, 0.0, 0.05), curve_tail_signals()
+        passes = recording_passes(monkeypatch)
+        for signals in (stack[0], stack):
+            passes.clear()
+            hh_type2_analytic(signals, spec)
+            assert passes and all(len(spans) > 1 for _, spans in passes)
+            for _, spans in passes:
+                ks = np.concatenate([np.arange(k0, k1) for k0, k1 in spans])
+                assert np.unique(ks).size == ks.size
+                assert all(k1 % dist._ANCHOR_STEP == 0 for k0, k1 in spans if k1 - k0 > 1)
+                assert max(k1 - k0 for k0, k1 in spans) <= dist._GROUP_CAP
 
-        def recording(half, lo, hi, table):
-            spans = []
-            passes.append(spans)
+    def test_curve_tail_stack_sums_few_atoms(self, monkeypatch):
+        # the 723 noncentralities of that three-preset stack: the windows
+        # that the tail bounds need hold about 407 000 atoms in all; the
+        # first windows, each Poisson tail below the stop, come close, and
+        # each widening adds only what its bound still asks for
+        from sqitest.hypotests import TestSpec, hh_type2_analytic
 
-            def wrapped(k0, k1):
-                spans.append((k0, k1))
-                return table(k0, k1)
+        passes = recording_passes(monkeypatch)
+        hh_type2_analytic(curve_tail_signals(), TestSpec(1, 3, 0.0, 0.05))
+        assert sum(hi - lo for windows, _ in passes for lo, hi in windows) <= 470_000
 
-            return real(half, lo, hi, wrapped)
+    @pytest.mark.parametrize("fn", [noncentral_f_cdf, noncentral_f_pdf])
+    def test_far_below_the_bulk_stops_after_one_pass(self, fn, monkeypatch):
+        # at f = c = 2, x = 0.8: sum_k w_k(h) x^k = e^{-h/5} underflows, so the
+        # bound on the terms below the first window is 0 and no pass widens
+        # it; the Poisson mass alone would walk down until pdtr underflows
+        passes = recording_passes(monkeypatch)
+        assert fn(2.0, NoncentralFParams(2, 1, 1e9)) == 0.0
+        assert len(passes) == 1
 
-        monkeypatch.setattr(dist, "_sum_windows", recording)
-        theta = np.linspace(0.0, 40.0, 241)[:, None]
-        hh_type2_analytic(theta, SqueezeParam.zero(1), TestSpec(1, 3, 0.0, 0.05))
-        assert passes and all(len(spans) > 1 for spans in passes)
-        for spans in passes:
-            ks = np.concatenate([np.arange(k0, k1) for k0, k1 in spans])
-            assert np.unique(ks).size == ks.size
-            assert all(k1 % dist._ANCHOR_STEP == 0 for k0, k1 in spans if k1 - k0 > 1)
-            assert max(k1 - k0 for k0, k1 in spans) <= dist._GROUP_CAP
+    @pytest.mark.parametrize("mu,nu", [(2, 1), (2, 2), (4, 3), (2, 5), (6, 10)])
+    @pytest.mark.parametrize("arg", [1e-3, 0.5, 2.0, 60.0, 1e4])
+    @pytest.mark.parametrize("fn", [noncentral_f_cdf, noncentral_f_pdf])
+    def test_tables_lie_below_their_geometric_bound(self, fn, mu, nu, arg, monkeypatch):
+        # t_k <= C(lo) x^k for every k < lo, the premise of the bound
+        # C e^{-h y} pdtr(lo - 1, h x) on the terms below a window
+        seen = []
+        monkeypatch.setattr(dist, "_mixture_at", lambda lam, *rest: seen.append(rest) or 0.0)
+        fn(arg, NoncentralFParams(mu, nu, 1.0))
+        table, _, x, _, log_scale = seen[0]
+        t = table(0, 4 * dist._ANCHOR_STEP)
+        k = np.arange(t.size)
+        for lo in (1, 2, 7, 40, 300, t.size):
+            with np.errstate(under="ignore"):
+                bound = np.exp(log_scale(np.array([lo]))[0] + k[:lo] * np.log(x))
+            # at nu = 2 (b = 1) the bound is I_x itself, x^{k+1}: equal but for
+            # rounding, which is coarse among the subnormals
+            assert np.all(t[:lo] <= bound * (1.0 + 1e-12) + np.finfo(float).tiny)
 
     @settings(derandomize=True, max_examples=6, deadline=None)
     @given(data=st.data(), dof=st.sampled_from([(2, 1), (4, 3), (6, 10)]),

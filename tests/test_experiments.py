@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sqitest
+from sqitest import distributions as dist
 from sqitest import hypotests as ht
 from sqitest.cli import main
 from sqitest.experiments import (
@@ -216,6 +217,34 @@ class TestRunCurve:
             run_curve(ExperimentConfig(copies=4, theta_steps=5, reps=reps,
                                        out=str(tmp_path / f"c{reps}.csv")))
         assert calls == [((3, 5, 2), 100)]
+
+    def test_analytic_columns_are_one_cdf_call_per_curve(self, tmp_path, monkeypatch):
+        # the whitened signals of every (eta, theta) form one stack and one
+        # noncentral F cdf call; the scalar lambda = 0 call is the level
+        # check of the critical point, solved once per curve
+        calls = []
+        inner = dist.noncentral_f_cdf
+
+        def counting(c, params):
+            calls.append(np.shape(params.noncentrality))
+            return inner(c, params)
+
+        monkeypatch.setattr(dist, "noncentral_f_cdf", counting)
+        run_curve(ExperimentConfig(out=str(tmp_path / "c.csv")))
+        assert calls == [(), (3, 31)]
+
+    def test_analytic_columns_equal_per_eta_calls(self, tmp_path):
+        # stacking the etas moves no bit: each column equals its own call
+        out = tmp_path / "c.csv"
+        cfg = ExperimentConfig(theta_max=40.0, theta_steps=241, out=str(out))
+        run_curve(cfg)
+        _, header, rows = read_curve(out)
+        spec = ht.TestSpec(1, 3, 0.0, 0.05)
+        for entry in cfg.etas:
+            label, eta, orient = _resolve_eta(entry, 1)
+            signal = whitened_signal(orient * cfg.theta_grid[:, None], eta, 0.0)
+            want = ht.hh_type2_analytic(signal, spec)
+            assert rows[:, header.index(f"beta_hh_{label}")].tolist() == want.tolist()
 
     def test_theta_zero_agrees_across_columns(self, tmp_path):
         # theta = 0 is the zero shift under every squeezing: one estimate

@@ -50,7 +50,7 @@ class TestTestSpec:
         assert np.isfinite(si_type2_closed(0.3, spec))
         eta0 = SqueezeParam.zero(1)
         with pytest.raises(ValueError):
-            hh_type2_analytic(0.3, eta0, spec)
+            hh_type2_analytic(whitened_signal(0.3, eta0, 0.0), spec)
         rng = rng_stream(0)
         with pytest.raises(ValueError):
             hh_type2_montecarlo(whitened_signal(0.3, eta0, 0.0), spec, 100, rng)
@@ -155,14 +155,14 @@ class TestHotellingKernel:
 class TestHHAnalytic:
     def test_null_gives_level(self):
         spec = TestSpec(1, 3, 0.0, 0.05)
-        got = hh_type2_analytic(0.0, SqueezeParam.zero(1), spec)
+        got = hh_type2_analytic(whitened_signal(0.0, SqueezeParam.zero(1), 0.0), spec)
         assert abs(got - 0.95) < 1e-9
 
     def test_supremum_over_squeezing_reaches_trivial(self):
         # along the axis family the noncentrality collapses as r -> 0, so the
         # error probability climbs monotonically to 1 - alpha
         spec = TestSpec(1, 3, 0.0, 0.05)
-        vals = [hh_type2_analytic(0.5, SqueezeParam.axis_family(r), spec)
+        vals = [hh_type2_analytic(whitened_signal(0.5, SqueezeParam.axis_family(r), 0.0), spec)
                 for r in (1.0, 0.5, 0.1, 0.01)]
         assert all(b > a - 1e-6 for a, b in zip(vals, vals[1:]))
         assert vals[-1] > 0.95 - 1e-4
@@ -182,8 +182,8 @@ class TestHHAnalytic:
 
     def test_eta_dependence(self):
         spec = TestSpec(1, 3, 0.0, 0.05)
-        b1 = hh_type2_analytic(0.5, SqueezeParam.axis_family(1.0), spec)
-        b2 = hh_type2_analytic(0.5, SqueezeParam.axis_family(0.1), spec)
+        b1 = hh_type2_analytic(whitened_signal(0.5, SqueezeParam.axis_family(1.0), 0.0), spec)
+        b2 = hh_type2_analytic(whitened_signal(0.5, SqueezeParam.axis_family(0.1), 0.0), spec)
         assert abs(b1 - b2) > 1e-2  # far above solver tolerance
 
     def test_lower_bound_exponential(self):
@@ -191,20 +191,20 @@ class TestHHAnalytic:
         eta0 = SqueezeParam.zero(1)
         for th in (0.3, 0.7, 1.5):
             lam = 3 * kappa(np.array([th]), eta0, 0.0)
-            beta = hh_type2_analytic(th, eta0, spec)
+            beta = hh_type2_analytic(whitened_signal(th, eta0, 0.0), spec)
             assert beta > np.exp(-lam / 2.0) * 0.95
 
     def test_one_theta_gives_a_float_and_a_stack_an_array(self):
         spec = TestSpec(2, 6, 0.3, 0.05)
         eta = SqueezeParam.axis_family(1.5, modes=2)
         stack = np.array([[0.0, 0.0], [0.5, 0.2j], [1.0 - 0.5j, 0.3]])
-        got = hh_type2_analytic(stack, eta, spec)
+        got = hh_type2_analytic(whitened_signal(stack, eta, 0.3), spec)
         assert isinstance(got, np.ndarray) and got.shape == (3,)
         for theta, beta in zip(stack, got):
-            one = hh_type2_analytic(theta, eta, spec)
+            one = hh_type2_analytic(whitened_signal(theta, eta, 0.3), spec)
             assert isinstance(one, float)
             assert one == pytest.approx(beta, rel=1e-14, abs=0.0)
-        assert isinstance(hh_type2_analytic(0.5, SqueezeParam.zero(1),
+        assert isinstance(hh_type2_analytic(whitened_signal(0.5, SqueezeParam.zero(1), 0.0),
                                             TestSpec(1, 3, 0.0, 0.05)), float)
 
     def test_critical_point_solved_once_per_spec(self, monkeypatch):
@@ -214,7 +214,7 @@ class TestHHAnalytic:
                             lambda *a: calls.append(a) or solve(*a))
         spec = TestSpec(1, 3, 0.0, 0.05)
         for t in (0.0, 0.5, 1.0):
-            hh_type2_analytic(t, SqueezeParam.zero(1), spec)
+            hh_type2_analytic(whitened_signal(t, SqueezeParam.zero(1), 0.0), spec)
         assert len(calls) == 1
         assert spec.critical_point == solve(0.05, 2, 1)
 
@@ -229,14 +229,14 @@ class TestHHMonteCarlo:
         spec = TestSpec(1, 3, 0.0, 0.05)
         eta0 = SqueezeParam.zero(1)
         est = hh_type2_montecarlo(whitened_signal(0.5, eta0, 0.0), spec, 10 ** 5, rng_stream(2))
-        want = hh_type2_analytic(0.5, eta0, spec)
+        want = hh_type2_analytic(whitened_signal(0.5, eta0, 0.0), spec)
         assert abs(est.value - want) < 4 * est.stderr
 
     def test_matches_analytic_with_squeezing(self):
         spec = TestSpec(1, 3, 0.5, 0.05)
         eta = SqueezeParam.axis_family(1.5)
         est = hh_type2_montecarlo(whitened_signal(0.4, eta, 0.5), spec, 10 ** 5, rng_stream(3))
-        want = hh_type2_analytic(0.4, eta, spec)
+        want = hh_type2_analytic(whitened_signal(0.4, eta, 0.5), spec)
         assert abs(est.value - want) < 4 * est.stderr
 
     def test_matches_analytic_with_two_modes(self):
@@ -246,7 +246,7 @@ class TestHHMonteCarlo:
         theta = np.array([1.2, 0.8j])
         est = hh_type2_montecarlo(whitened_signal(theta, eta, 0.0), spec, 10 ** 5,
                                   rng_stream(4))
-        want = hh_type2_analytic(theta, eta, spec)
+        want = hh_type2_analytic(whitened_signal(theta, eta, 0.0), spec)
         assert abs(est.value - want) < 4 * est.stderr
 
     def test_deterministic(self):
@@ -498,7 +498,8 @@ class TestTailOrdering:
         spec_hh = TestSpec(1, 3, 0.0, 0.5)
         spec_si = TestSpec(1, 3, 0.0, 0.5)
         eta0 = SqueezeParam.zero(1)
-        ratios = [hh_type2_analytic(t, eta0, spec_hh) / si_type2_closed(t, spec_si)
+        ratios = [hh_type2_analytic(whitened_signal(t, eta0, 0.0), spec_hh)
+                  / si_type2_closed(t, spec_si)
                   for t in (2.0, 3.0, 4.0)]
         assert ratios[0] > ratios[1] > ratios[2]
 
@@ -533,7 +534,7 @@ def test_non_finite_theta_rejected(route, bad):
     rng = rng_stream(1)
     call = {
         "kappa": lambda t: kappa(t, eta0, 0.0),
-        "hh_type2_analytic": lambda t: hh_type2_analytic(t, eta0, spec),
+        "hh_type2_analytic": lambda t: hh_type2_analytic(whitened_signal(t, eta0, 0.0), spec),
         "hh_type2_montecarlo": lambda t: hh_type2_montecarlo(
             whitened_signal(t, eta0, 0.0), spec, 2000, rng),
         "si_type2_closed": lambda t: si_type2_closed(t, spec),
@@ -542,6 +543,10 @@ def test_non_finite_theta_rejected(route, bad):
     for theta in (bad, np.array([[0.3], [bad]])):
         with pytest.raises(ValueError, match="theta must be finite"):
             call(theta)
+    if route == "hh_type2_analytic":
+        # a non-finite signal handed in directly fails the one check of both HH routes
+        with pytest.raises(ValueError, match="signal must be finite, of shape"):
+            hh_type2_analytic(np.array([0.3, bad]), spec)
     if route == "hh_type2_montecarlo":
         # a non-finite signal handed in directly fails the same way, before any draw
         with pytest.raises(ValueError, match="signal must be finite, of shape"):
