@@ -54,13 +54,13 @@ _MAX_LOG_P = 1500.0
 # largest change between two successive grids at which it has settled.
 _CF_DOUBLINGS = 12
 _CF_TOL = 1e-10
-# Largest -log f(0) of a photon-number law built in one recurrence: f(0)
-# stays normal.
-_LOG_F0_SPLIT = 500.0
-# Most equal parts a photon-number law is split into: their convolutions
-# cost about parts^2, 6 s on a 2-vCPU machine at 121 parts (n = 2,
-# N = 0.5, theta = 300) and 30 s at 256.
-_MAX_PARTS = 128
+# Log of the factor by which a photon-number law's recurrence is rescaled:
+# its first term starts at most this far below 1, and a term past its
+# exponential is scaled down by it, so every term stays normal.
+_LOG_RESCALE = 500.0
+# Largest -log f(0) of a photon-number law; its recurrence runs over about
+# as many atoms (0.05-0.07 s on a 2-vCPU machine at the bound).
+_MAX_LOG_F0 = 64000.0
 # Mass at which a photon-number law's upper tail is cut.
 _LAW_TOL = 1e-14
 # Largest mass the CF inversion may leave beyond its support bound.
@@ -97,7 +97,7 @@ class IntegerDistribution:
         if np.any(pmf < -1e-15):
             raise ValueError("pmf entries must be nonnegative")
         total = pmf.sum() + self.tail_mass
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"pmf plus tail mass must be 1, got {total!r}")
 
     @property
@@ -150,32 +150,46 @@ def photon_number_law(modes: float, rate: float, p: float) -> IntegerDistributio
     pmf is cut at the first such x where that is below _LAW_TOL, and that
     mass is the tail.  A running total cannot place the cut: at N = 1000
     its rounding stops it with 1e-11 of mass still ahead.  Where -log f(0)
-    passes _LOG_F0_SPLIT, so that f(0) would underflow, the law is the
-    convolution of equal parts of shape m/parts and rate rate/parts; past
-    _MAX_PARTS parts it raises ValueError instead.
+    passes _LOG_RESCALE, so that f(0) could underflow, the recurrence runs
+    on the terms times e^shift, shift = -log f(0) - _LOG_RESCALE; up to the
+    mean it divides them by e^_LOG_RESCALE, and lowers shift by as much,
+    whenever one passes e^_LOG_RESCALE, so every term stays normal.  The
+    cut and the tail read the terms at that scale.  Past -log f(0) =
+    _MAX_LOG_F0 it raises ValueError.
     """
     if modes < 0 or rate < 0 or not 0.0 <= p < 1.0:
         raise ValueError("need modes >= 0, rate >= 0 and p in [0, 1)")
     neg_log_f0 = rate - modes * np.log1p(-p)
-    if not neg_log_f0 <= _MAX_PARTS * _LOG_F0_SPLIT:
-        raise ValueError(f"photon-number law with -log f(0) = {neg_log_f0:.6g} needs more "
-                         f"than {_MAX_PARTS} convolution parts")
-    parts = max(1, int(np.ceil(neg_log_f0 / _LOG_F0_SPLIT)))
-    m, lam, cut = modes / parts, rate / parts, _LAW_TOL / parts
-    mean = (m * p + lam) / (1 - p)
-    f = float(np.exp(-neg_log_f0 / parts))
-    pmf, x, a, b = [f], 0, 0.0, 0.0
+    if not neg_log_f0 <= _MAX_LOG_F0:
+        raise ValueError(f"photon-number law with -log f(0) = {neg_log_f0:.6g} exceeds "
+                         f"the bound {_MAX_LOG_F0:g}")
+    mean = (modes * p + rate) / (1 - p)
+    shift = max(0.0, neg_log_f0 - _LOG_RESCALE)
+    big = float(np.exp(_LOG_RESCALE))
+    f = float(np.exp(-min(neg_log_f0, _LOG_RESCALE)))
+    pmf, x, a, b, rescaled_at = [f], 0, 0.0, 0.0, []
+    # up to the mean: no cut, and every term stays below e^_LOG_RESCALE
+    while x + 1 <= mean:
+        a, b = f + p * a, f + p * (a + b)
+        f, x = (modes * p * a + rate * (1 - p) * b) / (x + 1), x + 1
+        if f > big:
+            f, a, b, shift = f / big, a / big, b / big, shift - _LOG_RESCALE
+            rescaled_at.append(len(pmf))
+        pmf.append(f)
+    # past the mean: cut where the bound on the rest falls below _LAW_TOL
+    scale = float(np.exp(shift))
+    cut = _LAW_TOL * scale
     while True:
         a, b = f + p * a, f + p * (a + b)
-        prev, f, x = f, (m * p * a + lam * (1 - p) * b) / (x + 1), x + 1
+        prev, f, x = f, (modes * p * a + rate * (1 - p) * b) / (x + 1), x + 1
         ratio = max(f / prev, p)
-        if x > mean and ratio < 1.0 and f < cut * (1.0 - ratio):
+        if ratio < 1.0 and f < cut * (1.0 - ratio):
             break
         pmf.append(f)
-    one = out = np.array(pmf)
-    for _ in range(parts - 1):
-        out = np.convolve(out, one)
-    tail = parts * f / (1.0 - ratio)
+    out = np.array(pmf)
+    for i in rescaled_at:
+        out[:i] /= big
+    tail = f / (1.0 - ratio) / scale
     return IntegerDistribution(0, out * (1.0 - tail) / out.sum(), tail)
 
 

@@ -37,14 +37,11 @@ loss (1 - trace).
 mixed states alike: each block of the Casimir form of the defect
 observable (``defect_blocks``, no exponential) is built straight from the
 generator entries as a small dense real matrix, with a check that no entry
-couples two sectors; each block is eigendecomposed once, by one direct
-call of LAPACK's divide-and-conquer ``syevd``, as ``eigh`` makes it.
-The thermal null is a constant on each sector, read from the sector's
-photon totals, so only the displaced state forms dense sector blocks,
-from its single-mode factors.  The sparse whole-space ``casimir_defect`` is
-assembled from the same blocks.  The dense whole-space operators, among
-them the exponential-built ``rotation_defect_observable``, stay as the
-references the tests compare against.
+couples two sectors, and is eigendecomposed once by ``eigh``.  The thermal
+null is a constant on each sector, read from its photon totals, so only
+the displaced state forms dense sector blocks.  The dense whole-space
+operators, among them the exponential-built ``rotation_defect_observable``,
+stay as the references the tests compare against.
 """
 
 from __future__ import annotations
@@ -54,8 +51,9 @@ from functools import reduce
 from math import comb
 
 import numpy as np
+from numpy.linalg import eigh
 from scipy import sparse
-from scipy.linalg import expm, eigh, get_lapack_funcs
+from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln, xlogy
 
@@ -136,8 +134,10 @@ class TruncatedState:
 
 
 def _check_hermitian(entries: np.ndarray, what: str):
-    defect = float(np.max(np.abs(entries - entries.conj().T)))
-    if defect > _HERM_TOL:
+    """ValueError unless ``entries`` is hermitian to _HERM_TOL and finite (NaN fails)."""
+    with np.errstate(invalid="ignore"):
+        defect = float(np.max(np.abs(entries - entries.conj().T)))
+    if not defect <= _HERM_TOL:
         raise ValueError(f"{what} must be hermitian (defect {defect:.3e})")
 
 
@@ -417,8 +417,8 @@ def rotation_defect_observable(config: FockConfig) -> TruncatedOperator:
     copy index, so its kernel is the mode-wise rotation-invariant subspace.
     R is the dense matrix of ``apply_pooling_rotation``, built from
     exponentials of the beamsplitter generators, so this stays the
-    independent reference for ``casimir_defect``, which it equals on the
-    whole basis.
+    independent reference for ``defect_blocks``: it is zero between
+    photon sectors and equals their blocks within each.
     """
     if config.copies < 2:
         raise ValueError("needs at least two copies")
@@ -498,7 +498,11 @@ def defect_blocks(config: FockConfig) -> tuple:
 
     G_k = copy_mixing_generator(v_k u^T - u v_k^T), with u = (1,...,1)/sqrt(n)
     and v_1..v_{n-1} the first rows of the classical pooling rotation, an
-    orthonormal basis of u-perp.  Each block is real symmetric.
+    orthonormal basis of u-perp.  R maps the copy plane (k, n) to the plane
+    (v_k, u), so R^* bs_{k,n} R = G_k, and every photon sector is whole, so
+    these are the blocks of ``rotation_defect_observable``, built with no
+    exponential.  The sum is the O(n) Casimir minus that of the O(n-1)
+    fixing u, so its spectrum is integer.  Each block is real symmetric.
     """
     return _defect_blocks(config, occupations(config))
 
@@ -512,24 +516,6 @@ def _defect_blocks(config: FockConfig, occ: np.ndarray) -> tuple:
     planes = [np.outer(v, u) - np.outer(u, v) for v in pooling_rotation_matrix(n)[:-1]]
     return _gram_blocks(config, occ, [(np.kron(B, np.eye(config.modes)), None)
                                       for B in planes])
-
-
-def casimir_defect(config: FockConfig) -> sparse.csr_matrix:
-    """The rotation-defect observable as a sparse real form sum_k G_k^* G_k.
-
-    G_k is the copy-mixing generator of the plane (v_k, u) (see
-    ``defect_blocks``).  Since R maps the copy plane (k, n) to the plane
-    (v_k, u), R^* bs_{k,n} R = G_k, and every photon sector of the basis is
-    whole, so this equals ``rotation_defect_observable`` with no
-    exponential.  The sum does not depend on the basis of u-perp: it is the
-    O(n) Casimir minus that of the O(n-1) fixing u, so its spectrum is
-    integer.  It is assembled from the sector blocks of ``defect_blocks``,
-    the one construction of this form.
-    """
-    sectors, block = defect_blocks(config)
-    T = sparse.block_diag([block(s) for s in range(len(sectors))], format="coo")
-    basis = np.concatenate(sectors)
-    return sparse.csr_matrix((T.data, (basis[T.row], basis[T.col])), shape=T.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -565,37 +551,16 @@ def _eigvec_masses(rho: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.real(np.sum(vecs.conj() * (rho @ vecs), axis=0))
 
 
-_syevd, _syevd_lwork = get_lapack_funcs(("syevd", "syevd_lwork"), dtype=np.float64)
-
-
-def _symmetric_eigh(a: np.ndarray) -> tuple:
-    """``eigh``'s divide-and-conquer route for a finite real symmetric matrix, unchecked.
-
-    The LAPACK call ``eigh`` makes with its ``"evd"`` choice (``syevd``,
-    lower triangle), with the same workspace query, so the same bits.  The
-    wrapper's input checks cost more than the decomposition of a block of a
-    few rows; a sector block is finite and symmetric by construction, so
-    they are skipped.
-    """
-    lwork, liwork, info = _syevd_lwork(len(a), lower=1)
-    if info == 0:
-        lam, vecs, info = _syevd(a, lower=1, lwork=int(lwork), liwork=int(liwork))
-    if info != 0:
-        raise np.linalg.LinAlgError(f"syevd failed with info = {info}")
-    return lam, vecs
-
-
 def defect_spectral_measures(config: FockConfig, Z, mixture: float) -> tuple:
-    """Lattice laws ``(null, alt)`` of ``casimir_defect`` on two product states.
+    """Lattice laws ``(null, alt)`` of the defect observable on two product states.
 
     The null is the thermal product state and the alternative the displaced
     one (``Z`` as in ``_slot_values``); each law equals ``spectral_measure``
-    of that ``product_state`` and the dense ``casimir_defect``, but is built
-    one photon sector at a time, and no whole-space matrix is formed.  The
-    defect's sector block comes straight from ``defect_blocks`` as a small
-    dense real symmetric matrix and is eigendecomposed once, by
-    ``_symmetric_eigh`` (LAPACK ``syevd`` without ``eigh``'s checks, the
-    same bits).  The thermal null is c_s times the identity there, c_s the
+    of that ``product_state`` and ``rotation_defect_observable``, but is
+    built one photon sector at a time, and no whole-space matrix is formed.
+    The defect's sector block comes straight from ``defect_blocks`` as a
+    small dense real symmetric matrix and is eigendecomposed once, by
+    ``eigh``.  The thermal null is c_s times the identity there, c_s the
     product over slots of the geometric occupation law, read off the
     sector's photon totals, so every eigenvector carries null mass c_s.
     Only the displaced state forms its dense block rho[idx, idx], the
@@ -614,7 +579,7 @@ def defect_spectral_measures(config: FockConfig, Z, mixture: float) -> tuple:
         # a (positive) block is zero when its diagonal is
         if c == 0.0 and not rho.diagonal().any():
             continue
-        lam, vecs = _symmetric_eigh(block(s))
+        lam, vecs = eigh(block(s))
         vals.append(lam)
         null.append(np.full(len(idx), c))
         alt.append(_eigvec_masses(rho.real, vecs))

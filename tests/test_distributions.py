@@ -104,9 +104,12 @@ def bessel_i0_series(z):
 
 
 class TestIntegerDistribution:
-    def test_mass_bookkeeping_enforced(self):
-        with pytest.raises(ValueError):
-            IntegerDistribution(0, np.array([0.5, 0.4]))  # missing declared tail
+    # a missing declared tail, and NaN totals, which fail every comparison
+    @pytest.mark.parametrize("pmf, tail", [([0.5, 0.4], 0.0), ([np.nan], 0.0),
+                                           ([1.0], np.nan), ([0.5, np.nan], 0.5)])
+    def test_mass_bookkeeping_enforced(self, pmf, tail):
+        with pytest.raises(ValueError, match="pmf plus tail mass must be 1"):
+            IntegerDistribution(0, np.array(pmf), tail)
 
     def test_cdf_and_prob(self):
         d = IntegerDistribution(-1, np.array([0.2, 0.3, 0.5]))
@@ -189,7 +192,7 @@ class TestPhotonNumberLaw:
     @pytest.mark.parametrize("m,N", [(3, 0.0), (1, 0.5), (2, 1.0), (4, 7 / 3), (1, 1000.0),
                                      (100, 200.0)])
     def test_zero_rate_is_neg_binomial(self, m, N):
-        # (100, 200): -log f(0) = 100 log 201 > 500, so the law is built in parts
+        # (100, 200): -log f(0) = 100 log 201 > 500, so the recurrence is rescaled
         p = N / (N + 1)
         d = photon_number_law(m, 0.0, p)
         assert np.max(np.abs(d.pmf - stats.nbinom.pmf(d.support, m, 1 - p))) < 1e-15
@@ -204,7 +207,8 @@ class TestPhotonNumberLaw:
 
     @pytest.mark.parametrize("m,rate,p", [
         (0, 0.4, 0.3), (0, 2.0, 0.5), (0, 0.8, 0.97), (0, 900.0, 0.2),
-        (1, 0.0, 0.3), (2, 0.0, 0.5), (4, 0.0, 0.7), (2, 1.5, 0.6), (1, 900.0, 0.5)])
+        (1, 0.0, 0.3), (2, 0.0, 0.5), (4, 0.0, 0.7), (2, 1.5, 0.6), (1, 900.0, 0.5),
+        (1, 6e4, 1 / 3)])
     def test_moments(self, m, rate, p):
         # NB: mean mp/(1-p), variance mp/(1-p)^2; Polya-Aeppli (geometric
         # jumps on 1, 2, ...): mean rate/(1-p), variance rate(1+p)/(1-p)^2
@@ -215,7 +219,8 @@ class TestPhotonNumberLaw:
         assert var == pytest.approx((m * p + rate * (1 + p)) / (1 - p) ** 2, rel=1e-10)
         assert d.tail_mass < 1e-13
         assert d.cf(0.0) == pytest.approx(1.0)
-        # (0, 900, 0.2) and (1, 900, 0.5): -log f(0) > 500, a law built in parts
+        # -log f(0) passes 500 at (0, 900, 0.2) and (1, 900, 0.5), and nears
+        # its bound of 64 000 at (1, 6e4, 1/3): the recurrence is rescaled
         r = np.linspace(-np.pi, np.pi, 33)
         assert np.max(np.abs(photon_number_cf(m, rate, p, r) - d.cf(r))) < 1e-12
 
@@ -242,9 +247,9 @@ class TestPhotonNumberLaw:
             make()
 
     @pytest.mark.parametrize("rate", [64000.5, 1e200, np.inf])
-    def test_law_past_the_parts_bound_raises(self, rate):
-        # 1e200 would split into about 2e197 parts and never return
-        with pytest.raises(ValueError, match="more than 128 convolution parts"):
+    def test_law_past_the_f0_bound_raises(self, rate):
+        # 1e200 would run its recurrence over about 1e200 atoms and never return
+        with pytest.raises(ValueError, match="exceeds the bound 64000"):
             photon_number_law(1, rate, 0.0)
 
 
@@ -317,9 +322,10 @@ class TestCountDifferenceLaw:
         inv = invert_integer_cf(lambda r: count_difference_cf(m, s, N, r), comp.hi + 8)
         assert total_variation(comp, inv) < 1e-10
 
-    @pytest.mark.parametrize("s,N", [(30.0, 0.0), (40.0, 0.0), (30.0, 1.0)])
+    @pytest.mark.parametrize("s,N", [(30.0, 0.0), (40.0, 0.0), (30.0, 1.0), (60.0, 0.5)])
     def test_large_displacement_matches_cf_inversion(self, s, N):
-        # compound rate s^2/(N+1) above 745, where e^{-rate} underflows
+        # compound rate s^2/(N+1) above 745, where e^{-rate} underflows; at
+        # (60, 0.5) it is 2400, so the photon law's recurrence is rescaled
         comp = count_difference_distribution(1, s, N)
         inv = invert_integer_cf(lambda r: count_difference_cf(1, s, N, r), comp.hi + 8)
         assert total_variation(comp, inv) < 1e-10

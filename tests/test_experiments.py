@@ -381,7 +381,7 @@ class TestCli:
         code = main(["curve", "--n", "2", "--N", "0.5", "--theta-max", "1e100",
                      "--theta-steps", "3", "--out", str(out)])
         assert code == 2
-        assert "more than 128 convolution parts" in capsys.readouterr().err
+        assert "exceeds the bound 64000" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,key", [

@@ -416,6 +416,19 @@ class TestSITwoCopies:
         assert folded.pmf.tolist() == [masses[x] for x in sorted(masses)]
         assert folded.tail_mass == pytest.approx(law.tail_mass, abs=1e-15)
 
+    @pytest.mark.parametrize("theta", [0.7, 60.0])
+    def test_matches_cf_inversion(self, theta):
+        # at theta = 60, N = 0.5 the photon law's -log f(0) is about 2400,
+        # past 500, so its recurrence is rescaled on the way up
+        def abs_law(t):
+            bound = dist.count_difference_distribution(1, t, 0.5).hi + 8
+            inv = dist.invert_integer_cf(lambda r: dist.count_difference_cf(1, t, 0.5, r),
+                                         bound)
+            return dist.lattice_law(np.abs(inv.support), inv.pmf)
+
+        want = dist.randomized_acceptance(abs_law(0.0), abs_law(theta), 0.05)
+        assert si_type2_n2(theta, 1, 0.5, 0.05) == pytest.approx(want, abs=1e-9)
+
     def test_matches_truncated_space_oracle(self):
         cfg = FockConfig(1, 2, 40)
         got = si_type2_fock(0.5, 0.5, 0.05, cfg)
