@@ -9,8 +9,8 @@ a function of k alone, the k where they peak and a bound C x^k on them.  The
 engine tables them in rows of k on a fixed grid, each k at most once per
 pass over the summation windows; each lambda adds only its Poisson weights
 over its own window, in rows of atoms on the same grid, and the engine
-bounds the terms outside it from those factors and, below it, from the
-Poisson weights' generating function.
+bounds the terms above it from those factors and the terms below it from
+the Poisson weights' generating function.
 
 Discrete side: the lattice law of the photon count-difference statistic
 observed on two copies of a displaced thermal state, X - X' for two
@@ -58,9 +58,9 @@ _CF_TOL = 1e-10
 # its first term starts at most this far below 1, and a term past its
 # exponential is scaled down by it, so every term stays normal.
 _LOG_RESCALE = 500.0
-# Largest -log f(0) of a photon-number law; its recurrence runs over about
-# as many atoms (0.05-0.07 s on a 2-vCPU machine at the bound).
-_MAX_LOG_F0 = 64000.0
+# Atom count at which a photon-number law is refused: its count-difference
+# law convolves it with itself, in time quadratic in the count.
+_MAX_ATOMS = 2 ** 17
 # Mass at which a photon-number law's upper tail is cut.
 _LAW_TOL = 1e-14
 # Largest mass the CF inversion may leave beyond its support bound.
@@ -154,16 +154,16 @@ def photon_number_law(modes: float, rate: float, p: float) -> IntegerDistributio
     on the terms times e^shift, shift = -log f(0) - _LOG_RESCALE; up to the
     mean it divides them by e^_LOG_RESCALE, and lowers shift by as much,
     whenever one passes e^_LOG_RESCALE, so every term stays normal.  The
-    cut and the tail read the terms at that scale.  Past -log f(0) =
-    _MAX_LOG_F0 it raises ValueError.
+    cut and the tail read the terms at that scale.  A law whose mean or
+    cut reaches _MAX_ATOMS raises ValueError.
     """
     if modes < 0 or rate < 0 or not 0.0 <= p < 1.0:
         raise ValueError("need modes >= 0, rate >= 0 and p in [0, 1)")
     neg_log_f0 = rate - modes * np.log1p(-p)
-    if not neg_log_f0 <= _MAX_LOG_F0:
-        raise ValueError(f"photon-number law with -log f(0) = {neg_log_f0:.6g} exceeds "
-                         f"the bound {_MAX_LOG_F0:g}")
     mean = (modes * p + rate) / (1 - p)
+    too_many = f"photon-number law of mean {mean:.6g} needs more than {_MAX_ATOMS} atoms"
+    if not mean < _MAX_ATOMS:
+        raise ValueError(too_many)
     shift = max(0.0, neg_log_f0 - _LOG_RESCALE)
     big = float(np.exp(_LOG_RESCALE))
     f = float(np.exp(-min(neg_log_f0, _LOG_RESCALE)))
@@ -185,6 +185,8 @@ def photon_number_law(modes: float, rate: float, p: float) -> IntegerDistributio
         ratio = max(f / prev, p)
         if ratio < 1.0 and f < cut * (1.0 - ratio):
             break
+        if x >= _MAX_ATOMS:
+            raise ValueError(too_many)
         pmf.append(f)
     out = np.array(pmf)
     for i in rescaled_at:
@@ -397,17 +399,17 @@ def _sum_windows(half, lo, hi, table):
 
     w_k(h) is the Poisson(h) pmf and ``table(k0, k1)`` gives the
     lambda-free factors t_k on [k0, k1), called with k1 a multiple of
-    _ANCHOR_STEP.  Returns each window's sum and t_k at its first and at
-    its last k.  Every window is covered by rows of _ROW k on the absolute
-    grid of k, with h broadcast over each row; a row's slots outside its
-    window are computed but left out of its sum (``np.add.reduceat``), and
-    each window adds its row sums in order, so no window's sum depends on
-    another's.  The rows, in order of k, go in groups of at most
-    _GROUP_CAP slots whose table rows span at most _GROUP_CAP k.  t_k and
-    the k-only part c_k = -log sqrt(2 pi k) - (Stirling remainder of k) are
-    kept in one cache that slides up with the groups: k below a group are
-    dropped, and the rows of _ANCHOR_STEP k above the cache are built when a
-    group first reaches them, so each k is tabled at most once per call.
+    _ANCHOR_STEP.  Returns each window's sum and t_k at its last k.  Every
+    window is covered by rows of _ROW k on the absolute grid of k, with h
+    broadcast over each row; a row's slots outside its window are computed
+    but left out of its sum (``np.add.reduceat``), and each window adds its
+    row sums in order, so no window's sum depends on another's.  The rows,
+    in order of k, go in groups of at most _GROUP_CAP slots whose table rows
+    span at most _GROUP_CAP k.  t_k and the k-only part c_k = -log sqrt(2 pi
+    k) - (Stirling remainder of k) are kept in one cache that slides up with
+    the groups: k below a group are dropped, and the rows of _ANCHOR_STEP k
+    above the cache are built when a group first reaches them, so each k is
+    tabled at most once per call.
     Every slot adds one deviance in the saddle-point form
 
         log w_k(h) = c_k - [k log1p((k - h)/h) - (k - h)],   log w_0(h) = -h,
@@ -426,7 +428,7 @@ def _sum_windows(half, lo, hi, table):
     # each row's slots in its window, [lo, hi) less the row's first k, in [0, _ROW]
     lo_off = np.clip(lo[owner] - row * _ROW, 0, _ROW)
     hi_off = np.clip(hi[owner] - row * _ROW, 0, _ROW)
-    row_sums, t_first, t_last = np.empty(order.size), np.empty(len(lo)), np.empty(len(lo))
+    row_sums, t_last = np.empty(order.size), np.empty(len(lo))
     cols = np.arange(_ROW, dtype=float)
     per_row, most = _ANCHOR_STEP // _ROW, min(_GROUP_CAP // _ROW, order.size)
     # work rows of the groups; one slot past the last, as reduceat's last segment end
@@ -470,14 +472,12 @@ def _sum_windows(half, lo, hi, table):
         edges = np.arange(0, n * _ROW, _ROW)
         cut = np.column_stack([edges + lo_off[start:stop], edges + hi_off[start:stop]])
         row_sums[start:stop] = np.add.reduceat(w_flat[:n * _ROW + 1], cut.ravel())[::2]
-        lead = np.flatnonzero(rows == first[who])
-        t_first[who[lead]] = t_rows[lead, lo_off[start + lead]]
         tail = np.flatnonzero(hi_off[start:stop] + rows * _ROW == hi[who])
         t_last[who[tail]] = t_rows[tail, hi_off[start + tail] - 1]
         start = stop
     sums = np.empty(order.size)
     sums[order] = row_sums
-    return np.add.reduceat(sums, head), t_first, t_last
+    return np.add.reduceat(sums, head), t_last
 
 
 def _poisson_edges(mean, log_p):
@@ -508,29 +508,26 @@ def _poisson_mixture(half, table, peak: int, x: float, y: float, log_scale):
     the lower one also below (2 pi h)^{-1/4}, the root of the mode's Poisson
     mass: a table that falls with k, as the cdf's does, weighs the terms
     below the mode more, and one pass then most often meets both bounds.
-    The terms below a window that starts at lo > 0
-    add up to at most pdtr(lo - 1, h) times t_lo (lo <= peak) or t_peak,
-    and, since sum_k w_k(h) x^k = e^{-h y} sum_k w_k(h x), to at most
-    C e^{-h y} pdtr(lo - 1, h x): the smaller of the two holds.  Those above
-    one that ends at hi - 1 add up to at most pdtrc(hi - 1, h) times
-    t_{hi-1} (hi - 1 >= peak) or t_peak.  Each side whose bound exceeds
-    _TAIL_STOP of the running total is widened, for those h alone, to where
-    the Poisson tail in its bound is below what the total allows (by at
-    least _ROW k), until k = 0 or the bound is met; there is no cap.
+    Since sum_k w_k(h) x^k = e^{-h y} sum_k w_k(h x), the terms below a
+    window that starts at lo > 0 add up to at most C e^{-h y}
+    pdtr(lo - 1, h x).  Those above one that ends at hi - 1 add up to at
+    most pdtrc(hi - 1, h) times t_{hi-1} (hi - 1 >= peak) or t_peak.  Each
+    side whose bound exceeds _TAIL_STOP of the running total is widened,
+    for those h alone, to where the Poisson tail in its bound is below what
+    the total allows (by at least _ROW k), until k = 0 or the bound is met;
+    there is no cap.
     """
     lo = _poisson_edges(half, np.log(_TAIL_STOP) - 0.25 * np.log(2.0 * np.pi * half))[0]
     hi = _poisson_edges(half, np.log(_TAIL_STOP))[1]
-    total, t_lo, t_hi = _sum_windows(half, lo, hi, table)
+    total, t_hi = _sum_windows(half, lo, hi, table)
     log_t_peak = np.log(table(peak, peak + 1)[0])
     down, up = lo > 0, np.ones(half.shape, dtype=bool)
     while True:
         b, a = np.flatnonzero(down), np.flatnonzero(up)
         log_c = log_scale(lo[b]) - half[b] * y
         with np.errstate(divide="ignore"):  # in logs, C e^{-h y} neither overflows nor underflows
-            log_t_lo = np.where(lo[b] <= peak, np.log(t_lo[b]), log_t_peak)
             log_t_hi = np.where(hi[a] - 1 >= peak, np.log(t_hi[a]), log_t_peak)
-            log_below = np.minimum(np.log(pdtr(lo[b] - 1, half[b])) + log_t_lo,
-                                   np.log(pdtr(lo[b] - 1, half[b] * x)) + log_c)
+            log_below = np.log(pdtr(lo[b] - 1, half[b] * x)) + log_c
             log_above = np.log(pdtrc(hi[a] - 1, half[a])) + log_t_hi
         room = _TAIL_STOP * total  # a bound that underflows meets a total of 0
         down[b], up[a] = np.exp(log_below) > room[b], np.exp(log_above) > room[a]
@@ -540,17 +537,16 @@ def _poisson_mixture(half, table, peak: int, x: float, y: float, log_scale):
             return total
         with np.errstate(divide="ignore"):
             log_room = np.log(room)
-        new_lo = np.maximum(_poisson_edges(half[b], log_room[b] - log_t_peak)[0],
-                            _poisson_edges(half[b] * x, log_room[b] - log_c[keep_b])[0])
+        new_lo = _poisson_edges(half[b] * x, log_room[b] - log_c[keep_b])[0]
         new_lo = np.maximum(np.minimum(new_lo, lo[b] - _ROW), 0)
         new_hi = np.maximum(_poisson_edges(half[a], log_room[a] - log_t_hi[keep_a])[1],
                             hi[a] + _ROW)
-        sums, edge_first, edge_last = _sum_windows(
+        sums, edge_last = _sum_windows(
             np.concatenate([half[b], half[a]]), np.concatenate([new_lo, hi[a]]),
             np.concatenate([lo[b], new_hi]), table)
         total[b] += sums[:b.size]
         total[a] += sums[b.size:]
-        lo[b], t_lo[b], down[b] = new_lo, edge_first[:b.size], new_lo > 0
+        lo[b], down[b] = new_lo, new_lo > 0
         hi[a], t_hi[a] = new_hi, edge_last[b.size:]
 
 

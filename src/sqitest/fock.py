@@ -47,7 +47,6 @@ stay as the references the tests compare against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from math import comb
 
 import numpy as np
@@ -295,10 +294,13 @@ def product_state(config: FockConfig, Z, mixture: float) -> TruncatedState:
 def _product_entries(factors: list, occ: np.ndarray) -> np.ndarray:
     """Tensor product of per-slot vectors or matrices on the basis rows ``occ``.
 
-    Entry (a, b) of a matrix product is prod_s factors[s][occ[a, s], occ[b, s]].
+    Entry (a, b) of a matrix product is prod_s factors[s][occ[a, s], occ[b, s]],
+    multiplied into one array in slot order, one gathered factor at a time.
     """
-    return reduce(np.multiply, [f[o[:, None], o] if f.ndim == 2 else f[o]
-                                for f, o in zip(factors, occ.T)])
+    out = np.ones((len(occ),) * factors[0].ndim, dtype=np.result_type(*factors))
+    for f, o in zip(factors, occ.T):
+        out *= f[o[:, None], o] if f.ndim == 2 else f[o]
+    return out
 
 
 # ---------------------------------------------------------------------------

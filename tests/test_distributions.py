@@ -208,7 +208,7 @@ class TestPhotonNumberLaw:
     @pytest.mark.parametrize("m,rate,p", [
         (0, 0.4, 0.3), (0, 2.0, 0.5), (0, 0.8, 0.97), (0, 900.0, 0.2),
         (1, 0.0, 0.3), (2, 0.0, 0.5), (4, 0.0, 0.7), (2, 1.5, 0.6), (1, 900.0, 0.5),
-        (1, 6e4, 1 / 3)])
+        (1, 6e4, 1 / 3), (1, 1e5, 0.01)])
     def test_moments(self, m, rate, p):
         # NB: mean mp/(1-p), variance mp/(1-p)^2; Polya-Aeppli (geometric
         # jumps on 1, 2, ...): mean rate/(1-p), variance rate(1+p)/(1-p)^2
@@ -219,8 +219,9 @@ class TestPhotonNumberLaw:
         assert var == pytest.approx((m * p + rate * (1 + p)) / (1 - p) ** 2, rel=1e-10)
         assert d.tail_mass < 1e-13
         assert d.cf(0.0) == pytest.approx(1.0)
-        # -log f(0) passes 500 at (0, 900, 0.2) and (1, 900, 0.5), and nears
-        # its bound of 64 000 at (1, 6e4, 1/3): the recurrence is rescaled
+        # -log f(0) passes 500 at (0, 900, 0.2) and (1, 900, 0.5), 6e4 at
+        # (1, 6e4, 1/3) and 1e5 at (1, 1e5, 0.01), whose 103 478 atoms near
+        # the atom bound: the recurrence is rescaled
         r = np.linspace(-np.pi, np.pi, 33)
         assert np.max(np.abs(photon_number_cf(m, rate, p, r) - d.cf(r))) < 1e-12
 
@@ -246,10 +247,10 @@ class TestPhotonNumberLaw:
         with pytest.raises(ValueError):
             make()
 
-    @pytest.mark.parametrize("rate", [64000.5, 1e200, np.inf])
-    def test_law_past_the_f0_bound_raises(self, rate):
+    @pytest.mark.parametrize("rate", [2.0 ** 17, 1e200, np.inf])
+    def test_law_past_the_atom_bound_raises(self, rate):
         # 1e200 would run its recurrence over about 1e200 atoms and never return
-        with pytest.raises(ValueError, match="exceeds the bound 64000"):
+        with pytest.raises(ValueError, match="needs more than 131072 atoms"):
             photon_number_law(1, rate, 0.0)
 
 
@@ -541,12 +542,14 @@ class TestNoncentralF:
         assert fn(2.0, NoncentralFParams(2, 1, 1e9)) == 0.0
         assert len(passes) == 1
 
-    @pytest.mark.parametrize("mu,nu", [(2, 1), (2, 2), (4, 3), (2, 5), (6, 10)])
+    @pytest.mark.parametrize("mu,nu", [(1, 1), (2, 1), (2, 2), (4, 3), (2, 5), (6, 10),
+                                       (2, 60)])
     @pytest.mark.parametrize("arg", [1e-3, 0.5, 2.0, 60.0, 1e4])
     @pytest.mark.parametrize("fn", [noncentral_f_cdf, noncentral_f_pdf])
     def test_tables_lie_below_their_geometric_bound(self, fn, mu, nu, arg, monkeypatch):
-        # t_k <= C(lo) x^k for every k < lo, the premise of the bound
-        # C e^{-h y} pdtr(lo - 1, h x) on the terms below a window
+        # t_k <= C(lo) x^k for every k < lo: the premise of the one bound on
+        # the terms below a window, C e^{-h y} pdtr(lo - 1, h x): a table
+        # above it would stop a window too early
         seen = []
         monkeypatch.setattr(dist, "_mixture_at", lambda lam, *rest: seen.append(rest) or 0.0)
         fn(arg, NoncentralFParams(mu, nu, 1.0))

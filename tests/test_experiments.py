@@ -1,4 +1,5 @@
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -375,13 +376,19 @@ class TestCli:
         assert "noncentrality must be finite, >= 0 and below 2^54" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_two_copy_mixed_curve_at_huge_theta_is_error(self, tmp_path, capsys):
-        # the lattice law here used to loop without end
+    @pytest.mark.parametrize("argv", [
+        ["--N", "0.5", "--theta-max", "1e100", "--theta-steps", "3"],
+        # -log f(0) is only 11.5 here, but the photon law has 3.2 M atoms
+        ["--N", "1e5", "--theta-max", "1", "--theta-steps", "2"],
+    ], ids=["huge-theta", "huge-mixture"])
+    def test_two_copy_mixed_curve_past_the_atom_bound_is_error(self, argv, tmp_path, capsys):
+        # the lattice law here used to run without end
         out = tmp_path / "c.csv"
-        code = main(["curve", "--n", "2", "--N", "0.5", "--theta-max", "1e100",
-                     "--theta-steps", "3", "--out", str(out)])
+        start = time.perf_counter()
+        code = main(["curve", "--n", "2", *argv, "--out", str(out)])
+        assert time.perf_counter() - start < 5.0
         assert code == 2
-        assert "exceeds the bound 64000" in capsys.readouterr().err
+        assert "needs more than 131072 atoms" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,key", [
