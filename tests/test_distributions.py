@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
-from scipy.special import beta, comb, erfc, gammaln, ncfdtr
+from scipy.special import beta, comb, erfc, gammaln, ncfdtr, pdtr, pdtrc
 
 from sqitest import distributions as dist
 from sqitest.distributions import (
@@ -236,16 +236,38 @@ class TestPhotonNumberLaw:
         assert photon_number_law(3, 0.0, 0.0).pmf.tolist() == [1.0]
         assert photon_number_law(0, 0.0, 0.5).pmf.tolist() == [1.0]
 
-    @pytest.mark.parametrize("make", [
-        lambda: photon_number_law(-1, 0.5, 0.5),
-        lambda: photon_number_law(1, -1.0, 0.5),
-        lambda: photon_number_law(1, 1.0, 1.0),
-        lambda: photon_number_law(2, 0.0, -0.1),
-        lambda: count_difference_distribution(0, 0.5, 0.5),
-    ], ids=["modes", "rate", "p-one", "p-negative", "count-difference-modes"])
-    def test_bad_inputs(self, make):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("make,message", [
+        (lambda: photon_number_law(-1, 0.5, 0.5), "need modes >= 0"),
+        (lambda: photon_number_law(1, -1.0, 0.5), "need modes >= 0"),
+        (lambda: photon_number_law(1, 1.0, 1.0), "need modes >= 0"),
+        (lambda: photon_number_law(2, 0.0, -0.1), "need modes >= 0"),
+        (lambda: count_difference_distribution(0, 0.5, 0.5), "modes must be >= 1"),
+        (lambda: photon_number_law(1, np.nan, 0.3), "need modes >= 0"),
+        (lambda: photon_number_law(np.nan, 1.0, 0.3), "need modes >= 0"),
+        (lambda: count_difference_distribution(1, np.nan, 0.5), "need modes >= 0"),
+    ], ids=["modes", "rate", "p-one", "p-negative", "count-difference-modes", "rate-nan",
+            "modes-nan", "count-difference-displacement-nan"])
+    def test_bad_inputs(self, make, message):
+        with pytest.raises(ValueError, match=message):
             make()
+
+    def test_lower_tail_is_cut_into_the_tail_mass(self):
+        # mean 9e4, -log f(0) = 6e4: the law from 0 held 93 275 atoms, most
+        # of them far below 1e-300 of its mode
+        d = photon_number_law(1, 6e4, 1 / 3)
+        assert d.lo > 0 and len(d.pmf) < 7000
+        assert d.tail_mass < 2 * dist._LAW_TOL  # each side's cut is below _LAW_TOL
+        assert abs(d.pmf.sum() + d.tail_mass - 1.0) < 1e-12
+
+    def test_lower_cut_matches_the_poisson_cdf(self):
+        # at p = 0 the law is Poisson(rate): the atoms below lo hold less
+        # than _LAW_TOL of its mass and the atoms up to lo at least that
+        rate = 6e4
+        d = photon_number_law(0, rate, 0.0)
+        assert d.lo > 0
+        assert pdtr(d.lo - 1, rate) < dist._LAW_TOL <= pdtr(d.lo, rate)
+        # the rest of the tail mass is the upper cut's bound on the mass above hi
+        assert pdtrc(d.hi, rate) <= d.tail_mass - pdtr(d.lo - 1, rate) < dist._LAW_TOL
 
     @pytest.mark.parametrize("rate", [2.0 ** 17, 1e200, np.inf])
     def test_law_past_the_atom_bound_raises(self, rate):
@@ -282,6 +304,16 @@ class TestCountDifferenceLaw:
                     j += 1
             for sign in (1, -1):
                 assert skellam_pmf(sign * y, lam) == pytest.approx(float(total), rel=1e-13)
+
+    def test_convolves_only_the_photon_law_core(self):
+        # the photon law's core at (1, 300^2/1.5, 1/3) has 6 494 atoms; its
+        # law from 0 had 93 275
+        d = count_difference_distribution(1, 300.0, 0.5)
+        x = photon_number_law(1, 300.0 ** 2 / 1.5, 1 / 3)
+        assert len(d.pmf) < 13500
+        # no trim of its own: the core's whole self-difference, twice its tail
+        assert (d.lo, d.hi) == (x.lo - x.hi, x.hi - x.lo)
+        assert d.tail_mass == 2.0 * x.tail_mass
 
     def test_exactly_symmetric(self):
         d = count_difference_distribution(2, 0.8, 0.7)
@@ -323,10 +355,13 @@ class TestCountDifferenceLaw:
         inv = invert_integer_cf(lambda r: count_difference_cf(m, s, N, r), comp.hi + 8)
         assert total_variation(comp, inv) < 1e-10
 
-    @pytest.mark.parametrize("s,N", [(30.0, 0.0), (40.0, 0.0), (30.0, 1.0), (60.0, 0.5)])
+    @pytest.mark.parametrize("s,N", [(30.0, 0.0), (40.0, 0.0), (30.0, 1.0), (60.0, 0.5),
+                                     (150.0, 0.5), (300.0, 0.5)])
     def test_large_displacement_matches_cf_inversion(self, s, N):
         # compound rate s^2/(N+1) above 745, where e^{-rate} underflows; at
-        # (60, 0.5) it is 2400, so the photon law's recurrence is rescaled
+        # (60, 0.5) it is 2400, so the photon law's recurrence is rescaled;
+        # at (150, 0.5) and (300, 0.5) the inversion's positive FFT noise,
+        # once clipped, summed past 1 + 1e-12
         comp = count_difference_distribution(1, s, N)
         inv = invert_integer_cf(lambda r: count_difference_cf(1, s, N, r), comp.hi + 8)
         assert total_variation(comp, inv) < 1e-10

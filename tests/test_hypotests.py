@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +32,8 @@ from sqitest.phase_space import (
     rng_stream,
     whitened_signal,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def one_batch_acceptance(theta, eta, spec, reps, seed):
@@ -416,10 +423,11 @@ class TestSITwoCopies:
         assert folded.pmf.tolist() == [masses[x] for x in sorted(masses)]
         assert folded.tail_mass == pytest.approx(law.tail_mass, abs=1e-15)
 
-    @pytest.mark.parametrize("theta", [0.7, 60.0])
+    @pytest.mark.parametrize("theta", [0.7, 60.0, 300.0])
     def test_matches_cf_inversion(self, theta):
         # at theta = 60, N = 0.5 the photon law's -log f(0) is about 2400,
-        # past 500, so its recurrence is rescaled on the way up
+        # past 500, so its recurrence is rescaled on the way up; at 300 the
+        # law is a core of 6 494 atoms far from 0
         def abs_law(t):
             bound = dist.count_difference_distribution(1, t, 0.5).hi + 8
             inv = dist.invert_integer_cf(lambda r: dist.count_difference_cf(1, t, 0.5, r),
@@ -428,6 +436,20 @@ class TestSITwoCopies:
 
         want = dist.randomized_acceptance(abs_law(0.0), abs_law(theta), 0.05)
         assert si_type2_n2(theta, 1, 0.5, 0.05) == pytest.approx(want, abs=1e-9)
+
+    def test_same_bits_at_one_and_two_blas_threads(self):
+        # the convolution of a photon law of 93 275 atoms, lower tail and
+        # all, changed its last bit with the OpenBLAS thread count
+        code = ("from sqitest.hypotests import si_type2_n2\n"
+                "print([si_type2_n2(t, 1, 0.5, 0.05).hex() for t in (150.0, 250.0)])")
+        out = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            out.append(proc.stdout)
+        assert out[0] == out[1]
 
     def test_matches_truncated_space_oracle(self):
         cfg = FockConfig(1, 2, 40)
