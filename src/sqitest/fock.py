@@ -24,29 +24,31 @@ in one occupation table.
 
 Basis: the occupation tuples whose per-mode photon totals over the n
 copies are all <= d-1, in lexicographic order (vacuum first);
-``occupations`` lists the C(d-1+n, n)^m of them, and the budget caps that
-count.  Lowering never leaves the basis and raising is clipped, so each
-quadratic generator is the exact one compressed to the basis.  The
-copy-mixing generators keep every per-mode total, so the basis is a sum of
-whole photon sectors (one per tuple of totals) on which the group laws,
-the Casimir identities and the commutation with squeezing hold exactly,
-and every defect spectrum is integer.  States report their truncation
-loss (1 - trace).
+``FockConfig.occupations`` lists the C(d-1+n, n)^m of them, once per
+configuration, and the budget caps that count.  Lowering never leaves the
+basis and raising is clipped, so each quadratic generator is the exact one
+compressed to the basis.  The copy-mixing generators keep every per-mode
+total, so the basis is a sum of whole photon sectors (one per tuple of
+totals) on which the group laws, the Casimir identities and the
+commutation with squeezing hold exactly, and every defect spectrum is
+integer.  States report their truncation loss (1 - trace).
 
 ``si_type2_fock`` works sector by sector, with one route for pure and
 mixed states alike: each block of the Casimir form of the defect
-observable (``defect_blocks``, no exponential) is built straight from the
-generator entries as a small dense real matrix, with a check that no entry
-couples two sectors, and is eigendecomposed once by ``eigh``.  The thermal
-null is a constant on each sector, read from its photon totals, so only
-the displaced state forms dense sector blocks.  The dense whole-space
-operators, among them the exponential-built ``rotation_defect_observable``,
-stay as the references the tests compare against.
+observable (``defect_blocks``, no exponential) is built by ``gram_blocks``
+straight from the entries of passive generators as a small dense real
+matrix, with a check that no entry couples two sectors, and is
+eigendecomposed once by ``eigh``.  The thermal null is a constant on each
+sector, read from its photon totals, so only the displaced state forms
+dense sector blocks.  The dense whole-space operators, among them the
+exponential-built ``rotation_defect_observable``, stay as the references
+the tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -97,6 +99,24 @@ class FockConfig:
     def dim(self) -> int:
         return comb(self.cutoff - 1 + self.copies, self.copies) ** self.modes
 
+    @cached_property
+    def occupations(self) -> np.ndarray:
+        """(dim, slots) table of the basis: per-slot occupations, one row per state.
+
+        Rows are the occupation tuples whose per-mode totals over the copies
+        are all <= cutoff - 1, in lexicographic order.  Built slot by slot:
+        each row is extended by every occupation its mode's running total
+        leaves room for, which keeps the order.  Built once, read-only.
+        """
+        rows = np.zeros((1, 0), dtype=np.intp)
+        for s in range(self.slots):
+            room = self.cutoff - rows[:, s % self.modes::self.modes].sum(axis=1)
+            start = np.repeat(np.cumsum(room) - room, room)
+            rows = np.column_stack([np.repeat(rows, room, axis=0),
+                                    np.arange(room.sum()) - start])
+        rows.setflags(write=False)
+        return rows
+
 
 @dataclass(frozen=True)
 class TruncatedOperator:
@@ -144,35 +164,14 @@ def _require_dense(config: FockConfig):
     if config.dim > _DENSE_LIMIT:
         raise BudgetExceeded(
             f"dense construction at dimension {config.dim} exceeds the "
-            f"dense limit {_DENSE_LIMIT}; use the vector/sparse interfaces"
+            f"dense limit {_DENSE_LIMIT}; si_type2_fock works sector by sector "
+            f"and needs no dense build"
         )
 
 
 # ---------------------------------------------------------------------------
-# occupation bookkeeping
+# photon sectors
 # ---------------------------------------------------------------------------
-
-def occupations(config: FockConfig) -> np.ndarray:
-    """(dim, slots) table of the basis: per-slot occupations, one row per state.
-
-    Rows are the occupation tuples whose per-mode totals over the copies
-    are all <= cutoff - 1, in lexicographic order.  Built slot by slot:
-    each row is extended by every occupation its mode's running total
-    leaves room for, which keeps the order.
-    """
-    rows = np.zeros((1, 0), dtype=np.intp)
-    for s in range(config.slots):
-        room = config.cutoff - rows[:, s % config.modes::config.modes].sum(axis=1)
-        start = np.repeat(np.cumsum(room) - room, room)
-        rows = np.column_stack([np.repeat(rows, room, axis=0),
-                                np.arange(room.sum()) - start])
-    return rows
-
-
-def interior_mask(config: FockConfig, margin: int) -> np.ndarray:
-    """Basis states with every occupation <= cutoff - 1 - margin."""
-    return occupations(config).max(axis=1) <= config.cutoff - 1 - margin
-
 
 def photon_sectors(config: FockConfig) -> list:
     """Basis indices grouped by the tuple of per-mode photon totals.
@@ -181,12 +180,7 @@ def photon_sectors(config: FockConfig) -> list:
     Sectors come in lexicographic order of their totals, indices ascending
     within each.
     """
-    return _photon_sectors(config, occupations(config))
-
-
-def _photon_sectors(config: FockConfig, occ: np.ndarray) -> list:
-    """``photon_sectors`` from the basis table ``occ`` of ``occupations``."""
-    totals = occ.reshape(config.dim, config.copies, config.modes).sum(axis=1)
+    totals = config.occupations.reshape(config.dim, config.copies, config.modes).sum(axis=1)
     key = np.ravel_multi_index(totals.T, (config.cutoff,) * config.modes)
     order = np.argsort(key, kind="stable")
     return np.split(order, np.nonzero(np.diff(key[order]))[0] + 1)
@@ -238,7 +232,7 @@ def _slot_values(config: FockConfig, Z) -> np.ndarray:
 def coherent_product_vector(config: FockConfig, Z) -> np.ndarray:
     """Product coherent vector for the displacements Z (as in ``_slot_values``)."""
     vecs = [coherent_vector(z, config.cutoff) for z in _slot_values(config, Z)]
-    return _product_entries(vecs, occupations(config))
+    return _product_entries(vecs, config.occupations)
 
 
 def displacement(theta: complex, cutoff: int) -> TruncatedOperator:
@@ -288,7 +282,7 @@ def product_state(config: FockConfig, Z, mixture: float) -> TruncatedState:
     """Tensor product of displaced thermal states (``Z`` as in ``_slot_values``)."""
     _require_dense(config)
     return TruncatedState(config, _product_entries(_slot_factors(config, Z, mixture),
-                                                   occupations(config)))
+                                                   config.occupations))
 
 
 def _product_entries(factors: list, occ: np.ndarray) -> np.ndarray:
@@ -307,7 +301,7 @@ def _product_entries(factors: list, occ: np.ndarray) -> np.ndarray:
 # quadratic generators
 # ---------------------------------------------------------------------------
 
-def _quadratic_entries(config: FockConfig, occ: np.ndarray, H, K=None) -> tuple:
+def _quadratic_entries(config: FockConfig, H, K=None) -> tuple:
     """COO triples (dst, src, val) of the form built by ``_quadratic_generator``.
 
     Each term a*_s a_t, a*_s a*_t or a_s a_t moves a basis row by one photon
@@ -316,9 +310,9 @@ def _quadratic_entries(config: FockConfig, occ: np.ndarray, H, K=None) -> tuple:
     dropped: the basis is closed downward, so a clipped intermediate means a
     clipped result, and this is the exact form compressed to the basis.
     Occupations are checked to stay within 0..cutoff-1 first, so no code
-    carries into another slot's digit.  ``occ`` is the ``occupations`` table.
+    carries into another slot's digit.
     """
-    d = config.cutoff
+    d, occ = config.cutoff, config.occupations
     place = d ** np.arange(config.slots - 1, -1, -1)
     code = occ @ place
     # (coefficient, slot s, its step, slot t, its step) for c x_s x_t
@@ -347,7 +341,7 @@ def _quadratic_generator(config: FockConfig, H, K=None) -> sparse.csr_matrix:
     H and K are (mn x mn) slot matrices; only their nonzero entries are
     summed, from the entries of ``_quadratic_entries``.
     """
-    dst, src, val = _quadratic_entries(config, occupations(config), H, K)
+    dst, src, val = _quadratic_entries(config, H, K)
     return sparse.csr_matrix((val.astype(complex), (dst, src)), shape=(config.dim, config.dim))
 
 
@@ -437,7 +431,7 @@ def rotation_defect_observable(config: FockConfig) -> TruncatedOperator:
 def gram_blocks(config: FockConfig, generators: list) -> tuple:
     """Photon sectors, and a builder of the dense block of sum_k G_k^* G_k on each.
 
-    ``generators`` lists (H, K) slot-matrix pairs, G_k the
+    ``generators`` lists passive slot matrices H_k, G_k the
     ``_quadratic_generator`` of the k-th.  Returns ``(sectors, block)``
     with ``sectors`` as in ``photon_sectors`` and ``block(s)`` the
     true-size dense block on sector s, built when called from the entries
@@ -447,20 +441,15 @@ def gram_blocks(config: FockConfig, generators: list) -> tuple:
     of some G_k couples two sectors, so the blocks are exact restrictions
     and never an approximation.
     """
-    return _gram_blocks(config, occupations(config), generators)
-
-
-def _gram_blocks(config: FockConfig, occ: np.ndarray, generators: list) -> tuple:
-    """``gram_blocks`` from the basis table ``occ`` of ``occupations``."""
-    sectors = _photon_sectors(config, occ)
+    sectors = photon_sectors(config)
     label = np.empty(config.dim, dtype=np.intp)
     where = np.empty(config.dim, dtype=np.intp)
     for s, idx in enumerate(sectors):
         label[idx] = s
         where[idx] = np.arange(len(idx))
     keys, cols, vals = [], [], []
-    for k, (H, K) in enumerate(generators):
-        dst, src, val = _quadratic_entries(config, occ, H, K)
+    for k, H in enumerate(generators):
+        dst, src, val = _quadratic_entries(config, H)
         if np.any(label[dst] != label[src]):
             raise ValueError("operator couples different photon sectors (not passive)")
         keys.append(label[src] * (len(generators) * config.dim) + k * config.dim + dst)
@@ -506,18 +495,12 @@ def defect_blocks(config: FockConfig) -> tuple:
     exponential.  The sum is the O(n) Casimir minus that of the O(n-1)
     fixing u, so its spectrum is integer.  Each block is real symmetric.
     """
-    return _defect_blocks(config, occupations(config))
-
-
-def _defect_blocks(config: FockConfig, occ: np.ndarray) -> tuple:
-    """``defect_blocks`` from the basis table ``occ`` of ``occupations``."""
     if config.copies < 2:
         raise ValueError("needs at least two copies")
     n = config.copies
     u = np.full(n, 1.0 / np.sqrt(n))
     planes = [np.outer(v, u) - np.outer(u, v) for v in pooling_rotation_matrix(n)[:-1]]
-    return _gram_blocks(config, occ, [(np.kron(B, np.eye(config.modes)), None)
-                                      for B in planes])
+    return gram_blocks(config, [np.kron(B, np.eye(config.modes)) for B in planes])
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +555,8 @@ def defect_spectral_measures(config: FockConfig, Z, mixture: float) -> tuple:
     """
     thermal = _thermal_occupation(mixture, config.cutoff)
     factors = _slot_factors(config, Z, mixture)
-    occ = occupations(config)
-    sectors, block = _defect_blocks(config, occ)
+    occ = config.occupations
+    sectors, block = defect_blocks(config)
     vals, null, alt = [], [], []
     for s, idx in enumerate(sectors):
         c = np.prod(thermal[occ[idx[0]]])

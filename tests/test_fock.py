@@ -70,13 +70,24 @@ class TestConfig:
         # 81 796 states) do not
         assert FockConfig(*shape).dim <= 2 ** 20
 
+    def test_occupation_table_is_read_only(self):
+        occ = FockConfig(1, 2, 4).occupations
+        with pytest.raises(ValueError, match="read-only"):
+            occ[0, 0] = 1
+
+    def test_built_table_leaves_equality_and_hash(self):
+        built, fresh = FockConfig(1, 3, 5), FockConfig(1, 3, 5)
+        built.occupations
+        assert built == fresh and hash(built) == hash(fresh)
+        assert built != FockConfig(1, 3, 6)
+
     @pytest.mark.parametrize("shape", [(1, 3, 6), (2, 2, 4), (2, 3, 3)])
     def test_basis_is_whole_photon_sectors(self, shape):
         # per-mode totals <= d-1: C(d-1+n, n) states per mode, vacuum first,
         # and a sector of totals K holds prod_i C(K_i+n-1, n-1) states
         m, n, d = shape
         cfg = FockConfig(*shape)
-        occ = fock.occupations(cfg)
+        occ = cfg.occupations
         assert cfg.dim == comb(d - 1 + n, n) ** m == len(occ)
         assert not occ[0].any()
         for idx in photon_sectors(cfg):
@@ -102,7 +113,7 @@ class TestConfig:
         # (1, 2, d): copy mixing keeps the total, so it is the box form on
         # the basis rows
         cfg = FockConfig(1, 2, d)
-        occ = fock.occupations(cfg)
+        occ = cfg.occupations
         rows = occ[:, 0] * d + occ[:, 1]
         got = copy_mixing_generator(cfg, A).toarray()
         want = sum(A[j, k] * rise[j] @ low[k] for j in range(2) for k in range(2))
@@ -302,7 +313,7 @@ class TestGenerators:
 
     def test_phase_difference_spectrum(self):
         cfg = FockConfig(1, 2, 4)
-        occ = fock.occupations(cfg)
+        occ = cfg.occupations
         want = 1j * (occ[:, 0] - occ[:, 1])
         got = np.diag(copy_mixing_generator(cfg, PHASE_DIFFERENCE).toarray())
         assert np.allclose(got, want)
@@ -399,7 +410,7 @@ class TestPhotonSectors:
         cfg = FockConfig(*shape)
         sectors = photon_sectors(cfg)
         assert np.array_equal(np.sort(np.concatenate(sectors)), np.arange(cfg.dim))
-        occ = fock.occupations(cfg).reshape(cfg.dim, cfg.copies, cfg.modes)
+        occ = cfg.occupations.reshape(cfg.dim, cfg.copies, cfg.modes)
         totals = occ.sum(axis=1)
         for idx in sectors:
             assert (totals[idx] == totals[idx[0]]).all()
@@ -408,7 +419,7 @@ class TestPhotonSectors:
     def test_passive_generator_blocks_reassemble(self):
         cfg = FockConfig(2, 2, 3)
         B = np.array([[0.0, -1.0], [1.0, 0.0]])
-        sectors, block = gram_blocks(cfg, [(np.kron(B, np.eye(2)), None)])
+        sectors, block = gram_blocks(cfg, [np.kron(B, np.eye(2))])
         v = beamsplitter_generator(cfg, 1, 2).toarray()
         whole = np.zeros((cfg.dim, cfg.dim))
         for s, idx in enumerate(sectors):
@@ -419,7 +430,7 @@ class TestPhotonSectors:
         # complex entries: the real and imaginary parts are summed apart
         cfg = FockConfig(1, 2, 5)
         B = PHASE_DIFFERENCE + np.array([[0.0, -0.7 + 0.2j], [0.7 + 0.2j, 0.0]])
-        sectors, block = gram_blocks(cfg, [(B, None)])
+        sectors, block = gram_blocks(cfg, [B])
         v = copy_mixing_generator(cfg, B).toarray()
         whole = np.zeros((cfg.dim, cfg.dim), dtype=complex)
         for s, idx in enumerate(sectors):
@@ -434,10 +445,12 @@ class TestPhotonSectors:
         assert block(0).dtype == np.float64
         assert np.array_equal(block(0), np.zeros((1, 1)))
 
-    def test_block_extraction_rejects_squeezing(self):
-        cfg = FockConfig(1, 2, 5)
+    def test_block_extraction_rejects_mode_mixing(self):
+        # swapping the two modes within each copy moves photons between the
+        # per-mode totals, so its entries leave their sector
+        cfg = FockConfig(2, 2, 3)
         with pytest.raises(ValueError, match="couples different photon sectors"):
-            gram_blocks(cfg, [(np.zeros((2, 2)), 0.3 * np.eye(2))])
+            gram_blocks(cfg, [np.kron(np.eye(2), [[0, 1], [1, 0]])])
 
     @pytest.mark.parametrize("shape", [(1, 2, 8), (1, 3, 6), (1, 4, 4), (2, 2, 4), (2, 3, 3)])
     def test_defect_blocks_match_exponential_reference(self, shape):
@@ -688,17 +701,14 @@ class TestSiErrorProbability:
         si_type2_fock([0.3, 0.1j], 0.1, 0.05, FockConfig(2, 3, 3))
         assert sorted(calls, key=abs) == [0.1j, 0.3]
 
-    def test_one_occupation_table_per_call(self, monkeypatch):
-        calls, occupations = [], fock.occupations
-
-        def counting(config):
-            calls.append(config)
-            return occupations(config)
-
-        monkeypatch.setattr(fock, "occupations", counting)
-        si_type2_fock(0.3, 0.1, 0.05, FockConfig(1, 3, 9))
-        si_type2_fock([0.22, 0.0], 0.05, 0.05, FockConfig(2, 2, 5))
-        assert calls == [FockConfig(1, 3, 9), FockConfig(2, 2, 5)]
+    @pytest.mark.parametrize("theta, shape", [(0.3, (1, 3, 9)), ([0.22, 0.0], (2, 2, 5))])
+    def test_one_occupation_table_per_configuration(self, theta, shape):
+        # the table is built on first read and every later read shares it
+        cfg = FockConfig(*shape)
+        occ = cfg.occupations
+        assert cfg.occupations is occ
+        si_type2_fock(theta, 0.1, 0.05, cfg)
+        assert cfg.occupations is occ
 
     @pytest.mark.parametrize("theta, mixture, shape, sectors", [
         (0.45, 0.0, (1, 3, 12), 12),

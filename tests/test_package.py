@@ -1,6 +1,9 @@
 """The package's public names."""
 
+import inspect
+
 import sqitest
+from sqitest import fock, hypotests
 
 
 def test_every_export_resolves_once():
@@ -9,3 +12,14 @@ def test_every_export_resolves_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(sqitest, name)]
     assert missing == []
+
+
+def test_names_the_benchmark_traces():
+    # bench/tracing.py wraps these two kernels by name inside sqitest.fock,
+    # and reads si_type2_fock's ``config`` argument by name
+    assert callable(fock.eigh) and callable(fock.expm_multiply)
+    assert list(inspect.signature(fock.si_type2_fock).parameters) == [
+        "theta", "mixture", "alpha", "config"]
+    # bench/workloads.py calls si_type2_n2 positionally
+    assert list(inspect.signature(hypotests.si_type2_n2).parameters) == [
+        "theta_norm", "modes", "mixture", "alpha"]
