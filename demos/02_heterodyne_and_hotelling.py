@@ -40,7 +40,7 @@ print(f"three heterodyne outcomes:\n{data}")
 print(f"scaled Hotelling statistic: {ht.hotelling_F(data):.4f}")
 
 # T^2 is unchanged by whitening, so both routes read the whitened signal
-# L^{-1} mu (sigma = L L'), whose squared norm is kappa: the simulation shifts
+# sigma^{-1/2} mu, whose squared norm is kappa: the simulation shifts
 # standard normal draws by it
 signal = whitened_signal(0.5, eta0, 0.0)
 analytic = ht.hh_type2_analytic(signal, spec_hh)

@@ -117,6 +117,10 @@ class FockConfig:
         rows.setflags(write=False)
         return rows
 
+    def __getstate__(self):
+        """Copy and pickle without the cached table: a copy rebuilds it read-only."""
+        return {k: v for k, v in self.__dict__.items() if k != "occupations"}
+
 
 @dataclass(frozen=True)
 class TruncatedOperator:

@@ -4,9 +4,9 @@ HH: Hotelling's T-squared on heterodyne outcomes.  The scaled statistic
 F = (nu / (mu (n-1))) T^2 with mu = 2m, nu = n - 2m follows a noncentral F
 law with noncentrality lambda = n * kappa(theta, eta, N), so its type II
 error is the noncentral F cdf at the level-alpha critical point.  Both HH
-routes take the whitened signal L^{-1} mu of ``whitened_signal``, whose
-squared norm is kappa: T^2 does not change under x -> L^{-1} x.  The
-analytic route makes one cdf call for a whole stack of signals; a Monte
+routes take the whitened signal sigma^{-1/2} mu of ``whitened_signal``,
+whose squared norm is kappa: T^2 does not change under x -> sigma^{-1/2} x.
+The analytic route makes one cdf call for a whole stack of signals; a Monte
 Carlo route simulates T^2 instead.  Every analytic error map returns the
 shape of its displacement input (a numpy float for one).
 
@@ -153,7 +153,7 @@ def _hotelling_factor(z: np.ndarray):
 def _checked_signal(signal, spec: TestSpec) -> np.ndarray:
     """``signal`` as a float array, checked finite and of shape (..., 2m).
 
-    It is read as a whitened signal L^{-1} mu at ``spec.mixture``.
+    It is read as a whitened signal sigma^{-1/2} mu at ``spec.mixture``.
     """
     signal = np.asarray(signal, dtype=float)
     if signal.shape[-1:] != (spec.mu_dof,) or not np.all(np.isfinite(signal)):
@@ -183,13 +183,14 @@ def hh_type2_montecarlo(signal, spec: TestSpec, reps: int,
                         rng: np.random.Generator) -> MonteCarloEstimate:
     """Acceptance frequency of the Hotelling test at each whitened signal (..., 2m).
 
-    T^2 is unchanged by x -> L^{-1} x, so the outcomes mu + L z of
-    ``heterodyne_sample`` are evaluated as z + ``whitened_signal``.  Every
-    signal shifts the same ``reps`` replicates z of n standard normal copies,
-    drawn in order from ``rng`` in blocks of _MC_CHUNK, each factored once:
-    memory stays bounded, and each entry of the estimate (...) equals the
-    call with that signal alone on a fresh copy of the stream, so the
-    entries are not independent of each other.
+    T^2 is unchanged by x -> sigma^{-1/2} x, so the outcomes
+    mu + sigma^{1/2} z of ``heterodyne_sample`` are evaluated as
+    z + ``whitened_signal``.  Every signal shifts the same ``reps``
+    replicates z of n standard normal copies, drawn in order from ``rng``
+    in blocks of _MC_CHUNK, each factored once: memory stays bounded, and
+    each entry of the estimate (...) equals the call with that signal alone
+    on a fresh copy of the stream, so the entries are not independent of
+    each other.
     """
     c = spec.critical_point
     signal = _checked_signal(signal, spec)

@@ -8,11 +8,12 @@ of one copy yields a 2m-dimensional normal outcome with
     mean       mu    = G_eta @ (Re theta; Im theta)
     covariance sigma = (2N+1)/4 * G_eta @ G_eta.T + I/4
 
-where ``G_eta`` is the real symplectic-like matrix built from the blocks of
-eta.  ``moments`` alone forms and checks both, for one theta or a stack.
-The heterodyne sampler (one theta) reads from it, as does the whitened mean
-L^{-1} mu (sigma = L L'), the input of both Hotelling routes, whose squared
-norm is ``kappa = mu.T sigma^{-1} mu``.
+where ``G_eta`` is the real symplectic matrix built from the blocks of eta.
+One SVD of G_eta (``_singular_frame``, which also checks the inputs, for one
+theta or a stack) makes both diagonal scalings in one frame.  ``moments``,
+the heterodyne sampler mu + sigma^{1/2} z (one theta) and the whitened mean
+sigma^{-1/2} mu read from it; the last is the input of both Hotelling
+routes, and its squared norm is ``kappa = mu.T sigma^{-1} mu``.
 """
 
 from __future__ import annotations
@@ -131,6 +132,10 @@ class SqueezeParam:
         G.setflags(write=False)
         return G
 
+    def __getstate__(self):
+        """Copy and pickle without the cached G: a copy rebuilds it read-only."""
+        return {k: v for k, v in self.__dict__.items() if k != "G"}
+
     def to_text(self) -> str:
         rows = [f"m = {self.modes}"]
         for name, mat in (("A", self.A), ("S", self.S)):
@@ -151,12 +156,12 @@ class SqueezeParam:
         return cls(m, A, S)
 
 
-def moments(theta, eta: SqueezeParam, mixture: float):
-    """Heterodyne outcome mean mu, shape (..., 2m), and covariance sigma, (2m, 2m).
+def _singular_frame(theta, eta: SqueezeParam, mixture: float):
+    """(y, s, d, U): G = U diag(s) V', y = V'(Re theta; Im theta); checks as ``moments``.
 
-    ``theta`` (..., m) must be finite; a scalar is one displacement of one
-    mode.  sigma - I/4 >= 0 is checked to 1e-12 max(1, max |sigma|), since
-    sigma's entries grow like e^{2|S|} under squeezing.
+    G is symplectic, so its m smallest singular values are the reciprocals
+    of the m largest, which keep the digits expm loses in the small ones.
+    mu = U (s y) and sigma = U diag(d) U', d = ((2N+1) s^2 + 1)/4 >= 1/4.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=complex))
     if theta.shape[-1] != eta.modes:
@@ -165,14 +170,21 @@ def moments(theta, eta: SqueezeParam, mixture: float):
         raise ValueError("theta must be finite")
     if not 0.0 <= mixture < np.inf:
         raise ValueError("mixture must be finite and >= 0")
-    G, eye = eta.G, np.eye(2 * eta.modes)
-    sigma = (2.0 * mixture + 1.0) / 4.0 * (G @ G.T) + eye / 4.0
-    sigma = 0.5 * (sigma + sigma.T)
-    tol = _STRICT_TOL * max(1.0, np.max(np.abs(sigma)))
-    if np.linalg.eigvalsh(sigma - eye / 4.0).min() < -tol:
-        raise ValueError("sigma - I/4 must be positive definite")
-    mu = (G @ np.concatenate([theta.real, theta.imag], axis=-1)[..., None])[..., 0]
-    return mu, sigma
+    U, s, Vt = np.linalg.svd(eta.G)
+    s[eta.modes:] = 1.0 / s[eta.modes - 1::-1]
+    y = (Vt @ np.concatenate([theta.real, theta.imag], axis=-1)[..., None])[..., 0]
+    return y, s, ((2.0 * mixture + 1.0) * s * s + 1.0) / 4.0, U
+
+
+def moments(theta, eta: SqueezeParam, mixture: float):
+    """Heterodyne outcome mean mu, shape (..., 2m), and covariance sigma, (2m, 2m).
+
+    ``theta`` (..., m) must be finite, a scalar being one displacement of one
+    mode, and 0 <= N < inf; both come from one SVD of G (``_singular_frame``).
+    """
+    y, s, d, U = _singular_frame(theta, eta, mixture)
+    sigma = (U * d) @ U.T
+    return (U @ (s * y)[..., None])[..., 0], 0.5 * (sigma + sigma.T)
 
 
 def rng_stream(seed, *path) -> np.random.Generator:
@@ -190,27 +202,25 @@ def heterodyne_sample(theta, eta: SqueezeParam, mixture: float, count: int,
                       rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` i.i.d. heterodyne outcomes of one theta from ``rng``, shape (count, 2m).
 
-    Deterministic for a fixed stream (see ``rng_stream``).
+    mu + sigma^{1/2} z for standard normals z, deterministic for a fixed
+    stream (see ``rng_stream``).
     """
     if np.ndim(theta) > 1:
         raise ValueError("heterodyne_sample takes one theta, not a stack")
     if count < 1:
         raise ValueError("count must be >= 1")
-    mu, sigma = moments(theta, eta, mixture)
-    # sigma >= I/4; LinAlgError (a ValueError) once rounding breaks that, |S| >= 18
-    L = np.linalg.cholesky(sigma)
+    y, s, d, U = _singular_frame(theta, eta, mixture)
     z = rng.standard_normal((count, 2 * eta.modes))
-    return mu + z @ L.T
+    return (s * y + np.sqrt(d) * (z @ U)) @ U.T
 
 
 def whitened_signal(theta, eta: SqueezeParam, mixture: float) -> np.ndarray:
-    """Whitened heterodyne mean L^{-1} mu, sigma = L L', of shape (..., 2m).
+    """Whitened heterodyne mean sigma^{-1/2} mu (symmetric root), of shape (..., 2m).
 
-    ``theta`` follows ``moments``; sigma is factored once for the stack.
+    ``theta`` follows ``moments``; U diag(s / sqrt(d)) y in the singular frame.
     """
-    mu, sigma = moments(theta, eta, mixture)
-    L = np.linalg.cholesky(sigma)  # LinAlgError (a ValueError) once |S| >= 18 breaks sigma >= I/4
-    return np.linalg.solve(L, mu[..., None])[..., 0]
+    y, s, d, U = _singular_frame(theta, eta, mixture)
+    return (U @ (s * y / np.sqrt(d))[..., None])[..., 0]
 
 
 def kappa(theta, eta: SqueezeParam, mixture: float):

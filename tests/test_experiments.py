@@ -433,6 +433,21 @@ class TestCli:
         assert np.all(np.abs(col["beta_hh_eta_strong_mc"] - col["beta_hh_eta_strong"])
                       <= 4 * col["beta_hh_eta_strong_stderr"])
 
+    def test_squeezing_20_eta_file_curve_command(self, tmp_path):
+        # at |S| = 20, G G^T loses sigma's squeezed direction to rounding
+        eta_path = tmp_path / "strong.txt"
+        eta_path.write_text(SqueezeParam(1, np.zeros((1, 1)),
+                                         np.array([[20 * np.exp(1.57j)]])).to_text())
+        out = tmp_path / "c.csv"
+        code = main(["curve", "--n", "4", "--N", "0.3", "--eta", str(eta_path),
+                     "--theta-max", "2", "--theta-steps", "3", "--reps", "3000",
+                     "--out", str(out)])
+        assert code == 0
+        _, header, rows = read_curve(out)
+        beta = rows[:, header.index("beta_hh_eta_strong")]
+        assert np.all(np.isfinite(beta)) and np.all(np.diff(beta) < 0)
+        assert beta[0] == pytest.approx(0.95, rel=0.0, abs=1e-12)
+
     def test_monte_carlo_error_reaches_the_command(self, tmp_path, capsys, monkeypatch):
         # an error raised inside the Monte Carlo, here in its second block,
         # is reported by the CLI, and no CSV is written

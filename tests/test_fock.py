@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from math import comb
 
 import numpy as np
@@ -80,6 +82,17 @@ class TestConfig:
         built.occupations
         assert built == fresh and hash(built) == hash(fresh)
         assert built != FockConfig(1, 3, 6)
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
+                             ids=["deepcopy", "pickle"])
+    def test_copies_rebuild_the_table_read_only(self, clone):
+        cfg = FockConfig(1, 3, 12)
+        size = len(pickle.dumps(cfg))
+        cfg.occupations
+        assert len(pickle.dumps(cfg)) == size  # the table is not carried along
+        twin = clone(cfg)
+        assert twin == cfg and not twin.occupations.flags.writeable
+        np.testing.assert_array_equal(twin.occupations, cfg.occupations)
 
     @pytest.mark.parametrize("shape", [(1, 3, 6), (2, 2, 4), (2, 3, 3)])
     def test_basis_is_whole_photon_sectors(self, shape):

@@ -3,7 +3,7 @@
 import inspect
 
 import sqitest
-from sqitest import fock, hypotests
+from sqitest import fock, hypotests, phase_space
 
 
 def test_every_export_resolves_once():
@@ -23,3 +23,10 @@ def test_names_the_benchmark_traces():
     # bench/workloads.py calls si_type2_n2 positionally
     assert list(inspect.signature(hypotests.si_type2_n2).parameters) == [
         "theta_norm", "modes", "mixture", "alpha"]
+    # it traces the public functions of each layer, and counts the
+    # heterodyne draws and the Monte Carlo replicates by argument name
+    for fn in (phase_space.kappa, phase_space.heterodyne_sample):
+        assert inspect.isfunction(fn) and fn.__module__ == phase_space.__name__
+        assert not fn.__name__.startswith("_")
+    assert "count" in inspect.signature(phase_space.heterodyne_sample).parameters
+    assert "reps" in inspect.signature(hypotests.hh_type2_montecarlo).parameters

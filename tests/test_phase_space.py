@@ -1,7 +1,10 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
-from sqitest.hypotests import TestSpec, hh_type2_analytic
+from sqitest.hypotests import TestSpec, hh_type2_analytic, hh_type2_montecarlo
 from sqitest.phase_space import (
     SqueezeParam,
     format_complex,
@@ -25,6 +28,12 @@ def fourier_wigner(theta, eta, mixture, u, v) -> complex:
     mu, sigma = moments(theta, eta, mixture)
     quad = w @ (sigma - np.eye(w.size) / 4.0) @ w
     return complex(np.exp(-quad - 1j * np.sqrt(2.0) * (w @ mu)))
+
+
+def sigma_power(sigma, power):
+    """sigma^power for a symmetric positive definite sigma, from its eigh."""
+    w, Q = np.linalg.eigh(sigma)
+    return (Q * w ** power) @ Q.T
 
 
 def random_eta(rng, m=1, scale=1.0):
@@ -53,6 +62,19 @@ class TestSqueezeParam:
         back = SqueezeParam.from_text(eta.to_text())
         assert np.allclose(back.A, eta.A)
         assert np.allclose(back.S, eta.S)
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))],
+                             ids=["deepcopy", "pickle"])
+    def test_copies_rebuild_G_read_only(self, clone):
+        eta = random_eta(np.random.default_rng(5), m=2)
+        size = len(pickle.dumps(eta))
+        eta.G
+        assert len(pickle.dumps(eta)) == size  # G is not carried along
+        twin = clone(eta)
+        assert twin.modes == eta.modes
+        for name in ("A", "S", "G"):
+            np.testing.assert_array_equal(getattr(twin, name), getattr(eta, name))
+        assert not twin.G.flags.writeable
 
     def test_complex_token_round_trip(self):
         for z in (0.25 - 1.5j, 1.0, -2.75 + 0j, 3e-7 + 2e-9j):
@@ -192,15 +214,16 @@ class TestHeterodyneSampling:
         assert rel < 0.01
 
     @pytest.mark.parametrize("m", [1, 2])
-    def test_draws_are_moments_plus_cholesky_shift(self, m):
-        # mu + z L' with sigma = L L' and z the standard normals of the same stream
+    def test_draws_are_moments_plus_root_shift(self, m):
+        # mu + z sigma^{1/2}, the symmetric root, with z the standard normals of the same stream
         rng = np.random.default_rng(70 + m)
         eta = random_eta(rng, m, scale=1.5)
         theta = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         mu, sigma = moments(theta, eta, 0.6)
         z = rng_stream(9).standard_normal((40, 2 * m))
-        want = mu + z @ np.linalg.cholesky(sigma).T
-        np.testing.assert_array_equal(heterodyne_sample(theta, eta, 0.6, 40, rng_stream(9)), want)
+        want = mu + z @ sigma_power(sigma, 0.5)
+        got = heterodyne_sample(theta, eta, 0.6, 40, rng_stream(9))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
 
     def test_fixed_seed_reproduces(self):
         eta = SqueezeParam.zero(1)
@@ -246,7 +269,7 @@ class TestKappa:
         eta = random_eta(rng, m, scale=1.5)
         stack = 3.0 * (rng.standard_normal((6, m)) + 1j * rng.standard_normal((6, m)))
         stack[2] = 0.0
-        # the BLAS kernels behind the product and the solve depend on the
+        # the BLAS kernels behind the products depend on the
         # stack's height, so a row of a stack need not match its own call bit for bit
         assert_shape_rule(lambda theta: kappa(theta, eta, N), stack, rtol=1e-15)
         spec = TestSpec(m, 2 * m + 3, N, 0.05)
@@ -283,30 +306,47 @@ class TestKappa:
             got = kappa(np.array([th * np.exp(1j * phi)]), eta, N)
             assert got == pytest.approx(want, abs=1e-12)
 
-    @pytest.mark.parametrize("r", [10.5, 12.0, 15.0])
+    @pytest.mark.parametrize("r", [10.5, 12.0, 15.0, 18.0, 20.0, 25.0])
     @pytest.mark.parametrize("phi", [0.0, 0.52, 1.57, 2.62])
     def test_strong_squeezing_closed_form(self, r, phi):
         # S = r e^{i phi}: G = U diag(e^r, e^-r) U^T with U the rotation by
-        # phi/2, so kappa is diagonal in y = U^T (Re theta, Im theta)
-        theta = 0.7 - 0.4j
+        # phi/2, so kappa is diagonal in y = U^T (Re theta, Im theta); the
+        # second theta lies along the squeezed direction U[:, 1], where expm
+        # loses G's small singular value
         eta = SqueezeParam(1, np.zeros((1, 1)), np.array([[r * np.exp(1j * phi)]]))
         U = np.array([[np.cos(phi / 2), -np.sin(phi / 2)],
                       [np.sin(phi / 2), np.cos(phi / 2)]])
-        y = U.T @ np.array([theta.real, theta.imag])
-        for N in (0.0, 0.3, 2.0):
-            c = (2 * N + 1) / 4
-            want = y[0] ** 2 / (c + np.exp(-2 * r) / 4) + y[1] ** 2 / (c + np.exp(2 * r) / 4)
-            assert kappa(theta, eta, N) == pytest.approx(want, rel=1e-12, abs=0.0)
-            moments(theta, eta, N)
-            assert heterodyne_sample(theta, eta, N, 4, rng_stream(0)).shape == (4, 2)
+        for theta, rel in ((0.7 - 0.4j, 1e-12), (0.7 * (U[0, 1] + 1j * U[1, 1]), 1e-9)):
+            y = U.T @ np.array([theta.real, theta.imag])
+            for N in (0.0, 0.3, 2.0):
+                c = (2 * N + 1) / 4
+                want = (y[0] ** 2 / (c + np.exp(-2 * r) / 4)
+                        + y[1] ** 2 / (c + np.exp(2 * r) / 4))
+                assert kappa(theta, eta, N) == pytest.approx(want, rel=rel, abs=0.0)
+                moments(theta, eta, N)
+                assert heterodyne_sample(theta, eta, N, 4, rng_stream(0)).shape == (4, 2)
+
+    def test_strong_squeezing_draws_and_montecarlo(self):
+        # r = 20, N = 0.3: sigma = U diag((1.6 e^{2r} + 1)/4, (1.6 e^{-2r} + 1)/4) U^T
+        r, phi, N = 20.0, 1.57, 0.3
+        eta = SqueezeParam(1, np.zeros((1, 1)), np.array([[r * np.exp(1j * phi)]]))
+        U = np.array([[np.cos(phi / 2), -np.sin(phi / 2)],
+                      [np.sin(phi / 2), np.cos(phi / 2)]])
+        draws = heterodyne_sample(0.0, eta, N, 40000, rng_stream(5)) @ U
+        var = draws.var(axis=0) / ((1.6 * np.exp([2 * r, -2 * r]) + 1) / 4)
+        assert np.all(np.abs(var - 1.0) < 4 * np.sqrt(2 / 40000))
+        # theta = 0 accepts with probability 1 - alpha at any squeezing
+        spec = TestSpec(1, 4, N, 0.05)
+        mc = hh_type2_montecarlo(whitened_signal(0.0, eta, N), spec, 40000, rng_stream(3))
+        assert abs(mc.value - 0.95) < 4 * mc.stderr
 
 
 class TestWhitenedSignal:
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("N", [0.0, 0.5])
     def test_shape_rule_and_per_copy_moments(self, m, N):
-        # theta (..., m) gives (..., 2m); each row is L^{-1} mu of that
-        # theta's own moments, sigma = L L'
+        # theta (..., m) gives (..., 2m); each row is sigma^{-1/2} mu of
+        # that theta's own moments
         rng = np.random.default_rng(20 + 10 * m + int(2 * N))
         eta = random_eta(rng, m, scale=1.5)
         stack = 3.0 * (rng.standard_normal((6, m)) + 1j * rng.standard_normal((6, m)))
@@ -318,7 +358,7 @@ class TestWhitenedSignal:
             one = whitened_signal(theta, eta, N)
             assert one.shape == (2 * m,)
             mu, sigma = moments(theta, eta, N)
-            want = np.linalg.solve(np.linalg.cholesky(sigma), mu)
+            want = sigma_power(sigma, -0.5) @ mu
             scale = np.max(np.abs(want))
             np.testing.assert_allclose(one, row, rtol=0.0, atol=1e-15 * scale)
             np.testing.assert_allclose(one, want, rtol=0.0, atol=1e-14 * scale)
