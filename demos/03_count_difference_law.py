@@ -34,8 +34,7 @@ print(f"total variation between the two routes: "
 
 print("\n== route 3: spectral measure on the truncated space ==")
 cfg = fock.FockConfig(1, 2, 40)
-obs = fock.TruncatedOperator(
-    cfg, (-1j) * fock.beamsplitter_generator(cfg, 1, 2).toarray())
+obs = (-1j) * fock.beamsplitter_generator(cfg, 1, 2).toarray()
 rho = fock.product_state(cfg, np.exp(1j * np.pi / 4) * s, N)
 sm = fock.spectral_measure(rho, obs)
 print(f"total variation against the operator route: "

@@ -26,7 +26,7 @@ from .distributions import (
     noncentral_f_pdf,
 )
 from .experiments import ExperimentConfig, run_curve, run_verify
-from .fock import FockConfig, TruncatedOperator, TruncatedState, si_type2_fock
+from .fock import FockConfig, si_type2_fock
 from .hypotests import (
     CrossingResult,
     TestSpec,
@@ -51,7 +51,7 @@ __all__ = [
     "count_difference_distribution", "critical_point", "invert_integer_cf",
     "noncentral_f_cdf", "noncentral_f_pdf",
     "ExperimentConfig", "run_curve", "run_verify",
-    "FockConfig", "TruncatedOperator", "TruncatedState", "si_type2_fock",
+    "FockConfig", "si_type2_fock",
     "CrossingResult", "TestSpec", "crossing_check", "hh_type2_analytic",
     "hh_type2_montecarlo", "hotelling_F", "si_type2_closed", "si_type2_n2",
     "SqueezeParam", "heterodyne_sample", "kappa", "moments", "pooling_rotation_matrix",

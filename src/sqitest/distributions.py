@@ -558,8 +558,12 @@ def _poisson_mixture(half, table, peak: int, x: float, y: float, log_scale):
 def _mixture_at(lam, table, peak: int, x: float, y: float, log_scale):
     """The series at every noncentrality of ``lam``, in its shape.
 
-    At lambda = 0 the series is its k = 0 term alone.  A 0-d ``lam`` gives
-    a numpy float.  The other arguments are those of ``_poisson_mixture``.
+    At lambda = 0 the series is its k = 0 term alone.  Else it is at most
+    C e^{-h y}, C = exp ``log_scale(inf)``, finite where the bound on t_k
+    does not depend on lo (the cdf at nu <= 2); a lambda where that lies
+    below the normal float range gets 0 with no window summed.  A 0-d
+    ``lam`` gives a numpy float.  The other arguments are those of
+    ``_poisson_mixture``.
     """
     lam = np.asarray(lam, dtype=float)
     half = lam.ravel() / 2.0
@@ -567,6 +571,9 @@ def _mixture_at(lam, table, peak: int, x: float, y: float, log_scale):
     out = np.empty(half.shape)
     if not pos.all():
         out[~pos] = table(0, 1)[0]
+    far = pos & (log_scale(np.array([np.inf]))[0] - half * y < np.log(np.finfo(float).tiny))
+    out[far] = 0.0
+    pos &= ~far
     if pos.any():
         out[pos] = _poisson_mixture(half[pos], table, peak, x, y, log_scale)
     return out.reshape(lam.shape)[()]

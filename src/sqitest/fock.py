@@ -31,7 +31,8 @@ compressed to the basis.  The copy-mixing generators keep every per-mode
 total, so the basis is a sum of whole photon sectors (one per tuple of
 totals) on which the group laws, the Casimir identities and the
 commutation with squeezing hold exactly, and every defect spectrum is
-integer.  States report their truncation loss (1 - trace).
+integer.  The truncation loss (1 - trace) of a state is the
+``tail_mass`` of its ``spectral_measure``.
 
 ``si_type2_fock`` works sector by sector, with one route for pure and
 mixed states alike: each block of the Casimir form of the defect
@@ -47,7 +48,7 @@ the tests compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
@@ -120,40 +121,6 @@ class FockConfig:
     def __getstate__(self):
         """Copy and pickle without the cached table: a copy rebuilds it read-only."""
         return {k: v for k, v in self.__dict__.items() if k != "occupations"}
-
-
-@dataclass(frozen=True)
-class TruncatedOperator:
-    config: FockConfig
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.shape != (self.config.dim, self.config.dim):
-            raise ValueError("entry matrix side must equal the configured dimension")
-        object.__setattr__(self, "entries", entries)
-
-    def unitarity_defect(self) -> float:
-        g = self.entries.conj().T @ self.entries - np.eye(self.config.dim)
-        return float(np.max(np.abs(g)))
-
-
-@dataclass(frozen=True)
-class TruncatedState:
-    config: FockConfig
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.shape != (self.config.dim, self.config.dim):
-            raise ValueError("entry matrix side must equal the configured dimension")
-        _check_hermitian(entries, "density matrix")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def trunc_loss(self) -> float:
-        """Probability mass lost to the cutoff: 1 - trace."""
-        return float(1.0 - np.real(np.trace(self.entries)))
 
 
 def _check_hermitian(entries: np.ndarray, what: str):
@@ -239,7 +206,7 @@ def coherent_product_vector(config: FockConfig, Z) -> np.ndarray:
     return _product_entries(vecs, config.occupations)
 
 
-def displacement(theta: complex, cutoff: int) -> TruncatedOperator:
+def displacement(theta: complex, cutoff: int) -> np.ndarray:
     """exp(theta a* - conj(theta) a) at the cutoff; exactly unitary there.
 
     Raises ValueError for a non-finite theta and where the exponential
@@ -251,18 +218,17 @@ def displacement(theta: complex, cutoff: int) -> TruncatedOperator:
         U = expm(theta * a.conj().T - np.conj(theta) * a)
     if not np.all(np.isfinite(U)):
         raise ValueError(f"displacement exponential overflows at theta = {theta!r}")
-    return TruncatedOperator(FockConfig(1, 1, cutoff), U)
+    return U
 
 
-def thermal_coherent_state(theta: complex, mixture: float, cutoff: int) -> TruncatedState:
+def thermal_coherent_state(theta: complex, mixture: float, cutoff: int) -> np.ndarray:
     """Displaced thermal single-mode state at the cutoff.
 
     The thermal occupation law is geometric, (1/(N+1)) (N/(N+1))^k, truncated.
     """
-    D = displacement(theta, cutoff).entries
+    D = displacement(theta, cutoff)
     rho = D @ np.diag(_thermal_occupation(mixture, cutoff)) @ D.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    return TruncatedState(FockConfig(1, 1, cutoff), rho)
+    return 0.5 * (rho + rho.conj().T)
 
 
 def _thermal_occupation(mixture: float, cutoff: int) -> np.ndarray:
@@ -278,15 +244,14 @@ def _slot_factors(config: FockConfig, Z, mixture: float) -> list:
     One state is built per distinct slot value and shared by its slots.
     """
     values, slot_value = np.unique(_slot_values(config, Z), return_inverse=True)
-    states = [thermal_coherent_state(z, mixture, config.cutoff).entries for z in values]
+    states = [thermal_coherent_state(z, mixture, config.cutoff) for z in values]
     return [states[i] for i in slot_value]
 
 
-def product_state(config: FockConfig, Z, mixture: float) -> TruncatedState:
+def product_state(config: FockConfig, Z, mixture: float) -> np.ndarray:
     """Tensor product of displaced thermal states (``Z`` as in ``_slot_values``)."""
     _require_dense(config)
-    return TruncatedState(config, _product_entries(_slot_factors(config, Z, mixture),
-                                                   config.occupations))
+    return _product_entries(_slot_factors(config, Z, mixture), config.occupations)
 
 
 def _product_entries(factors: list, occ: np.ndarray) -> np.ndarray:
@@ -382,11 +347,10 @@ def squeeze_generator(eta: SqueezeParam, config: FockConfig) -> sparse.csr_matri
     return _quadratic_generator(config, np.kron(I_n, eta.A), np.kron(I_n, eta.S))
 
 
-def squeeze(eta: SqueezeParam, config: FockConfig) -> TruncatedOperator:
+def squeeze(eta: SqueezeParam, config: FockConfig) -> np.ndarray:
     """n-fold tensor power of the squeeze unitary, as exp of the summed generator."""
     _require_dense(config)
-    gen = squeeze_generator(eta, config).toarray()
-    return TruncatedOperator(config, expm(gen))
+    return expm(squeeze_generator(eta, config).toarray())
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +374,7 @@ def apply_pooling_rotation(config: FockConfig, psi: np.ndarray) -> np.ndarray:
     return out
 
 
-def rotation_defect_observable(config: FockConfig) -> TruncatedOperator:
+def rotation_defect_observable(config: FockConfig) -> np.ndarray:
     """Positive observable sum_k (bs_{k,n} R)^* (bs_{k,n} R), R the pooling rotation.
 
     Vanishes exactly on states invariant under simultaneous rotation of the
@@ -429,7 +393,7 @@ def rotation_defect_observable(config: FockConfig) -> TruncatedOperator:
     for k in range(1, n):
         B = beamsplitter_generator(config, k, n) @ R
         T += B.conj().T @ B
-    return TruncatedOperator(config, 0.5 * (T + T.conj().T))
+    return 0.5 * (T + T.conj().T)
 
 
 def gram_blocks(config: FockConfig, generators: list) -> tuple:
@@ -511,28 +475,29 @@ def defect_blocks(config: FockConfig) -> tuple:
 # spectral projections and lattice laws
 # ---------------------------------------------------------------------------
 
-def spectral_projection(op: TruncatedOperator, threshold: float) -> TruncatedOperator:
+def spectral_projection(op: np.ndarray, threshold: float) -> np.ndarray:
     """Projection onto eigenspaces of a hermitian operator with value <= threshold.
 
     Eigenvalues up to dist.LATTICE_TOL above the threshold are kept, so a
     threshold at a degenerate value keeps its whole eigenspace.
     """
-    _check_hermitian(op.entries, "spectral projection input")
-    vals, vecs = eigh(op.entries)
+    _check_hermitian(op, "spectral projection input")
+    vals, vecs = eigh(op)
     keep = vals <= threshold + dist.LATTICE_TOL
-    P = vecs[:, keep] @ vecs[:, keep].conj().T
-    return TruncatedOperator(op.config, P)
+    return vecs[:, keep] @ vecs[:, keep].conj().T
 
 
-def spectral_measure(state: TruncatedState, obs: TruncatedOperator) -> dist.IntegerDistribution:
-    """Law of the outcome when ``obs``, whose spectrum is integer, is measured on ``state``.
+def spectral_measure(rho: np.ndarray, obs: np.ndarray) -> dist.IntegerDistribution:
+    """Law of the outcome when ``obs``, whose spectrum is integer, is measured on ``rho``.
 
-    Its tail mass is the state's truncation loss; raises ValueError if an
+    Its tail mass is the state's truncation loss, 1 - trace.  Raises
+    ValueError unless both matrices are hermitian and finite, or if an
     eigenvalue of ``obs`` is off the integer lattice (see ``dist.lattice_law``).
     """
-    _check_hermitian(obs.entries, "observable")
-    vals, vecs = eigh(obs.entries)
-    return dist.lattice_law(vals, _eigvec_masses(state.entries, vecs))
+    _check_hermitian(rho, "density matrix")
+    _check_hermitian(obs, "observable")
+    vals, vecs = eigh(obs)
+    return dist.lattice_law(vals, _eigvec_masses(rho, vecs))
 
 
 def _eigvec_masses(rho: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -581,7 +546,7 @@ def defect_spectral_measures(config: FockConfig, Z, mixture: float) -> tuple:
 # rotation averaging (Haar average over simultaneous copy rotations)
 # ---------------------------------------------------------------------------
 
-def rotation_average_projector(config: FockConfig) -> TruncatedOperator:
+def rotation_average_projector(config: FockConfig) -> np.ndarray:
     """Quadrature average of exp(bs-rotations) over the copy-rotation group.
 
     n = 2 averages exp(t bs_{1,2}) over t in [0, 2pi) with a 512-angle
@@ -608,7 +573,7 @@ def rotation_average_projector(config: FockConfig) -> TruncatedOperator:
         lam23, v23 = eigh((-1j) * beamsplitter_generator(config, 2, 3).toarray())
         M23 = (v23 * (np.exp(1j * np.outer(lam23, beta)) @ weights)) @ v23.conj().T
         W = W @ M23 @ W
-    return TruncatedOperator(config, W)
+    return W
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.special import beta
 
 from . import distributions as dist
@@ -93,9 +94,13 @@ def hotelling_F(samples: np.ndarray) -> float:
     """Scaled Hotelling statistic (nu / (mu (n-1))) * n xbar' Sbar^{-1} xbar.
 
     ``samples`` is an (n, 2m) array of heterodyne outcomes; the sample
-    covariance uses divisor n - 1.  The samples are centred before the
-    shared kernel reads their moments.  Samples that are not all finite
-    raise a ValueError that is not a ``SingularCovarianceError``.
+    covariance uses divisor n - 1.  With the centred samples = Q R,
+    (n - 1) Sbar = R' R, so T^2 = n (n - 1) |R^{-T} xbar|^2: the QR meets
+    the condition number of the centred samples, the square root of that of
+    Sbar, so strongly squeezed outcomes keep their small direction.  A zero
+    on R's diagonal raises ``SingularCovarianceError``.  Samples that are
+    not all finite raise a ValueError that is not a
+    ``SingularCovarianceError``.
     """
     samples = np.asarray(samples, dtype=float)
     n, p = samples.shape
@@ -107,9 +112,10 @@ def hotelling_F(samples: np.ndarray) -> float:
     if not np.all(np.isfinite(samples)):
         raise ValueError("samples must be finite")
     xbar = samples.mean(axis=0)
-    t2 = float(_hotelling_factor((samples - xbar)[None])(xbar)[0])
-    if not np.isfinite(t2):
+    R = np.linalg.qr(samples - xbar, mode="r")
+    if not np.all(np.diag(R)):
         raise SingularCovarianceError("sample covariance is singular")
+    t2 = n * (n - 1) * float(np.sum(solve_triangular(R, xbar, trans="T") ** 2))
     mu, nu = 2 * m, n - 2 * m
     return (nu / (mu * (n - 1))) * t2
 
@@ -118,13 +124,14 @@ def _hotelling_factor(z: np.ndarray):
     """Factor the sample covariances of an (R, n, p) block z once; returns t2(shift).
 
     t2(shift) is T^2 = n xbar' S^{-1} xbar of each replicate z[r] + shift; a
-    shift moves xbar but not S (divisor n - 1).  S comes from the uncentred
-    moments of z, exact while its mean is small next to its spread (callers
-    pass centred or whitened draws), summed over R-long rows of one
-    contiguous (p, n, R) copy.  Loops run over the small p only: an
-    unpivoted Cholesky factor S = L L' once, and per shift the forward solve
-    L y = xbar, with T^2 = n |y|^2.  A pivot that is not positive makes T^2
-    inf or nan, which fails every test ``<= c``: a rejection.
+    shift moves xbar but not S (divisor n - 1).  It serves the Monte Carlo
+    alone, whose draws z are whitened, so S is near the identity.  S comes
+    from the uncentred moments of z, exact while its mean is small next to
+    its spread, summed over R-long rows of one contiguous (p, n, R) copy.
+    Loops run over the small p only: an unpivoted Cholesky factor S = L L'
+    once, and per shift the forward solve L y = xbar, with T^2 = n |y|^2.
+    A pivot that is not positive makes T^2 inf or nan, which fails every
+    test ``<= c``: a rejection.
     """
     _, n, p = z.shape
     cols = np.ascontiguousarray(z.transpose(2, 1, 0))

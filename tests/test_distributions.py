@@ -572,10 +572,26 @@ class TestNoncentralF:
     def test_far_below_the_bulk_stops_after_one_pass(self, fn, monkeypatch):
         # at f = c = 2, x = 0.8: sum_k w_k(h) x^k = e^{-h/5} underflows, so the
         # bound on the terms below the first window is 0 and no pass widens
-        # it; the Poisson mass alone would walk down until pdtr underflows
+        # it; the Poisson mass alone would walk down until pdtr underflows.
+        # The cdf at nu = 1 bounds its table by C x^k for every k, so the
+        # whole series, at most C e^{-h/5}, is 0 before the first pass
         passes = recording_passes(monkeypatch)
         assert fn(2.0, NoncentralFParams(2, 1, 1e9)) == 0.0
-        assert len(passes) == 1
+        assert len(passes) == (0 if fn is noncentral_f_cdf else 1)
+
+    def test_cdf_far_below_the_bulk_sums_no_window(self, monkeypatch):
+        # lambda = 1e12 once took most of a second of passes to reach 0.0
+        passes = recording_passes(monkeypatch)
+        assert noncentral_f_cdf(2.0, NoncentralFParams(2, 1, 1e12)) == 0.0
+        assert passes == []
+
+    def test_cdf_far_below_the_bulk_in_a_stack(self):
+        # the lambdas sent to 0 before any pass leave the others' bits alone
+        lams = np.array([1e12, 0.0, 3.0, 1e9, 40.0, 2e3, 1e12])
+        got = noncentral_f_cdf(2.0, NoncentralFParams(2, 1, lams))
+        want = [noncentral_f_cdf(2.0, NoncentralFParams(2, 1, lam)) for lam in lams]
+        np.testing.assert_array_equal(got, want)
+        assert got[0] == got[3] == 0.0 and np.all(got[[1, 2, 4]] > 0.0)
 
     @pytest.mark.parametrize("mu,nu", [(1, 1), (2, 1), (2, 2), (4, 3), (2, 5), (6, 10),
                                        (2, 60)])

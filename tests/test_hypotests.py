@@ -127,6 +127,17 @@ class TestHotellingStatistic:
         t2 = 7.0 * xbar @ np.linalg.solve(cov, xbar)
         assert hotelling_F(X) == pytest.approx((3.0 / (4.0 * 6.0)) * t2, rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("r", [17.0, 20.0])
+    def test_strongly_squeezed_raw_outcomes(self, r):
+        # sigma's condition number is about 1.6 e^{2r}, past 1/eps at r = 20;
+        # T^2 from a QR of the centred samples meets only its square root,
+        # so no set is singular and the null accepts at 1 - alpha
+        eta = SqueezeParam(1, np.zeros((1, 1)), np.array([[r * np.exp(1.57j)]]))
+        spec, rng, sets = TestSpec(1, 4, 0.3, 0.05), rng_stream(3), 500
+        accepted = sum(hotelling_F(heterodyne_sample(0.0, eta, 0.3, 4, rng))
+                       <= spec.critical_point for _ in range(sets))
+        assert abs(accepted / sets - 0.95) < 4 * np.sqrt(0.95 * 0.05 / sets)
+
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             hotelling_F(np.zeros((2, 2)))

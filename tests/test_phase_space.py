@@ -189,8 +189,8 @@ class TestFourierWigner:
         cfg = fock.FockConfig(1, 1, d)
         for theta, N in [(0.6, 0.0), (0.3 - 0.4j, 0.5)]:
             eta = random_eta(rng, 1, 0.5)
-            S = fock.squeeze(eta, cfg).entries
-            rho = S @ fock.thermal_coherent_state(theta, N, d).entries @ S.conj().T
+            S = fock.squeeze(eta, cfg)
+            rho = S @ fock.thermal_coherent_state(theta, N, d) @ S.conj().T
             for u, v in [(0.4, -0.3), (0.8, 0.5)]:
                 got = np.trace(rho @ expm(-1j * (u * q + v * p)))
                 want = fourier_wigner(theta, eta, N, u, v)
