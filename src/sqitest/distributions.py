@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import (beta, betainc, betaincc, betainccinv, betaincinv, gammaln,
-                           hyp0f1, ive, pdtr, pdtrc)
+                           hyp1f1, ive, pdtr, pdtrc)
 
 # Poisson-mixture series (noncentral F): the bound on the dropped terms,
 # relative to the running total, at which a side stops.
@@ -69,6 +69,9 @@ _MASS_TOL = 1e-8
 LATTICE_TOL = 1e-8
 # A cumulative null mass within this of 1 - alpha is an exact hit of the level.
 _EXACT_TOL = 1e-12
+# |z| from which M(a, 2a, -2|z|) is the leading term of its large-argument
+# expansion, in units of max(1, a|1-a|); the next term is a(1-a)/(2|z|) of it.
+_KUMMER_FAR = 0.5e17
 
 
 class ConvergenceError(RuntimeError):
@@ -129,6 +132,21 @@ class IntegerDistribution:
         return (np.exp(1j * np.multiply.outer(r, self.support)) @ self.pmf)[()]
 
 
+def _check_photon_args(modes: float, rate: float, p: float) -> None:
+    if not (modes >= 0 and rate >= 0 and 0.0 <= p < 1.0):  # NaN fails this too
+        raise ValueError("need modes >= 0, rate >= 0 and p in [0, 1)")
+
+
+def _count_difference_args(modes: int, s: float, mixture: float) -> tuple[float, float]:
+    """(rate, p) of each photon count of the count-difference statistic."""
+    if mixture < 0:
+        raise ValueError("mixture must be >= 0")
+    if modes < 1:
+        raise ValueError("modes must be >= 1")
+    N = float(mixture)
+    return float(s) ** 2 / (N + 1.0), N / (N + 1.0)
+
+
 def photon_number_law(modes: float, rate: float, p: float) -> IntegerDistribution:
     """NB(modes, p) convolved with the Polya-Aeppli law of rate ``rate``.
 
@@ -161,8 +179,7 @@ def photon_number_law(modes: float, rate: float, p: float) -> IntegerDistributio
     scale.  A law whose mean or
     cut reaches _MAX_ATOMS raises ValueError.
     """
-    if not (modes >= 0 and rate >= 0 and 0.0 <= p < 1.0):  # NaN fails this too
-        raise ValueError("need modes >= 0, rate >= 0 and p in [0, 1)")
+    _check_photon_args(modes, rate, p)
     neg_log_f0 = rate - modes * np.log1p(-p)
     mean = (modes * p + rate) / (1 - p)
     too_many = f"photon-number law of mean {mean:.6g} needs more than {_MAX_ATOMS} atoms"
@@ -211,12 +228,7 @@ def count_difference_distribution(modes: int, displacement_norm: float,
     are the only truncation, so ``tail_mass`` is twice the photon law's.
     Exactly symmetric about 0.
     """
-    if mixture < 0:
-        raise ValueError("mixture must be >= 0")
-    if modes < 1:
-        raise ValueError("modes must be >= 1")
-    N = float(mixture)
-    x = photon_number_law(modes, float(displacement_norm) ** 2 / (N + 1.0), N / (N + 1.0))
+    x = photon_number_law(modes, *_count_difference_args(modes, displacement_norm, mixture))
     tail = min(1.0, 2.0 * x.tail_mass)
     pmf = np.convolve(x.pmf, x.pmf[::-1])
     pmf = pmf * (1.0 - tail) / pmf.sum()
@@ -229,8 +241,9 @@ def photon_number_cf(modes: float, rate: float, p: float, r) -> np.ndarray:
     """Characteristic function of ``photon_number_law(modes, rate, p)``.
 
     Its pgf (1-p)^m (1-pz)^(-m) exp(rate (z-1)/(1-pz)) at z = e^{ir}; the
-    output has the shape of r.
+    output has the shape of r.  Its arguments are checked as the law's are.
     """
+    _check_photon_args(modes, rate, p)
     z = np.exp(1j * np.asarray(r, dtype=float))
     return ((1.0 - p) / (1.0 - p * z)) ** modes * np.exp(rate * (z - 1.0) / (1.0 - p * z))
 
@@ -238,9 +251,8 @@ def photon_number_cf(modes: float, rate: float, p: float, r) -> np.ndarray:
 def count_difference_cf(modes: int, displacement_norm: float, mixture: float,
                         r) -> np.ndarray:
     """Characteristic function |phi(r)|^2 of X - X', phi that of one photon count."""
-    N = float(mixture)
-    rate = float(displacement_norm) ** 2 / (N + 1.0)
-    return np.abs(photon_number_cf(modes, rate, N / (N + 1.0), r)) ** 2
+    rate, p = _count_difference_args(modes, displacement_norm, mixture)
+    return np.abs(photon_number_cf(modes, rate, p, r)) ** 2
 
 
 def skellam_pmf(y: int, lam: float) -> float:
@@ -690,47 +702,26 @@ def critical_point(alpha: float, mu: int, nu: int) -> float:
     return c
 
 
-def _ive_hankel(nu: float, x):
-    """ive(nu, x) by Hankel's expansion (DLMF 10.40.1), for arrays x >> nu^2.
-
-    Summed until a term is below 1e-17 of the sum; 64 terms unsettled raise.
-    """
-    term = total = np.ones(x.shape)
-    for k in range(1, 64):
-        term = term * ((2 * k - 1) ** 2 - 4.0 * nu * nu) / (8.0 * k * x)
-        total = total + term
-        if np.all(np.abs(term) <= 1e-17 * total):
-            return total / np.sqrt(2.0 * np.pi * x)
-    raise ValueError(f"Hankel's expansion of I_{nu:g} does not settle at x = {x.min():.3g}")
-
-
 def exp_cos_integral_scaled(z, n: int):
     """e^{-|z|} int_0^pi e^{z cos phi} sin^{n-2} phi dphi, overflow-free.
 
-    The integral is even in z and equals sqrt(pi) Gamma(nu + 1/2)
-    (2/|z|)^nu I_nu(|z|) with nu = (n-2)/2 (DLMF 10.32.2), so the scaled
-    value is that expression with the exponentially scaled Bessel function
-    ive (``_ive_hankel`` from |z| ~ 1.07e9 on, where scipy's gives NaN),
-    evaluated in logarithms.  Where ive underflows (z = 0, or |z| small
-    against nu) the series form B((n-1)/2, 1/2) e^{-|z|} 0F1(; nu + 1; z^2/4)
-    takes over; it is evaluated only there, since scipy's 0F1 breaks down at
-    large z.  z must be finite; the output has its shape.
+    The integral is even in z, and the scaled value is B(a, 1/2) M(a, 2a,
+    -2|z|) with a = (n-1)/2 and M Kummer's function (DLMF 10.32.2 with
+    section 13.6, and Kummer's transformation in 13.2): one ``hyp1f1`` call.
+    From |z| = _KUMMER_FAR max(1, a|1-a|) on, where scipy's ``hyp1f1``
+    drifts, M is the leading term Gamma(2a)/Gamma(a) (2|z|)^{-a} of its
+    large-argument expansion (DLMF 13.7), whose next term is below 1e-17 of
+    it there.  z must be finite; the output has its shape.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     x = np.abs(np.asarray(z, dtype=float))
     if not np.all(np.isfinite(x)):
         raise ValueError("z must be finite")
-    nu = (n - 2) / 2.0
-    bessel = np.asarray(ive(nu, x))
-    far = np.isnan(bessel)  # scipy's ive gives NaN from x ~ 1.07e9 on
-    if np.any(far):
-        bessel[far] = _ive_hankel(nu, x[far])
-    low = (x == 0.0) | (bessel < np.finfo(float).tiny)
-    xl, xh = x[low], x[~low]
-    out = np.empty(x.shape)
-    series = np.exp(-xl) * hyp0f1(nu + 1.0, xl * xl / 4.0)
-    out[low] = beta((n - 1) / 2.0, 0.5) * series
-    out[~low] = np.exp(0.5 * np.log(np.pi) + gammaln(nu + 0.5)
-                       + nu * np.log(2.0 / xh) + np.log(bessel[~low]))
-    return out[()]
+    a = (n - 1) / 2.0
+    far = x >= _KUMMER_FAR * max(1.0, a * abs(1.0 - a))
+    m = np.empty(x.shape)
+    # log 2 + log |z|, since 2|z| overflows from 8.99e307
+    m[far] = np.exp(gammaln(2.0 * a) - gammaln(a) - a * (np.log(2.0) + np.log(x[far])))
+    m[~far] = hyp1f1(a, 2.0 * a, -2.0 * x[~far])
+    return (beta(a, 0.5) * m)[()]

@@ -15,10 +15,12 @@ type II error has the closed form
 
     beta = (1-alpha) e^{-n s^2} / B((n-1)/2, 1/2)
            * int_0^pi e^{n s^2 cos phi} sin^{n-2} phi dphi,   s = |theta|,
+         = (1-alpha) M((n-1)/2, n-1, -2 n s^2),
 
-independent of the squeezing.  For two copies and any mixture the test
-reduces to the square of the integer count-difference statistic, evaluated
-through its lattice law and the randomized threshold test.
+with M Kummer's function, independent of the squeezing.  For two copies and
+any mixture the test reduces to the square of the integer count-difference
+statistic, evaluated through its lattice law and the randomized threshold
+test.
 """
 
 from __future__ import annotations
@@ -100,7 +102,12 @@ def hotelling_F(samples: np.ndarray) -> float:
     Sbar, so strongly squeezed outcomes keep their small direction.  A zero
     on R's diagonal raises ``SingularCovarianceError``.  Samples that are
     not all finite raise a ValueError that is not a
-    ``SingularCovarianceError``.
+    ``SingularCovarianceError``.  Exactly collinear samples that are not
+    identical leave rounding on R's diagonal, not a zero, and give a finite
+    F: [[1, 2], [2, 4], [3, 6]] gives 86.8 and [[1, 2], [2, 4], [4, 8],
+    [0.5, 1]] 6.71.  No rank rule relative to R's largest entry can reject
+    them without also rejecting raw outcomes squeezed at r = 20, whose two
+    columns are parallel to below machine epsilon.
     """
     samples = np.asarray(samples, dtype=float)
     n, p = samples.shape
@@ -226,7 +233,12 @@ def _scaled_squares(theta_norm, scale: int):
 
 
 def si_type2_closed(theta_norm, spec: TestSpec):
-    """Closed-form type II error of the invariant test for a pure state."""
+    """Closed-form type II error of the invariant test for a pure state.
+
+    (1-alpha) M((n-1)/2, n-1, -2 n s^2) with s = |theta|, which is
+    (1-alpha) E[e^{-2 n s^2 B}] for B ~ Beta((n-1)/2, (n-1)/2) (DLMF 13.4.1):
+    as n grows with h^2 = n s^2 fixed, B -> 1/2 and beta -> (1-alpha) e^{-h^2}.
+    """
     if spec.mixture != 0.0:
         raise ValueError("closed form available only for mixture 0")
     n = spec.copies

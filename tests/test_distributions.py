@@ -1,3 +1,4 @@
+import re
 import sys
 
 import numpy as np
@@ -369,6 +370,28 @@ class TestCountDifferenceLaw:
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             count_difference_distribution(1, 0.5, -0.1)
+
+    @pytest.mark.parametrize("route,args", [
+        ("count_difference", (1, 0.5, -2.0)),
+        ("count_difference", (1, 0.5, -0.5)),
+        ("count_difference", (1, 0.5, np.nan)),
+        ("count_difference", (1, 0.5, np.inf)),
+        ("count_difference", (0, 0.5, 0.5)),
+        ("count_difference", (1, np.nan, 0.5)),
+        ("photon_number", (1, 0.0, 1.5)),
+        ("photon_number", (1, -1.0, 0.3)),
+        ("photon_number", (-1, 0.0, 0.3)),
+        ("photon_number", (1, np.nan, 0.3)),
+    ])
+    def test_cf_route_rejects_what_the_lattice_route_rejects(self, route, args):
+        # the CF route used to answer these: at N = -2 a CF that inverted to a
+        # law of tail mass 0, at N = -0.5 |phi| up to 7e32, at N = nan or inf nan
+        law, cf = {"count_difference": (count_difference_distribution, count_difference_cf),
+                   "photon_number": (photon_number_law, photon_number_cf)}[route]
+        with pytest.raises(ValueError) as rejected:
+            law(*args)
+        with pytest.raises(ValueError, match=re.escape(str(rejected.value))):
+            cf(*args, np.linspace(-np.pi, np.pi, 9))
 
 
 class TestCfInversion:
@@ -828,15 +851,17 @@ class TestSpecialIntegrals:
                     0.0, np.pi, epsabs=1e-300, epsrel=1e-12, limit=400)
                 assert exp_cos_integral_scaled(signed, n) == pytest.approx(want, rel=1e-10)
 
-    def test_tiny_argument_where_the_bessel_factor_underflows(self):
-        # ive(nu, |z|) underflows here, so (2/|z|)^nu ive would give nan or 0
+    def test_tiny_argument_against_quadrature(self):
+        # |z| tiny against n: the Bessel form (2/|z|)^nu ive(nu, |z|) would give
+        # nan or 0 here
         for n, z in ((5, 1e-300), (20, 1e-40), (60, 1e-12), (120, 1e-4)):
             want, _ = quad(lambda p: np.exp(z * np.cos(p) - z) * np.sin(p) ** (n - 2),
                            0.0, np.pi, epsabs=1e-300, epsrel=1e-12, limit=400)
             assert exp_cos_integral_scaled(z, n) == pytest.approx(want, rel=1e-10)
 
-    def test_series_form_sees_only_the_entries_that_need_it(self, monkeypatch):
-        # scipy's 0F1 raises and swallows ZeroDivisionError at large arguments
+    def test_large_arguments_leave_no_unraisable_error(self, monkeypatch):
+        # no special function may leave an unraisable error: scipy's 0F1 raised
+        # and swallowed ZeroDivisionError at these arguments
         seen = []
         monkeypatch.setattr(sys, "unraisablehook", seen.append)
         exp_cos_integral_scaled(np.array([0.0, 1e4, 2e4]), 2)
@@ -847,9 +872,9 @@ class TestSpecialIntegrals:
         assert val == pytest.approx((1 - np.exp(-10000.0)) / 5000.0, rel=1e-10)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 12])
-    def test_past_the_range_of_scipys_ive(self, n):
-        # scipy's ive returns NaN from |z| ~ 1.07e9 on; there Hankel's expansion
-        # takes over, checked against 40-digit mpmath and, for n = 3, (1 - e^{-2z})/z
+    def test_large_arguments_match_the_bessel_form(self, n):
+        # past |z| ~ 1.07e9, where scipy's ive returns NaN, checked against the
+        # Bessel form in 40-digit mpmath and, for n = 3, (1 - e^{-2z})/z
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
         zs = np.array([1.0e9, 1.2e9, 3e10, 1e15])
@@ -861,6 +886,24 @@ class TestSpecialIntegrals:
             assert g == pytest.approx(float(want), rel=1e-13, abs=0.0)
         if n == 3:
             np.testing.assert_allclose(got, 1.0 / zs, rtol=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 10, 12, 200])
+    def test_matches_kummer_function_in_mpmath(self, n):
+        # B(a, 1/2) M(a, 2a, -2|z|), a = (n-1)/2, in 40-digit mpmath, on both
+        # sides of the switch to the large-argument term.  Past the switch
+        # scipy's hyp1f1 alone misses by 1.6e-11 at (n, z) = (4, 1e104),
+        # returns 0 at (6, 1e104) and nan at (2, 1.7e308) and (10, 1e104).
+        # The Bessel form gave nan at (2, 5e-324): 2/|z| overflowed, and
+        # nu log(2/|z|) was 0 * inf
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        zs = np.array([0.0, 5e-324, 1e-300, 0.7, 4800.0, 1e15, 1e20, 1e104, 1e300, 1.7e308])
+        got = exp_cos_integral_scaled(zs, n)
+        np.testing.assert_array_equal(exp_cos_integral_scaled(-zs, n), got)
+        a = mp.mpf(n - 1) / 2
+        for z, g in zip(zs, got):
+            want = mp.beta(a, mp.mpf(0.5)) * mp.hyp1f1(a, 2 * a, -2 * mp.mpf(z))
+            assert g == pytest.approx(float(want), rel=1e-12, abs=1e-301)
 
     @pytest.mark.parametrize("z", [np.inf, np.nan, np.array([1.0, -np.inf])])
     def test_non_finite_argument_rejected(self, z):

@@ -348,9 +348,11 @@ class TestHHMonteCarlo:
 
 class TestSIClosedForm:
     def test_null_gives_level_exactly(self):
+        # theta = 1e-160 makes n theta^2 subnormal, where the Bessel form gave nan at n = 2
         for n in (2, 3, 5):
             spec = TestSpec(1, n, 0.0, 0.05)
-            assert si_type2_closed(0.0, spec) == pytest.approx(0.95, abs=1e-12)
+            for theta in (0.0, 1e-160):
+                assert si_type2_closed(theta, spec) == pytest.approx(0.95, abs=1e-12)
 
     def test_two_copies_bessel_form(self):
         from tests.test_distributions import bessel_i0_series
@@ -562,9 +564,11 @@ def test_theta_whose_square_overflows_rejected(call, theta):
 
 def test_closed_form_far_past_the_bulk():
     # n = 3: beta = (1 - alpha) (1 - e^{-2z}) / (2z), z = 3 theta^2; scipy's ive
-    # gives NaN from z ~ 1.07e9 on, which used to reach this column.  The value
-    # is formed in logarithms, so |log beta| ~ 460 at theta = 1e100 costs ~1e-13
-    theta = np.array([1e4, 2e4, 1e5, 1e100])
+    # gives NaN from z ~ 1.07e9 on, which used to reach this column, and the
+    # Bessel form gave nan at theta = 5e153 (z = 7.5e307) too.  From z = 5e16
+    # on the value is formed in logarithms, so |log beta| ~ 460 at
+    # theta = 1e100 costs ~1e-13
+    theta = np.array([1e4, 2e4, 1e5, 1e100, 5e153])
     want = 0.95 / (6.0 * theta ** 2)
     np.testing.assert_allclose(si_type2_closed(theta, TestSpec(1, 3, 0.0, 0.05)), want,
                                rtol=1e-12)
