@@ -6,7 +6,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .experiments import CONFIG_KEYS, ETA_PRESETS, ExperimentConfig, run_curve, run_verify
+from .experiments import CONFIG_KEYS, SUITES, ExperimentConfig, run_curve, run_verify
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -23,13 +23,11 @@ def _build_parser() -> argparse.ArgumentParser:
     curve = sub.add_parser("curve", help="write an error-curve CSV over a theta grid")
     curve.add_argument("--config", help="config file (key = value); explicit flags win")
     for key, (_, cast, text) in CONFIG_KEYS.items():
-        curve.add_argument("--" + key.replace("_", "-"), type=cast, help=text)
-    curve.add_argument("--eta", action="append",
-                       help=f"squeezing entry: preset {tuple(ETA_PRESETS)} or a "
-                            "parameter file; repeatable")
+        kind = {"action": "append"} if cast is str.split else {"type": cast}
+        curve.add_argument("--" + key.replace("_", "-"), help=text, **kind)
 
     verify = sub.add_parser("verify", help="run a named cross-check battery")
-    verify.add_argument("suite", choices=["fock", "distributions", "tests", "all"])
+    verify.add_argument("suite", choices=SUITES)
     verify.add_argument("--out", help="optional path for the text report")
     return parser
 
@@ -42,8 +40,6 @@ def _curve_config(args) -> ExperimentConfig:
         config = ExperimentConfig()
     updates = {name: getattr(args, key) for key, (name, _, _) in CONFIG_KEYS.items()
                if getattr(args, key) is not None}
-    if args.eta:
-        updates["etas"] = tuple(args.eta)
     return replace(config, **updates)
 
 

@@ -31,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import (beta, betainc, betaincc, betainccinv, betaincinv, gammaln,
-                           hyp1f1, ive, pdtr, pdtrc)
+from scipy.special import (beta, betainc, betaincc, betainccinv, betaincinv, gamma,
+                           gammaln, hyp1f1, ive, pdtr, pdtrc)
 
 # Poisson-mixture series (noncentral F): the bound on the dropped terms,
 # relative to the running total, at which a side stops.
@@ -720,8 +720,16 @@ def exp_cos_integral_scaled(z, n: int):
         raise ValueError("z must be finite")
     a = (n - 1) / 2.0
     far = x >= _KUMMER_FAR * max(1.0, a * abs(1.0 - a))
-    m = np.empty(x.shape)
-    # log 2 + log |z|, since 2|z| overflows from 8.99e307
-    m[far] = np.exp(gammaln(2.0 * a) - gammaln(a) - a * (np.log(2.0) + np.log(x[far])))
-    m[~far] = hyp1f1(a, 2.0 * a, -2.0 * x[~far])
-    return (beta(a, 0.5) * m)[()]
+    scale, gamma_2a = beta(a, 0.5), gamma(2.0 * a)
+    out = np.empty(x.shape)
+    out[~far] = scale * hyp1f1(a, 2.0 * a, -2.0 * x[~far])
+    if np.isinf(gamma_2a):  # from n = 172 on, where every far value is 0
+        out[far] = 0.0
+    else:
+        # (2|z|)^-a = f^-a 2^(-p/2) with |z| = f 2^e and p = 2a(e + 1): 2|z|
+        # overflows from 8.99e307, and an exp of the whole log loses 1e-13
+        f, e = np.frexp(x[far])
+        p = (n - 1) * (e + 1)
+        out[far] = np.ldexp(scale * gamma_2a / gamma(a) * f ** -a
+                            * np.where(p % 2, np.sqrt(0.5), 1.0), -(p // 2))
+    return out[()]

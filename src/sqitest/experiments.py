@@ -21,9 +21,8 @@ from .phase_space import SqueezeParam, _parse_kv_text, rng_stream, whitened_sign
 ETA_PRESETS = {"zero": ("eta0", 0.0, 1.0), "L-real-theta": ("etaL_real", 1.0, 1.0),
                "L-imag-theta": ("etaL_imag", 1.0, 1.0j)}
 
-# Scalar keys of a config file, each also a ``sqitest curve`` flag (with -
-# for _): key -> (ExperimentConfig field, cast, help).  The eta entries are
-# a list and are read apart.
+# Keys of a config file, each also a ``sqitest curve`` flag (with - for _),
+# in the order of the CSV header: key -> (ExperimentConfig field, cast, help).
 CONFIG_KEYS = {
     "m": ("modes", int, "mode count"),
     "n": ("copies", int, "copy count"),
@@ -32,6 +31,8 @@ CONFIG_KEYS = {
     "theta_min": ("theta_min", float, "smallest displacement norm"),
     "theta_max": ("theta_max", float, "largest displacement norm"),
     "theta_steps": ("theta_steps", int, "number of grid points"),
+    "eta": ("etas", str.split, f"squeezing entry: preset {tuple(ETA_PRESETS)} or a "
+                               "parameter file; repeatable"),
     "reps": ("reps", int, "Monte Carlo replicates, shared by every point (0 = analytic only)"),
     "seed": ("seed", int, "base random seed"),
     "out": ("out", str, "output CSV path"),
@@ -78,12 +79,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
-        kv = _parse_kv_text(text, (*CONFIG_KEYS, "eta"))
-        kwargs = {name: cast(kv[key]) for key, (name, cast, _) in CONFIG_KEYS.items()
-                  if key in kv}
-        if "eta" in kv:
-            kwargs["etas"] = tuple(kv["eta"].split())
-        return cls(**kwargs)
+        kv = _parse_kv_text(text, CONFIG_KEYS)
+        return cls(**{name: cast(kv[key]) for key, (name, cast, _) in CONFIG_KEYS.items()
+                      if key in kv})
 
 
 def _resolve_eta(entry: str, modes: int):
@@ -158,15 +156,15 @@ def run_curve(config: ExperimentConfig) -> str:
                 columns[f"beta_hh_{label}_mc"] = value
                 columns[f"beta_hh_{label}_stderr"] = stderr
 
-    header = [
-        f"# m = {config.modes}", f"# n = {config.copies}",
-        f"# N = {config.mixture:.17g}", f"# alpha = {config.alpha:.17g}",
-        f"# theta_min = {config.theta_min:.17g}",
-        f"# theta_max = {config.theta_max:.17g}",
-        f"# theta_steps = {config.theta_steps}",
-        f"# eta = {' '.join(config.etas)}",
-        f"# reps = {config.reps}", f"# seed = {config.seed}",
-    ]
+    header = []
+    for key, (name, cast, _) in CONFIG_KEYS.items():
+        value = getattr(config, name)
+        if cast is float:
+            value = f"{value:.17g}"
+        elif cast is str.split:
+            value = " ".join(value)
+        if key != "out":
+            header.append(f"# {key} = {value}")
     header += [f"# note: {n}" for n in notes]
     with open(config.out, "w") as fh:
         np.savetxt(fh, np.column_stack(list(columns.values())), fmt="%.17g",
@@ -179,35 +177,25 @@ def run_curve(config: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class CheckResult:
-    name: str
-    status: str  # PASS | FAIL
-    residual: float
-    tol: float
-    note: str = ""
-
-    def format(self) -> str:
-        note = f"  ({self.note})" if self.note else ""
-        return (f"[{self.status}] {self.name:40s} residual={self.residual:.3e} "
-                f"tol={self.tol:.1e}{note}")
-
-
-@dataclass
 class VerifyReport:
+    """A suite's checks, one (status, name, residual, tol, note) row each."""
+
     suite: str
     checks: list = field(default_factory=list)
 
     def add(self, name, residual, tol, note=""):
         status = "PASS" if residual <= tol else "FAIL"
-        self.checks.append(CheckResult(name, status, float(residual), tol, note))
+        self.checks.append((status, name, float(residual), tol, note))
 
     @property
     def failures(self) -> int:
-        return sum(1 for c in self.checks if c.status == "FAIL")
+        return sum(1 for status, *_ in self.checks if status == "FAIL")
 
     def format(self) -> str:
         lines = [f"verification suite: {self.suite}"]
-        lines += [c.format() for c in self.checks]
+        for status, name, residual, tol, note in self.checks:
+            note = f"  ({note})" if note else ""
+            lines.append(f"[{status}] {name:40s} residual={residual:.3e} tol={tol:.1e}{note}")
         lines.append(f"{len(self.checks) - self.failures} passed, "
                      f"{self.failures} failed")
         return "\n".join(lines)
@@ -346,17 +334,17 @@ def _verify_tests(report: VerifyReport):
                note="alpha = 0.5 puts the grid inside the tail regime")
 
 
+# suite name -> its batteries, in report order; "all" runs every one
+SUITES = {"fock": (_verify_fock,), "distributions": (_verify_distributions,),
+          "tests": (_verify_tests,)}
+SUITES["all"] = sum(SUITES.values(), ())
+
+
 def run_verify(suite: str) -> VerifyReport:
     """Run a named cross-check battery; returns a report with PASS/FAIL lines."""
-    suites = {
-        "fock": _verify_fock,
-        "distributions": _verify_distributions,
-        "tests": _verify_tests,
-    }
-    if suite not in tuple(suites) + ("all",):
-        raise ValueError(f"unknown suite {suite!r}; choose from "
-                         f"{', '.join(tuple(suites) + ('all',))}")
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     report = VerifyReport(suite)
-    for fn in suites.values() if suite == "all" else [suites[suite]]:
+    for fn in SUITES[suite]:
         fn(report)
     return report

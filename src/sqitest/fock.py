@@ -48,6 +48,7 @@ the tests compare against.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -83,6 +84,11 @@ class FockConfig:
     cutoff: int
 
     def __post_init__(self):
+        try:
+            for size in (self.modes, self.copies, self.cutoff):
+                operator.index(size)
+        except TypeError:
+            raise ValueError("modes, copies and cutoff must be integers") from None
         if self.modes < 1 or self.copies < 1:
             raise ValueError("modes and copies must be >= 1")
         if self.cutoff < 2:

@@ -25,6 +25,7 @@ test.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -46,8 +47,9 @@ _SLOPE_THETAS = (1e-2, 5e-3, 2.5e-3)
 class TestSpec:
     """The problem both tests answer: m modes, n copies, mixture N, level alpha.
 
-    Both tests need m >= 1, n >= 2, alpha in [0, 1] and a finite N >= 0; the
-    Hotelling routes check the rest when they read ``critical_point``.
+    Both tests need integers m >= 1 and n >= 2, alpha in [0, 1] and a
+    finite N >= 0; the Hotelling routes check the rest when they read
+    ``critical_point``.
     """
 
     __test__ = False  # not a pytest case despite the name
@@ -58,6 +60,11 @@ class TestSpec:
     alpha: float
 
     def __post_init__(self):
+        try:
+            for size in (self.modes, self.copies):
+                operator.index(size)
+        except TypeError:
+            raise ValueError("modes and copies must be integers") from None
         if self.modes < 1:
             raise ValueError("modes must be >= 1")
         if self.copies < 2:

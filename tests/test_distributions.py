@@ -905,6 +905,24 @@ class TestSpecialIntegrals:
             want = mp.beta(a, mp.mpf(0.5)) * mp.hyp1f1(a, 2 * a, -2 * mp.mpf(z))
             assert g == pytest.approx(float(want), rel=1e-12, abs=1e-301)
 
+    @pytest.mark.parametrize("n,z", [(2, 1.7e308), (3, 1.7e308), (4, 1e100), (20, 1e25),
+                                     (19, 2.5786175408513666e33)])
+    def test_far_branch_is_exact_to_a_few_ulps(self, n, z):
+        # one exp of the whole log (an exponent of 350-700) missed by 2.3e-14
+        # to 1.28e-13 here; the last point was the worst far-branch cell
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        a = mp.mpf(n - 1) / 2
+        want = mp.beta(a, mp.mpf(0.5)) * mp.hyp1f1(a, 2 * a, -2 * mp.mpf(z))
+        assert exp_cos_integral_scaled(z, n) == pytest.approx(float(want), rel=2e-15, abs=0.0)
+
+    @pytest.mark.parametrize("n", [171, 172, 1000])
+    def test_far_branch_past_the_gamma_overflow_is_zero(self, n):
+        # Gamma(2a) overflows from n = 172, where every far value underflows;
+        # the pytest config makes a RuntimeWarning (inf * 0) an error
+        got = exp_cos_integral_scaled(np.array([1e25, 1e300, 1.7e308]), n)
+        assert got.tolist() == [0.0, 0.0, 0.0]
+
     @pytest.mark.parametrize("z", [np.inf, np.nan, np.array([1.0, -np.inf])])
     def test_non_finite_argument_rejected(self, z):
         with pytest.raises(ValueError, match="z must be finite"):

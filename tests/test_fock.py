@@ -60,6 +60,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             FockConfig(1, 1, 1)
 
+    @pytest.mark.parametrize("shape", [(1, 2.5, 5), (1.0, 2, 5), (1, 2, 5.0)])
+    def test_sizes_must_be_integers(self, shape):
+        # (1, 2.5, 5) raised a TypeError from math.comb, and (1.0, 2, 5)
+        # built with a dim of 15.0
+        with pytest.raises(ValueError, match="modes, copies and cutoff must be integers"):
+            FockConfig(*shape)
+
+    def test_numpy_integer_sizes_accepted(self):
+        assert FockConfig(*np.array([1, 2, 5])).dim == FockConfig(1, 2, 5).dim == 15
+
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceeded):
             FockConfig(2, 3, 20)  # 1540^2 = 2 371 600 basis states > 2^20

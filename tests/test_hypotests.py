@@ -81,6 +81,17 @@ class TestTestSpec:
         with pytest.raises(ValueError):
             TestSpec(1, 1, 0.0, 0.05)
 
+    @pytest.mark.parametrize("modes,copies", [(1, 2.5), (1.5, 3), (1.0, 3), (1, 3.0)])
+    def test_sizes_must_be_integers(self, modes, copies):
+        # copies = 2.5 gave an SI error of 0.5491, and modes = 1.5 a
+        # critical point that asked for "more than 2m copies"
+        with pytest.raises(ValueError, match="modes and copies must be integers"):
+            TestSpec(modes, copies, 0.0, 0.05)
+
+    def test_numpy_integer_sizes_accepted(self):
+        spec = TestSpec(np.int64(1), np.int64(3), 0.0, 0.05)
+        assert spec.critical_point == TestSpec(1, 3, 0.0, 0.05).critical_point
+
     def test_level_range(self):
         for alpha in (1.2, np.nan):
             with pytest.raises(ValueError):
