@@ -40,8 +40,8 @@ print(f"three heterodyne outcomes:\n{data}")
 print(f"scaled Hotelling statistic: {ht.hotelling_F(data):.4f}")
 
 # T^2 is unchanged by whitening, so both routes read the whitened signal
-# sigma^{-1/2} mu, whose squared norm is kappa: the simulation shifts
-# standard normal draws by it
+# sigma^{-1/2} mu, whose squared norm is kappa: the simulation draws each
+# replicate's whitened sample mean and covariance, and shifts the mean by it
 signal = whitened_signal(0.5, eta0, 0.0)
 analytic = ht.hh_type2_analytic(signal, spec_hh)
 mc = ht.hh_type2_montecarlo(signal, spec_hh, reps=100000, rng=rng_stream(3))

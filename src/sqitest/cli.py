@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import shlex
 import sys
 from dataclasses import replace
 
@@ -23,7 +24,7 @@ def _build_parser() -> argparse.ArgumentParser:
     curve = sub.add_parser("curve", help="write an error-curve CSV over a theta grid")
     curve.add_argument("--config", help="config file (key = value); explicit flags win")
     for key, (_, cast, text) in CONFIG_KEYS.items():
-        kind = {"action": "append"} if cast is str.split else {"type": cast}
+        kind = {"action": "append"} if cast is shlex.split else {"type": cast}
         curve.add_argument("--" + key.replace("_", "-"), help=text, **kind)
 
     verify = sub.add_parser("verify", help="run a named cross-check battery")

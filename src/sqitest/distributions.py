@@ -547,7 +547,8 @@ def _poisson_mixture(half, table, peak: int, x: float, y: float, log_scale):
             log_below = np.log(pdtr(lo[b] - 1, half[b] * x)) + log_c
             log_above = np.log(pdtrc(hi[a] - 1, half[a])) + log_t_hi
         room = _TAIL_STOP * total  # a bound that underflows meets a total of 0
-        down[b], up[a] = np.exp(log_below) > room[b], np.exp(log_above) > room[a]
+        with np.errstate(over="ignore"):  # an inf bound exceeds every room, as it should
+            down[b], up[a] = np.exp(log_below) > room[b], np.exp(log_above) > room[a]
         keep_b, keep_a = down[b], up[a]
         b, a = b[keep_b], a[keep_a]
         if not b.size + a.size:

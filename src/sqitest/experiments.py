@@ -7,6 +7,7 @@ their own tests; this module only arranges grids, random streams and files.
 from __future__ import annotations
 
 import os
+import shlex
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,8 +32,8 @@ CONFIG_KEYS = {
     "theta_min": ("theta_min", float, "smallest displacement norm"),
     "theta_max": ("theta_max", float, "largest displacement norm"),
     "theta_steps": ("theta_steps", int, "number of grid points"),
-    "eta": ("etas", str.split, f"squeezing entry: preset {tuple(ETA_PRESETS)} or a "
-                               "parameter file; repeatable"),
+    "eta": ("etas", shlex.split, f"squeezing entry: preset {tuple(ETA_PRESETS)} or a "
+                                 "parameter file; repeatable"),
     "reps": ("reps", int, "Monte Carlo replicates, shared by every point (0 = analytic only)"),
     "seed": ("seed", int, "base random seed"),
     "out": ("out", str, "output CSV path"),
@@ -161,8 +162,8 @@ def run_curve(config: ExperimentConfig) -> str:
         value = getattr(config, name)
         if cast is float:
             value = f"{value:.17g}"
-        elif cast is str.split:
-            value = " ".join(value)
+        elif cast is shlex.split:
+            value = shlex.join(value)
         if key != "out":
             header.append(f"# {key} = {value}")
     header += [f"# note: {n}" for n in notes]

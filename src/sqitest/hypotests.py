@@ -7,8 +7,10 @@ error is the noncentral F cdf at the level-alpha critical point.  Both HH
 routes take the whitened signal sigma^{-1/2} mu of ``whitened_signal``,
 whose squared norm is kappa: T^2 does not change under x -> sigma^{-1/2} x.
 The analytic route makes one cdf call for a whole stack of signals; a Monte
-Carlo route simulates T^2 instead.  Every analytic error map returns the
-shape of its displacement input (a numpy float for one).
+Carlo route draws T^2 from its sufficient statistics instead, the mean and
+the Bartlett factor of the Wishart sample covariance, at a cost free of n.
+Every analytic error map returns the shape of its displacement input (a
+numpy float for one).
 
 SI: the squeezing-invariant test.  For a pure alternative (mixture 0) the
 type II error has the closed form
@@ -134,39 +136,32 @@ def hotelling_F(samples: np.ndarray) -> float:
     return (nu / (mu * (n - 1))) * t2
 
 
-def _hotelling_factor(z: np.ndarray):
-    """Factor the sample covariances of an (R, n, p) block z once; returns t2(shift).
+def _bartlett_t2(normals: np.ndarray, chi2: np.ndarray, n: int):
+    """T^2(shift) of replicates drawn as sufficient statistics, one per row.
 
-    t2(shift) is T^2 = n xbar' S^{-1} xbar of each replicate z[r] + shift; a
-    shift moves xbar but not S (divisor n - 1).  It serves the Monte Carlo
-    alone, whose draws z are whitened, so S is near the identity.  S comes
-    from the uncentred moments of z, exact while its mean is small next to
-    its spread, summed over R-long rows of one contiguous (p, n, R) copy.
-    Loops run over the small p only: an unpivoted Cholesky factor S = L L'
-    once, and per shift the forward solve L y = xbar, with T^2 = n |y|^2.
-    A pivot that is not positive makes T^2 inf or nan, which fails every
-    test ``<= c``: a rejection.
+    Row r of ``normals`` is g ~ N(0, I_p), then the entries of a lower
+    triangular A below its diagonal, row by row; row r of ``chi2`` is the
+    squares of A's diagonal, chi^2 with n - 1, ..., n - p degrees of
+    freedom.  Then g is sqrt(n) xbar and A A' is (n - 1) S, Wishart with
+    n - 1 degrees of freedom (Bartlett), of n standard normal copies.  A
+    shift moves xbar but not S, so T^2 = (n - 1) |A^{-1}(g + sqrt(n) shift)|^2,
+    one forward solve per shift in loops over the small p.  A zero pivot
+    makes T^2 inf or nan, which fails every test ``<= c``: a rejection.
     """
-    _, n, p = z.shape
-    cols = np.ascontiguousarray(z.transpose(2, 1, 0))
-    zbar = [c.sum(axis=0) / n for c in cols]
-    L = [[None] * p for _ in range(p)]
-    with np.errstate(all="ignore"):
-        for j in range(p):
-            for i in range(j, p):
-                s = ((np.einsum("kr,kr->r", cols[i], cols[j]) - n * zbar[i] * zbar[j])
-                     / (n - 1) - sum(L[i][k] * L[j][k] for k in range(j)))
-                L[i][j] = np.sqrt(s) if i == j else s / L[j][j]
+    p = chi2.shape[1]
+    cols = np.ascontiguousarray(normals.T)
+    below = [cols[p + j * (j - 1) // 2:p + j * (j + 1) // 2] for j in range(p)]
+    pivots = np.sqrt(np.ascontiguousarray(chi2.T))
 
     def t2(shift):
         y = []
         with np.errstate(all="ignore"):
             for j in range(p):
-                r = zbar[j] + shift[j]
-                for k in range(j):
-                    r -= L[j][k] * y[k]
-                y.append(r / L[j][j])
-            return n * sum(v * v for v in y)
+                r = cols[j] + np.sqrt(n) * shift[j]
+                for a, v in zip(below[j], y):
+                    r -= a * v
+                y.append(r / pivots[j])
+            return (n - 1) * sum(v * v for v in y)
 
     return t2
 
@@ -204,14 +199,15 @@ def hh_type2_montecarlo(signal, spec: TestSpec, reps: int,
                         rng: np.random.Generator) -> MonteCarloEstimate:
     """Acceptance frequency of the Hotelling test at each whitened signal (..., 2m).
 
-    T^2 is unchanged by x -> sigma^{-1/2} x, so the outcomes
-    mu + sigma^{1/2} z of ``heterodyne_sample`` are evaluated as
-    z + ``whitened_signal``.  Every signal shifts the same ``reps``
-    replicates z of n standard normal copies, drawn in order from ``rng``
-    in blocks of _MC_CHUNK, each factored once: memory stays bounded, and
-    each entry of the estimate (...) equals the call with that signal alone
-    on a fresh copy of the stream, so the entries are not independent of
-    each other.
+    T^2 is unchanged by x -> sigma^{-1/2} x and reads the n copies only
+    through (xbar, S), so each replicate draws these (``_bartlett_t2``):
+    2m + m(2m - 1) normals and 2m chi-squares at any n, from two child
+    streams of ``rng`` (``rng.spawn``; rng's own state does not move),
+    row-major per replicate, in blocks of _MC_CHUNK: memory stays bounded
+    and the estimate does not depend on the block size.  Every signal
+    shifts the same ``reps`` replicates, so each entry of the estimate (...)
+    equals the call with that signal alone on a fresh copy of the stream,
+    and the entries are not independent of each other.
     """
     c = spec.critical_point
     signal = _checked_signal(signal, spec)
@@ -219,10 +215,12 @@ def hh_type2_montecarlo(signal, spec: TestSpec, reps: int,
         raise ValueError("reps must be >= 1")
     n, p = spec.copies, spec.mu_dof
     scale = spec.nu_dof / (spec.mu_dof * (n - 1))
+    normal_rng, chi2_rng = rng.spawn(2)
     accepted = np.zeros(signal.shape[:-1], dtype=np.int64)
     for start in range(0, reps, _MC_CHUNK):
         size = min(_MC_CHUNK, reps - start)
-        t2 = _hotelling_factor(rng.standard_normal((size * n, p)).reshape(size, n, p))
+        t2 = _bartlett_t2(normal_rng.standard_normal((size, p * (p + 1) // 2)),
+                          chi2_rng.chisquare(n - 1 - np.arange(p), (size, p)), n)
         for i in np.ndindex(accepted.shape):
             accepted[i] += np.count_nonzero(scale * t2(signal[i]) <= c)
     accept = accepted / reps

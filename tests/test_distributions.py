@@ -746,6 +746,13 @@ class TestNoncentralFAgainstScipy:
         got = noncentral_f_cdf(c, NoncentralFParams(mu, nu, lam))
         assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
+    def test_large_nu_tail_bound_overflows_silently(self):
+        # at nu = 2998 the Poisson bound below the window passes the float
+        # range; an inf bound only widens the window, and warns of nothing
+        c = critical_point(0.05, 2, 2998)
+        got = noncentral_f_cdf(c, NoncentralFParams(2, 2998, 170.009))
+        assert got == pytest.approx(ncfdtr(2, 2998, 170.009, c), rel=1e-12, abs=0.0)
+
     def test_huge_noncentrality_keeps_the_complement(self):
         # at c = (2 + lambda)/2, 1 - x = 1/(2c + 1) sits near 1e-10; forming
         # it as 1 - x left the cdf 6e-8 off

@@ -128,6 +128,19 @@ class TestConfigKeys:
                                            "--eta", "L-real-theta", "--eta", "zero"])
         assert _curve_config(args).etas == ("L-real-theta", "zero")
 
+    def test_eta_path_with_a_space_is_quoted(self, tmp_path):
+        assert ExperimentConfig.from_text('eta = "my eta.txt" zero').etas == ("my eta.txt",
+                                                                              "zero")
+        eta_path = tmp_path / "my eta.txt"
+        eta_path.write_text(SqueezeParam.axis_family(1.5).to_text())
+        cfg = ExperimentConfig(etas=(str(eta_path), "zero"), theta_steps=2,
+                               out=str(tmp_path / "c.csv"))
+        comments, header, _ = read_curve(run_curve(cfg))
+        assert "beta_hh_eta_my eta" in header
+        # the header's eta line reads back as the same two entries
+        line = next(c for c in comments if c.startswith("# eta = "))
+        assert ExperimentConfig.from_text(line[2:]).etas == cfg.etas
+
 
 class TestRunCurve:
     def test_zero_grid_gives_trivial_row(self, tmp_path):
@@ -501,15 +514,15 @@ class TestCli:
     def test_monte_carlo_error_reaches_the_command(self, tmp_path, capsys, monkeypatch):
         # an error raised inside the Monte Carlo, here in its second block,
         # is reported by the CLI, and no CSV is written
-        factor, blocks = ht._hotelling_factor, []
+        kernel, blocks = ht._bartlett_t2, []
 
-        def failing(z):
-            blocks.append(len(z))
+        def failing(normals, chi2, n):
+            blocks.append(len(normals))
             if len(blocks) == 2:
                 raise ValueError("second block failed")
-            return factor(z)
+            return kernel(normals, chi2, n)
 
-        monkeypatch.setattr(ht, "_hotelling_factor", failing)
+        monkeypatch.setattr(ht, "_bartlett_t2", failing)
         out = tmp_path / "c.csv"
         code = main(["curve", "--n", "4", "--theta-max", "1", "--theta-steps", "3",
                      "--reps", str(2 * ht._MC_CHUNK), "--out", str(out)])

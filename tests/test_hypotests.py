@@ -8,15 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import helmert
 from scipy.special import beta
 
 from sqitest import distributions as dist
+from sqitest import hypotests as ht
 from sqitest.fock import FockConfig, si_type2_fock
 from sqitest.hypotests import (
     SingularCovarianceError,
     TestSpec,
     _MC_CHUNK,
-    _hotelling_factor,
+    _bartlett_t2,
     crossing_check,
     hh_type2_analytic,
     hh_type2_montecarlo,
@@ -36,17 +38,44 @@ from sqitest.phase_space import (
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def one_batch_acceptance(theta, eta, spec, reps, seed):
-    """Acceptance frequency of ``reps`` replicates of ``heterodyne_sample`` outcomes
-    from ``rng_stream(seed)``, each covariance solved with ``np.linalg.solve``."""
-    n = spec.copies
-    x = heterodyne_sample(theta, eta, spec.mixture, reps * n, rng_stream(seed))
-    x = x.reshape(reps, n, 2 * spec.modes)
+def bartlett_data(normals, chi2, n, shift):
+    """The (R, n, p) data sets whose sufficient statistics are the rows of
+    (normals, chi2), in the layout of ``_bartlett_t2``, shifted by ``shift``.
+
+    x = H' [g; A'; 0] + 1 shift', H the full Helmert matrix, whose first row
+    is (1, ..., 1) / sqrt(n): then sqrt(n) xbar = g + sqrt(n) shift and the
+    centred cross products sum to A A'.
+    """
+    reps, p = chi2.shape
+    A = np.zeros((reps, p, p))
+    A[:, np.arange(p), np.arange(p)] = np.sqrt(chi2)
+    A[(slice(None), *np.tril_indices(p, -1))] = normals[:, p:]
+    Y = np.zeros((reps, n, p))
+    Y[:, 0] = normals[:, :p]
+    Y[:, 1:p + 1] = A.transpose(0, 2, 1)
+    return np.einsum("ji,rjk->rik", helmert(n, full=True), Y) + shift
+
+
+def solved_t2(x):
+    """T^2 = n xbar' S^{-1} xbar of each data set of x (R, n, p), by ``np.linalg.solve``."""
+    n = x.shape[1]
     xbar = x.mean(axis=1)
     centered = x - xbar[:, None, :]
     cov = np.einsum("rni,rnj->rij", centered, centered) / (n - 1)
     sol = np.linalg.solve(cov, xbar[..., None])[..., 0]
-    f_vals = (spec.nu_dof / (spec.mu_dof * (n - 1))) * (n * np.einsum("ri,ri->r", xbar, sol))
+    return n * np.einsum("ri,ri->r", xbar, sol)
+
+
+def one_batch_acceptance(theta, eta, spec, reps, seed):
+    """Acceptance frequency of ``reps`` data sets rebuilt from the sufficient
+    statistics drawn, all at once, from the two child streams of
+    ``rng_stream(seed)``, each covariance solved with ``np.linalg.solve``."""
+    n, p = spec.copies, spec.mu_dof
+    normal_rng, chi2_rng = rng_stream(seed).spawn(2)
+    normals = normal_rng.standard_normal((reps, p * (p + 1) // 2))
+    chi2 = chi2_rng.chisquare(n - 1 - np.arange(p), (reps, p))
+    x = bartlett_data(normals, chi2, n, whitened_signal(theta, eta, spec.mixture))
+    f_vals = (spec.nu_dof / (spec.mu_dof * (n - 1))) * solved_t2(x)
     return float(np.mean(f_vals <= spec.critical_point))
 
 
@@ -161,24 +190,25 @@ class TestHotellingStatistic:
         assert not isinstance(err.value, SingularCovarianceError)
 
 
-class TestHotellingKernel:
-    # (40, 2): a long copy axis, where the contiguous sums round differently
-    @pytest.mark.parametrize("n, p", [(4, 2), (6, 4), (9, 6), (40, 2)])
+class TestBartlettKernel:
+    @pytest.mark.parametrize("n, p", [(3, 2), (5, 4), (9, 6), (40, 2), (40, 6)])
     def test_matches_per_replicate_solve(self, n, p):
         rng = np.random.default_rng(100 * n + p)
-        z, shift = rng.standard_normal((64, n, p)), rng.standard_normal(p)
-        z[17] = z[17, 0]  # identical copies: a singular sample covariance
-        got = _hotelling_factor(z)(shift)
-        x = z + shift
-        for r in range(len(x)):
-            if r == 17:
-                assert not np.isfinite(got[r])  # fails every test "<= c"
-                continue
-            xbar = x[r].mean(axis=0)
-            centered = x[r] - xbar
-            cov = centered.T @ centered / (n - 1)
-            want = n * xbar @ np.linalg.solve(cov, xbar)
-            assert got[r] == pytest.approx(want, rel=1e-9, abs=0.0)
+        normals = rng.standard_normal((64, p * (p + 1) // 2))
+        chi2 = rng.chisquare(n - 1 - np.arange(p), (64, p))
+        shift = rng.standard_normal(p)
+        got = _bartlett_t2(normals, chi2, n)(shift)
+        want = solved_t2(bartlett_data(normals, chi2, n, shift))
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+    def test_zero_pivot_is_rejection(self):
+        rng = np.random.default_rng(5)
+        normals, chi2 = rng.standard_normal((3, 3)), rng.chisquare([3, 2], (3, 2))
+        chi2[1, 1] = 0.0                     # r / 0: T^2 inf
+        normals[2, 0], chi2[2, 0] = 0.0, 0.0  # 0 / 0 at the zero shift: T^2 nan
+        t2 = _bartlett_t2(normals, chi2, 4)(np.zeros(2))
+        assert np.isfinite(t2[0]) and np.isposinf(t2[1]) and np.isnan(t2[2])
+        assert list(t2 <= np.finfo(float).max) == [True, False, False]  # fails every c
 
 
 class TestHHAnalytic:
@@ -285,14 +315,45 @@ class TestHHMonteCarlo:
         b = hh_type2_montecarlo(signal, spec, 2000, rng_stream(9))
         assert a == b
 
-    def test_singular_replicate_counts_as_rejection(self):
-        # replicate 177588 of this stream has an exactly singular covariance,
-        # which used to abort the whole batched solve
-        eta = SqueezeParam(1, np.zeros((1, 1)), np.eye(1, dtype=complex))
-        spec = TestSpec(1, 3, 0.0, 0.05)
-        est = hh_type2_montecarlo(whitened_signal(0.0, eta, 0.0), spec, 400_000,
-                                  rng_stream(1000106))
-        assert abs(est.value - 0.95) < 5 * est.stderr
+    def test_zero_pivots_count_as_rejections(self, monkeypatch):
+        # a Bartlett factor with a zero pivot has no inverse: every such
+        # replicate is rejected, and the call still returns
+        kernel = ht._bartlett_t2
+
+        def zero_odd_pivots(normals, chi2, n):
+            chi2 = chi2.copy()
+            chi2[1::2, -1] = 0.0
+            return kernel(normals, chi2, n)
+
+        monkeypatch.setattr(ht, "_bartlett_t2", zero_odd_pivots)
+        spec, reps = TestSpec(1, 4, 0.0, 0.05), 2 * _MC_CHUNK + 6
+        est = hh_type2_montecarlo(np.zeros(2), spec, reps, rng_stream(6))
+        assert est.value <= 0.5
+        assert abs(est.value - 0.95 / 2) < 5 * np.sqrt(0.95 * 0.05 / (2 * reps))
+
+    def test_matches_hotelling_F_on_heterodyne_data(self):
+        # two independent samples of the same acceptance: the Monte Carlo's
+        # drawn statistics, and hotelling_F on data sets of n outcomes each
+        spec = TestSpec(1, 4, 0.5, 0.05)
+        eta, theta, sets = SqueezeParam.axis_family(1.5), 2.0, 10_000
+        x = heterodyne_sample(theta, eta, 0.5, sets * 4, rng_stream(31)).reshape(sets, 4, 2)
+        on_data = np.mean([hotelling_F(s) <= spec.critical_point for s in x])
+        est = hh_type2_montecarlo(whitened_signal(theta, eta, 0.5), spec, 10 ** 5,
+                                  rng_stream(32))
+        assert 0.3 < on_data < 0.7
+        sigma = np.hypot(np.sqrt(on_data * (1.0 - on_data) / sets), est.stderr)
+        assert abs(est.value - on_data) < 5 * sigma
+
+    @pytest.mark.parametrize("n, lams", [(200, (0.0, 4.0, 12.0)),
+                                         (3000, (0.0, 8.0, 170.009, 1000.0))])
+    def test_large_n_matches_analytic(self, n, lams):
+        # a replicate costs the same at any n; at n = 3000 the lambdas from
+        # 170 on are where the noncentral F engine's tail bound overflowed
+        spec = TestSpec(1, n, 0.0, 0.05)
+        signal = np.sqrt(np.array(lams) / n)[:, None] * np.array([1.0, 0.0])
+        est = hh_type2_montecarlo(signal, spec, 10 ** 5, rng_stream(n))
+        want = hh_type2_analytic(signal, spec)
+        assert want[1] < 0.9 and np.all(np.abs(est.value - want) < 4 * est.stderr)
 
     def test_blocked_estimate_equals_one_batch(self):
         # three full blocks of _MC_CHUNK replicates and a partial one
