@@ -4,7 +4,8 @@
 Sweeps the type II error of both tests over a displacement grid (one mode,
 three copies, pure states, level 0.05), locates the two orderings, and
 writes the curve to error_curve.csv.  The invariant test wins for small
-displacements; the Hotelling test only overtakes it deep in the tail.
+displacements; the Hotelling test only overtakes it deep in the tail.  A
+short table repeats the comparison for a mixed state (N = 0.3).
 
 Run: python demos/04_error_curve_comparison.py
 """
@@ -27,6 +28,15 @@ eta0 = SqueezeParam.zero(1)
 thetas = np.linspace(0.0, 3.0, 7)
 beta_si = ht.si_type2_closed(thetas, spec)
 beta_hh = ht.hh_type2_analytic(whitened_signal(thetas[:, None], eta0, 0.0), spec)
+print(f"{'theta':>6} {'beta_si':>12} {'beta_hh(eta=0)':>15}")
+for t, bs, bh in zip(thetas, beta_si, beta_hh):
+    print(f"{t:6.2f} {bs:12.6f} {bh:15.6f}")
+
+print("\n== a mixed state (N = 0.3): si_type2 takes the branching route ==")
+mixed = ht.TestSpec(1, 3, 0.3, 0.05)
+thetas = np.linspace(0.0, 2.0, 5)
+beta_si = ht.si_type2(thetas, mixed)
+beta_hh = ht.hh_type2_analytic(whitened_signal(thetas[:, None], eta0, 0.3), mixed)
 print(f"{'theta':>6} {'beta_si':>12} {'beta_hh(eta=0)':>15}")
 for t, bs, bh in zip(thetas, beta_si, beta_hh):
     print(f"{t:6.2f} {bs:12.6f} {bh:15.6f}")

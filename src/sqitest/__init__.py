@@ -29,11 +29,14 @@ from .experiments import ExperimentConfig, run_curve, run_verify
 from .fock import FockConfig, si_type2_fock
 from .hypotests import (
     CrossingResult,
+    NoRouteError,
     TestSpec,
     crossing_check,
     hh_type2_analytic,
     hh_type2_montecarlo,
     hotelling_F,
+    si_type2,
+    si_type2_branching,
     si_type2_closed,
     si_type2_n2,
 )
@@ -52,8 +55,9 @@ __all__ = [
     "noncentral_f_cdf", "noncentral_f_pdf",
     "ExperimentConfig", "run_curve", "run_verify",
     "FockConfig", "si_type2_fock",
-    "CrossingResult", "TestSpec", "crossing_check", "hh_type2_analytic",
-    "hh_type2_montecarlo", "hotelling_F", "si_type2_closed", "si_type2_n2",
+    "CrossingResult", "NoRouteError", "TestSpec", "crossing_check", "hh_type2_analytic",
+    "hh_type2_montecarlo", "hotelling_F", "si_type2", "si_type2_branching",
+    "si_type2_closed", "si_type2_n2",
     "SqueezeParam", "heterodyne_sample", "kappa", "moments", "pooling_rotation_matrix",
     "whitened_signal",
 ]

@@ -11,7 +11,6 @@ import shlex
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import beta
 
 from . import distributions as dist
 from . import fock
@@ -101,16 +100,6 @@ def _resolve_eta(entry: str, modes: int):
     raise ValueError(f"unknown eta preset or missing file: {entry!r}")
 
 
-def _beta_si_column(spec: ht.TestSpec, grid: np.ndarray):
-    if spec.mixture == 0.0:
-        return ht.si_type2_closed(grid, spec), None
-    if spec.copies == 2:
-        return ht.si_type2_n2(grid, spec.modes, spec.mixture, spec.alpha), None
-    note = ("beta_si not evaluated: no closed form for mixture > 0 with more than "
-            "two copies; use the truncated-space oracle directly")
-    return np.full(grid.shape, np.nan), note
-
-
 def run_curve(config: ExperimentConfig) -> str:
     """Write the error-curve CSV for the configured sweep; returns the path.
 
@@ -127,10 +116,11 @@ def run_curve(config: ExperimentConfig) -> str:
     notes = []
     spec = ht.TestSpec(config.modes, config.copies, config.mixture, config.alpha)
 
-    beta_si, note = _beta_si_column(spec, grid)
-    columns["beta_si"] = beta_si
-    if note:
-        notes.append(note)
+    try:
+        columns["beta_si"] = ht.si_type2(grid, spec)
+    except ht.NoRouteError as err:
+        columns["beta_si"] = np.full(grid.shape, np.nan)
+        notes.append(f"beta_si not evaluated: {err}")
 
     run_hh = config.copies > 2 * config.modes
     if not run_hh:
@@ -242,8 +232,7 @@ def _verify_fock(report: VerifyReport):
         for r in (0.3, 0.5):
             vec = fock.coherent_product_vector(cfgn, np.full((1, n), r))
             got = float(np.real(vec.conj() @ (W @ vec)))
-            z = n * r ** 2
-            want = dist.exp_cos_integral_scaled(z, n) / beta((n - 1) / 2, 0.5)
+            want = ht.si_type2(r, ht.TestSpec(1, n, 0.0, 0.0))  # alpha = 0 accepts range(W)
             worst = max(worst, abs(got - want))
         report.add(f"rotation_average_inner_n{n}", worst, 1e-5)
 
@@ -259,6 +248,10 @@ def _verify_fock(report: VerifyReport):
     got = fock.si_type2_fock(0.5, 0.5, 0.05, cfg40)
     want = ht.si_type2_n2(0.5, 1, 0.5, 0.05)
     report.add("si_error_fock_vs_lattice", abs(got - want), 1e-4)
+
+    got = fock.si_type2_fock(0.3, 0.3, 0.05, fock.FockConfig(1, 3, 20))
+    want = ht.si_type2_branching(0.3, ht.TestSpec(1, 3, 0.3, 0.05))
+    report.add("si_error_fock_vs_branching", abs(got - want), 1e-8)
 
 
 def _verify_distributions(report: VerifyReport):

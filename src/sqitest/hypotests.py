@@ -22,18 +22,23 @@ type II error has the closed form
 with M Kummer's function, independent of the squeezing.  For two copies and
 any mixture the test reduces to the square of the integer count-difference
 statistic, evaluated through its lattice law and the randomized threshold
-test.
+test.  For one mode, any n and any mixture, the labels of the branching
+O(n) > O(n-1) of the observable commute with every n-fold squeezing
+((Sp(2, R), O(n)) Howe duality), and its law is a sum over small
+tridiagonal blocks.  ``si_type2`` is the one place that picks among these
+three routes.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import beta
+from scipy.linalg import eigh_tridiagonal, solve_triangular
+from scipy.special import beta, xlogy
 
 from . import distributions as dist
 from .distributions import NoncentralFParams
@@ -43,6 +48,9 @@ from .phase_space import SqueezeParam, whitened_signal
 _MC_CHUNK = 2 ** 13
 # Halving theta sequence of the small-theta slope extrapolation.
 _SLOPE_THETAS = (1e-2, 5e-3, 2.5e-3)
+# Largest total photon count the branching route tabulates: its cost grows
+# like the cube of it (2.3 s at 180, n = 10, on one core of a two-vCPU VM).
+_BRANCHING_KMAX = 256
 
 
 @dataclass(frozen=True)
@@ -99,6 +107,10 @@ class TestSpec:
 
 class SingularCovarianceError(ValueError):
     """Raised when the sample covariance of the supplied data is singular."""
+
+
+class NoRouteError(ValueError):
+    """Raised where no route computes the invariant test's type II error."""
 
 
 def hotelling_F(samples: np.ndarray) -> float:
@@ -268,6 +280,120 @@ def si_type2_n2(theta_norm, modes: int, mixture: float, alpha: float):
     null = abs_law(0.0)
     out = [dist.randomized_acceptance(null, abs_law(t), alpha) for t in theta.ravel()]
     return np.array(out, dtype=float).reshape(theta.shape)[()]
+
+
+def _log_harmonic_dims(top: int, k: int) -> np.ndarray:
+    """Logs of the dimensions of the harmonic polynomials of degree 0..top in k variables.
+
+    C(l+k-1, k-1) - C(l+k-3, k-1), formed in exact integers: as floats they
+    overflow at large k (7.5e337 at k = 4999, l = 180).  For k = 1 the
+    dimension is 1 at l <= 1 and 0 (log -inf) from then on.
+    """
+    dims = (math.comb(l + k - 1, k - 1) - (math.comb(l + k - 3, k - 1) if l >= 2 else 0)
+            for l in range(top + 1))
+    return np.array([math.log(d) if d else -np.inf for d in dims])
+
+
+def si_type2_branching(theta_norm, spec: TestSpec):
+    """Type II error of the one-mode invariant test at any n and mixture N.
+
+    After the pooling rotation the alternative is thermal on copies 1..n-1
+    and displaced, with squared amplitude n |theta|^2, on copy n.  The
+    observable is the O(n) Casimir minus that of the O(n-1) fixing copy n,
+    D = l(l+n-2) - l'(l'+n-3) on the labels (l, l') of that branching.  D
+    keeps the total photon count K, so inside one K only the photon law of
+    copy n enters, P_b = ``photon_number_law(1, n |theta|^2/(N+1), p)`` with
+    p = N/(N+1).  On the basis |x'|^{2a} h x_n^b of a (K, l') block, h
+    harmonic of degree l' in the other n-1 copies and b = K - l' - 2a, D is
+    the symmetric tridiagonal matrix of diagonal K(K+n-2) - l'(l'+n-3) -
+    (c_a + e_a) and off-diagonal -sqrt(c_a e_{a-1}), c_a = 2a(2a+2l'+n-3),
+    e_a = b(b-1); its eigenvector of rank j has l = l' + (K-l' mod 2) + 2j.
+    The state is diagonal on that basis, with weight (1-p)^(n-1) p^(K-b) P_b,
+    and each block repeats dimH(l', n-1) times.  The null needs no block:
+    its joint law is (1-p)^n p^l / (1-p^2) dimH(l', n-1) for l' <= l, cut at
+    the ``hi`` L of ``photon_number_law(n, 0, p)``, and since D >= l every
+    null atom up to L is exact.
+
+    Each block is solved once per call, for K up to the largest K_max, the
+    ``hi`` of ``photon_number_law(n, n |theta|^2/(N+1), p)``.  Every theta
+    sums the blocks up to its own K_max in the same order, with elementwise
+    products and sums, so each entry of a stack equals the call with that
+    theta alone bit for bit, at any BLAS thread count.  The weights are
+    formed in logarithms, since dimH passes the float range at large n.  A
+    K_max past _BRANCHING_KMAX, or that law's mean, read first, raises
+    NoRouteError.
+    """
+    if spec.modes != 1:
+        raise NoRouteError("no route for m >= 2 modes with n >= 3 copies and a mixture: "
+                           "the branching law is worked out for one mode only")
+    n, N = spec.copies, spec.mixture
+    p = N / (N + 1.0)
+    theta = np.asarray(theta_norm, dtype=float)
+    rates = _scaled_squares(theta, n).ravel() / (N + 1.0)
+    too_far = NoRouteError(f"the branching route tabulates total photon counts up to "
+                           f"{_BRANCHING_KMAX}, and n = {n}, N = {N:g} with theta up to "
+                           f"{np.max(theta, initial=0.0):g} needs more")
+    if (n * p + np.max(rates, initial=0.0)) / (1.0 - p) > _BRANCHING_KMAX:
+        raise too_far
+    kmax = np.array([dist.photon_number_law(n, r, p).hi for r in rates], dtype=np.intp)
+    top = int(np.max(kmax, initial=0))
+    if top > _BRANCHING_KMAX:
+        raise too_far
+    copy_n = [dist.photon_number_law(1, r, p) for r in rates]
+    P = np.zeros((len(rates), max([top] + [law.hi for law in copy_n]) + 1))
+    for row, law in zip(P, copy_n):
+        row[law.lo:law.hi + 1] = law.pmf
+
+    null_top = dist.photon_number_law(n, 0.0, p).hi
+    log_dims = _log_harmonic_dims(max(top, null_top), n - 1)
+    # the labels (l, l') with l' <= l, l-major: those with l <= k come first
+    label_l, label_lp = np.tril_indices(max(top, null_top) + 1)
+    # the test reads D only through its order, so the laws sit on the rank of
+    # D among the labels' values: a span of O(K_max^2) atoms, not n K_max
+    rank = np.unique(label_l * (label_l + n - 2) - label_lp * (label_lp + n - 3),
+                     return_inverse=True)[1]
+
+    def labels_to(k):
+        return (k + 1) * (k + 2) // 2
+
+    size = labels_to(null_top)
+    null = dist.lattice_law(rank[:size], np.exp(
+        n * np.log1p(-p) + xlogy(label_l[:size], p) + log_dims[label_lp[:size]]) / (1.0 - p * p))
+
+    alt = np.zeros((len(rates), labels_to(top)))
+    for K in range(top + 1):
+        rows = np.flatnonzero(kmax >= K)
+        for lp in np.flatnonzero(log_dims[:K + 1] > -np.inf):
+            a = np.arange((K - lp) // 2 + 1)
+            b = K - lp - 2 * a
+            c, e = 2 * a * (2 * a + 2 * lp + n - 3), b * (b - 1)
+            U = eigh_tridiagonal(K * (K + n - 2) - lp * (lp + n - 3) - (c + e),
+                                 -np.sqrt(c[1:] * e[:-1]))[1]
+            # copies 1..n-1: their thermal law times the block's multiplicity
+            w = (np.exp((n - 1) * np.log1p(-p) + xlogy(K - b, p) + log_dims[lp])
+                 * P[np.ix_(rows, b)])
+            l = lp + (K - lp) % 2 + 2 * a
+            alt[rows[:, None], l * (l + 1) // 2 + lp] += (w[:, :, None] * U ** 2).sum(axis=1)
+
+    out = [dist.randomized_acceptance(
+        null, dist.lattice_law(rank[:labels_to(k)], row[:labels_to(k)]), spec.alpha)
+        for row, k in zip(alt, kmax)]
+    return np.array(out, dtype=float).reshape(theta.shape)[()]
+
+
+def si_type2(theta_norm, spec: TestSpec):
+    """Type II error of the invariant test, from the route that covers ``spec``.
+
+    The closed form at mixture 0, else the lattice law at n = 2, else the
+    branching law, which raises NoRouteError past one mode (m >= 2 modes
+    with n >= 3 copies and a mixture) or past its cost cap.  The shape rule
+    of the routes holds.
+    """
+    if spec.mixture == 0.0:
+        return si_type2_closed(theta_norm, spec)
+    if spec.copies == 2:
+        return si_type2_n2(theta_norm, spec.modes, spec.mixture, spec.alpha)
+    return si_type2_branching(theta_norm, spec)
 
 
 def si_small_theta_slope(spec: TestSpec) -> float:

@@ -207,13 +207,25 @@ class TestRunCurve:
             assert np.isnan(rows[:, header.index(name)]).all()
         assert np.isfinite(rows[:, header.index("beta_si")]).all()
 
-    def test_mixture_without_closed_form_noted(self, tmp_path):
+    def test_one_mode_mixture_uses_branching_route(self, tmp_path):
         out = tmp_path / "c.csv"
-        run_curve(ExperimentConfig(copies=3, mixture=0.5, theta_steps=2,
+        config = ExperimentConfig(copies=3, mixture=0.5, theta_steps=2, theta_max=0.5,
+                                  etas=("zero",), out=str(out))
+        run_curve(config)
+        comments, header, rows = read_curve(out)
+        assert not any("beta_si" in c for c in comments if c.startswith("# note"))
+        want = ht.si_type2_branching(config.theta_grid, ht.TestSpec(1, 3, 0.5, 0.05))
+        assert np.all(np.isfinite(want))
+        np.testing.assert_array_equal(rows[:, header.index("beta_si")], want)
+
+    def test_mixture_without_route_noted(self, tmp_path):
+        out = tmp_path / "c.csv"
+        run_curve(ExperimentConfig(modes=2, copies=5, mixture=0.5, theta_steps=2,
                                    theta_max=0.5, etas=("zero",), out=str(out)))
         comments, header, rows = read_curve(out)
-        assert any("note" in c for c in comments)
+        assert any(c.startswith("# note: beta_si not evaluated: no route") for c in comments)
         assert np.isnan(rows[:, header.index("beta_si")]).all()
+        assert np.isfinite(rows[:, header.index("beta_hh_eta0")]).all()
 
     def test_eta_file_entry(self, tmp_path):
         eta_path = tmp_path / "myeta.txt"
@@ -581,7 +593,8 @@ class TestSameBytesAtAnyBlasThreadCount:
         one, two = _curve_bytes_at_blas_threads(
             [[], ["--n", "4", "--theta-max", "3", "--theta-steps", "3", "--reps", "20000",
                   "--seed", "3"],
-             ["--n", "2", "--N", "0.5", "--theta-steps", "7"]], tmp_path)
+             ["--n", "2", "--N", "0.5", "--theta-steps", "7"],
+             ["--n", "3", "--N", "0.3", "--theta-steps", "4"]], tmp_path)
         assert one == two
 
     @pytest.mark.xfail(strict=False, reason="ROADMAP item 9: np.convolve of the large-N "

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from sqitest import distributions as dist
 from sqitest import hypotests as ht
 from sqitest.fock import FockConfig, si_type2_fock
 from sqitest.hypotests import (
+    NoRouteError,
     SingularCovarianceError,
     TestSpec,
     _MC_CHUNK,
@@ -24,6 +26,8 @@ from sqitest.hypotests import (
     hh_type2_montecarlo,
     hotelling_F,
     si_small_theta_slope,
+    si_type2,
+    si_type2_branching,
     si_type2_closed,
     si_type2_n2,
 )
@@ -543,6 +547,87 @@ class TestSITwoCopies:
         assert abs(got - want) < 1e-4
 
 
+class TestSIBranching:
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 10])
+    def test_pure_case_matches_closed_form(self, n):
+        spec, theta = TestSpec(1, n, 0.0, 0.05), np.array([0.3, 0.7, 1.2])
+        np.testing.assert_allclose(si_type2_branching(theta, spec),
+                                   si_type2_closed(theta, spec), rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("N", [0.3, 1.0])
+    def test_two_copies_match_lattice_law(self, N):
+        theta = np.array([0.3, 0.7, 1.2])
+        np.testing.assert_allclose(si_type2_branching(theta, TestSpec(1, 2, N, 0.05)),
+                                   si_type2_n2(theta, 1, N, 0.05), rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("theta, cutoff, tol", [(0.3, 20, 1e-10), (0.7, 20, 3e-8),
+                                                    (0.7, 32, 1e-13)])
+    def test_matches_truncated_space_oracle(self, theta, cutoff, tol):
+        # the oracle's truncation sets the gap: 1.1e-8 at d = 20, 1.3e-14 at 32
+        got = si_type2_fock(theta, 0.3, 0.05, FockConfig(1, 3, cutoff))
+        assert abs(got - si_type2_branching(theta, TestSpec(1, 3, 0.3, 0.05))) < tol
+
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(n=st.integers(3, 12), N=st.floats(0.05, 2.0),
+           alpha=st.sampled_from([0.05]) | st.floats(0.0, 1.0))
+    def test_null_gives_level(self, n, N, alpha):
+        got = si_type2_branching(0.0, TestSpec(1, n, N, alpha))
+        assert abs(got - (1.0 - alpha)) < 1e-11
+
+    @pytest.mark.parametrize("n, N", [(3, 0.3), (5, 0.5)])
+    def test_decreasing_in_theta(self, n, N):
+        beta = si_type2_branching(np.linspace(0.0, 2.0, 11), TestSpec(1, n, N, 0.05))
+        assert np.all(np.diff(beta) < 0) and 0.0 < beta[-1]
+
+    def test_stack_equals_single_calls(self):
+        from tests.test_distributions import assert_shape_rule
+
+        # the six thetas reach different K_max, so each sums fewer blocks
+        # than the largest one builds
+        spec = TestSpec(1, 3, 0.3, 0.05)
+        assert_shape_rule(lambda t: si_type2_branching(t, spec),
+                          [0.0, 1.2, 0.3, 1.5, 0.7, 0.9], rtol=0.0)
+
+    def test_million_copies(self):
+        # dimH(l', n - 1) passes 1e308 from l' = 68 on, and D spans n K_max,
+        # 1e8 atoms here: the weights are formed in logarithms and the laws
+        # sit on the rank of D.  The 40 thermal photons lie almost all off the
+        # pooled mode, so beta stays near the pure value
+        theta = np.array([0.0, 0.001, 0.002])
+        got = si_type2_branching(theta, TestSpec(1, 10 ** 6, 4e-5, 0.05))
+        assert abs(got[0] - 0.95) < 1e-11
+        np.testing.assert_allclose(got, si_type2_closed(theta, TestSpec(1, 10 ** 6, 0.0, 0.05)),
+                                   rtol=0.0, atol=1e-4)
+
+    @pytest.mark.parametrize("N", [1000.0, 1e5])
+    def test_cost_cap_raises_before_any_table(self, N):
+        # N = 1e5 would otherwise reach the photon law's own atom bound
+        start = time.perf_counter()
+        with pytest.raises(NoRouteError, match="total photon counts up to 256"):
+            si_type2_branching(np.array([0.0, 1.0]), TestSpec(1, 3, N, 0.05))
+        assert time.perf_counter() - start < 0.5
+
+
+class TestSIDispatch:
+    @pytest.mark.parametrize("m, n, N", [(1, 3, 0.0), (2, 3, 0.0), (1, 2, 0.5),
+                                         (2, 2, 0.5), (1, 3, 0.3), (1, 5, 0.5)])
+    def test_equals_the_route_of_its_region(self, m, n, N):
+        spec, theta = TestSpec(m, n, N, 0.05), np.array([[0.0, 0.4], [0.9, 1.2]])
+        if N == 0.0:
+            want = si_type2_closed(theta, spec)
+        elif n == 2:
+            want = si_type2_n2(theta, m, N, 0.05)
+        else:
+            want = si_type2_branching(theta, spec)
+        np.testing.assert_array_equal(si_type2(theta, spec), want)
+
+    def test_no_route_for_mixed_multimode_states(self):
+        spec = TestSpec(2, 3, 0.3, 0.05)
+        for route in (si_type2, si_type2_branching):
+            with pytest.raises(NoRouteError, match="m >= 2 modes with n >= 3 copies"):
+                route(0.5, spec)
+
+
 class TestSlope:
     def test_contract_value(self):
         for n, alpha in [(2, 0.05), (3, 0.05), (3, 0.2)]:
@@ -627,6 +712,7 @@ class TestTailOrdering:
 @pytest.mark.parametrize("call,theta", [
     (lambda t: si_type2_closed(t, TestSpec(1, 3, 0.0, 0.05)), 1e160),
     (lambda t: si_type2_n2(t, 1, 0.5, 0.05), 1e200),
+    (lambda t: si_type2_branching(t, TestSpec(1, 3, 0.5, 0.05)), 1e160),
 ])
 def test_theta_whose_square_overflows_rejected(call, theta):
     # n theta^2 = inf used to give nan (closed form) or an OverflowError (n = 2)
@@ -648,7 +734,8 @@ def test_closed_form_far_past_the_bulk():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("route", ["kappa", "hh_type2_analytic", "hh_type2_montecarlo",
-                                   "si_type2_closed", "si_type2_n2"])
+                                   "si_type2_closed", "si_type2_n2", "si_type2",
+                                   "si_type2_branching"])
 def test_non_finite_theta_rejected(route, bad):
     # each map used to answer differently: a silent 0.0 acceptance, nan, or
     # an unrelated conversion error
@@ -661,6 +748,8 @@ def test_non_finite_theta_rejected(route, bad):
             whitened_signal(t, eta0, 0.0), spec, 2000, rng),
         "si_type2_closed": lambda t: si_type2_closed(t, spec),
         "si_type2_n2": lambda t: si_type2_n2(t, 1, 0.5, 0.05),
+        "si_type2": lambda t: si_type2(t, TestSpec(1, 4, 0.5, 0.05)),
+        "si_type2_branching": lambda t: si_type2_branching(t, TestSpec(1, 4, 0.5, 0.05)),
     }[route]
     for theta in (bad, np.array([[0.3], [bad]])):
         with pytest.raises(ValueError, match="theta must be finite"):
