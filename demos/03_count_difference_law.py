@@ -52,4 +52,3 @@ params = dist.NoncentralFParams(2, 1, 3.0)
 c = dist.critical_point(0.05, 2, 1)
 print(f"critical point of the central F(2,1) at level 0.05: c = {c:.4f}")
 print(f"P(F <= c) at noncentrality 3.0: {dist.noncentral_f_cdf(c, params):.6f}")
-print(f"density at f = 1: {dist.noncentral_f_pdf(1.0, params):.6f}")

@@ -23,7 +23,6 @@ from .distributions import (
     critical_point,
     invert_integer_cf,
     noncentral_f_cdf,
-    noncentral_f_pdf,
 )
 from .experiments import ExperimentConfig, run_curve, run_verify
 from .fock import FockConfig, si_type2_fock
@@ -52,7 +51,7 @@ from .phase_space import (
 __all__ = [
     "IntegerDistribution", "NoncentralFParams", "count_difference_cf",
     "count_difference_distribution", "critical_point", "invert_integer_cf",
-    "noncentral_f_cdf", "noncentral_f_pdf",
+    "noncentral_f_cdf",
     "ExperimentConfig", "run_curve", "run_verify",
     "FockConfig", "si_type2_fock",
     "CrossingResult", "NoRouteError", "TestSpec", "crossing_check", "hh_type2_analytic",

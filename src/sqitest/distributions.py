@@ -1,11 +1,11 @@
 """Special distributions for the two displacement tests.
 
-Continuous side: the noncentral F density/cdf as a Poisson-weighted beta
-series, and the level-alpha critical point of the central F distribution
-from the inverse incomplete beta function.  Density and cdf share one
+Continuous side: the noncentral F cdf as a Poisson-weighted incomplete
+beta series, and the level-alpha critical point of the central F
+distribution from the inverse incomplete beta function.  The cdf runs on a
 Poisson-mixture engine that takes an array of noncentralities and returns
-its shape.  Each series gives the engine only its lambda-free factors, each
-a function of k alone, the k where they peak and a bound C x^k on them.  The
+its shape.  The series gives the engine only its lambda-free factors, each
+a function of k alone and falling in k, and a bound C x^k on them.  The
 engine tables them in rows of k on a fixed grid, each k at most once per
 pass over the summation windows; each lambda adds only its Poisson weights
 over its own window, in rows of atoms on the same grid, and the engine
@@ -363,8 +363,8 @@ def total_variation(a: IntegerDistribution, b: IntegerDistribution) -> float:
 class NoncentralFParams:
     """Degrees of freedom (mu, nu) and noncentrality lambda >= 0.
 
-    lambda is a float or an array of them; the density and cdf then return
-    a float or an array of lambda's shape.
+    lambda is a float or an array of them; the cdf then returns a float or
+    an array of lambda's shape.
     """
 
     mu_dof: int
@@ -512,38 +512,36 @@ def _poisson_edges(mean, log_p):
     return np.maximum(lo, 0), hi
 
 
-def _poisson_mixture(half, table, peak: int, x: float, y: float, log_scale):
+def _poisson_mixture(half, table, x: float, y: float, log_scale):
     """sum_k w_k(h) t_k for each Poisson mean h > 0 of the 1-D array ``half``.
 
     ``table(k0, k1)`` gives the lambda-free factors t_k >= 0 on [k0, k1),
-    which rise up to k = ``peak`` and fall after it.  It is asked for rows
-    that end at a multiple of _ANCHOR_STEP and for single entries, and must
-    give each t_k as a function of k alone; then the sum for one h does not
-    depend on the other h of the call, bit for bit.  t_k <= C x^k for every
-    k < lo, with x + y = 1 and log C = ``log_scale(lo)``.  Each h first sums
-    the window (``_poisson_edges``) whose Poisson tails are below _TAIL_STOP,
-    the lower one also below (2 pi h)^{-1/4}, the root of the mode's Poisson
-    mass: a table that falls with k, as the cdf's does, weighs the terms
-    below the mode more, and one pass then most often meets both bounds.
-    Since sum_k w_k(h) x^k = e^{-h y} sum_k w_k(h x), the terms below a
-    window that starts at lo > 0 add up to at most C e^{-h y}
-    pdtr(lo - 1, h x).  Those above one that ends at hi - 1 add up to at
-    most pdtrc(hi - 1, h) times t_{hi-1} (hi - 1 >= peak) or t_peak.  Each
-    side whose bound exceeds _TAIL_STOP of the running total is widened,
-    for those h alone, to where the Poisson tail in its bound is below what
-    the total allows (by at least _ROW k), until k = 0 or the bound is met;
-    there is no cap.
+    which fall as k grows.  It is asked for rows that end at a multiple of
+    _ANCHOR_STEP and for single entries, and must give each t_k as a
+    function of k alone; then the sum for one h does not depend on the other
+    h of the call, bit for bit.  t_k <= C x^k for every k < lo, with
+    x + y = 1 and log C = ``log_scale(lo)``.  Each h first sums the window
+    (``_poisson_edges``) whose Poisson tails are below _TAIL_STOP, the lower
+    one also below (2 pi h)^{-1/4}, the root of the mode's Poisson mass: a
+    falling table weighs the terms below the mode more, and one pass then
+    most often meets both bounds.  Since sum_k w_k(h) x^k = e^{-h y}
+    sum_k w_k(h x), the terms below a window that starts at lo > 0 add up to
+    at most C e^{-h y} pdtr(lo - 1, h x).  Those above one that ends at
+    hi - 1 add up to at most pdtrc(hi - 1, h) t_{hi-1}.  Each side whose
+    bound exceeds _TAIL_STOP of the running total is widened, for those h
+    alone, to where the Poisson tail in its bound is below what the total
+    allows (by at least _ROW k), until k = 0 or the bound is met; there is
+    no cap.
     """
     lo = _poisson_edges(half, np.log(_TAIL_STOP) - 0.25 * np.log(2.0 * np.pi * half))[0]
     hi = _poisson_edges(half, np.log(_TAIL_STOP))[1]
     total, t_hi = _sum_windows(half, lo, hi, table)
-    log_t_peak = np.log(table(peak, peak + 1)[0])
     down, up = lo > 0, np.ones(half.shape, dtype=bool)
     while True:
         b, a = np.flatnonzero(down), np.flatnonzero(up)
         log_c = log_scale(lo[b]) - half[b] * y
         with np.errstate(divide="ignore"):  # in logs, C e^{-h y} neither overflows nor underflows
-            log_t_hi = np.where(hi[a] - 1 >= peak, np.log(t_hi[a]), log_t_peak)
+            log_t_hi = np.log(t_hi[a])
             log_below = np.log(pdtr(lo[b] - 1, half[b] * x)) + log_c
             log_above = np.log(pdtrc(hi[a] - 1, half[a])) + log_t_hi
         room = _TAIL_STOP * total  # a bound that underflows meets a total of 0
@@ -568,7 +566,7 @@ def _poisson_mixture(half, table, peak: int, x: float, y: float, log_scale):
         hi[a], t_hi[a] = new_hi, edge_last[b.size:]
 
 
-def _mixture_at(lam, table, peak: int, x: float, y: float, log_scale):
+def _mixture_at(lam, table, x: float, y: float, log_scale):
     """The series at every noncentrality of ``lam``, in its shape.
 
     At lambda = 0 the series is its k = 0 term alone.  Else it is at most
@@ -588,58 +586,20 @@ def _mixture_at(lam, table, peak: int, x: float, y: float, log_scale):
     out[far] = 0.0
     pos &= ~far
     if pos.any():
-        out[pos] = _poisson_mixture(half[pos], table, peak, x, y, log_scale)
+        out[pos] = _poisson_mixture(half[pos], table, x, y, log_scale)
     return out.reshape(lam.shape)[()]
-
-
-def _beta_argument(mu: int, nu: int, f: float):
-    """x = mu f / (mu f + nu), y = 1 - x, log x and log y, with x and y each
-    formed directly, so neither loses its bits, and log x through the smaller."""
-    x, y = mu * f / (mu * f + nu), nu / (mu * f + nu)
-    return x, y, (np.log(x) if x <= y else np.log1p(-y)), np.log(y)
-
-
-def noncentral_f_pdf(f: float, params: NoncentralFParams):
-    """Density sum_k w_k x^{k+mu/2} (1-x)^{nu/2} / (B(k+mu/2, nu/2) f).
-
-    Here x = mu f / (mu f + nu) and w_k is the Poisson(lambda/2) pmf.  The
-    factor t_k after w_k has ratio t_{k+1}/t_k = x (k + a + b)/(k + a),
-    a = mu/2, b = nu/2, which is at least 1 while k + a <= b x/(1 - x) =
-    b mu f / nu, so t_k peaks at k* = max(0, floor(b mu f / nu - a) + 1)
-    (see ``_poisson_mixture``).  As Gamma(z + b) / Gamma(z) <= (z + b)^b,
-    t_k <= x^{k+a} (1-x)^b (lo + a + b)^b / (Gamma(b) f) for every k < lo.
-    The output has the shape of lambda.
-    """
-    if not f > 0:  # NaN fails this too
-        raise ValueError(f"f must be positive, got {f}")
-    mu, nu, lam = params.mu_dof, params.nu_dof, params.noncentrality
-    if mu * f == np.inf:  # x would be inf/inf; the density vanishes there
-        return np.zeros(np.shape(lam))[()]
-    a, b = mu / 2.0, nu / 2.0
-    x, y, log_x, log_1mx = _beta_argument(mu, nu, f)
-    log_f = np.log(f)
-
-    def table(k0, k1):  # k0 + a in float: the peak of a huge f is past the int64 range
-        z = np.arange(k1 - k0) + (k0 + a)
-        return np.exp(_log_beta_density(z, b, log_x, log_1mx) - log_f)
-
-    def log_scale(lo):
-        return a * log_x + b * log_1mx + b * np.log(lo + a + b) - gammaln(b) - log_f
-
-    peak = int(max(np.floor(mu * f / nu * b - a) + 1.0, 0.0))
-    return _mixture_at(lam, table, peak, x, y, log_scale)
 
 
 def noncentral_f_cdf(c: float, params: NoncentralFParams):
     """P(F <= c) = sum_k w_k I_x(k + mu/2, nu/2), x = mu c / (mu c + nu).
 
     w_k is the Poisson(lambda/2) pmf and I_x the regularized incomplete
-    beta function, which falls as k grows, so its table peaks at k = 0 (see
-    ``_poisson_mixture``).  The table comes in rows of _ANCHOR_STEP k, each
-    ending at a multiple of it (the first may start mid-row).  One
-    incomplete-beta call at each row's top gives I_x there, and I_x(z, b) =
-    I_x(z + 1, b) + x^z (1-x)^b / (z B(z, b)) (DLMF 8.17.20) adds positive
-    terms downward from it, so each entry depends on k alone.  Where
+    beta function, which falls as k grows (see ``_poisson_mixture``).  The
+    table comes in rows of _ANCHOR_STEP k, each ending at a multiple of it
+    (the first may start mid-row).  One incomplete-beta call at each row's
+    top gives I_x there, and I_x(z, b) = I_x(z + 1, b) + x^z (1-x)^b /
+    (z B(z, b)) (DLMF 8.17.20) adds positive terms downward from it, so
+    each entry depends on k alone.  Where
     x > 1/2, I_x(z, b) is taken as the complement I^c_y(b, z) of
     y = 1 - x = nu / (mu c + nu), so 1 - x keeps its bits when c is large.
     Over the integral I_x(z, b) B(z, b) = int_0^x u^{z-1} (1-u)^{b-1} du,
@@ -656,14 +616,16 @@ def noncentral_f_cdf(c: float, params: NoncentralFParams):
     if c <= 0 or mu * c == np.inf:  # at mu c = inf, x would be inf/inf
         return np.full(np.shape(lam), float(c > 0))[()]
     a, b = mu / 2.0, nu / 2.0
-    x, y, log_x, log_1mx = _beta_argument(mu, nu, c)
+    # x and y = 1 - x each formed directly, so neither loses its bits
+    x, y = mu * c / (mu * c + nu), nu / (mu * c + nu)
+    log_x, log_1mx = (np.log(x) if x <= y else np.log1p(-y)), np.log(y)
 
     def ibeta(z):  # I_x(z, b), evaluated through the smaller of x and y
         return betainc(z, b, x) if x <= y else betaincc(b, z, y)
 
     def table(k0, k1):  # I_x(k + a, b) on [k0, k1)
         z = np.arange(k0, k1) + a
-        if z.size == 1:  # its own anchor, as at lambda = 0 and at the peak
+        if z.size == 1:  # its own anchor, as at lambda = 0
             return ibeta(z)
         steps = np.exp(_log_beta_density(z, b, log_x, log_1mx) - np.log(z))
         pad = k0 % _ANCHOR_STEP  # k1 is a row top
@@ -678,7 +640,7 @@ def noncentral_f_cdf(c: float, params: NoncentralFParams):
             return np.full(lo.shape, a * log_x + (b - 1.0) * (log_1mx + np.log(a)) - gammaln(b))
         return a * log_x + b * np.log(lo + a + b) - np.log(a) - gammaln(b)
 
-    return np.minimum(_mixture_at(lam, table, 0, x, y, log_scale), 1.0)
+    return np.minimum(_mixture_at(lam, table, x, y, log_scale), 1.0)
 
 
 def critical_point(alpha: float, mu: int, nu: int) -> float:

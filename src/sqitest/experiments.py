@@ -11,6 +11,7 @@ import shlex
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ncfdtr
 
 from . import distributions as dist
 from . import fock
@@ -271,17 +272,11 @@ def _verify_distributions(report: VerifyReport):
     worst = max(abs(y.prob(k) - dist.skellam_pmf(k, 0.64)) for k in range(-5, 6))
     report.add("skellam_series_oracle", worst, 1e-12)
 
-    # Gauss-Legendre in t on f = (t/(1-t))^2: the Jacobian 2t/(1-t)^3 makes
-    # the nu = 1 tail smooth in t
-    t, w = np.polynomial.legendre.leggauss(64)
-    t = 0.5 * (t + 1.0)
-    f, w = (t / (1.0 - t)) ** 2, w * t / (1.0 - t) ** 3
-    worst = 0.0
-    for (mu, nu, lam) in [(2, 1, 0.0), (2, 1, 5.0), (4, 3, 2.0)]:
-        p = dist.NoncentralFParams(mu, nu, lam)
-        val = w @ [dist.noncentral_f_pdf(fi, p) for fi in f]
-        worst = max(worst, abs(val - 1.0))
-    report.add("noncentral_f_normalization", worst, 1e-8)
+    # scipy's ncfdtr: the same series, summed by code independent of the engine
+    p = dist.NoncentralFParams(2, 1, 5.0)
+    worst = max(abs(dist.noncentral_f_cdf(c, p) - ncfdtr(2, 1, 5.0, c))
+                for c in (0.5, 3.0, 20.0))
+    report.add("noncentral_f_cdf_vs_scipy", worst, 1e-9)
 
     c = dist.critical_point(0.05, 2, 1)
     p0 = dist.NoncentralFParams(2, 1, 0.0)

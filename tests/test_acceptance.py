@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.integrate import quad
 from scipy.special import beta
 from scipy.stats import kstest
@@ -93,14 +94,16 @@ def test_criterion_2_count_difference_law_equivalence():
 
 
 def test_criterion_3_noncentral_f_engine():
-    # normalization, critical-point round trip, and a seeded Monte Carlo
-    # Kolmogorov-Smirnov test of the whole simulated chain under the null
-    worst_norm = 0.0
+    # the cdf against the quadrature of scipy's density, critical-point round
+    # trip, and a seeded Monte Carlo Kolmogorov-Smirnov test of the whole
+    # simulated chain under the null
+    worst_quad = 0.0
     for lam in (0.0, 1.0, 5.0):
         p = dist.NoncentralFParams(2, 1, lam)
-        val, _ = quad(lambda f: dist.noncentral_f_pdf(f, p), 0, np.inf, limit=300)
-        worst_norm = max(worst_norm, abs(val - 1.0))
-    assert worst_norm < 1e-8
+        for c in (0.5, 3.0, 20.0):
+            val, _ = quad(lambda f: stats.ncf.pdf(f, 2, 1, lam), 0, c, limit=300)
+            worst_quad = max(worst_quad, abs(val - dist.noncentral_f_cdf(c, p)))
+    assert worst_quad < 1e-8
 
     c = dist.critical_point(ALPHA, 2, 1)
     tail = 1.0 - dist.noncentral_f_cdf(c, dist.NoncentralFParams(2, 1, 0.0))
@@ -123,7 +126,7 @@ def test_criterion_3_noncentral_f_engine():
     result = kstest(f_vals, cdf)
     assert result.pvalue >= 0.01
 
-    report(3, f"norm defect {worst_norm:.2e}, round trip {abs(tail - ALPHA):.2e}, "
+    report(3, f"quadrature defect {worst_quad:.2e}, round trip {abs(tail - ALPHA):.2e}, "
               f"KS p = {result.pvalue:.3f}")
 
 

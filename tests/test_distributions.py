@@ -21,7 +21,6 @@ from sqitest.distributions import (
     invert_integer_cf,
     lattice_law,
     noncentral_f_cdf,
-    noncentral_f_pdf,
     photon_number_cf,
     photon_number_law,
     randomized_acceptance,
@@ -424,48 +423,82 @@ class TestCfInversion:
             invert_integer_cf(lambda r: photon_number_cf(2, 0.0, 0.45, r), 5)
 
 
+# scipy's ncfdtr is itself wrong below about 1e-165 (by up to 90 orders of
+# magnitude at the far-tail cases pinned below), so the comparison keeps to
+# reference values above 1e-150.
+SCIPY_FLOOR = 1e-150
+DOF_PAIRS = [(2, 1), (2, 2), (4, 3), (2, 5), (6, 10)]
+
+
+def assert_matches_ncfdtr(c, mu, nu, lam):
+    want = ncfdtr(mu, nu, lam, c)
+    if want > SCIPY_FLOOR:
+        got = noncentral_f_cdf(c, NoncentralFParams(mu, nu, lam))
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0), (c, mu, nu, lam)
+
+
 class TestNoncentralF:
-    def test_central_reduction(self):
-        # at lambda = 0 only the k = 0 term survives
-        params = NoncentralFParams(4, 3, 0.0)
-        for f in (0.3, 1.0, 4.0):
-            x = 4 * f / (4 * f + 3)
-            want = x ** 2 * (1 - x) ** 1.5 / (beta(2.0, 1.5) * f)
-            assert noncentral_f_pdf(f, params) == pytest.approx(want, rel=1e-14)
-
-    def test_pdf_nonnegative_and_rejects_bad_f(self):
-        params = NoncentralFParams(2, 1, 3.0)
-        assert all(noncentral_f_pdf(f, params) >= 0 for f in (0.01, 1.0, 50.0))
-        with pytest.raises(ValueError):
-            noncentral_f_pdf(0.0, params)
-
-    @pytest.mark.parametrize("mu,nu,lam", [(2, 1, 0.0), (2, 1, 5.0), (4, 3, 2.0)])
-    def test_pdf_normalization(self, mu, nu, lam):
-        params = NoncentralFParams(mu, nu, lam)
-        val, _ = quad(lambda f: noncentral_f_pdf(f, params), 0, np.inf, limit=300)
-        assert abs(val - 1.0) < 1e-8
-
-    def test_pdf_matches_simulation_histogram(self):
-        # independent oracle: F = (chi2_mu(lam)/mu) / (chi2_nu/nu) from draws
-        mu, nu, lam = 2, 3, 2.0
-        params = NoncentralFParams(mu, nu, lam)
-        rng = np.random.default_rng(2024)
-        n = 10 ** 6
-        num = rng.noncentral_chisquare(mu, lam, n) / mu
-        den = rng.chisquare(nu, n) / nu
-        draws = num / den
-        edges = np.linspace(0.1, 6.0, 25)
-        counts, _ = np.histogram(draws, edges)
-        for lo, hi, c in zip(edges, edges[1:], counts):
-            p, _ = quad(lambda f: noncentral_f_pdf(f, params), lo, hi)
-            sd = np.sqrt(n * p * (1 - p))
-            assert abs(c - n * p) < 3 * sd + 1e-9
-
     def test_cdf_matches_quadrature(self):
+        # scipy's density is independent of the engine
         params = NoncentralFParams(2, 1, 5.0)
         for c in (0.5, 3.0, 20.0):
-            val, _ = quad(lambda f: noncentral_f_pdf(f, params), 0, c, limit=200)
+            val, _ = quad(lambda f: stats.ncf.pdf(f, 2, 1, 5.0), 0, c, limit=200)
             assert noncentral_f_cdf(c, params) == pytest.approx(val, abs=1e-10)
+
+    @pytest.mark.parametrize("mu,nu", DOF_PAIRS)
+    @pytest.mark.parametrize("lam", [1.0, 5.0])
+    def test_cdf_matches_quadrature_across_dof(self, mu, nu, lam):
+        params = NoncentralFParams(mu, nu, lam)
+        for c in (0.5, 3.0, 20.0):
+            val, _ = quad(lambda f: stats.ncf.pdf(f, mu, nu, lam), 0, c, limit=200)
+            assert noncentral_f_cdf(c, params) == pytest.approx(val, abs=1e-10)
+
+    @pytest.mark.parametrize("mu,nu", DOF_PAIRS)
+    @pytest.mark.parametrize("c", [1e-3, 0.3, 1.0, 4.0, 60.0, 1e4])
+    def test_central_reduction(self, mu, nu, c):
+        # at lambda = 0 only the k = 0 term survives: I_x(mu/2, nu/2), here in
+        # 40-digit mpmath; c >= 1 takes the complement branch at every pair
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            x = mp.mpf(mu) * c / (mp.mpf(mu) * c + nu)
+            want = float(mp.betainc(mp.mpf(mu) / 2, mp.mpf(nu) / 2, 0, x, regularized=True))
+        got = noncentral_f_cdf(c, NoncentralFParams(mu, nu, 0.0))
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("mu,nu,lam", [(2, 3, 2.0), (2, 1, 5.0), (4, 3, 2.0)])
+    def test_cdf_matches_simulation(self, mu, nu, lam):
+        # independent oracle: F = (chi2_mu(lam)/mu) / (chi2_nu/nu) from draws
+        params = NoncentralFParams(mu, nu, lam)
+        rng = np.random.default_rng(2024)
+        n = 2 * 10 ** 5
+        draws = np.sort(rng.noncentral_chisquare(mu, lam, n) / mu / (rng.chisquare(nu, n) / nu))
+        for c in np.linspace(0.1, 6.0, 25):
+            p = noncentral_f_cdf(c, params)
+            count = np.searchsorted(draws, c, side="right")
+            assert abs(count - n * p) < 3 * np.sqrt(n * p * (1 - p)) + 1e-9, c
+
+    @pytest.mark.parametrize("mu,nu", DOF_PAIRS)
+    @pytest.mark.parametrize("lam", [0.0, 5.0, 1e4])
+    def test_cdf_strictly_increasing_in_c(self, mu, nu, lam):
+        # 400 points across the bulk, where a window or anchor row that moved
+        # with c would show as a step down
+        mean = (mu + lam) / mu
+        vals = [noncentral_f_cdf(c, NoncentralFParams(mu, nu, lam))
+                for c in np.geomspace(mean / 50, mean * 50, 400)]
+        assert np.all(np.diff(vals) > 0)
+
+    @pytest.mark.parametrize("f", [1e15, 5e15, 1e20])
+    def test_cdf_at_huge_c_keeps_the_complement(self, f):
+        # 1 - cdf = sum_k w_k I_y(1/2, k + 1), y = 1/(2f + 1), mu = 2, nu = 1,
+        # lambda = 3, in 40-digit mpmath; the cdf must round it to within an ulp
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            y, h = 1 / (2 * mp.mpf(f) + 1), mp.mpf(3) / 2
+            tail = mp.fsum(mp.exp(-h) * h ** k / mp.factorial(k)
+                           * mp.betainc(0.5, k + 1, 0, y, regularized=True) for k in range(80))
+            want = float(1 - tail)
+        got = noncentral_f_cdf(f, NoncentralFParams(2, 1, 3.0))
+        assert got == pytest.approx(want, rel=0.0, abs=2.5e-16)
 
     def test_cdf_monotone_and_saturates(self):
         params = NoncentralFParams(2, 1, 4.0)
@@ -506,15 +539,14 @@ class TestNoncentralF:
         with pytest.raises(ValueError, match="below 2\\^54 \\(lambda/2 < 2\\^53\\)"):
             NoncentralFParams(2, 1, lam)
 
-    @pytest.mark.parametrize("fn", [noncentral_f_cdf, noncentral_f_pdf])
-    def test_array_call_equals_per_noncentrality_calls(self, fn):
+    def test_array_call_equals_per_noncentrality_calls(self):
         # unsorted, with repeats, 0, a subnormal value and two huge ones; at
         # c = 5e11 the lambda = 1e12 entries sit near their mean
         lams = np.array([7.5, 0.0, 1e12, 3.25, 1e-310, 7.5, 1e10, 480.0, 0.0, 2e4, 3.25])
         c = 5e11
-        got = fn(c, NoncentralFParams(2, 1, lams))
+        got = noncentral_f_cdf(c, NoncentralFParams(2, 1, lams))
         assert isinstance(got, np.ndarray) and got.shape == lams.shape
-        want = [fn(c, NoncentralFParams(2, 1, lam)) for lam in lams]
+        want = [noncentral_f_cdf(c, NoncentralFParams(2, 1, lam)) for lam in lams]
         assert all(isinstance(w, float) for w in want)
         assert np.all(got > 0)
         np.testing.assert_array_equal(got, want)
@@ -528,14 +560,9 @@ class TestNoncentralF:
         shared = [0.0, 5.0, 5.02, 0.0, 5.06, 5.1]
         mixed = [0.0, 1.0, 5.0, 1e-310, 20.0, 480.0]
         for x in (0.5, 2.0, 199.5):
-            def pdf(lam):
-                return noncentral_f_pdf(x, NoncentralFParams(2, 1, lam))
-
             def cdf(lam):
                 return noncentral_f_cdf(x, NoncentralFParams(2, 1, lam))
 
-            assert_shape_rule(pdf, shared)
-            assert_shape_rule(pdf, mixed)
             assert_shape_rule(cdf, shared)
             # every table entry is a function of k alone (the cdf's anchors
             # sit on a fixed grid of k), so lambda = 480's wider window
@@ -557,7 +584,7 @@ class TestNoncentralF:
             return np.ones(k1 - k0)
 
         half = np.array([5e11, 0.3, 5e9, 2e3, 2e3 + 0.5, 40.0])
-        total = dist._poisson_mixture(half, ones, 0, 1.0, 0.0, lambda lo: np.zeros(lo.shape))
+        total = dist._poisson_mixture(half, ones, 1.0, 0.0, lambda lo: np.zeros(lo.shape))
         np.testing.assert_allclose(total, 1.0, rtol=0.0, atol=1e-12)
         assert max(spans) <= dist._GROUP_CAP
 
@@ -591,21 +618,23 @@ class TestNoncentralF:
         hh_type2_analytic(curve_tail_signals(), TestSpec(1, 3, 0.0, 0.05))
         assert sum(hi - lo for windows, _ in passes for lo, hi in windows) <= 470_000
 
-    @pytest.mark.parametrize("fn", [noncentral_f_cdf, noncentral_f_pdf])
-    def test_far_below_the_bulk_stops_after_one_pass(self, fn, monkeypatch):
-        # at f = c = 2, x = 0.8: sum_k w_k(h) x^k = e^{-h/5} underflows, so the
-        # bound on the terms below the first window is 0 and no pass widens
-        # it; the Poisson mass alone would walk down until pdtr underflows.
-        # The cdf at nu = 1 bounds its table by C x^k for every k, so the
-        # whole series, at most C e^{-h/5}, is 0 before the first pass
+    def test_far_below_the_bulk_stops_after_one_pass(self, monkeypatch):
+        # at c = 2, nu = 3, x = 4/7: sum_k w_k(h) x^k = e^{-3h/7} underflows,
+        # so the bound on the terms below the first window is 0 and no pass
+        # widens it; the Poisson mass alone would walk down until pdtr
+        # underflows.  At nu > 2 the bound on I_x grows with lo, so the
+        # engine has no whole-series bound and sums this one window
         passes = recording_passes(monkeypatch)
-        assert fn(2.0, NoncentralFParams(2, 1, 1e9)) == 0.0
-        assert len(passes) == (0 if fn is noncentral_f_cdf else 1)
+        assert noncentral_f_cdf(2.0, NoncentralFParams(2, 3, 1e9)) == 0.0
+        assert len(passes) == 1
 
-    def test_cdf_far_below_the_bulk_sums_no_window(self, monkeypatch):
+    @pytest.mark.parametrize("lam", [1e9, 1e12])
+    def test_cdf_far_below_the_bulk_sums_no_window(self, lam, monkeypatch):
+        # at nu = 1 the cdf bounds its table by C x^k for every k, so the
+        # whole series, at most C e^{-h/5}, is 0 before the first pass;
         # lambda = 1e12 once took most of a second of passes to reach 0.0
         passes = recording_passes(monkeypatch)
-        assert noncentral_f_cdf(2.0, NoncentralFParams(2, 1, 1e12)) == 0.0
+        assert noncentral_f_cdf(2.0, NoncentralFParams(2, 1, lam)) == 0.0
         assert passes == []
 
     def test_cdf_far_below_the_bulk_in_a_stack(self):
@@ -619,15 +648,14 @@ class TestNoncentralF:
     @pytest.mark.parametrize("mu,nu", [(1, 1), (2, 1), (2, 2), (4, 3), (2, 5), (6, 10),
                                        (2, 60)])
     @pytest.mark.parametrize("arg", [1e-3, 0.5, 2.0, 60.0, 1e4])
-    @pytest.mark.parametrize("fn", [noncentral_f_cdf, noncentral_f_pdf])
-    def test_tables_lie_below_their_geometric_bound(self, fn, mu, nu, arg, monkeypatch):
+    def test_tables_lie_below_their_geometric_bound(self, mu, nu, arg, monkeypatch):
         # t_k <= C(lo) x^k for every k < lo: the premise of the one bound on
         # the terms below a window, C e^{-h y} pdtr(lo - 1, h x): a table
         # above it would stop a window too early
         seen = []
         monkeypatch.setattr(dist, "_mixture_at", lambda lam, *rest: seen.append(rest) or 0.0)
-        fn(arg, NoncentralFParams(mu, nu, 1.0))
-        table, _, x, _, log_scale = seen[0]
+        noncentral_f_cdf(arg, NoncentralFParams(mu, nu, 1.0))
+        table, x, _, log_scale = seen[0]
         t = table(0, 4 * dist._ANCHOR_STEP)
         k = np.arange(t.size)
         for lo in (1, 2, 7, 40, 300, t.size):
@@ -645,77 +673,22 @@ class TestNoncentralF:
                                                        log_c):
         # 0, a subnormal lambda and one whose windows cross many chunk edges
         lams = data.draw(st.permutations([0.0, 1e-310, huge, *moderate]))
-        for fn in (noncentral_f_cdf, noncentral_f_pdf):
-            got = fn(10.0 ** log_c, NoncentralFParams(*dof, np.array(lams)))
-            want = [fn(10.0 ** log_c, NoncentralFParams(*dof, lam)) for lam in lams]
-            np.testing.assert_array_equal(got, want)
+        got = noncentral_f_cdf(10.0 ** log_c, NoncentralFParams(*dof, np.array(lams)))
+        want = [noncentral_f_cdf(10.0 ** log_c, NoncentralFParams(*dof, lam)) for lam in lams]
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("lam", [0.0, 5.0])
     @pytest.mark.parametrize("c", [np.inf, 1e308])
     def test_cdf_is_one_where_mu_c_overflows(self, lam, c):
         assert noncentral_f_cdf(c, NoncentralFParams(2, 1, lam)) == 1.0
 
-    @pytest.mark.parametrize("lam", [0.0, 5.0])
-    @pytest.mark.parametrize("f", [np.inf, 1e308])
-    def test_pdf_is_zero_where_mu_f_overflows(self, lam, f):
-        assert noncentral_f_pdf(f, NoncentralFParams(2, 1, lam)) == 0.0
-
     @pytest.mark.parametrize("c", [0.0, -1.0])
     def test_cdf_is_zero_at_nonpositive_c(self, c):
         assert noncentral_f_cdf(c, NoncentralFParams(2, 1, 5.0)) == 0.0
 
-    @pytest.mark.parametrize("fn", [noncentral_f_cdf, noncentral_f_pdf])
-    def test_nan_argument_rejected(self, fn):
-        name = "c" if fn is noncentral_f_cdf else "f"
-        with pytest.raises(ValueError, match=f"^{name} must"):
-            fn(np.nan, NoncentralFParams(2, 1, [1.0, 3.0]))
-
-    @pytest.mark.parametrize("f,want", [
-        (1e15, 1.8310542819422985698e-23),
-        (5e15, 1.6377447379660202876e-24),
-        (1e20, 5.7903020503417935279e-31),
-    ])
-    def test_pdf_at_huge_f_keeps_the_complement(self, f, want):
-        # want: sum_k w_k x^{k+1} (1-x)^{1/2} / (B(k+1, 1/2) f), mu = 2, nu = 1,
-        # lambda = 3, in 40-digit mpmath arithmetic; forming 1 - x as 1 - x
-        # left it 5 % off at 1e15 and divided by zero at 5e15
-        got = noncentral_f_pdf(f, NoncentralFParams(2, 1, 3.0))
-        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
-
-    @pytest.mark.parametrize("lam", [1e9, 1e12])
-    def test_pdf_far_below_the_bulk_is_zero(self, lam):
-        # every term underflows; the bound on the terms below the window must
-        # not read inf there, or the window walks down towards k = 0
-        assert noncentral_f_pdf(2.0, NoncentralFParams(2, 1, lam)) == 0.0
-
-    @pytest.mark.parametrize("mu,nu,lam,f", [(2, 5, 0.5, 1e4), (4, 30, 2.0, 500.0)])
-    def test_pdf_whose_table_peaks_far_above_the_poisson_mode(self, mu, nu, lam, f):
-        # t_k peaks near k = mu f / 2 (1e4 and 999 here), past the first window
-        want = stats.ncf.pdf(f, mu, nu, lam)
-        assert noncentral_f_pdf(f, NoncentralFParams(mu, nu, lam)) == pytest.approx(
-            want, rel=1e-9, abs=0.0)
-
-    @pytest.mark.parametrize("lam", [4e5, 1e6])
-    def test_pdf_at_huge_noncentrality(self, lam):
-        # the terms that matter lie near k = lambda/2, past 2e5 here
-        f = (2.0 + lam) / 2.0
-        want = stats.ncf.pdf(f, 2, 5, lam)
-        assert noncentral_f_pdf(f, NoncentralFParams(2, 5, lam)) == pytest.approx(
-            want, rel=1e-9, abs=0.0)
-
-
-# scipy's ncfdtr is itself wrong below about 1e-165 (by up to 90 orders of
-# magnitude at the far-tail cases pinned below), so the comparison keeps to
-# reference values above 1e-150.
-SCIPY_FLOOR = 1e-150
-DOF_PAIRS = [(2, 1), (2, 2), (4, 3), (2, 5), (6, 10)]
-
-
-def assert_matches_ncfdtr(c, mu, nu, lam):
-    want = ncfdtr(mu, nu, lam, c)
-    if want > SCIPY_FLOOR:
-        got = noncentral_f_cdf(c, NoncentralFParams(mu, nu, lam))
-        assert got == pytest.approx(want, rel=1e-9, abs=0.0), (c, mu, nu, lam)
+    def test_nan_argument_rejected(self):
+        with pytest.raises(ValueError, match="^c must"):
+            noncentral_f_cdf(np.nan, NoncentralFParams(2, 1, [1.0, 3.0]))
 
 
 class TestNoncentralFAgainstScipy:
@@ -768,6 +741,22 @@ class TestNoncentralFAgainstScipy:
         got = noncentral_f_cdf(c, NoncentralFParams(2, 1, lam))
         assert got == pytest.approx(ncfdtr(2, 1, lam, c), rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("mu,nu,lam,c", [(2, 5, 0.5, 1e4), (4, 30, 2.0, 500.0),
+                                             (2, 1, 0.5, 1e6), (6, 10, 1.0, 1e3)])
+    def test_cdf_near_one_at_large_c(self, mu, nu, lam, c):
+        # x near 1 takes the complement branch of I_x, and the cdf lies within
+        # 1e-3 of 1 (it rounds to 1 at the second case), so the check is
+        # absolute, to about ten ulps
+        got = noncentral_f_cdf(c, NoncentralFParams(mu, nu, lam))
+        assert got == pytest.approx(ncfdtr(mu, nu, lam, c), rel=0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("lam", [4e5, 1e6, 1e7])
+    def test_cdf_at_huge_noncentrality(self, lam):
+        # the terms that matter lie near k = lambda/2, past 2e5 here
+        c = (2.0 + lam) / 2.0
+        got = noncentral_f_cdf(c, NoncentralFParams(2, 5, lam))
+        assert got == pytest.approx(ncfdtr(2, 5, lam, c), rel=1e-9, abs=0.0)
+
     def test_normal_limit_at_huge_noncentrality(self):
         # the numerator chi2_2(lambda)/2 over (2 + lambda)/2 tends to 1, so
         # with nu = 1 the cdf tends to P(chi2_1 >= 1) = erfc(1/sqrt 2)
@@ -784,11 +773,9 @@ class TestCriticalPoint:
             assert abs(tail - alpha) < 1e-9
 
     def test_matches_independent_inversion(self):
-        # oracle: invert the quadrature cdf of the central density by bisection
-        params = NoncentralFParams(2, 1, 0.0)
-
+        # oracle: invert the quadrature cdf of scipy's central density by bisection
         def cdf_quad(c):
-            val, _ = quad(lambda f: noncentral_f_pdf(f, params), 0, c, limit=200)
+            val, _ = quad(lambda f: stats.f.pdf(f, 2, 1), 0, c, limit=200)
             return val
 
         lo, hi = 0.0, 1.0

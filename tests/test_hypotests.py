@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.integrate import quad
 from scipy.linalg import helmert
 from scipy.special import beta
@@ -232,12 +233,12 @@ class TestHHAnalytic:
 
     def test_small_noncentrality_slope(self):
         # (1 - alpha - beta)/lambda -> (1 - alpha - delta)/2 with
-        # delta = (mu + nu) int_0^c f/(mu f + nu) p0(f) df
+        # delta = (mu + nu) int_0^c f/(mu f + nu) p0(f) df, p0 scipy's central
+        # F density
         alpha, mu, nu = 0.05, 2, 1
         c = dist.critical_point(alpha, mu, nu)
-        p0 = dist.NoncentralFParams(mu, nu, 0.0)
         delta, _ = quad(lambda f: (mu + nu) * f / (mu * f + nu)
-                        * dist.noncentral_f_pdf(f, p0), 0, c, limit=300)
+                        * stats.f.pdf(f, mu, nu), 0, c, limit=300)
         lam = 1e-4
         beta = dist.noncentral_f_cdf(c, dist.NoncentralFParams(mu, nu, lam))
         slope = (1.0 - alpha - beta) / lam
