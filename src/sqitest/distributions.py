@@ -517,26 +517,32 @@ def _poisson_mixture(half, table, x: float, y: float, log_scale):
 
     ``table(k0, k1)`` gives the lambda-free factors t_k >= 0 on [k0, k1),
     which fall as k grows.  It is asked for rows that end at a multiple of
-    _ANCHOR_STEP and for single entries, and must give each t_k as a
-    function of k alone; then the sum for one h does not depend on the other
-    h of the call, bit for bit.  t_k <= C x^k for every k < lo, with
-    x + y = 1 and log C = ``log_scale(lo)``.  Each h first sums the window
+    _ANCHOR_STEP, and must give each t_k as a function of k alone; then the
+    sum for one h does not depend on the other h of the call, bit for bit.
+    t_k <= C x^k for every k < lo, with x + y = 1 and log C =
+    ``log_scale(lo)``.  Each h has a first window [lo, hi)
     (``_poisson_edges``) whose Poisson tails are below _TAIL_STOP, the lower
     one also below (2 pi h)^{-1/4}, the root of the mode's Poisson mass: a
     falling table weighs the terms below the mode more, and one pass then
     most often meets both bounds.  Since sum_k w_k(h) x^k = e^{-h y}
-    sum_k w_k(h x), the terms below a window that starts at lo > 0 add up to
-    at most C e^{-h y} pdtr(lo - 1, h x).  Those above one that ends at
-    hi - 1 add up to at most pdtrc(hi - 1, h) t_{hi-1}.  Each side whose
-    bound exceeds _TAIL_STOP of the running total is widened, for those h
-    alone, to where the Poisson tail in its bound is below what the total
-    allows (by at least _ROW k), until k = 0 or the bound is met; there is
-    no cap.
+    sum_k w_k(h x), the whole series is at most C (e^{-h y} + x^hi) <=
+    2 C e^{-h y} with C at lo = hi + 1 (hi >= h and -log x >= y); an h where
+    that lies below the normal float range gets 0 with no window summed.
+    The terms below a window that starts at lo > 0 add up to at most
+    C e^{-h y} pdtr(lo - 1, h x), those above one that ends at hi - 1 to at
+    most pdtrc(hi - 1, h) t_{hi-1}.  Each side whose bound exceeds
+    _TAIL_STOP of the running total is widened, for those h alone, to where
+    the Poisson tail in its bound is below what the total allows (by at
+    least _ROW k), until k = 0 or the bound is met; there is no cap.
     """
     lo = _poisson_edges(half, np.log(_TAIL_STOP) - 0.25 * np.log(2.0 * np.pi * half))[0]
     hi = _poisson_edges(half, np.log(_TAIL_STOP))[1]
-    total, t_hi = _sum_windows(half, lo, hi, table)
-    down, up = lo > 0, np.ones(half.shape, dtype=bool)
+    # 0, with no window summed, where the whole-series bound is below the normal range
+    up = np.log(2.0) + log_scale(hi + 1) - half * y >= np.log(np.finfo(float).tiny)
+    total, t_hi = np.zeros(half.shape), np.zeros(half.shape)
+    if up.any():
+        total[up], t_hi[up] = _sum_windows(half[up], lo[up], hi[up], table)
+    down = up & (lo > 0)
     while True:
         b, a = np.flatnonzero(down), np.flatnonzero(up)
         log_c = log_scale(lo[b]) - half[b] * y
@@ -566,30 +572,6 @@ def _poisson_mixture(half, table, x: float, y: float, log_scale):
         hi[a], t_hi[a] = new_hi, edge_last[b.size:]
 
 
-def _mixture_at(lam, table, x: float, y: float, log_scale):
-    """The series at every noncentrality of ``lam``, in its shape.
-
-    At lambda = 0 the series is its k = 0 term alone.  Else it is at most
-    C e^{-h y}, C = exp ``log_scale(inf)``, finite where the bound on t_k
-    does not depend on lo (the cdf at nu <= 2); a lambda where that lies
-    below the normal float range gets 0 with no window summed.  A 0-d
-    ``lam`` gives a numpy float.  The other arguments are those of
-    ``_poisson_mixture``.
-    """
-    lam = np.asarray(lam, dtype=float)
-    half = lam.ravel() / 2.0
-    pos = half > 0.0
-    out = np.empty(half.shape)
-    if not pos.all():
-        out[~pos] = table(0, 1)[0]
-    far = pos & (log_scale(np.array([np.inf]))[0] - half * y < np.log(np.finfo(float).tiny))
-    out[far] = 0.0
-    pos &= ~far
-    if pos.any():
-        out[pos] = _poisson_mixture(half[pos], table, x, y, log_scale)
-    return out.reshape(lam.shape)[()]
-
-
 def noncentral_f_cdf(c: float, params: NoncentralFParams):
     """P(F <= c) = sum_k w_k I_x(k + mu/2, nu/2), x = mu c / (mu c + nu).
 
@@ -607,8 +589,8 @@ def noncentral_f_cdf(c: float, params: NoncentralFParams):
     and Gamma(z + b) / Gamma(z) is at most z^b for b <= 1 (Wendel) and
     (z + b)^b always.  So for every k < lo, I_x(k + a, b) is at most
     x^{k+a} (1-x)^{b-1} a^{b-1} / Gamma(b) for b <= 1, and
-    x^{k+a} (lo + a + b)^b / (a Gamma(b)) for b > 1.  The output has the
-    shape of lambda.
+    x^{k+a} (lo + a + b)^b / (a Gamma(b)) for b > 1.  At lambda = 0 the
+    series is I_x(a, b) alone.  The output has the shape of lambda.
     """
     if np.isnan(c):
         raise ValueError("c must not be NaN")
@@ -625,8 +607,6 @@ def noncentral_f_cdf(c: float, params: NoncentralFParams):
 
     def table(k0, k1):  # I_x(k + a, b) on [k0, k1)
         z = np.arange(k0, k1) + a
-        if z.size == 1:  # its own anchor, as at lambda = 0
-            return ibeta(z)
         steps = np.exp(_log_beta_density(z, b, log_x, log_1mx) - np.log(z))
         pad = k0 % _ANCHOR_STEP  # k1 is a row top
         steps = np.concatenate([np.zeros(pad), steps]).reshape(-1, _ANCHOR_STEP)
@@ -640,7 +620,11 @@ def noncentral_f_cdf(c: float, params: NoncentralFParams):
             return np.full(lo.shape, a * log_x + (b - 1.0) * (log_1mx + np.log(a)) - gammaln(b))
         return a * log_x + b * np.log(lo + a + b) - np.log(a) - gammaln(b)
 
-    return np.minimum(_mixture_at(lam, table, x, y, log_scale), 1.0)
+    half = np.asarray(lam, dtype=float) / 2.0
+    out = np.full(half.shape, ibeta(a))  # at lambda = 0 the series is its k = 0 term
+    pos = half > 0.0
+    out[pos] = _poisson_mixture(half[pos], table, x, y, log_scale)
+    return np.minimum(out, 1.0)
 
 
 def critical_point(alpha: float, mu: int, nu: int) -> float:

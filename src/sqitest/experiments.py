@@ -6,6 +6,7 @@ their own tests; this module only arranges grids, random streams and files.
 
 from __future__ import annotations
 
+import operator
 import os
 import shlex
 from dataclasses import dataclass, field
@@ -57,6 +58,11 @@ class ExperimentConfig:
     out: str = "error_curve.csv"
 
     def __post_init__(self):
+        try:
+            for count in (self.theta_steps, self.reps, self.seed):
+                operator.index(count)
+        except TypeError:
+            raise ValueError("theta_steps, reps and seed must be integers") from None
         for key in ("theta_min", "theta_max"):
             if not np.isfinite(getattr(self, key)):
                 raise ValueError(f"{key} must be finite")

@@ -618,24 +618,57 @@ class TestNoncentralF:
         hh_type2_analytic(curve_tail_signals(), TestSpec(1, 3, 0.0, 0.05))
         assert sum(hi - lo for windows, _ in passes for lo, hi in windows) <= 470_000
 
-    def test_far_below_the_bulk_stops_after_one_pass(self, monkeypatch):
-        # at c = 2, nu = 3, x = 4/7: sum_k w_k(h) x^k = e^{-3h/7} underflows,
-        # so the bound on the terms below the first window is 0 and no pass
-        # widens it; the Poisson mass alone would walk down until pdtr
-        # underflows.  At nu > 2 the bound on I_x grows with lo, so the
-        # engine has no whole-series bound and sums this one window
+    @pytest.mark.parametrize("nu", [3, 5])
+    @pytest.mark.parametrize("lam", [1e9, 1e12])
+    def test_far_below_the_bulk_above_nu_2_sums_no_window(self, nu, lam, monkeypatch):
+        # at nu > 2 the bound C(lo) x^k on I_x grows with lo, but taken at
+        # the first window's top hi + 1 it still bounds the whole series by
+        # 2 C e^{-h y}, here 0; lambda = 1e12 once summed one window of
+        # about 1.3e7 atoms, in 0.7-0.8 s, to return 0.0
         passes = recording_passes(monkeypatch)
-        assert noncentral_f_cdf(2.0, NoncentralFParams(2, 3, 1e9)) == 0.0
-        assert len(passes) == 1
+        assert noncentral_f_cdf(2.0, NoncentralFParams(2, nu, lam)) == 0.0
+        assert passes == []
 
     @pytest.mark.parametrize("lam", [1e9, 1e12])
     def test_cdf_far_below_the_bulk_sums_no_window(self, lam, monkeypatch):
         # at nu = 1 the cdf bounds its table by C x^k for every k, so the
-        # whole series, at most C e^{-h/5}, is 0 before the first pass;
+        # whole series, at most 2 C e^{-h/5}, is 0 before the first pass;
         # lambda = 1e12 once took most of a second of passes to reach 0.0
         passes = recording_passes(monkeypatch)
         assert noncentral_f_cdf(2.0, NoncentralFParams(2, 1, lam)) == 0.0
         assert passes == []
+
+    @pytest.mark.parametrize("mu,nu,c,lam", [(2, 1, 2.0, 7091.0), (2, 3, 2.0, 3361.0),
+                                             (6, 10, 1.0, 2364.0)])
+    def test_series_sent_to_zero_lies_below_the_float_range(self, mu, nu, c, lam,
+                                                             monkeypatch):
+        # lambda just past where the whole-series bound sends the sum to 0:
+        # at lambda - 1 the engine still sums a window.  The series, bounded
+        # above in 40-digit mpmath, must lie below the smallest normal float:
+        # sum_{k<K} w_k I_x(k + a, b) + I_x(K + a, b) P(k >= K), with I_x from
+        # its value at the top K and I_x(z, b) = I_x(z + 1, b) + d_z downward,
+        # d_z = x^z y^b / (z B(z, b)) and d_{z-1} = d_z z / (x (z - 1 + b))
+        mp = pytest.importorskip("mpmath")
+        passes = recording_passes(monkeypatch)
+        assert noncentral_f_cdf(c, NoncentralFParams(mu, nu, lam)) == 0.0 and passes == []
+        noncentral_f_cdf(c, NoncentralFParams(mu, nu, lam - 1.0))
+        assert passes
+        with mp.workdps(40):
+            a, b, h = mp.mpf(mu) / 2, mp.mpf(nu) / 2, mp.mpf(lam) / 2
+            x, y = mu * c / (mp.mpf(mu) * c + nu), nu / (mp.mpf(mu) * c + nu)
+            top = int(h + 20 * mp.sqrt(h))
+            z = top + a
+            t = mp.betainc(z, b, 0, x, regularized=True)
+            total = t * mp.gammainc(top, 0, h, regularized=True)
+            d = x ** z * y ** b / (z * mp.beta(z, b))
+            w = mp.exp(top * mp.log(h) - h - mp.loggamma(top + 1))
+            for k in range(top - 1, -1, -1):
+                z -= 1
+                d *= (z + 1) / (x * (z + b))
+                w *= (k + 1) / h
+                t += d
+                total += w * t
+            assert total < np.finfo(float).tiny
 
     def test_cdf_far_below_the_bulk_in_a_stack(self):
         # the lambdas sent to 0 before any pass leave the others' bits alone
@@ -653,7 +686,7 @@ class TestNoncentralF:
         # the terms below a window, C e^{-h y} pdtr(lo - 1, h x): a table
         # above it would stop a window too early
         seen = []
-        monkeypatch.setattr(dist, "_mixture_at", lambda lam, *rest: seen.append(rest) or 0.0)
+        monkeypatch.setattr(dist, "_poisson_mixture", lambda half, *rest: seen.append(rest) or 0.0)
         noncentral_f_cdf(arg, NoncentralFParams(mu, nu, 1.0))
         table, x, _, log_scale = seen[0]
         t = table(0, 4 * dist._ANCHOR_STEP)

@@ -68,6 +68,15 @@ class TestExperimentConfig:
             ExperimentConfig.from_text("seed = -1\nreps = 0\n")
         assert ExperimentConfig(seed=0).seed == 0
 
+    @pytest.mark.parametrize("kwargs", [{"seed": 1.5}, {"theta_steps": 3.0}, {"reps": 10.0},
+                                        {"seed": np.float64(2.0)}])
+    def test_counts_must_be_integers(self, kwargs):
+        # seed = 1.5 was echoed as "# seed = 1.5" over the Monte Carlo columns
+        # of seed 1, and theta_steps = 3.0 or reps = 10.0 raised a TypeError
+        # from inside numpy or range at run time
+        with pytest.raises(ValueError, match="^theta_steps, reps and seed must be integers$"):
+            ExperimentConfig(**{"copies": 4, "theta_steps": 3, "reps": 2000, "seed": 1, **kwargs})
+
     @pytest.mark.parametrize("kwargs,key", [
         ({"theta_max": float("nan")}, "theta_max"),
         ({"theta_max": float("inf")}, "theta_max"),

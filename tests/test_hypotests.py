@@ -465,6 +465,22 @@ class TestSIClosedForm:
         assert all(0.0 < v <= 0.95 for v in vals)
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("theta", [0.15, 0.5, 1.0])
+    def test_meets_its_error_exponent_in_the_deep_tail(self, theta):
+        # Laplace's method on E[e^{-2 n theta^2 B}], B ~ Beta((n-1)/2, (n-1)/2):
+        # -log beta_si = n e_si + const + O(1/n), e_si = 2 theta^2 b* -
+        # log(4 b* (1 - b*)) / 2 at its minimiser b*.  Measured spreads of
+        # -log beta_si - n e_si over n: 8e-10, 7e-6 and 1.4e-5
+        t2 = theta * theta
+        b = (2 * t2 + 1 - np.sqrt(4 * t2 * t2 + 1)) / (4 * t2)
+        e_si = 2 * t2 * b - 0.5 * np.log(4 * b * (1 - b))
+        gaps = []
+        for n in (300, 1000, 3000, 10_000, 20_000):
+            beta_si = si_type2_closed(theta, TestSpec(1, n, 0.0, 0.05))
+            if beta_si > 1e-300:
+                gaps.append(-np.log(beta_si) - n * e_si)
+        assert len(gaps) >= 2 and np.ptp(gaps) <= 1e-4
+
 
 class TestSITwoCopies:
     def test_null_gives_level(self):
